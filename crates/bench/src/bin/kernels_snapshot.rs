@@ -39,7 +39,7 @@
 //! across rows of the same run.
 //!
 //! After the GEMM sweep the snapshot times the dispatched SIMD ops
-//! (`op` rows: relu, maxpool, softmax, quantize_i8) at the paper's
+//! (`op` rows: relu, maxpool, quantize_i8) at the paper's
 //! activation shapes: each row measures the op's scalar body against
 //! the auto-selected body interleaved — `speedup_vs_scalar` is a
 //! median of per-rep ratios, so clock drift cancels — and reports
@@ -53,7 +53,7 @@
 
 use insitu_telemetry as telemetry;
 use insitu_tensor::simd::{
-    dispatch_on, simd_isa_name, Isa, MaxPool2d, QuantizeI8, ReluTrain, SimdOp, SoftmaxRows,
+    dispatch_on, simd_isa_name, Isa, MaxPool2d, QuantizeI8, ReluTrain, SimdOp,
 };
 use insitu_tensor::{
     gemm_kernel_name, gemm_kernels_supported, matmul, matmul_i8, matmul_with_kernel, max_abs,
@@ -213,8 +213,7 @@ fn time_simd_pair(
     (sel_ns[sel_ns.len() / 2], sca_ns[sca_ns.len() / 2], ratios[ratios.len() / 2])
 }
 
-/// Appends one `op` row; `extra` carries op-specific fields (already
-/// comma-prefixed or empty).
+/// Appends one `op` row.
 #[allow(clippy::too_many_arguments)]
 fn push_op_row(
     rows: &mut String,
@@ -226,7 +225,6 @@ fn push_op_row(
     ns: u128,
     scalar_ns: u128,
     speedup: f64,
-    extra: &str,
 ) {
     if !rows.is_empty() {
         rows.push_str(",\n");
@@ -234,7 +232,7 @@ fn push_op_row(
     let gbps = bytes as f64 / ns.max(1) as f64;
     let _ = write!(
         rows,
-        "    {{\"op\": \"{op}\", \"isa\": \"{isa}\", \"n\": {n}, \"threads\": {threads}{extra}, \
+        "    {{\"op\": \"{op}\", \"isa\": \"{isa}\", \"n\": {n}, \"threads\": {threads}, \
          \"ns_per_iter\": {ns}, \"scalar_ns_per_iter\": {scalar_ns}, \
          \"gbps\": {gbps:.2}, \"speedup_vs_scalar\": {speedup:.2}}}"
     );
@@ -358,9 +356,6 @@ fn main() {
     let g = PoolGeometry::new(16, 36, 36, 2, 2).unwrap();
     let planes = 8 * 16;
     let out_len = planes * g.out_h * g.out_w;
-    // Classifier-head logits: the narrow gather path (CIFAR k=10) and
-    // a wide row (k=24) exercising the row-at-a-time path.
-    let softmax_shapes: [(usize, usize); 2] = [(4096, 10), (2048, 24)];
     for &t in THREADS {
         if t > cores {
             continue;
@@ -384,7 +379,7 @@ fn main() {
                 },
                 &mut || dispatch_on(sel, ReluTrain { buf: &mut buf_v, mask: &mut mask_v }),
             );
-            push_op_row(&mut rows, "relu", sel.name(), n_act, t, bytes, ns, sns, sp, "");
+            push_op_row(&mut rows, "relu", sel.name(), n_act, t, bytes, ns, sns, sp);
         }
 
         // maxpool: 2x2 stride-2 forward with argmax.
@@ -410,22 +405,7 @@ fn main() {
                     )
                 },
             );
-            push_op_row(&mut rows, "maxpool", sel.name(), n_act, t, bytes, ns, sns, sp, "");
-        }
-
-        // softmax: three-pass shift-invariant rows.
-        for &(b, k) in &softmax_shapes {
-            let n_sm = b * k;
-            let logits: Vec<f32> = (0..n_sm).map(|_| rng.uniform(-12.0, 12.0)).collect();
-            let mut buf_s = logits.clone();
-            let mut buf_v = logits;
-            let bytes = SoftmaxRows { buf: &mut buf_s, k }.bytes();
-            let (ns, sns, sp) = time_simd_pair(
-                quick,
-                &mut || dispatch_on(Isa::Scalar, SoftmaxRows { buf: &mut buf_s, k }),
-                &mut || dispatch_on(sel, SoftmaxRows { buf: &mut buf_v, k }),
-            );
-            push_op_row(&mut rows, "softmax", sel.name(), n_sm, t, bytes, ns, sns, sp, &format!(", \"k\": {k}"));
+            push_op_row(&mut rows, "maxpool", sel.name(), n_act, t, bytes, ns, sns, sp);
         }
 
         // quantize_i8: f32 -> i8 at the calibration scale.
@@ -440,7 +420,7 @@ fn main() {
                 },
                 &mut || dispatch_on(sel, QuantizeI8 { src: &act, inv_scale, dst: &mut dst_v }),
             );
-            push_op_row(&mut rows, "quantize_i8", sel.name(), n_act, t, bytes, ns, sns, sp, "");
+            push_op_row(&mut rows, "quantize_i8", sel.name(), n_act, t, bytes, ns, sns, sp);
         }
     }
     set_num_threads(1);

@@ -40,9 +40,9 @@
 //! warm-cycle ns plus hit rate and resident cache bytes reported.
 //!
 //! An `ingest_overlap` record compares the sequential
-//! materialize-then-compute session with the producer-driven
-//! overlapped pipeline over the same synthetic drift stream, gated on
-//! the Block-policy differential oracle (lockstep trajectories and
+//! materialize-then-replay session with the producer synthesizing
+//! frames while the node computes, over the same synthetic drift
+//! stream, gated on the Block-policy lockstep trajectories (counts and
 //! final weights bit-for-bit equal, or the process exits non-zero),
 //! and reports the ingest queue-depth percentiles and the frame
 //! arena's allocation discipline.
@@ -52,12 +52,14 @@
 
 use insitu_cloud::{Cloud, IncrementalConfig, Pretrained};
 use insitu_core::{
-    diagnose, diagnose_with_logits, plan_with_measurements, run_ingested_session,
-    run_streaming_session_with, validate_prometheus, Availability, CloudEndpoint, DiagnosisPolicy,
-    InferencePrecision, IngestPolicy, IngestSessionConfig, InsituNode, MeasuredProfile, MetricsHub,
-    ModelUpdate, PlanRequest, SessionConfig, StageOutcome,
+    diagnose, diagnose_with_logits, plan, run_ingested_session, validate_prometheus, Availability,
+    CloudEndpoint, CostSource, DiagnosisPolicy, InferencePrecision, IngestPolicy,
+    IngestSessionConfig, InsituNode, MeasuredProfile, MetricsHub, ModelUpdate, PlanRequest,
+    SessionConfig, StageOutcome,
 };
-use insitu_data::{Condition, Dataset, DriftSchedule, PermutationSet, SyntheticDriftSource};
+use insitu_data::{
+    Condition, Dataset, DriftSchedule, PermutationSet, ReplaySource, SyntheticDriftSource,
+};
 use insitu_devices::NetworkShapes;
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
 use insitu_nn::serialize::state_dict;
@@ -311,15 +313,15 @@ impl CloudEndpoint for EchoCloud {
 }
 
 /// The overlapped-ingestion record: sequential (materialize the whole
-/// synthetic stream, then run the vec-driven session) against the
-/// producer pipeline generating frame *N+1* while the node computes
-/// stage *N*, interleaved reps. Gated on the differential oracle — the
-/// overlapped `Block` session with lockstep uploads must reproduce the
-/// sequential session's `SessionStats` and final weights bit for bit —
-/// and reports the counted pass's queue-depth percentiles plus the
-/// arena's allocation discipline (`fresh_buffers` stays bounded by the
-/// queue capacity, never the stream length). Returns the JSON record
-/// plus the equivalence verdict.
+/// synthetic stream, then replay it through the session) against the
+/// producer generating frame *N+1* while the node computes stage *N*,
+/// interleaved reps. Gated on the lockstep trajectories — the
+/// synthesized and the replayed `Block` sessions with lockstep uploads
+/// must agree on `SessionStats` and final weights bit for bit — and
+/// reports the counted pass's queue-depth percentiles plus the arena's
+/// allocation discipline (`fresh_buffers` stays bounded by the queue
+/// capacity, never the stream length). Returns the JSON record plus
+/// the equivalence verdict.
 fn ingest_overlap_row(quick: bool) -> (String, bool) {
     let frames = if quick { 4 } else { 8 };
     const QUEUE_CAP: usize = 4;
@@ -328,25 +330,28 @@ fn ingest_overlap_row(quick: bool) -> (String, bool) {
     let make_source = || {
         SyntheticDriftSource::new(frames, IMAGES, CLASSES, schedule, SEED + 5).expect("source")
     };
+    // Sequential ingestion: the whole stream up front, then replayed.
+    let replayed = || {
+        let stream = make_source().materialize().expect("materialize");
+        Box::new(ReplaySource::new(Arc::new(stream)))
+    };
     let params = {
         let mut n = make_node(policy);
         state_dict(n.inference_mut())
     };
     let echo = || Arc::new(Mutex::new(EchoCloud { params: params.clone(), version: 0 }));
     // Equivalence gate first: lockstep uploads + the lossless Block
-    // policy make the overlapped session's trajectory deterministic;
-    // it must match the sequential loop bit for bit.
+    // policy make a session's trajectory deterministic; the replayed
+    // and the live-synthesized sessions must agree bit for bit.
     let lockstep = SessionConfig { batch_size: BATCH, uplink_capacity: 4, lockstep_uploads: true };
     let identical = {
-        let oracle_stream = make_source().materialize().expect("materialize");
-        let (mut na, sa) =
-            run_streaming_session_with(make_node(policy), echo(), oracle_stream, &lockstep)
-                .expect("sequential session");
         let cfg = IngestSessionConfig {
-            session: lockstep.clone(),
+            session: lockstep,
             queue_capacity: QUEUE_CAP,
             policy: IngestPolicy::Block,
         };
+        let (mut na, sa, _) = run_ingested_session(make_node(policy), echo(), replayed(), &cfg)
+            .expect("sequential session");
         let (mut nb, sb, _) =
             run_ingested_session(make_node(policy), echo(), Box::new(make_source()), &cfg)
                 .expect("overlapped session");
@@ -360,7 +365,7 @@ fn ingest_overlap_row(quick: bool) -> (String, bool) {
     // and Cloud construction stay outside the clock.
     let session = SessionConfig { batch_size: BATCH, uplink_capacity: 4, lockstep_uploads: false };
     let cfg = IngestSessionConfig {
-        session: session.clone(),
+        session,
         queue_capacity: QUEUE_CAP,
         policy: IngestPolicy::Block,
     };
@@ -372,9 +377,7 @@ fn ingest_overlap_row(quick: bool) -> (String, bool) {
         let node = make_node(policy);
         let cloud = echo();
         let t0 = Instant::now();
-        let oracle_stream = make_source().materialize().expect("materialize");
-        let _ = run_streaming_session_with(node, cloud, oracle_stream, &session)
-            .expect("sequential session");
+        let _ = run_ingested_session(node, cloud, replayed(), &cfg).expect("sequential session");
         seq_ns.push(t0.elapsed().as_nanos());
         let node = make_node(policy);
         let cloud = echo();
@@ -556,7 +559,8 @@ fn main() {
         let request =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 1.0, max_batch: 128 };
         let mut row = String::new();
-        match plan_with_measurements(&request, &NetworkShapes::alexnet(), None, &measured) {
+        let costs = CostSource::Measured(&measured);
+        match plan(&request, &NetworkShapes::alexnet(), costs, None) {
             Ok(plan) => {
                 let _ = write!(
                     row,

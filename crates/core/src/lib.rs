@@ -12,7 +12,7 @@
 //! ## Example
 //!
 //! ```
-//! use insitu_core::{plan, Availability, PlanRequest};
+//! use insitu_core::{plan, Availability, CostSource, PlanRequest};
 //! use insitu_devices::NetworkShapes;
 //!
 //! # fn main() -> Result<(), insitu_core::CoreError> {
@@ -23,7 +23,8 @@
 //!     t_user: 0.2,
 //!     max_batch: 128,
 //! };
-//! let plan = plan(&request, &inference, &diagnosis)?;
+//! let costs = CostSource::Analytical { diagnosis: &diagnosis };
+//! let plan = plan(&request, &inference, costs, None)?;
 //! assert!(plan.predicted_latency_s <= 0.2);
 //! # Ok(())
 //! # }
@@ -49,12 +50,10 @@ pub use metrics::{DataMovementMeter, EnergyMeter, UpdateClock, IMAGE_BYTES};
 pub use modes::{select_mode, Availability, Platform, WorkingMode};
 pub use node::{InferencePrecision, InsituNode, ReplanConfig, StageOutcome};
 pub use planner::{
-    plan, plan_with_measurements, plan_with_precision, precision_label, MeasuredProfile, NodePlan,
-    PlanRequest, QuantProfile,
+    plan, precision_label, CostSource, MeasuredProfile, NodePlan, PlanRequest, QuantProfile,
 };
 pub use runtime::{
-    run_ingested_session, run_replayed_session, run_streaming_session,
-    run_streaming_session_with, DegradeConfig, IngestPolicy, IngestSessionConfig, IngestSummary,
+    run_ingested_session, DegradeConfig, IngestPolicy, IngestSessionConfig, IngestSummary,
     SessionConfig, SessionStats,
 };
 pub use update::{CloudEndpoint, ModelUpdate};

@@ -6,7 +6,7 @@ use crate::diagnosis::{
 use crate::error::CoreError;
 use crate::metrics::{DataMovementMeter, ScoreSummary, IMAGE_BYTES};
 use crate::planner::{
-    plan_with_measurements, precision_label, MeasuredProfile, NodePlan, PlanRequest, QuantProfile,
+    precision_label, CostSource, MeasuredProfile, NodePlan, PlanRequest, QuantProfile,
 };
 use crate::recorder;
 use crate::update::ModelUpdate;
@@ -50,7 +50,7 @@ pub enum InferencePrecision {
 /// direction — or, when `queue_depth_trigger` is set, whether the
 /// ingest queue has backed up that far since the last check — and if
 /// so re-runs the planner on the measurements
-/// ([`plan_with_measurements`]), emitting a `node.replan` instant with
+/// ([`plan`](crate::plan) over [`CostSource::Measured`]), emitting a `node.replan` instant with
 /// the before/after plans. With `allow_precision_flip` a re-plan may
 /// switch [`InferencePrecision`] live: under queue pressure an f32
 /// node folds the i8 speedup (the configured [`QuantProfile`]'s, or
@@ -575,11 +575,11 @@ impl InsituNode {
         } else {
             format!("p90 ratio {ratio:.2}")
         };
-        match plan_with_measurements(
+        match crate::planner::plan(
             &cfg.request,
             &cfg.inference_shapes,
+            CostSource::Measured(&measured_for_plan),
             quant.as_ref(),
-            &measured_for_plan,
         ) {
             Ok(new_plan) => {
                 let before = plan.summary();

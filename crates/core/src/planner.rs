@@ -13,6 +13,10 @@
 //! * **Co-running (FPGA)** — Eqs. (10)–(14) configure the WSS Group +
 //!   NWS pipeline and pick the largest batch meeting the latency
 //!   bound.
+//!
+//! One entry point, [`plan`], prices batches from a [`CostSource`]:
+//! those analytical models, or the per-image latencies the running
+//! node measured (the online re-plan path).
 
 use crate::error::CoreError;
 use crate::modes::{select_mode, Availability, Platform, WorkingMode};
@@ -49,9 +53,10 @@ pub struct QuantProfile {
 /// labelled by precision (`"f32"` / `"i8"`) and a `node.upload_bytes`
 /// size histogram; [`MeasuredProfile::from_snapshot`] reads those into
 /// per-image latency percentiles, the observed i8-vs-f32 speedup, and
-/// the achieved uplink rate. [`plan_with_measurements`] then admits
-/// the largest batch whose **measured p90** per-image cost meets the
-/// user deadline, instead of trusting Eqs. 5–14's assumed costs.
+/// the achieved uplink rate. [`plan`] over [`CostSource::Measured`]
+/// then admits the largest batch whose **measured p90** per-image cost
+/// meets the user deadline, instead of trusting Eqs. 5–14's assumed
+/// costs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredProfile {
     /// Median per-image stage latency, seconds.
@@ -173,171 +178,136 @@ impl NodePlan {
     }
 }
 
-/// Plans a node configuration for the given constraints and networks.
+/// Where the planner's per-image costs come from: the analytical
+/// device models or the node's own measurements. Both feed the same
+/// input check, mode selection, WSS group sizing and plan assembly in
+/// [`plan`]; only batch admission differs.
+#[derive(Debug, Clone, Copy)]
+pub enum CostSource<'a> {
+    /// The paper's time and resource models. Single-running admits the
+    /// largest GPU inference batch meeting the deadline (Eqs. 5–8) and
+    /// the largest diagnosis batch fitting device memory (Eq. 9, over
+    /// these `diagnosis` shapes); Co-running admits the largest
+    /// WSS-NWS pipeline batch meeting it (Eqs. 10–14).
+    Analytical {
+        /// Shapes of the diagnosis network.
+        diagnosis: &'a NetworkShapes,
+    },
+    /// Per-stage costs measured on the running node: the largest batch
+    /// whose **measured p90** per-image latency fits the deadline is
+    /// admitted. The latencies were recorded at the precision the node
+    /// actually runs, so a quant profile marks the plan i8 without
+    /// rescaling them. This is what the node's online re-plan path
+    /// uses.
+    Measured(&'a MeasuredProfile),
+}
+
+/// Plans a node configuration for the given constraints and inference
+/// network, pricing batches with `costs`.
+///
+/// The mode and platform follow the paper's availability rule. An
+/// optional measured [`QuantProfile`] makes a Co-running (FPGA) plan
+/// i8 and carries its accuracy delta; under
+/// [`CostSource::Analytical`] it also scales the pipeline's per-batch
+/// latency by the measured speedup before the deadline check (a batch
+/// is admissible iff its f32 latency is within `t_user × speedup`),
+/// which can rescue an otherwise-infeasible deadline. Single-running
+/// (GPU) plans stay f32: the quantized kernels model the FPGA's
+/// fixed-point PEs, not the mobile GPU's floating-point ALUs.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Infeasible`] when no batch size meets the
-/// latency bound on the selected platform.
+/// Returns [`CoreError::BadConfig`] for a bad request (a NaN or
+/// non-positive `t_user`, a zero `max_batch`), a degenerate quant
+/// profile (non-finite or non-positive speedup) or a degenerate
+/// measured profile (non-finite or non-positive p90), and
+/// [`CoreError::Infeasible`] when no batch size meets the latency
+/// bound.
 pub fn plan(
     request: &PlanRequest,
     inference: &NetworkShapes,
-    diagnosis: &NetworkShapes,
-) -> Result<NodePlan> {
-    plan_with_precision(request, inference, diagnosis, None)
-}
-
-/// Plans a node configuration, optionally folding a measured
-/// [`QuantProfile`] into the Co-running time model.
-///
-/// With a profile, the FPGA branch scales the pipeline's per-batch
-/// latency by the measured i8 speedup before applying the latency
-/// bound — a batch is admissible iff its f32 latency is within
-/// `t_user × speedup` — and reports i8-adjusted latency/throughput and
-/// the expected accuracy delta. The GPU branch always plans f32: the
-/// quantized kernels model the FPGA's fixed-point PEs, not the mobile
-/// GPU's floating-point ALUs.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Infeasible`] when no batch size meets the
-/// latency bound, and [`CoreError::BadConfig`] for a degenerate
-/// profile (non-finite or non-positive speedup).
-pub fn plan_with_precision(
-    request: &PlanRequest,
-    inference: &NetworkShapes,
-    diagnosis: &NetworkShapes,
+    costs: CostSource<'_>,
     quant: Option<&QuantProfile>,
 ) -> Result<NodePlan> {
+    let t_user = request.t_user;
+    let bad = |reason: String| Err(CoreError::BadConfig { reason });
+    if t_user.is_nan() || t_user <= 0.0 {
+        return bad(format!("deadline t_user must be > 0 s, got {t_user}"));
+    }
+    if request.max_batch == 0 {
+        return bad("max_batch must be at least 1".into());
+    }
     if let Some(q) = quant {
         if !(q.speedup.is_finite() && q.speedup > 0.0) {
-            return Err(CoreError::BadConfig {
-                reason: format!("quant profile speedup must be finite and > 0, got {}", q.speedup),
-            });
+            return bad(format!("quant profile speedup must be finite and > 0, got {}", q.speedup));
+        }
+    }
+    if let CostSource::Measured(m) = costs {
+        let p90 = m.per_image_p90_s;
+        if !(p90.is_finite() && p90 > 0.0) {
+            return bad(format!("measured per-image latency must be finite and > 0, got {p90}"));
         }
     }
     let (mode, platform) = select_mode(request.availability);
-    match platform {
-        Platform::MobileGpu => {
-            let gpu = GpuModel::new(GpuSpec::tx1());
-            let inference_batch = gpu
-                .optimal_batch(inference, request.t_user, request.max_batch)
-                .ok_or_else(|| CoreError::Infeasible {
-                    reason: format!(
-                        "no GPU batch meets {} s for `{}`",
-                        request.t_user, inference.name
-                    ),
-                })?;
-            let diagnosis_batch = gpu.max_batch_under_ram(diagnosis, request.max_batch).max(1);
-            Ok(NodePlan {
-                mode,
-                platform,
-                inference_batch,
-                diagnosis_batch,
-                predicted_latency_s: gpu.batch_latency(inference, inference_batch),
-                predicted_throughput: gpu.throughput(inference, inference_batch),
-                predicted_perf_per_watt: gpu.perf_per_watt(inference, inference_batch),
-                wss_group_size: 0,
-                precision: InferencePrecision::F32,
-                accuracy_delta: 0.0,
-            })
+    // Co-running maps onto the WSS Group + NWS pipeline (Eqs. 10–14).
+    let (convs, fcs) = (inference.convs(), inference.fcs());
+    let pipeline = (platform == Platform::Fpga)
+        .then(|| WssNwsPipeline::configure(FpgaSpec::vx690t(), &convs, &fcs));
+    let quant = quant.filter(|_| pipeline.is_some());
+    let infeasible = |what: String| CoreError::Infeasible {
+        reason: format!("no {what} meets {t_user} s for `{}`", inference.name),
+    };
+    // Batch admission, the one step that depends on the cost source.
+    let (
+        inference_batch,
+        diagnosis_batch,
+        predicted_latency_s,
+        predicted_throughput,
+        predicted_perf_per_watt,
+    ) = match (costs, &pipeline) {
+        (CostSource::Measured(m), _) => {
+            let per_image = m.per_image_p90_s;
+            if per_image > t_user {
+                return Err(infeasible(format!(
+                    "batch at the measured p90 of {per_image:.6} s per image"
+                )));
+            }
+            let batch = ((t_user / per_image).floor() as usize).clamp(1, request.max_batch);
+            (batch, batch, batch as f64 * per_image, 1.0 / per_image, 0.0)
         }
-        Platform::Fpga => {
-            let spec = FpgaSpec::vx690t();
-            let convs = inference.convs();
-            let fcs = inference.fcs();
-            let pipe = WssNwsPipeline::configure(spec, &convs, &fcs);
+        (CostSource::Analytical { diagnosis }, None) => {
+            let gpu = GpuModel::new(GpuSpec::tx1());
+            let batch = gpu
+                .optimal_batch(inference, t_user, request.max_batch)
+                .ok_or_else(|| infeasible("GPU batch".into()))?;
+            (
+                batch,
+                gpu.max_batch_under_ram(diagnosis, request.max_batch).max(1),
+                gpu.batch_latency(inference, batch),
+                gpu.throughput(inference, batch),
+                gpu.perf_per_watt(inference, batch),
+            )
+        }
+        (CostSource::Analytical { .. }, Some(pipe)) => {
             let speedup = quant.map_or(1.0, |q| q.speedup);
             let point = pipe
-                .best_under_latency(&convs, &fcs, request.t_user * speedup, request.max_batch)
-                .ok_or_else(|| CoreError::Infeasible {
-                    reason: format!(
-                        "no pipeline batch meets {} s for `{}`",
-                        request.t_user, inference.name
-                    ),
-                })?;
-            Ok(NodePlan {
-                mode,
-                platform,
-                inference_batch: point.batch,
-                diagnosis_batch: point.batch,
-                predicted_latency_s: point.latency_s / speedup,
-                predicted_throughput: point.throughput * speedup,
-                predicted_perf_per_watt: 0.0,
-                wss_group_size: pipe.group_size,
-                precision: if quant.is_some() {
-                    InferencePrecision::I8
-                } else {
-                    InferencePrecision::F32
-                },
-                accuracy_delta: quant.map_or(0.0, |q| q.accuracy_delta),
-            })
+                .best_under_latency(&convs, &fcs, t_user * speedup, request.max_batch)
+                .ok_or_else(|| infeasible("pipeline batch".into()))?;
+            let batch = point.batch;
+            (batch, batch, point.latency_s / speedup, point.throughput * speedup, 0.0)
         }
-    }
-}
-
-/// Plans a node configuration from **measured** per-stage costs
-/// instead of the analytical device model: the mode/platform decision
-/// still follows the paper's availability rule, but batch admission
-/// uses the profile's p90 per-image latency — the largest batch whose
-/// measured cost fits `t_user` is chosen. This is what the node's
-/// online re-plan path calls when the observed p90 diverges from the
-/// current plan's prediction.
-///
-/// The `quant` profile plays the same role as in
-/// [`plan_with_precision`]: on the FPGA platform it marks the plan i8
-/// and carries the accuracy delta. The measured per-image latencies in
-/// `measured` are taken as-is (they were recorded at the precision the
-/// node actually runs), so no speedup rescaling is applied.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Infeasible`] when even a single image misses
-/// the deadline at the measured p90, and [`CoreError::BadConfig`] for
-/// a degenerate profile (non-finite or non-positive latency).
-pub fn plan_with_measurements(
-    request: &PlanRequest,
-    inference: &NetworkShapes,
-    quant: Option<&QuantProfile>,
-    measured: &MeasuredProfile,
-) -> Result<NodePlan> {
-    let per_image = measured.per_image_p90_s;
-    if !(per_image.is_finite() && per_image > 0.0) {
-        return Err(CoreError::BadConfig {
-            reason: format!("measured per-image latency must be finite and > 0, got {per_image}"),
-        });
-    }
-    let (mode, platform) = select_mode(request.availability);
-    if per_image > request.t_user {
-        return Err(CoreError::Infeasible {
-            reason: format!(
-                "measured p90 per-image latency {per_image:.6} s exceeds the {} s deadline \
-                 for `{}`",
-                request.t_user, inference.name
-            ),
-        });
-    }
-    let batch =
-        ((request.t_user / per_image).floor() as usize).clamp(1, request.max_batch.max(1));
-    let quantized = platform == Platform::Fpga && quant.is_some();
-    let wss_group_size = if platform == Platform::Fpga {
-        let convs = inference.convs();
-        let fcs = inference.fcs();
-        WssNwsPipeline::configure(FpgaSpec::vx690t(), &convs, &fcs).group_size
-    } else {
-        0
     };
     Ok(NodePlan {
         mode,
         platform,
-        inference_batch: batch,
-        diagnosis_batch: batch,
-        predicted_latency_s: batch as f64 * per_image,
-        predicted_throughput: 1.0 / per_image,
-        predicted_perf_per_watt: 0.0,
-        wss_group_size,
-        precision: if quantized { InferencePrecision::I8 } else { InferencePrecision::F32 },
-        accuracy_delta: if quantized { quant.map_or(0.0, |q| q.accuracy_delta) } else { 0.0 },
+        inference_batch,
+        diagnosis_batch,
+        predicted_latency_s,
+        predicted_throughput,
+        predicted_perf_per_watt,
+        wss_group_size: pipeline.map_or(0, |p| p.group_size),
+        precision: if quant.is_some() { InferencePrecision::I8 } else { InferencePrecision::F32 },
+        accuracy_delta: quant.map_or(0.0, |q| q.accuracy_delta),
     })
 }
 
@@ -351,6 +321,16 @@ mod tests {
         (inf, diag)
     }
 
+    /// The analytical planner over `diag` shapes.
+    fn analytical(
+        req: &PlanRequest,
+        inf: &NetworkShapes,
+        diag: &NetworkShapes,
+        quant: Option<&QuantProfile>,
+    ) -> Result<NodePlan> {
+        plan(req, inf, CostSource::Analytical { diagnosis: diag }, quant)
+    }
+
     #[test]
     fn scheduled_plan_uses_gpu_time_and_resource_models() {
         let (inf, diag) = nets();
@@ -359,7 +339,7 @@ mod tests {
             t_user: 0.1,
             max_batch: 128,
         };
-        let plan = plan(&req, &inf, &diag).unwrap();
+        let plan = analytical(&req, &inf, &diag, None).unwrap();
         assert_eq!(plan.platform, Platform::MobileGpu);
         assert_eq!(plan.mode, WorkingMode::SingleRunning);
         assert!(plan.predicted_latency_s <= 0.1);
@@ -373,7 +353,7 @@ mod tests {
         let (inf, diag) = nets();
         let req =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 0.2, max_batch: 128 };
-        let plan = plan(&req, &inf, &diag).unwrap();
+        let plan = analytical(&req, &inf, &diag, None).unwrap();
         assert_eq!(plan.platform, Platform::Fpga);
         assert_eq!(plan.mode, WorkingMode::CoRunning);
         assert!(plan.predicted_latency_s <= 0.2);
@@ -389,7 +369,7 @@ mod tests {
             max_batch: 16,
         };
         assert!(matches!(
-            plan(&req, &inf, &diag),
+            analytical(&req, &inf, &diag, None),
             Err(CoreError::Infeasible { .. })
         ));
     }
@@ -399,9 +379,9 @@ mod tests {
         let (inf, diag) = nets();
         let req =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 0.2, max_batch: 128 };
-        let f32_plan = plan(&req, &inf, &diag).unwrap();
+        let f32_plan = analytical(&req, &inf, &diag, None).unwrap();
         let profile = QuantProfile { speedup: 1.8, accuracy_delta: -0.007 };
-        let i8_plan = plan_with_precision(&req, &inf, &diag, Some(&profile)).unwrap();
+        let i8_plan = analytical(&req, &inf, &diag, Some(&profile)).unwrap();
         assert_eq!(i8_plan.precision, InferencePrecision::I8);
         assert_eq!(i8_plan.accuracy_delta, -0.007);
         assert!(i8_plan.predicted_latency_s <= req.t_user + 1e-12);
@@ -411,8 +391,6 @@ mod tests {
             i8_plan.predicted_throughput,
             f32_plan.predicted_throughput
         );
-        // Without a profile, plan_with_precision is exactly plan().
-        assert_eq!(plan_with_precision(&req, &inf, &diag, None).unwrap(), f32_plan);
         assert_eq!(f32_plan.precision, InferencePrecision::F32);
         assert_eq!(f32_plan.accuracy_delta, 0.0);
     }
@@ -423,9 +401,9 @@ mod tests {
         // Find a deadline tight enough that f32 fails but 4x i8 passes.
         let req =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 1e-4, max_batch: 64 };
-        if plan(&req, &inf, &diag).is_err() {
+        if analytical(&req, &inf, &diag, None).is_err() {
             let profile = QuantProfile { speedup: 1e3, accuracy_delta: -0.01 };
-            let rescued = plan_with_precision(&req, &inf, &diag, Some(&profile));
+            let rescued = analytical(&req, &inf, &diag, Some(&profile));
             assert!(rescued.is_ok(), "large measured speedup should admit a batch");
         }
     }
@@ -439,25 +417,11 @@ mod tests {
             max_batch: 128,
         };
         let profile = QuantProfile { speedup: 2.0, accuracy_delta: -0.01 };
-        let p = plan_with_precision(&req, &inf, &diag, Some(&profile)).unwrap();
+        let p = analytical(&req, &inf, &diag, Some(&profile)).unwrap();
         assert_eq!(p.platform, Platform::MobileGpu);
         assert_eq!(p.precision, InferencePrecision::F32);
         assert_eq!(p.accuracy_delta, 0.0);
-        assert_eq!(p, plan(&req, &inf, &diag).unwrap());
-    }
-
-    #[test]
-    fn degenerate_quant_profile_is_rejected() {
-        let (inf, diag) = nets();
-        let req =
-            PlanRequest { availability: Availability::AlwaysOn, t_user: 0.2, max_batch: 128 };
-        for speedup in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let profile = QuantProfile { speedup, accuracy_delta: 0.0 };
-            assert!(matches!(
-                plan_with_precision(&req, &inf, &diag, Some(&profile)),
-                Err(CoreError::BadConfig { .. })
-            ));
-        }
+        assert_eq!(p, analytical(&req, &inf, &diag, None).unwrap());
     }
 
     fn profile(per_image_s: f64) -> MeasuredProfile {
@@ -470,12 +434,47 @@ mod tests {
         }
     }
 
+    /// One input check for both cost sources: a NaN, zero or negative
+    /// deadline, a zero `max_batch` and a degenerate quant profile are
+    /// all `BadConfig`, whichever source prices the batches.
+    #[test]
+    fn bad_requests_are_rejected_by_both_cost_sources() {
+        let (inf, diag) = nets();
+        let measured = profile(0.01);
+        let ok = PlanRequest { availability: Availability::AlwaysOn, t_user: 0.2, max_batch: 64 };
+        let bad_config = |req: &PlanRequest, source, quant: Option<&QuantProfile>| {
+            matches!(plan(req, &inf, source, quant), Err(CoreError::BadConfig { .. }))
+        };
+        for availability in [Availability::AlwaysOn, Availability::Scheduled] {
+            let ok = PlanRequest { availability, ..ok };
+            let bad_requests = [
+                PlanRequest { t_user: f64::NAN, ..ok },
+                PlanRequest { t_user: 0.0, ..ok },
+                PlanRequest { t_user: -1.0, ..ok },
+                PlanRequest { max_batch: 0, ..ok },
+            ];
+            for source in
+                [CostSource::Analytical { diagnosis: &diag }, CostSource::Measured(&measured)]
+            {
+                assert!(plan(&ok, &inf, source, None).is_ok(), "{ok:?} via {source:?}");
+                for req in &bad_requests {
+                    assert!(bad_config(req, source, None), "{req:?} via {source:?}");
+                }
+                for speedup in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                    let q = QuantProfile { speedup, accuracy_delta: 0.0 };
+                    assert!(bad_config(&ok, source, Some(&q)), "speedup {speedup} via {source:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn measured_plan_admits_batch_from_p90() {
         let (inf, _) = nets();
         let req =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 0.1, max_batch: 256 };
-        let p = plan_with_measurements(&req, &inf, None, &profile(0.01)).unwrap();
+        let measured = |s| plan(&req, &inf, CostSource::Measured(&profile(s)), None).unwrap();
+        let p = measured(0.01);
         assert_eq!(p.platform, Platform::Fpga);
         assert_eq!(p.mode, WorkingMode::CoRunning);
         assert_eq!(p.inference_batch, 10); // floor(0.1 / 0.01)
@@ -483,11 +482,10 @@ mod tests {
         assert!((p.predicted_throughput - 100.0).abs() < 1e-6);
         assert!(p.wss_group_size >= 1);
         // A slower node admits a smaller batch.
-        let slow = plan_with_measurements(&req, &inf, None, &profile(0.04)).unwrap();
-        assert!(slow.inference_batch < p.inference_batch);
+        assert!(measured(0.04).inference_batch < p.inference_batch);
         // max_batch caps the admission.
         let tiny = PlanRequest { max_batch: 4, ..req };
-        let capped = plan_with_measurements(&tiny, &inf, None, &profile(0.01)).unwrap();
+        let capped = plan(&tiny, &inf, CostSource::Measured(&profile(0.01)), None).unwrap();
         assert_eq!(capped.inference_batch, 4);
     }
 
@@ -497,12 +495,12 @@ mod tests {
         let req =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 0.01, max_batch: 64 };
         assert!(matches!(
-            plan_with_measurements(&req, &inf, None, &profile(0.02)),
+            plan(&req, &inf, CostSource::Measured(&profile(0.02)), None),
             Err(CoreError::Infeasible { .. })
         ));
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                plan_with_measurements(&req, &inf, None, &profile(bad)),
+                plan(&req, &inf, CostSource::Measured(&profile(bad)), None),
                 Err(CoreError::BadConfig { .. })
             ));
         }
@@ -512,14 +510,15 @@ mod tests {
     fn measured_plan_quant_marks_i8_on_fpga_only() {
         let (inf, _) = nets();
         let q = QuantProfile { speedup: 1.7, accuracy_delta: -0.005 };
+        let measured = profile(0.01);
         let fpga =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 0.1, max_batch: 64 };
-        let p = plan_with_measurements(&fpga, &inf, Some(&q), &profile(0.01)).unwrap();
+        let p = plan(&fpga, &inf, CostSource::Measured(&measured), Some(&q)).unwrap();
         assert_eq!(p.precision, InferencePrecision::I8);
         assert_eq!(p.accuracy_delta, -0.005);
         let gpu =
             PlanRequest { availability: Availability::Scheduled, t_user: 0.1, max_batch: 64 };
-        let p = plan_with_measurements(&gpu, &inf, Some(&q), &profile(0.01)).unwrap();
+        let p = plan(&gpu, &inf, CostSource::Measured(&measured), Some(&q)).unwrap();
         assert_eq!(p.precision, InferencePrecision::F32);
         assert_eq!(p.accuracy_delta, 0.0);
         assert_eq!(p.wss_group_size, 0);
@@ -530,7 +529,7 @@ mod tests {
         let (inf, diag) = nets();
         let req =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 0.2, max_batch: 128 };
-        let s = plan(&req, &inf, &diag).unwrap().summary();
+        let s = analytical(&req, &inf, &diag, None).unwrap().summary();
         assert!(s.contains("CoRunning/Fpga"), "{s}");
         assert!(s.contains("bs="), "{s}");
         assert!(!s.contains('\n'));
@@ -554,7 +553,7 @@ mod tests {
                 t_user: t,
                 max_batch: 256,
             };
-            let p = plan(&req, &inf, &diag).unwrap();
+            let p = analytical(&req, &inf, &diag, None).unwrap();
             assert!(p.predicted_throughput >= last * 0.999);
             last = p.predicted_throughput;
         }

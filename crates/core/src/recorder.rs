@@ -8,7 +8,7 @@
 //! per kernel — so the cost is one short-lived mutex lock on a
 //! bounded ring per stage-scale event.
 //!
-//! When [`crate::run_streaming_session`] surfaces any error
+//! When [`crate::run_ingested_session`] surfaces any error
 //! (including [`crate::CoreError::ActorPanicked`] from an injected
 //! fault), it calls [`dump`] with the error as the reason. The dump is
 //! a self-contained JSON post-mortem: the reason plus the most recent

@@ -1,19 +1,17 @@
-//! A threaded deployment runtime: the node, the Cloud — and, for
-//! ingested sessions, a stream producer — as concurrent actors
-//! exchanging messages over channels.
+//! A threaded deployment runtime: a stream producer, the node and the
+//! Cloud as concurrent actors exchanging messages over channels.
 //!
 //! The batch-oriented APIs ([`InsituNode::process_stage`],
 //! [`CloudEndpoint::incremental_update`]) are what the experiments
 //! drive; this module wires them into a live system the way a real
 //! deployment would run — the node consuming a sensor stream on its
 //! own thread, shipping valuable data upstream, and hot-swapping model
-//! updates as they arrive. [`run_streaming_session`] feeds the node
-//! from a pre-materialized `Vec<Dataset>`; [`run_ingested_session`]
-//! overlaps ingestion with compute instead, running a
-//! [`StreamSource`] producer thread behind a bounded
+//! updates as they arrive. [`run_ingested_session`] is the one entry
+//! point: a [`StreamSource`] producer thread fills a bounded
 //! [`insitu_data::IngestQueue`] so the node computes stage *N* while
 //! the producer materializes stage *N+1* (stage wall-clock ≈
-//! max(compute, ingest) instead of their sum).
+//! max(compute, ingest) instead of their sum). A pre-materialized
+//! `Vec<Dataset>` streams through [`ReplaySource`](insitu_data::ReplaySource).
 //!
 //! Because updates install *opportunistically* (the node drains the
 //! downlink with `try_recv` between batches), which batch first sees
@@ -24,22 +22,21 @@
 //! results are bitwise identical under all of those knobs. For
 //! differential testing, [`SessionConfig::lockstep_uploads`] removes
 //! the race: the node blocks for each update right after uploading,
-//! which makes a whole session trajectory deterministic — the
-//! overlapped pipeline under the lossless `Block` policy then produces
-//! a [`SessionStats`] and final model bitwise identical to the
-//! sequential loop's.
+//! which makes a whole session trajectory deterministic — under the
+//! lossless `Block` policy the session then produces a [`SessionStats`]
+//! and final model bitwise identical to a hand-driven sequential loop
+//! over the same frames (`prewarm`, then per frame `process_stage` →
+//! `upload_payload` → `incremental_update` → `install_update`).
 
 use crate::error::CoreError;
 use crate::hub::MetricsHub;
 use crate::node::{InferencePrecision, InsituNode};
 use crate::planner::precision_label;
 use crate::recorder;
-use crate::update::CloudEndpoint;
+use crate::update::{CloudEndpoint, ModelUpdate};
 use crate::Result;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use insitu_data::{
-    Dataset, Frame, IngestConfig, IngestPipeline, QueueFullPolicy, ReplaySource, StreamSource,
-};
+use insitu_data::{Dataset, IngestConfig, IngestPipeline, QueueFullPolicy, StreamSource};
 use insitu_telemetry as telemetry;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -56,7 +53,7 @@ enum Uplink {
     Shutdown,
 }
 
-/// Tuning knobs of a streaming session.
+/// Tuning knobs of the node/Cloud side of a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionConfig {
     /// Inference batch size while the node is unplanned (a re-planning
@@ -97,13 +94,13 @@ impl SessionConfig {
     }
 }
 
-/// What an ingested session's consumer does when the producer runs
-/// ahead of it (the queue backs up).
+/// What a session's consumer does when the producer runs ahead of it
+/// (the queue backs up).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum IngestPolicy {
     /// Stall the producer at the queue bound; the node sees every
     /// frame. Lossless — the differential-testing mode, bitwise
-    /// comparable to the sequential loop.
+    /// comparable to a hand-driven sequential loop.
     #[default]
     Block,
     /// Evict the oldest queued frame and keep producing; the node
@@ -146,10 +143,10 @@ impl Default for DegradeConfig {
     }
 }
 
-/// Tuning knobs of an overlapped (producer-driven) session.
+/// Tuning knobs of a [`run_ingested_session`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IngestSessionConfig {
-    /// The session knobs shared with the vec-driven path.
+    /// The node/Cloud knobs: batch size, uplink bound, lockstep.
     pub session: SessionConfig,
     /// Frame capacity of the bounded ingest queue (clamped to at
     /// least 1). Deeper queues absorb burstier producers at the cost
@@ -159,7 +156,7 @@ pub struct IngestSessionConfig {
     pub policy: IngestPolicy,
 }
 
-/// Statistics of one completed streaming session.
+/// Statistics of one completed session.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Batches the node processed.
@@ -170,8 +167,9 @@ pub struct SessionStats {
     pub images_uploaded: u64,
     /// Model updates installed on the node.
     pub updates_installed: u64,
-    /// Times the node re-planned itself mid-session (see
-    /// [`InsituNode::enable_replan`]).
+    /// Times the node re-planned itself during this session (see
+    /// [`InsituNode::enable_replan`]); [`InsituNode::replans`] keeps
+    /// the node's lifetime count.
     pub replans: u64,
     /// Telemetry captured over the session — empty unless tracing was
     /// enabled (see [`insitu_telemetry::set_enabled`]).
@@ -184,9 +182,9 @@ pub struct SessionStats {
 
 /// What the ingestion pipeline of a [`run_ingested_session`] did.
 ///
-/// Kept separate from [`SessionStats`] so the stats of an overlapped
-/// session stay field-for-field comparable (bitwise, under the `Block`
-/// policy with lockstep uploads) to a sequential session's.
+/// Kept separate from [`SessionStats`] so a session's stats stay
+/// field-for-field comparable (bitwise, under the `Block` policy with
+/// lockstep uploads) to a hand-driven sequential loop's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestSummary {
     /// Frames the producer materialized (including dropped ones).
@@ -213,95 +211,42 @@ pub struct IngestSummary {
     pub produce_ns_total: u64,
 }
 
-/// Where the session's frames come from.
-enum Feed {
-    /// The legacy vec-driven path: stages owned up front.
-    Replay(std::vec::IntoIter<Dataset>),
-    /// The overlapped path: a producer thread behind a bounded queue.
-    Ingested { pipeline: IngestPipeline, policy: IngestPolicy },
-}
-
-/// Runs a live session: feeds every dataset from `stream` through the
-/// node on a worker thread while a Cloud thread consumes the uploads
-/// and pushes back model updates, which the node installs between
-/// batches. Returns the final node together with session statistics.
+/// Runs a live session: a producer thread materializes frames from
+/// `source` into a bounded ingest queue while the node computes on
+/// this thread and a Cloud thread trains on the uploads and pushes
+/// back model updates, which the node installs between frames. Stage
+/// wall-clock approaches max(compute, ingest) instead of their sum.
+/// A pre-materialized `Vec<Dataset>` runs as
+/// `Box::new(ReplaySource::new(Arc::new(stream)))` (see
+/// [`insitu_data::ReplaySource`]).
 ///
-/// Equivalent to [`run_streaming_session_with`] under
-/// [`SessionConfig::with_batch`]`(batch_size)`.
-///
-/// # Errors
-///
-/// See [`run_streaming_session_with`].
-pub fn run_streaming_session<C>(
-    node: InsituNode,
-    cloud: Arc<Mutex<C>>,
-    stream: Vec<Dataset>,
-    batch_size: usize,
-) -> Result<(InsituNode, SessionStats)>
-where
-    C: CloudEndpoint + Send + 'static,
-{
-    run_streaming_session_with(node, cloud, stream, &SessionConfig::with_batch(batch_size))
-}
-
-/// [`run_streaming_session`] with explicit [`SessionConfig`] knobs.
-///
-/// The Cloud is shared behind a mutex so callers keep ownership of
-/// whatever state their [`CloudEndpoint`] carries.
-///
-/// The Cloud thread is joined on **every** exit path — errors and node
-/// panics included — so no actor thread outlives the call. A panicking
-/// Cloud actor surfaces as [`CoreError::ActorPanicked`] (carrying the
-/// panic message); a node panic is re-raised here after the Cloud
-/// thread has shut down.
-///
-/// # Errors
-///
-/// Returns the first error raised by either actor; when both fail, the
-/// Cloud's failure wins (a node-side "cloud hung up" error is usually
-/// its symptom).
-pub fn run_streaming_session_with<C>(
-    node: InsituNode,
-    cloud: Arc<Mutex<C>>,
-    stream: Vec<Dataset>,
-    config: &SessionConfig,
-) -> Result<(InsituNode, SessionStats)>
-where
-    C: CloudEndpoint + Send + 'static,
-{
-    let start_detail = format!("{} stages @bs{}", stream.len(), config.batch_size);
-    let (node, stats, _summary) = run_session(
-        node,
-        cloud,
-        Feed::Replay(stream.into_iter()),
-        config,
-        start_detail,
-    )?;
-    Ok((node, stats))
-}
-
-/// Runs an **overlapped** live session: a producer thread materializes
-/// frames from `source` into a bounded ingest queue while the node
-/// computes, so stage wall-clock approaches max(compute, ingest)
-/// instead of their sum. The configured [`IngestPolicy`] governs what
-/// happens when the node falls behind; queue depth, producer latency
-/// and drop/degrade/flip counts land in telemetry (`node.ingest.*`)
-/// and the flight recorder, and the pipeline's bookkeeping comes back
-/// as an [`IngestSummary`] next to the ordinary [`SessionStats`].
-///
-/// Frame storage is recycled through the producer's arena: in steady
-/// state ingestion allocates nothing (see
-/// [`insitu_data::ProducerReport::fresh_buffers`]).
+/// The configured [`IngestPolicy`] governs what happens when the node
+/// falls behind; queue depth, producer latency and drop/degrade/flip
+/// counts land in telemetry (`node.ingest.*`) and the flight recorder,
+/// and the pipeline's bookkeeping comes back as an [`IngestSummary`]
+/// next to the ordinary [`SessionStats`]. Frame storage is recycled
+/// through the producer's arena: in steady state ingestion allocates
+/// nothing (see [`insitu_data::ProducerReport::fresh_buffers`]).
 ///
 /// Under `IngestPolicy::Block` with
-/// [`SessionConfig::lockstep_uploads`], the session is a bitwise
-/// drop-in for [`run_streaming_session_with`] over the materialized
-/// stream: identical [`SessionStats`] and final model state.
+/// [`SessionConfig::lockstep_uploads`], the session reproduces the
+/// hand-driven sequential loop over the same frames bitwise: identical
+/// [`SessionStats`] counts and final model state.
+///
+/// The Cloud is shared behind a mutex so callers keep ownership of
+/// whatever state their [`CloudEndpoint`] carries. The producer and
+/// Cloud threads are joined on **every** exit path — errors and node
+/// panics included — so no actor thread outlives the call. A panicking
+/// Cloud actor surfaces as [`CoreError::ActorPanicked`] (carrying the
+/// panic message); a node panic is re-raised here after the other
+/// actors have shut down.
 ///
 /// # Errors
 ///
-/// As [`run_streaming_session_with`], plus any error the stream source
-/// raises on the producer thread.
+/// Returns the first error raised by any actor, the stream source
+/// included; when both the node and the Cloud fail, the Cloud's
+/// failure wins (a node-side "cloud hung up" error is usually its
+/// symptom). Every error leaves a flight-recorder post-mortem.
 pub fn run_ingested_session<C>(
     node: InsituNode,
     cloud: Arc<Mutex<C>>,
@@ -317,46 +262,12 @@ where
         // keeps every frame.
         IngestPolicy::Block | IngestPolicy::Degrade(_) => QueueFullPolicy::Block,
     };
+    let capacity = config.queue_capacity.max(1);
+    let batch_size = config.session.batch_size;
     let start_detail = format!(
-        "{} frames @bs{} cap{} {:?}",
-        config
-            .policy
-            .frames_hint_label(source.frames_hint()),
-        config.session.batch_size,
-        config.queue_capacity.max(1),
-        queue_policy,
+        "{} frames @bs{batch_size} cap{capacity} {queue_policy:?}",
+        source.frames_hint().map_or_else(|| "?".to_string(), |n| n.to_string()),
     );
-    let pipeline = IngestPipeline::spawn(
-        source,
-        IngestConfig { capacity: config.queue_capacity.max(1), policy: queue_policy },
-    );
-    run_session(
-        node,
-        cloud,
-        Feed::Ingested { pipeline, policy: config.policy.clone() },
-        &config.session,
-        start_detail,
-    )
-}
-
-impl IngestPolicy {
-    /// Human label for the session-start flight event.
-    fn frames_hint_label(&self, hint: Option<usize>) -> String {
-        hint.map_or_else(|| "?".to_string(), |n| n.to_string())
-    }
-}
-
-/// The shared session core behind both public entry points.
-fn run_session<C>(
-    node: InsituNode,
-    cloud: Arc<Mutex<C>>,
-    feed: Feed,
-    config: &SessionConfig,
-    start_detail: String,
-) -> Result<(InsituNode, SessionStats, IngestSummary)>
-where
-    C: CloudEndpoint + Send + 'static,
-{
     // Resolve the kernel thread count (INSITU_THREADS / core count) up
     // front, on the session thread: all actors' tensor work — node
     // inference, Cloud incremental training, producer synthesis — then
@@ -370,7 +281,6 @@ where
     if telemetry::enabled() {
         telemetry::advance_epoch();
     }
-    let batch_size = config.batch_size;
     recorder::record(
         "mode_decision",
         node.plan().map_or_else(
@@ -386,12 +296,13 @@ where
     );
     recorder::record("session_start", start_detail.clone());
     let session_span = telemetry::span_with("runtime.session", move || start_detail);
+    let pipeline = IngestPipeline::spawn(source, IngestConfig { capacity, policy: queue_policy });
     let (up_tx, up_rx): (Sender<Uplink>, Receiver<Uplink>) =
-        bounded(config.uplink_capacity.max(1));
+        bounded(config.session.uplink_capacity.max(1));
     // The downlink must never apply backpressure — see the
     // [`SessionConfig::uplink_capacity`] rustdoc for the
     // no-circular-wait invariant.
-    let (down_tx, down_rx) = unbounded::<crate::update::ModelUpdate>();
+    let (down_tx, down_rx) = unbounded::<ModelUpdate>();
     // Uploads sent but not yet consumed by the Cloud; the node samples
     // it at each send as the uplink queue-depth telemetry.
     let in_flight = Arc::new(AtomicU64::new(0));
@@ -419,216 +330,170 @@ where
         })
     };
 
-    // Node actor (this thread): process the stream, install updates
-    // opportunistically between batches (or in lockstep after each
-    // upload). The loop runs under `catch_unwind` so that even a panic
-    // still shuts the Cloud actor down and joins it before
-    // propagating; an in-scope `Feed::Ingested` pipeline is likewise
-    // dropped by the unwind, which joins the producer thread.
-    let flips_before = node.precision_flips();
-    let mut stats = SessionStats::default();
-    let lockstep = config.lockstep_uploads;
-    let node_run = catch_unwind(AssertUnwindSafe(|| {
-        let mut node = node;
-        let mut feed = feed;
-        let mut summary = IngestSummary::default();
-        // Size every conv workspace and GEMM packing arena before the
-        // stream starts: real batches then run the zero-allocation
-        // kernel path from the first image.
-        if let Err(e) = node.prewarm(batch_size) {
-            return (node, Some(e), summary);
-        }
-        let install = |node: &mut InsituNode,
-                           stats: &mut SessionStats,
-                           update: &crate::update::ModelUpdate|
-         -> Result<()> {
+    // The one install step, shared by the in-loop drains and the
+    // end-of-session drain.
+    let install =
+        |node: &mut InsituNode, stats: &mut SessionStats, update: &ModelUpdate| -> Result<()> {
             node.install_update(update)?;
             telemetry::instant_with("runtime.model_swap", || format!("v{}", update.version));
             recorder::record("model_swap", format!("v{}", update.version));
             stats.updates_installed += 1;
             Ok(())
         };
-        // Degrade controller state: the current shed batch (None while
-        // undegraded) and whether the controller flipped precision.
-        let mut degraded_batch: Option<usize> = None;
-        let mut degrade_flipped = false;
-        let mut drops_seen = 0u64;
-        loop {
-            // Fetch the next frame. On the ingested path this blocks
-            // only while the producer is still materializing it — the
-            // overlap window — and the observed wait and queue depth
-            // feed the ingest telemetry and the re-plan loop.
-            let (frame, depth) = match &mut feed {
-                Feed::Replay(iter) => match iter.next() {
-                    Some(data) => {
-                        (Frame { seq: stats.batches, data, produce_ns: 0 }, None)
-                    }
-                    None => break,
-                },
-                Feed::Ingested { pipeline, .. } => {
-                    let wait_start = telemetry::enabled().then(std::time::Instant::now);
-                    match pipeline.next_frame() {
-                        Some(f) => {
-                            if let Some(t0) = wait_start {
-                                let ns = u64::try_from(t0.elapsed().as_nanos())
-                                    .unwrap_or(u64::MAX);
-                                telemetry::hist_record("node.ingest.wait", "", ns);
-                            }
-                            let depth = pipeline.depth() as u64;
-                            (f, Some(depth))
-                        }
-                        None => break,
-                    }
+    let hung_up = || CoreError::BadConfig { reason: "cloud thread hung up early".into() };
+
+    // Node actor (this thread): process the stream, install updates
+    // opportunistically between frames (or in lockstep after each
+    // upload). The loop runs under `catch_unwind` so that even a panic
+    // still shuts the Cloud actor down and joins it before
+    // propagating; the pipeline is likewise dropped by the unwind,
+    // which joins the producer thread.
+    let flips_before = node.precision_flips();
+    let replans_before = node.replans();
+    let mut stats = SessionStats::default();
+    let node_run = catch_unwind(AssertUnwindSafe(|| {
+        let mut node = node;
+        let mut summary = IngestSummary::default();
+        let run = (|| -> Result<()> {
+            // Size every conv workspace and GEMM packing arena before
+            // the stream starts: real batches then run the
+            // zero-allocation kernel path from the first image.
+            node.prewarm(batch_size)?;
+            // Degrade controller state: the current shed batch (None
+            // while undegraded) and whether the controller flipped
+            // precision.
+            let mut degraded_batch: Option<usize> = None;
+            let mut degrade_flipped = false;
+            let mut drops_seen = 0u64;
+            loop {
+                // Fetch the next frame. This blocks only while the
+                // producer is still materializing it — the overlap
+                // window — and the observed wait and queue depth feed
+                // the ingest telemetry and the re-plan loop.
+                let wait_start = telemetry::enabled().then(std::time::Instant::now);
+                let Some(frame) = pipeline.next_frame() else { break };
+                if let Some(t0) = wait_start {
+                    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    telemetry::hist_record("node.ingest.wait", "", ns);
                 }
-            };
-            if let Some(depth) = depth {
+                let depth = pipeline.depth() as u64;
                 summary.max_queue_depth = summary.max_queue_depth.max(depth);
                 node.note_ingest_depth(depth);
                 telemetry::hist_record("node.ingest.queue_depth", "", depth);
                 telemetry::hist_record("node.ingest.produce", "", frame.produce_ns);
                 telemetry::counter_add("node.ingest.frames", "", 1);
-                if let Feed::Ingested { pipeline, policy } = &feed {
-                    let dropped = pipeline.dropped();
-                    if dropped > drops_seen {
-                        telemetry::counter_add("node.ingest.drops", "", dropped - drops_seen);
-                        recorder::record(
-                            "ingest_drop",
-                            format!("{} frame(s) dropped, {dropped} total", dropped - drops_seen),
-                        );
-                        drops_seen = dropped;
-                    }
-                    if let IngestPolicy::Degrade(dc) = policy {
-                        let base = node.active_batch().unwrap_or(batch_size).max(1);
-                        if depth as usize >= dc.high_watermark.max(1) {
-                            // One degrade step per frame: halve the
-                            // batch to the floor, then flip precision.
-                            let current = degraded_batch.unwrap_or(base);
-                            let next = (current / 2).max(dc.min_batch.max(1));
-                            if next < current {
-                                degraded_batch = Some(next);
-                                summary.degrades += 1;
-                                telemetry::counter_add("node.ingest.degrades", "", 1);
-                                recorder::record(
-                                    "degrade",
-                                    format!("queue depth {depth}: batch {current} -> {next}"),
-                                );
-                            } else if dc.allow_precision_flip
-                                && !degrade_flipped
-                                && node.quantized().is_some()
-                                && node.precision() == InferencePrecision::F32
-                                && node.set_precision(InferencePrecision::I8).is_ok()
-                            {
-                                degrade_flipped = true;
+                let dropped = pipeline.dropped();
+                if dropped > drops_seen {
+                    telemetry::counter_add("node.ingest.drops", "", dropped - drops_seen);
+                    recorder::record(
+                        "ingest_drop",
+                        format!("{} frame(s) dropped, {dropped} total", dropped - drops_seen),
+                    );
+                    drops_seen = dropped;
+                }
+                if let IngestPolicy::Degrade(dc) = &config.policy {
+                    let base = node.active_batch().unwrap_or(batch_size).max(1);
+                    if depth as usize >= dc.high_watermark.max(1) {
+                        // One degrade step per frame: halve the batch
+                        // to the floor, then flip precision.
+                        let current = degraded_batch.unwrap_or(base);
+                        let next = (current / 2).max(dc.min_batch.max(1));
+                        if next < current {
+                            degraded_batch = Some(next);
+                            summary.degrades += 1;
+                            telemetry::counter_add("node.ingest.degrades", "", 1);
+                            recorder::record(
+                                "degrade",
+                                format!("queue depth {depth}: batch {current} -> {next}"),
+                            );
+                        } else if dc.allow_precision_flip
+                            && !degrade_flipped
+                            && node.quantized().is_some()
+                            && node.precision() == InferencePrecision::F32
+                            && node.set_precision(InferencePrecision::I8).is_ok()
+                        {
+                            degrade_flipped = true;
+                            summary.precision_flips += 1;
+                            telemetry::counter_add("node.ingest.flips", "", 1);
+                            recorder::record(
+                                "precision_flip",
+                                format!("queue depth {depth}: f32 -> i8 (degrade)"),
+                            );
+                        }
+                    } else if depth as usize <= dc.low_watermark {
+                        // Undo one step, most recent first.
+                        if degrade_flipped {
+                            if node.set_precision(InferencePrecision::F32).is_ok() {
+                                degrade_flipped = false;
                                 summary.precision_flips += 1;
+                                summary.restores += 1;
                                 telemetry::counter_add("node.ingest.flips", "", 1);
                                 recorder::record(
                                     "precision_flip",
-                                    format!("queue depth {depth}: f32 -> i8 (degrade)"),
+                                    format!("queue depth {depth}: i8 -> f32 (restore)"),
                                 );
                             }
-                        } else if depth as usize <= dc.low_watermark {
-                            // Undo one step, most recent first.
-                            if degrade_flipped {
-                                if node.set_precision(InferencePrecision::F32).is_ok() {
-                                    degrade_flipped = false;
-                                    summary.precision_flips += 1;
-                                    summary.restores += 1;
-                                    telemetry::counter_add("node.ingest.flips", "", 1);
-                                    recorder::record(
-                                        "precision_flip",
-                                        format!("queue depth {depth}: i8 -> f32 (restore)"),
-                                    );
-                                }
-                            } else if let Some(shed) = degraded_batch {
-                                let next = (shed * 2).min(base);
-                                summary.restores += 1;
-                                recorder::record(
-                                    "restore",
-                                    format!("queue depth {depth}: batch {shed} -> {next}"),
-                                );
-                                degraded_batch = if next >= base { None } else { Some(next) };
-                            }
+                        } else if let Some(shed) = degraded_batch {
+                            let next = (shed * 2).min(base);
+                            summary.restores += 1;
+                            recorder::record(
+                                "restore",
+                                format!("queue depth {depth}: batch {shed} -> {next}"),
+                            );
+                            degraded_batch = if next >= base { None } else { Some(next) };
                         }
                     }
                 }
-            }
-            // Install any updates that arrived while we were busy.
-            while let Ok(update) = down_rx.try_recv() {
-                if let Err(e) = install(&mut node, &mut stats, &update) {
-                    return (node, Some(e), summary);
+                // Install any updates that arrived while we were busy.
+                while let Ok(update) = down_rx.try_recv() {
+                    install(&mut node, &mut stats, &update)?;
                 }
-            }
-            // A re-planning node can change its own batch size mid
-            // session; honor the degrade controller first, then the
-            // active plan, then the caller's value.
-            let bs = degraded_batch.unwrap_or_else(|| node.active_batch().unwrap_or(batch_size));
-            let outcome = match node.process_stage(&frame.data, bs) {
-                Ok(o) => o,
-                Err(e) => return (node, Some(e), summary),
-            };
-            stats.batches += 1;
-            stats.images_seen += frame.data.len() as u64;
-            stats.images_uploaded += outcome.valuable.len() as u64;
-            // Periodically fold the telemetry window into the export
-            // hub so a long session's stats stay fresh even if it is
-            // later killed.
-            if telemetry::enabled() && stats.batches % 4 == 0 {
-                stats.metrics.fold(&telemetry::snapshot());
-            }
-            if !outcome.valuable.is_empty() {
-                let payload = match node.upload_payload(&frame.data, &outcome) {
-                    Ok(p) => p,
-                    Err(e) => return (node, Some(e), summary),
-                };
-                let in_flight_depth = in_flight.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("runtime.uplink_depth", "", in_flight_depth);
-                recorder::record(
-                    "uplink",
-                    format!("{} images, {} in flight", payload.len(), in_flight_depth + 1),
-                );
-                if up_tx.send(Uplink::Valuable(payload)).is_err() {
-                    let e = CoreError::BadConfig { reason: "cloud thread hung up early".into() };
-                    return (node, Some(e), summary);
+                // A re-planning node can change its own batch size mid
+                // session; honor the degrade controller first, then the
+                // active plan, then the caller's value.
+                let bs =
+                    degraded_batch.unwrap_or_else(|| node.active_batch().unwrap_or(batch_size));
+                let outcome = node.process_stage(&frame.data, bs)?;
+                stats.batches += 1;
+                stats.images_seen += frame.data.len() as u64;
+                stats.images_uploaded += outcome.valuable.len() as u64;
+                // Periodically fold the telemetry window into the
+                // export hub so a long session's stats stay fresh even
+                // if it is later killed.
+                if telemetry::enabled() && stats.batches % 4 == 0 {
+                    stats.metrics.fold(&telemetry::snapshot());
                 }
-                if lockstep {
-                    // Deterministic trajectory: wait for this upload's
-                    // update and install it before the next stage.
-                    match down_rx.recv() {
-                        Ok(update) => {
-                            if let Err(e) = install(&mut node, &mut stats, &update) {
-                                return (node, Some(e), summary);
-                            }
-                        }
-                        Err(_) => {
-                            let e = CoreError::BadConfig {
-                                reason: "cloud thread hung up early".into(),
-                            };
-                            return (node, Some(e), summary);
-                        }
+                if !outcome.valuable.is_empty() {
+                    let payload = node.upload_payload(&frame.data, &outcome)?;
+                    let in_flight_depth = in_flight.fetch_add(1, Ordering::Relaxed);
+                    telemetry::counter_add("runtime.uplink_depth", "", in_flight_depth);
+                    recorder::record(
+                        "uplink",
+                        format!("{} images, {} in flight", payload.len(), in_flight_depth + 1),
+                    );
+                    up_tx.send(Uplink::Valuable(payload)).map_err(|_| hung_up())?;
+                    if config.session.lockstep_uploads {
+                        // Deterministic trajectory: wait for this
+                        // upload's update and install it before the
+                        // next stage.
+                        let update = down_rx.recv().map_err(|_| hung_up())?;
+                        install(&mut node, &mut stats, &update)?;
                     }
                 }
-            }
-            // Hand the frame's storage back to the producer arena.
-            if let Feed::Ingested { pipeline, .. } = &feed {
+                // Hand the frame's storage back to the producer arena.
                 pipeline.recycle(frame);
             }
-        }
-        // End of stream: harvest the producer's report.
-        if let Feed::Ingested { pipeline, .. } = feed {
-            match pipeline.finish() {
-                Ok(report) => {
-                    summary.frames = report.frames;
-                    summary.drops = report.dropped;
-                    summary.fresh_buffers = report.fresh_buffers;
-                    summary.reused_buffers = report.reused_buffers;
-                    summary.produce_ns_total = report.produce_ns_total;
-                    summary.max_queue_depth =
-                        summary.max_queue_depth.max(report.max_queue_depth);
-                }
-                Err(e) => return (node, Some(e.into()), summary),
-            }
-        }
-        (node, None, summary)
+            // End of stream: harvest the producer's report.
+            let report = pipeline.finish()?;
+            summary.frames = report.frames;
+            summary.drops = report.dropped;
+            summary.fresh_buffers = report.fresh_buffers;
+            summary.reused_buffers = report.reused_buffers;
+            summary.produce_ns_total = report.produce_ns_total;
+            summary.max_queue_depth = summary.max_queue_depth.max(report.max_queue_depth);
+            Ok(())
+        })();
+        (node, run.err(), summary)
     }));
 
     // Single shutdown path: whatever happened above, stop the Cloud
@@ -651,52 +516,23 @@ where
         }
     };
     // The Cloud's failure wins: a node-side send error is usually just
-    // the symptom of the Cloud dying first. Every error exit leaves a
-    // flight-recorder post-mortem before surfacing.
-    if let Some(e) = cloud_error {
+    // the symptom of the Cloud dying first. Without either, drain the
+    // final updates so the returned node is as fresh as possible. Every
+    // error exit leaves a flight-recorder post-mortem before surfacing.
+    let error = cloud_error.or(node_error).or_else(|| {
+        std::iter::from_fn(|| down_rx.try_recv().ok())
+            .find_map(|update| install(&mut node, &mut stats, &update).err())
+    });
+    if let Some(e) = error {
         recorder::dump(&e.to_string());
         return Err(e);
-    }
-    if let Some(e) = node_error {
-        recorder::dump(&e.to_string());
-        return Err(e);
-    }
-    // Drain the final updates so the returned node is as fresh as
-    // possible.
-    while let Ok(update) = down_rx.try_recv() {
-        if let Err(e) = node.install_update(&update) {
-            recorder::dump(&e.to_string());
-            return Err(e);
-        }
-        telemetry::instant_with("runtime.model_swap", || format!("v{}", update.version));
-        recorder::record("model_swap", format!("v{}", update.version));
-        stats.updates_installed += 1;
     }
     drop(session_span);
-    stats.replans = node.replans();
+    stats.replans = node.replans() - replans_before;
     summary.precision_flips += node.precision_flips() - flips_before;
     stats.telemetry = telemetry::snapshot();
     stats.metrics.fold(&stats.telemetry);
     Ok((node, stats, summary))
-}
-
-/// Convenience: replays a shared, pre-materialized stream through the
-/// overlapped pipeline (the producer copies stages into recycled arena
-/// buffers via borrowed views — no per-frame image cloning).
-///
-/// # Errors
-///
-/// See [`run_ingested_session`].
-pub fn run_replayed_session<C>(
-    node: InsituNode,
-    cloud: Arc<Mutex<C>>,
-    stream: Arc<Vec<Dataset>>,
-    config: &IngestSessionConfig,
-) -> Result<(InsituNode, SessionStats, IngestSummary)>
-where
-    C: CloudEndpoint + Send + 'static,
-{
-    run_ingested_session(node, cloud, Box::new(ReplaySource::new(stream)), config)
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -714,7 +550,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::diagnosis::DiagnosisPolicy;
-    use crate::update::ModelUpdate;
     use insitu_data::{Condition, PermutationSet};
     use insitu_nn::models::{jigsaw_network, mini_alexnet};
     use insitu_nn::serialize::state_dict;
@@ -751,8 +586,7 @@ mod tests {
     }
 
     impl CloudEndpoint for EchoCloud {
-        fn incremental_update(&mut self, uploaded: &Dataset) -> Result<ModelUpdate> {
-            let _ = uploaded;
+        fn incremental_update(&mut self, _uploaded: &Dataset) -> Result<ModelUpdate> {
             self.version += 1;
             Ok(ModelUpdate {
                 version: self.version,
@@ -773,18 +607,40 @@ mod tests {
         InsituNode::new(inference, jigsaw, set, DiagnosisPolicy::Oracle, 3, seed).unwrap()
     }
 
+    fn echo_cloud(node: &mut InsituNode) -> Arc<Mutex<EchoCloud>> {
+        let params = state_dict(node.inference_mut());
+        Arc::new(Mutex::new(EchoCloud { params, version: 0 }))
+    }
+
+    fn stream(stages: usize, images: usize, seed: u64) -> Vec<Dataset> {
+        let mut rng = Rng::seed_from(seed);
+        (0..stages)
+            .map(|_| Dataset::generate(images, 4, &Condition::in_situ(), &mut rng).unwrap())
+            .collect()
+    }
+
+    /// Replays a materialized stream through a two-frame ingest queue.
+    fn replay<C: CloudEndpoint + Send + 'static>(
+        node: InsituNode,
+        cloud: Arc<Mutex<C>>,
+        stream: Vec<Dataset>,
+        session: SessionConfig,
+    ) -> Result<(InsituNode, SessionStats, IngestSummary)> {
+        let config =
+            IngestSessionConfig { session, queue_capacity: 2, policy: IngestPolicy::Block };
+        let source = insitu_data::ReplaySource::new(Arc::new(stream));
+        run_ingested_session(node, cloud, Box::new(source), &config)
+    }
+
     #[test]
     fn streaming_session_processes_and_updates() {
         let mut node = make_node(5);
-        let params = state_dict(node.inference_mut());
-        let cloud = Arc::new(Mutex::new(EchoCloud { params, version: 0 }));
-        let mut rng = Rng::seed_from(9);
-        let stream: Vec<Dataset> = (0..3)
-            .map(|_| Dataset::generate(20, 4, &Condition::in_situ(), &mut rng).unwrap())
-            .collect();
-        let (node, stats) = run_streaming_session(node, cloud, stream, 8).unwrap();
+        let cloud = echo_cloud(&mut node);
+        let (node, stats, summary) =
+            replay(node, cloud, stream(3, 20, 9), SessionConfig::with_batch(8)).unwrap();
         assert_eq!(stats.batches, 3);
         assert_eq!(stats.images_seen, 60);
+        assert_eq!(summary.frames, 3);
         assert!(stats.images_uploaded > 0); // untrained model errs plenty
         assert!(stats.updates_installed >= 1);
         assert!(node.version() >= 1);
@@ -796,13 +652,9 @@ mod tests {
         // than the channel capacity deadlocked (node blocked on the
         // uplink, Cloud blocked on the downlink).
         let mut node = make_node(8);
-        let params = state_dict(node.inference_mut());
-        let cloud = Arc::new(Mutex::new(EchoCloud { params, version: 0 }));
-        let mut rng = Rng::seed_from(10);
-        let stream: Vec<Dataset> = (0..12)
-            .map(|_| Dataset::generate(8, 4, &Condition::in_situ(), &mut rng).unwrap())
-            .collect();
-        let (_, stats) = run_streaming_session(node, cloud, stream, 8).unwrap();
+        let cloud = echo_cloud(&mut node);
+        let (_, stats, _) =
+            replay(node, cloud, stream(12, 8, 10), SessionConfig::with_batch(8)).unwrap();
         assert_eq!(stats.batches, 12);
     }
 
@@ -811,16 +663,11 @@ mod tests {
         // The tightest legal uplink (capacity 1, and 0 clamps to 1)
         // must still complete a stream that uploads on most stages.
         let mut node = make_node(8);
-        let params = state_dict(node.inference_mut());
-        let cloud = Arc::new(Mutex::new(EchoCloud { params, version: 0 }));
-        let mut rng = Rng::seed_from(10);
-        let stream: Vec<Dataset> = (0..6)
-            .map(|_| Dataset::generate(8, 4, &Condition::in_situ(), &mut rng).unwrap())
-            .collect();
+        let cloud = echo_cloud(&mut node);
         let config =
             SessionConfig { batch_size: 8, uplink_capacity: 0, lockstep_uploads: false };
         assert_eq!(SessionConfig::default().uplink_capacity, 4);
-        let (_, stats) = run_streaming_session_with(node, cloud, stream, &config).unwrap();
+        let (_, stats, _) = replay(node, cloud, stream(6, 8, 10), config).unwrap();
         assert_eq!(stats.batches, 6);
         assert!(stats.updates_installed >= 1);
     }
@@ -840,13 +687,8 @@ mod tests {
         // Regression test: a panicking Cloud actor must be joined and
         // reported, not leave the session hanging or return a generic
         // "hung up" error with the cause swallowed.
-        let node = make_node(11);
         let cloud = Arc::new(Mutex::new(PanickingCloud));
-        let mut rng = Rng::seed_from(12);
-        let stream: Vec<Dataset> = (0..6)
-            .map(|_| Dataset::generate(8, 4, &Condition::in_situ(), &mut rng).unwrap())
-            .collect();
-        match run_streaming_session(node, cloud, stream, 8) {
+        match replay(make_node(11), cloud, stream(6, 8, 12), SessionConfig::with_batch(8)) {
             Err(CoreError::ActorPanicked { actor, message }) => {
                 assert_eq!(actor, "cloud");
                 assert!(message.contains("injected cloud panic"), "{message}");
@@ -869,44 +711,17 @@ mod tests {
     #[test]
     fn cloud_error_wins_over_node_send_failure() {
         // When the Cloud dies first, the node's subsequent "hung up"
-        // send failure is a symptom; the session must report the cause.
-        let node = make_node(13);
+        // send failure is a symptom; the session must report the
+        // cause, and the producer thread must be joined (the test
+        // would hang otherwise).
         let cloud = Arc::new(Mutex::new(FailingCloud));
-        let mut rng = Rng::seed_from(14);
-        let stream: Vec<Dataset> = (0..8)
-            .map(|_| Dataset::generate(8, 4, &Condition::in_situ(), &mut rng).unwrap())
-            .collect();
-        match run_streaming_session(node, cloud, stream, 8) {
+        match replay(make_node(13), cloud, stream(8, 8, 14), SessionConfig::with_batch(8)) {
             Err(CoreError::BadConfig { reason }) => {
                 assert!(reason.contains("cloud says no"), "{reason}");
             }
             other => panic!("expected the cloud's error, got {other:?}"),
         }
         assert_post_mortem("cloud says no");
-    }
-
-    #[test]
-    fn cloud_error_surfaces_from_an_ingested_session_too() {
-        // The overlapped path has a third actor; a Cloud failure must
-        // still win, and the producer thread must be joined (the test
-        // would hang otherwise).
-        let node = make_node(13);
-        let cloud = Arc::new(Mutex::new(FailingCloud));
-        let mut rng = Rng::seed_from(14);
-        let stream: Vec<Dataset> = (0..8)
-            .map(|_| Dataset::generate(8, 4, &Condition::in_situ(), &mut rng).unwrap())
-            .collect();
-        let config = IngestSessionConfig {
-            session: SessionConfig::with_batch(8),
-            queue_capacity: 2,
-            policy: IngestPolicy::Block,
-        };
-        match run_replayed_session(node, cloud, Arc::new(stream), &config) {
-            Err(CoreError::BadConfig { reason }) => {
-                assert!(reason.contains("cloud says no"), "{reason}");
-            }
-            other => panic!("expected the cloud's error, got {other:?}"),
-        }
     }
 
     /// A Cloud double that ships back updates no node can install.
@@ -932,13 +747,8 @@ mod tests {
     fn bad_update_surfaces_node_error_and_joins_cloud() {
         // A node-side install failure must still shut the Cloud actor
         // down (no leaked thread) and report the node's error.
-        let node = make_node(15);
         let cloud = Arc::new(Mutex::new(BadUpdateCloud { version: 0 }));
-        let mut rng = Rng::seed_from(16);
-        let stream: Vec<Dataset> = (0..8)
-            .map(|_| Dataset::generate(8, 4, &Condition::in_situ(), &mut rng).unwrap())
-            .collect();
-        match run_streaming_session(node, cloud, stream, 8) {
+        match replay(make_node(15), cloud, stream(8, 8, 16), SessionConfig::with_batch(8)) {
             Err(CoreError::Nn(_)) => {}
             other => panic!("expected the node's install error, got {other:?}"),
         }
@@ -947,30 +757,11 @@ mod tests {
 
     #[test]
     fn empty_stream_is_a_noop() {
-        let node = make_node(6);
-        let params = {
-            let mut n = make_node(6);
-            state_dict(n.inference_mut())
-        };
-        let cloud = Arc::new(Mutex::new(EchoCloud { params, version: 0 }));
-        let (node, stats) = run_streaming_session(node, cloud, vec![], 8).unwrap();
+        let cloud = echo_cloud(&mut make_node(6));
+        let (node, stats, summary) =
+            replay(make_node(6), cloud, vec![], SessionConfig::with_batch(8)).unwrap();
         assert_eq!(stats.batches, 0);
         assert_eq!(stats.images_seen, 0);
-        assert_eq!(node.version(), 0);
-    }
-
-    #[test]
-    fn empty_ingested_stream_is_a_noop() {
-        let node = make_node(6);
-        let params = {
-            let mut n = make_node(6);
-            state_dict(n.inference_mut())
-        };
-        let cloud = Arc::new(Mutex::new(EchoCloud { params, version: 0 }));
-        let (node, stats, summary) =
-            run_replayed_session(node, cloud, Arc::new(vec![]), &IngestSessionConfig::default())
-                .unwrap();
-        assert_eq!(stats.batches, 0);
         assert_eq!(summary.frames, 0);
         assert_eq!(node.version(), 0);
     }

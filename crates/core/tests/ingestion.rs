@@ -1,28 +1,33 @@
 //! The overlapped-ingestion contract, end to end.
 //!
-//! The load-bearing property: an overlapped session under the lossless
-//! `Block` policy with lockstep uploads is a **bitwise drop-in** for
-//! the sequential vec-driven loop — identical [`SessionStats`]
-//! trajectory and identical final model state — across seeds and
-//! kernel thread counts. The backpressure tests then pin each policy's
-//! observable behavior under a deliberately slow consumer: `Block`
-//! stalls the producer and loses nothing, `DropOldest` sheds the
-//! oldest frames and counts them, `Degrade` shrinks the node's batch
-//! (and, at the floor, flips inference to i8 when allowed). Finally,
-//! the re-plan loop's queue-depth trigger is driven end to end: a
-//! backed-up queue makes a planned f32 node re-plan itself into the
-//! calibrated i8 configuration mid-session.
+//! The load-bearing property: a session under the lossless `Block`
+//! policy with lockstep uploads is a **bitwise drop-in** for a
+//! hand-driven sequential loop written in this file — no threads, no
+//! channels, just `prewarm` and then `process_stage` →
+//! `upload_payload` → `incremental_update` → `install_update` per
+//! frame — with identical counts and identical final model state,
+//! across seeds, queue capacities and kernel thread counts. The oracle
+//! shares no code with the session runner. The backpressure tests then
+//! pin each policy's observable behavior under a deliberately slow
+//! consumer: `Block` stalls the producer and loses nothing,
+//! `DropOldest` sheds the oldest frames and counts them, `Degrade`
+//! shrinks the node's batch (and, at the floor, flips inference to i8
+//! when allowed). Finally, the re-plan loop's queue-depth trigger is
+//! driven end to end: a backed-up queue makes a planned f32 node
+//! re-plan itself into the calibrated i8 configuration mid-session.
 
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use insitu_core::{
-    run_ingested_session, run_replayed_session, run_streaming_session_with, Availability,
-    CloudEndpoint, DegradeConfig, DiagnosisPolicy, InferencePrecision, IngestPolicy,
-    IngestSessionConfig, InsituNode, ModelUpdate, NodePlan, PlanRequest, Platform, QuantProfile,
-    ReplanConfig, SessionConfig, SessionStats, WorkingMode,
+    run_ingested_session, Availability, CloudEndpoint, DegradeConfig, DiagnosisPolicy,
+    InferencePrecision, IngestPolicy, IngestSessionConfig, InsituNode, ModelUpdate, NodePlan,
+    PlanRequest, Platform, QuantProfile, ReplanConfig, SessionConfig, WorkingMode,
 };
-use insitu_data::{Condition, Dataset, DriftSchedule, PermutationSet, SyntheticDriftSource};
+use insitu_data::{
+    Condition, Dataset, DriftSchedule, PermutationSet, ReplaySource, StreamSource,
+    SyntheticDriftSource,
+};
 use insitu_devices::NetworkShapes;
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
 use insitu_nn::serialize::state_dict;
@@ -129,19 +134,54 @@ fn stream(stages: usize, images: usize, seed: u64) -> Vec<Dataset> {
         .collect()
 }
 
-/// Everything a session's outcome carries, in comparable form.
-fn session_fingerprint(mut node: InsituNode, stats: &SessionStats) -> (SessionStats, u32, Vec<insitu_tensor::Tensor>) {
-    (stats.clone(), node.version(), state_dict(node.inference_mut()))
+/// A materialized stream as a session source.
+fn replay(stream: Vec<Dataset>) -> Box<dyn StreamSource> {
+    Box::new(ReplaySource::new(Arc::new(stream)))
+}
+
+/// (batches, images seen, images uploaded, updates installed, final
+/// version, final inference state dict).
+type Fingerprint = (u64, u64, u64, u64, u32, Vec<insitu_tensor::Tensor>);
+
+/// The differential oracle: the sequential loop driven by hand. No
+/// threads and no channels — every update is trained and installed
+/// right after its upload, which is what lockstep uploads promise.
+fn hand_driven(seed: u64, frames: &[Dataset], batch: usize) -> Fingerprint {
+    let mut node = make_node(seed);
+    let cloud = EchoCloud::for_seed(seed);
+    let mut cloud = cloud.lock();
+    node.prewarm(batch).unwrap();
+    let (mut images_seen, mut uploaded, mut installed) = (0u64, 0u64, 0u64);
+    for frame in frames {
+        let outcome = node.process_stage(frame, batch).unwrap();
+        images_seen += frame.len() as u64;
+        if !outcome.valuable.is_empty() {
+            let payload = node.upload_payload(frame, &outcome).unwrap();
+            uploaded += payload.len() as u64;
+            let update = cloud.incremental_update(&payload).unwrap();
+            node.install_update(&update).unwrap();
+            installed += 1;
+        }
+    }
+    let version = node.version();
+    (
+        frames.len() as u64,
+        images_seen,
+        uploaded,
+        installed,
+        version,
+        state_dict(node.inference_mut()),
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The differential oracle: an overlapped `Block` session with
-    /// lockstep uploads must be bitwise identical — same
-    /// [`SessionStats`], same final model version and weights — to the
-    /// sequential loop over the materialized stream, across seeds,
-    /// queue capacities and 1/2/4 kernel threads.
+    /// An overlapped `Block` session with lockstep uploads over the
+    /// live synthesizing source must be bitwise identical to the
+    /// hand-driven loop over the materialized stream — same counts,
+    /// same final model version and weights — across seeds, queue
+    /// capacities and 1/2/4 kernel threads.
     #[test]
     fn block_overlapped_session_is_bitwise_identical_to_sequential(
         seed in 0u64..200,
@@ -149,23 +189,17 @@ proptest! {
     ) {
         let frames = 4usize;
         let images = 8usize;
+        let batch = 4usize;
         let session = SessionConfig {
-            batch_size: 4,
+            batch_size: batch,
             uplink_capacity: 4,
             lockstep_uploads: true,
         };
         for threads in [1usize, 2, 4] {
             let (sequential, overlapped) = with_threads(threads, || {
                 let source = drift_source(frames, images, seed.wrapping_add(17));
-                let oracle_stream = source.materialize().unwrap();
-                let (node_a, stats_a) = run_streaming_session_with(
-                    make_node(seed),
-                    EchoCloud::for_seed(seed),
-                    oracle_stream,
-                    &session,
-                )
-                .unwrap();
-                let (node_b, stats_b, summary) = run_ingested_session(
+                let sequential = hand_driven(seed, &source.materialize().unwrap(), batch);
+                let (mut node, stats, summary) = run_ingested_session(
                     make_node(seed),
                     EchoCloud::for_seed(seed),
                     Box::new(source),
@@ -187,10 +221,16 @@ proptest! {
                     summary.fresh_buffers,
                     capacity
                 );
-                (
-                    session_fingerprint(node_a, &stats_a),
-                    session_fingerprint(node_b, &stats_b),
-                )
+                let version = node.version();
+                let overlapped = (
+                    stats.batches,
+                    stats.images_seen,
+                    stats.images_uploaded,
+                    stats.updates_installed,
+                    version,
+                    state_dict(node.inference_mut()),
+                );
+                (sequential, overlapped)
             });
             prop_assert_eq!(&sequential, &overlapped);
         }
@@ -209,7 +249,7 @@ fn block_policy_stalls_a_slow_consumer_without_loss() {
         policy: IngestPolicy::Block,
     };
     let (_, stats, summary) =
-        run_replayed_session(node, cloud, Arc::new(stream(8, 8, 22)), &config).unwrap();
+        run_ingested_session(node, cloud, replay(stream(8, 8, 22)), &config).unwrap();
     assert_eq!(stats.batches, 8, "Block must deliver every frame");
     assert_eq!(summary.frames, 8);
     assert_eq!(summary.drops, 0, "Block never drops");
@@ -233,7 +273,7 @@ fn drop_oldest_sheds_frames_under_a_slow_consumer() {
     };
     let frames = 10u64;
     let (_, stats, summary) =
-        run_replayed_session(node, cloud, Arc::new(stream(frames as usize, 8, 24)), &config)
+        run_ingested_session(node, cloud, replay(stream(frames as usize, 8, 24)), &config)
             .unwrap();
     assert_eq!(summary.frames, frames);
     assert!(summary.drops > 0, "a 30 ms/frame consumer behind a cap-1 queue must drop");
@@ -260,7 +300,7 @@ fn degrade_policy_halves_the_batch_under_pressure() {
         }),
     };
     let (_, stats, summary) =
-        run_replayed_session(node, cloud, Arc::new(stream(8, 8, 26)), &config).unwrap();
+        run_ingested_session(node, cloud, replay(stream(8, 8, 26)), &config).unwrap();
     assert_eq!(stats.batches, 8, "Degrade keeps every frame");
     assert_eq!(summary.drops, 0, "Degrade sheds load on the consumer, not the stream");
     assert!(summary.degrades >= 1, "a backed-up queue must shrink the batch");
@@ -289,7 +329,7 @@ fn degrade_policy_flips_precision_at_the_batch_floor() {
         }),
     };
     let (_, stats, summary) =
-        run_replayed_session(node, cloud, Arc::new(stream(8, 8, 29)), &config).unwrap();
+        run_ingested_session(node, cloud, replay(stream(8, 8, 29)), &config).unwrap();
     assert_eq!(stats.batches, 8);
     assert!(
         summary.precision_flips >= 1,
@@ -340,7 +380,7 @@ fn queue_pressure_replans_into_the_quantized_configuration() {
         policy: IngestPolicy::Block,
     };
     let (node, stats, summary) =
-        run_replayed_session(node, cloud, Arc::new(stream(8, 8, 33)), &config).unwrap();
+        run_ingested_session(node, cloud, replay(stream(8, 8, 33)), &config).unwrap();
     assert!(summary.max_queue_depth >= 1, "the slow consumer must back the queue up");
     assert!(stats.replans >= 1, "queue depth must trigger a re-plan");
     assert!(

@@ -4,20 +4,20 @@
 //! valid Prometheus text and JSON through the session's
 //! [`MetricsHub`], and (c) actually close the loop — a session whose
 //! stage latency is perturbed mid-flight re-plans itself within the
-//! configured cadence.
+//! configured cadence, and counts its re-plans per session.
 //!
 //! The telemetry registry is process-global, so every test here takes
 //! the `GATE` mutex and runs its recording inside a fresh epoch.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use insitu_core::{
-    run_streaming_session, validate_prometheus, Availability, CloudEndpoint, DiagnosisPolicy,
-    InferencePrecision, InsituNode, MeasuredProfile, ModelUpdate, NodePlan, PlanRequest, Platform,
-    ReplanConfig, WorkingMode,
+    run_ingested_session, validate_prometheus, Availability, CloudEndpoint, DiagnosisPolicy,
+    InferencePrecision, IngestSessionConfig, InsituNode, MeasuredProfile, ModelUpdate, NodePlan,
+    PlanRequest, Platform, ReplanConfig, SessionConfig, SessionStats, WorkingMode,
 };
-use insitu_data::{Condition, Dataset, PermutationSet};
+use insitu_data::{Condition, Dataset, PermutationSet, ReplaySource};
 use insitu_devices::NetworkShapes;
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
 use insitu_nn::serialize::state_dict;
@@ -87,6 +87,18 @@ fn stream(stages: usize, images: usize, seed: u64) -> Vec<Dataset> {
         .collect()
 }
 
+/// Replays `stream` through `node` at batch 8 against an echoing
+/// Cloud.
+fn replay(mut node: InsituNode, stream: Vec<Dataset>) -> (InsituNode, SessionStats) {
+    let params = state_dict(node.inference_mut());
+    let cloud = Arc::new(parking_lot::Mutex::new(EchoCloud { params, version: 0 }));
+    let config =
+        IngestSessionConfig { session: SessionConfig::with_batch(8), ..Default::default() };
+    let source = Box::new(ReplaySource::new(Arc::new(stream)));
+    let (node, stats, _) = run_ingested_session(node, cloud, source, &config).unwrap();
+    (node, stats)
+}
+
 /// `MeasuredProfile::from_snapshot` reads the per-image latency
 /// histograms (by precision label), the i8/f32 speedup, and the
 /// achieved uplink rate, with exact values when every sample in a
@@ -115,17 +127,14 @@ fn measured_profile_distils_the_window() {
     assert_eq!(i8_profile.per_image_p90_s, 0.002);
 }
 
-/// A real streaming session must come back with percentile rows in
+/// A real session must come back with percentile rows in
 /// its [`insitu_core::SessionStats::metrics`] hub, and both exports
 /// must be machine-readable: the Prometheus text passes
 /// [`validate_prometheus`], the JSON parses.
 #[test]
 fn session_exports_validate_and_carry_percentiles() {
     let _w = Window::open();
-    let mut node = make_node(41);
-    let params = state_dict(node.inference_mut());
-    let cloud = std::sync::Arc::new(parking_lot::Mutex::new(EchoCloud { params, version: 0 }));
-    let (_, stats) = run_streaming_session(node, cloud, stream(4, 16, 42), 8).unwrap();
+    let (_, stats) = replay(make_node(41), stream(4, 16, 42));
 
     assert!(stats.telemetry.epoch > 0, "session must run in a fresh telemetry epoch");
     assert_eq!(stats.metrics.epoch(), stats.telemetry.epoch);
@@ -149,20 +158,11 @@ fn session_exports_validate_and_carry_percentiles() {
     assert_eq!(series.len(), stats.metrics.len());
 }
 
-/// The acceptance loop: a seeded session whose stage latency is
-/// perturbed (injected 40 ms delay per stage against a plan that
-/// predicted 0.1 ms/image) must re-plan within the configured cadence,
-/// change its batch, emit the `node.replan` instant, and still export
-/// valid metrics.
-#[test]
-fn perturbed_session_replans_online() {
-    let _w = Window::open();
-    let mut node = make_node(43);
-    let params = state_dict(node.inference_mut());
-
-    // A deliberately optimistic plan: 8-image batches at a predicted
-    // 0.1 ms/image. The injected 40 ms/stage delay pushes the measured
-    // p90 per image to >= 5 ms, a ratio far outside theta = 1.5.
+/// A node with a deliberately optimistic plan — 8-image batches at a
+/// predicted 0.1 ms/image — and the re-plan loop on: every 2 stages,
+/// divergence θ = 1.5, a 10 s deadline, no depth trigger.
+fn optimistic_replanning_node(seed: u64) -> InsituNode {
+    let mut node = make_node(seed);
     node.install_plan(NodePlan {
         mode: WorkingMode::CoRunning,
         platform: Platform::Fpga,
@@ -184,10 +184,23 @@ fn perturbed_session_replans_online() {
         inference_shapes: NetworkShapes::alexnet(),
         quant: None,
     });
+    node
+}
+
+/// The acceptance loop: a seeded session whose stage latency is
+/// perturbed (injected 40 ms delay per stage against a plan that
+/// predicted 0.1 ms/image) must re-plan within the configured cadence,
+/// change its batch, emit the `node.replan` instant, and still export
+/// valid metrics.
+#[test]
+fn perturbed_session_replans_online() {
+    let _w = Window::open();
+    // The injected 40 ms/stage delay pushes the measured p90 per image
+    // to >= 5 ms, a ratio far outside theta = 1.5.
+    let mut node = optimistic_replanning_node(43);
     node.set_injected_stage_delay(Some(Duration::from_millis(40)));
 
-    let cloud = std::sync::Arc::new(parking_lot::Mutex::new(EchoCloud { params, version: 0 }));
-    let (node, stats) = run_streaming_session(node, cloud, stream(6, 8, 44), 8).unwrap();
+    let (node, stats) = replay(node, stream(6, 8, 44));
 
     assert!(stats.replans >= 1, "the perturbed session never re-planned");
     assert_eq!(stats.replans, node.replans());
@@ -207,4 +220,23 @@ fn perturbed_session_replans_online() {
     let text = stats.metrics.to_prometheus();
     validate_prometheus(&text).expect("Prometheus export must parse");
     assert!(text.contains("insitu_h_node_stage_per_image"), "{text}");
+}
+
+/// `SessionStats::replans` counts the re-plans of *this* session, not
+/// the node's lifetime total: a second session on the same
+/// re-planning node reports only the re-plans it caused.
+#[test]
+fn replans_are_counted_per_session() {
+    let _w = Window::open();
+    let mut node = optimistic_replanning_node(45);
+    node.set_injected_stage_delay(Some(Duration::from_millis(40)));
+    let (mut node, first) = replay(node, stream(4, 8, 46));
+    assert!(first.replans >= 1, "the first session never re-planned");
+    assert_eq!(first.replans, node.replans());
+    // Five times the delay: the measured p90 leaves the re-planned
+    // prediction behind again, so the second session re-plans too.
+    node.set_injected_stage_delay(Some(Duration::from_millis(200)));
+    let (node, second) = replay(node, stream(4, 8, 47));
+    assert!(second.replans >= 1, "the second session never re-planned");
+    assert_eq!(second.replans, node.replans() - first.replans);
 }

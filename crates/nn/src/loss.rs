@@ -7,19 +7,14 @@ use insitu_tensor::Tensor;
 /// Numerically stable softmax over the last dimension of a `(B, K)`
 /// logit matrix.
 ///
-/// Deliberately *not* dispatched through the tensor SIMD layer: these
-/// probabilities feed training gradients (via
-/// [`softmax_cross_entropy`]) and the diagnosis scores that decide
-/// which samples a node uploads, so they sit inside the seeded
-/// end-to-end feedback loop. The vectorized
-/// [`simd::softmax_rows`](insitu_tensor::simd::softmax_rows) computes
-/// `exp` with a degree-5 polynomial that agrees with libm only to
-/// ~1.2e-7 per element — enough, over a few incremental-update rounds,
-/// to fork an entire session trajectory away from the seeds the
-/// regression suite pins. Keeping the historical libm loop here keeps
-/// every recorded trajectory bit-for-bit reproducible; throughput
-/// contexts that only need probabilities (no feedback) should call the
-/// SIMD op directly.
+/// Deliberately stays on libm `exp`: these probabilities feed training
+/// gradients (via [`softmax_cross_entropy`]) and the diagnosis scores
+/// that decide which samples a node uploads, so they sit inside the
+/// seeded end-to-end feedback loop. A vectorized polynomial `exp` that
+/// agrees with libm only to ~1e-7 per element is enough, over a few
+/// incremental-update rounds, to fork an entire session trajectory
+/// away from the seeds the regression suite pins; the historical libm
+/// loop keeps every recorded trajectory bit-for-bit reproducible.
 ///
 /// # Errors
 ///
@@ -181,7 +176,7 @@ mod tests {
     use insitu_tensor::Rng;
 
     #[test]
-    fn softmax_rows_sum_to_one() {
+    fn softmax_each_row_sums_to_one() {
         let mut rng = Rng::seed_from(1);
         let logits = Tensor::rand_uniform([5, 7], -10.0, 10.0, &mut rng);
         let p = softmax(&logits).unwrap();

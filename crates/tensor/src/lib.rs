@@ -13,8 +13,8 @@
 //! `INSITU_THREADS` environment variable, and results are bitwise
 //! identical for any setting.
 //!
-//! The non-GEMM hot ops (ReLU, maxpool, softmax, quantization,
-//! metric reductions) go through the [`simd`] dispatch layer: one
+//! The non-GEMM hot ops (ReLU, maxpool, quantization, metric
+//! reductions) go through the [`simd`] dispatch layer: one
 //! [`simd::SimdOp`] trait, a scalar oracle body per op, and
 //! runtime-detected vector bodies (AVX2 and AVX-512 on x86-64, NEON
 //! on aarch64), all pinnable with

@@ -8,20 +8,13 @@
 //! the op *means* — and every vector body is **bitwise exact** against
 //! it (compared with `to_bits`): ReLU forward / train / backward,
 //! clamp, affine, `quantize_i8`, max-abs, max-abs-diff, the 8-lane
-//! sum, softmax, and maxpool (values *and* argmax). Exactness includes
+//! sum, and maxpool (values *and* argmax). Exactness includes
 //! NaN, infinities and `-0.0` for the elementwise ops, and holds at
 //! any thread count — parallel splits are aligned so no partial result
 //! crosses a task boundary, and ragged tails replicate the vector
 //! computation lane for lane. The property tests in
 //! `tests/simd_ops.rs` hold every op to this under both
 //! `INSITU_SIMD` modes.
-//!
-//! Softmax earns its bitwise slot differently from the rest: instead
-//! of the vector body chasing libm, *both* bodies compute the same
-//! polynomial `exp` (~1.2e-7 max relative error vs libm — see
-//! `softmax.rs`). That accuracy delta is documented semantics, not a
-//! cross-ISA divergence; it is also why the `nn` loss layer keeps its
-//! own libm softmax for the seeded training/diagnosis feedback loop.
 //!
 //! # Selection
 //!
@@ -41,7 +34,6 @@ mod elementwise;
 mod maxpool;
 mod quantize;
 mod reduce;
-mod softmax;
 
 pub use dispatch::{dispatch, dispatch_on, simd_isa_name, Isa, SimdOp, ISA_NAMES};
 pub(crate) use dispatch::parse_isa_request;
@@ -49,7 +41,6 @@ pub use elementwise::{Affine, Clamp, Relu, ReluBackward, ReluTrain};
 pub use maxpool::MaxPool2d;
 pub use quantize::QuantizeI8;
 pub use reduce::{MaxAbs, MaxAbsDiff, MinMax, Sum8};
-pub use softmax::SoftmaxRows;
 
 /// In-place eval-mode ReLU.
 pub fn relu(buf: &mut [f32]) {
@@ -66,17 +57,6 @@ pub fn relu_train(buf: &mut [f32], mask: &mut [u8]) {
 /// input was not positive.
 pub fn relu_backward(grad: &mut [f32], mask: &[u8]) {
     dispatch(ReluBackward { grad, mask });
-}
-
-/// In-place row-wise softmax over rows of width `k`.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `buf.len()` is not a multiple of `k`.
-pub fn softmax_rows(buf: &mut [f32], k: usize) {
-    assert!(k > 0, "softmax row width must be nonzero");
-    assert_eq!(buf.len() % k, 0, "softmax buffer must be whole rows");
-    dispatch(SoftmaxRows { buf, k });
 }
 
 /// In-place `x = x * gain + bias`.

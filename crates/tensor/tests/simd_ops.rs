@@ -5,10 +5,8 @@
 //! ([`Isa::supported`]) to it **bitwise** (compared via `to_bits`)
 //! across ragged shapes and 1/2/4 threads, per the policy in
 //! `insitu_tensor::simd`: relu forward / train / backward, clamp,
-//! affine, quantize_i8, max_abs, max_abs_diff, sum8, softmax, and
-//! maxpool values *and* argmax. Softmax is additionally checked
-//! against a plain libm reference within 1e-6 absolute, pinning the
-//! documented accuracy of its polynomial `exp`.
+//! affine, quantize_i8, max_abs, max_abs_diff, sum8, and maxpool
+//! values *and* argmax.
 //!
 //! Beyond scalar↔vector, `cross_isa_all_pairs_bitwise` holds every
 //! *pair* of host-supported ISAs to each other at 1/2/4 threads, and
@@ -21,7 +19,7 @@
 
 use insitu_tensor::simd::{
     dispatch_on, simd_isa_name, Affine, Clamp, Isa, MaxAbs, MaxAbsDiff, MaxPool2d, MinMax,
-    QuantizeI8, Relu, ReluBackward, ReluTrain, SoftmaxRows, Sum8, ISA_NAMES,
+    QuantizeI8, Relu, ReluBackward, ReluTrain, Sum8, ISA_NAMES,
 };
 use insitu_tensor::{maxpool2d_forward, num_threads, set_num_threads, PoolGeometry, Rng, Tensor};
 use proptest::prelude::*;
@@ -154,36 +152,6 @@ proptest! {
     }
 
     #[test]
-    fn softmax_bitwise_and_near_libm(
-        rows in 0usize..24,
-        k in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = Rng::seed_from(seed);
-        let src: Vec<f32> = (0..rows * k).map(|_| rng.uniform(-12.0, 12.0)).collect();
-        let mut oracle = src.clone();
-        dispatch_on(Isa::Scalar, SoftmaxRows { buf: &mut oracle, k });
-        for isa in Isa::supported() {
-            let mut got = src.clone();
-            dispatch_on(isa, SoftmaxRows { buf: &mut got, k });
-            assert_bits_eq(&got, &oracle, isa.name());
-        }
-        // Documented accuracy: the polynomial exp keeps probabilities
-        // within 1e-6 absolute of a plain libm softmax.
-        for (row, orow) in src.chunks(k).zip(oracle.chunks(k)) {
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let exps: Vec<f32> = row.iter().map(|v| (v - max).exp()).collect();
-            let sum: f32 = exps.iter().sum();
-            for (i, (e, o)) in exps.iter().zip(orow).enumerate() {
-                prop_assert!(
-                    (e / sum - o).abs() <= 1e-6,
-                    "softmax[{}] {} vs libm {}", i, o, e / sum
-                );
-            }
-        }
-    }
-
-    #[test]
     fn maxpool_bitwise_across_geometries(
         b in 1usize..3,
         c in 1usize..3,
@@ -227,12 +195,6 @@ fn thread_count_never_changes_bits() {
     let n: usize = 300_000;
     let src: Vec<f32> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
     let grad: Vec<f32> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
-    // Softmax: enough rows × width to split; narrow (paper head
-    // width, gather path) and wide (row-at-a-time path).
-    let k = 10;
-    let soft: Vec<f32> = (0..4096 * k).map(|_| rng.uniform(-12.0, 12.0)).collect();
-    let kw = 24;
-    let soft_w: Vec<f32> = (0..2048 * kw).map(|_| rng.uniform(-12.0, 12.0)).collect();
     for isa in Isa::supported() {
         let run = |threads: usize| {
             with_threads(threads, || {
@@ -243,11 +205,7 @@ fn thread_count_never_changes_bits() {
                 dispatch_on(isa, ReluBackward { grad: &mut g, mask: &mask });
                 let mut q = vec![0i8; n];
                 dispatch_on(isa, QuantizeI8 { src: &src, inv_scale: 93.7, dst: &mut q });
-                let mut sm = soft.clone();
-                dispatch_on(isa, SoftmaxRows { buf: &mut sm, k });
-                let mut smw = soft_w.clone();
-                dispatch_on(isa, SoftmaxRows { buf: &mut smw, k: kw });
-                (relu, mask, g, q, sm, smw)
+                (relu, mask, g, q)
             })
         };
         let base = run(1);
@@ -255,12 +213,7 @@ fn thread_count_never_changes_bits() {
             let got = run(threads);
             assert_eq!(got.1, base.1, "mask @ t{threads} {}", isa.name());
             assert_eq!(got.3, base.3, "quantize @ t{threads} {}", isa.name());
-            for (name, a, b) in [
-                ("relu", &got.0, &base.0),
-                ("relu_bwd", &got.2, &base.2),
-                ("softmax", &got.4, &base.4),
-                ("softmax_wide", &got.5, &base.5),
-            ] {
+            for (name, a, b) in [("relu", &got.0, &base.0), ("relu_bwd", &got.2, &base.2)] {
                 assert_bits_eq(a, b, &format!("{name} @ t{threads} {}", isa.name()));
             }
         }
@@ -358,7 +311,6 @@ struct Battery {
     mask: Vec<u8>,
     bwd: Vec<f32>,
     quant: Vec<i8>,
-    softmax: Vec<f32>,
     pool: Vec<f32>,
     argmax: Vec<usize>,
     reductions: [u32; 4],
@@ -381,9 +333,6 @@ fn op_battery(isa: Isa, threads: usize) -> Battery {
         dispatch_on(isa, Clamp { buf: &mut g, lo: -0.75, hi: 0.75 });
         let mut q = vec![0i8; n];
         dispatch_on(isa, QuantizeI8 { src: &src, inv_scale: 37.5, dst: &mut q });
-        let k = 10;
-        let mut sm = src[..4096 * k].to_vec();
-        dispatch_on(isa, SoftmaxRows { buf: &mut sm, k });
         let pg = PoolGeometry::new(4, 50, 100, 2, 2).unwrap();
         let planes = 6 * 4;
         let mut pool = vec![0f32; planes * pg.out_h * pg.out_w];
@@ -406,7 +355,6 @@ fn op_battery(isa: Isa, threads: usize) -> Battery {
             mask,
             bwd: g,
             quant: q,
-            softmax: sm,
             pool,
             argmax: arg,
             reductions: reds,
@@ -437,7 +385,6 @@ fn cross_isa_all_pairs_bitwise() {
                 assert_eq!(a.mask, b.mask, "mask {pair}");
                 assert_bits_eq(&a.bwd, &b.bwd, &format!("bwd/affine/clamp {pair}"));
                 assert_eq!(a.quant, b.quant, "quantize {pair}");
-                assert_bits_eq(&a.softmax, &b.softmax, &format!("softmax {pair}"));
                 assert_bits_eq(&a.pool, &b.pool, &format!("maxpool {pair}"));
                 assert_eq!(a.argmax, b.argmax, "argmax {pair}");
                 assert_eq!(a.reductions, b.reductions, "reductions {pair}");

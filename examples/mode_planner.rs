@@ -5,16 +5,19 @@
 //! the planner chooses Single-running (mobile GPU, time + resource
 //! models) or Co-running (FPGA, WSS-NWS pipeline model) and the batch
 //! sizes. This example sweeps several deployments and prints the
-//! decisions.
+//! decisions, then re-plans one of them from a measured latency
+//! profile — the same planner over the other cost source, as the
+//! node's online re-plan loop does.
 //!
 //! Run with: `cargo run --release --example mode_planner`
 
-use insitu::core::{plan, Availability, PlanRequest};
+use insitu::core::{plan, Availability, CostSource, MeasuredProfile, PlanRequest};
 use insitu::devices::NetworkShapes;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inference = NetworkShapes::alexnet();
     let diagnosis = NetworkShapes::diagnosis_of(&inference, 9);
+    let analytical = CostSource::Analytical { diagnosis: &diagnosis };
     println!(
         "planning for `{}` ({} conv + {} fc layers, {:.2} Gops/image)\n",
         inference.name,
@@ -36,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     for (name, availability, t_user) in scenarios {
         let request = PlanRequest { availability, t_user, max_batch: 256 };
-        match plan(&request, &inference, &diagnosis) {
+        match plan(&request, &inference, analytical, None) {
             Ok(p) => println!(
                 "{:<24} {:>6.0}ms {:>14} {:>10} {:>10} {:>9.1}ms {:>10.1}",
                 name,
@@ -52,5 +55,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\nDiagnosis batch sizes (Single-running) come from the Eq. 9 resource");
     println!("model; Co-running batches from the Eq. 13/14 pipeline model.");
+
+    // A node that measured a 6 ms p90 per image re-admits its batch
+    // from that measurement instead of the device model.
+    let measured = MeasuredProfile {
+        per_image_p50_s: 0.005,
+        per_image_p90_s: 0.006,
+        i8_speedup: None,
+        uplink_bytes_per_s: 0.0,
+        stages: 32,
+    };
+    let request = PlanRequest { availability: Availability::AlwaysOn, t_user: 0.2, max_batch: 256 };
+    let p = plan(&request, &inference, CostSource::Measured(&measured), None)?;
+    println!("\nre-planned from a measured 6 ms/image p90 at 200 ms: {}", p.summary());
     Ok(())
 }

@@ -26,9 +26,9 @@ use insitu::cloud::{
     build_inference, pretrain, Cloud, DeployConfig, IncrementalConfig, PretrainConfig,
 };
 use insitu::core::{
-    plan, run_ingested_session, validate_prometheus, Availability, DegradeConfig, DiagnosisPolicy,
-    IngestPolicy, IngestSessionConfig, InsituNode, PlanRequest, QuantProfile, ReplanConfig,
-    SessionConfig,
+    plan, run_ingested_session, validate_prometheus, Availability, CostSource, DegradeConfig,
+    DiagnosisPolicy, IngestPolicy, IngestSessionConfig, InsituNode, PlanRequest, QuantProfile,
+    ReplanConfig, SessionConfig,
 };
 use insitu::data::{Condition, Dataset, DriftSchedule, SyntheticDriftSource};
 use insitu::devices::NetworkShapes;
@@ -76,7 +76,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let shapes = NetworkShapes::alexnet();
         let request =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 0.5, max_batch: 64 };
-        let analytical = plan(&request, &shapes, &NetworkShapes::diagnosis_of(&shapes, 9))?;
+        let diagnosis = NetworkShapes::diagnosis_of(&shapes, 9);
+        let analytical =
+            plan(&request, &shapes, CostSource::Analytical { diagnosis: &diagnosis }, None)?;
         println!("analytical plan: {}", analytical.summary());
         node.install_plan(analytical);
         node.enable_replan(ReplanConfig {

@@ -25,7 +25,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use insitu::core::{plan, Availability, PlanRequest};
+//! use insitu::core::{plan, Availability, CostSource, PlanRequest};
 //! use insitu::devices::NetworkShapes;
 //!
 //! # fn main() -> Result<(), insitu::core::CoreError> {
@@ -36,7 +36,8 @@
 //!     t_user: 0.1,
 //!     max_batch: 128,
 //! };
-//! let plan = plan(&request, &inference, &diagnosis)?;
+//! let costs = CostSource::Analytical { diagnosis: &diagnosis };
+//! let plan = plan(&request, &inference, costs, None)?;
 //! println!("deploy: {:?} at batch {}", plan.platform, plan.inference_batch);
 //! # Ok(())
 //! # }

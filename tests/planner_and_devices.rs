@@ -1,7 +1,9 @@
 //! Cross-crate integration: the analytical planner against the device
 //! models and the FPGA pipeline.
 
-use insitu::core::{plan, select_mode, Availability, Platform, PlanRequest, WorkingMode};
+use insitu::core::{
+    plan, select_mode, Availability, CostSource, Platform, PlanRequest, WorkingMode,
+};
 use insitu::devices::{FpgaModel, GpuModel, NetworkShapes};
 use insitu::fpga::{design_throughput, Design, WssNwsPipeline};
 
@@ -9,6 +11,7 @@ use insitu::fpga::{design_throughput, Design, WssNwsPipeline};
 fn planner_decisions_are_consistent_with_the_models() {
     let inference = NetworkShapes::alexnet();
     let diagnosis = NetworkShapes::diagnosis_of(&inference, 9);
+    let costs = CostSource::Analytical { diagnosis: &diagnosis };
     let gpu = GpuModel::tx1();
     for &t_user in &[0.05, 0.1, 0.4] {
         let req = PlanRequest {
@@ -16,7 +19,7 @@ fn planner_decisions_are_consistent_with_the_models() {
             t_user,
             max_batch: 256,
         };
-        let p = plan(&req, &inference, &diagnosis).unwrap();
+        let p = plan(&req, &inference, costs, None).unwrap();
         // The plan's prediction must match a direct model query.
         assert!((p.predicted_latency_s - gpu.batch_latency(&inference, p.inference_batch))
             .abs()
@@ -34,7 +37,8 @@ fn co_running_plan_matches_pipeline_model() {
     let inference = NetworkShapes::alexnet();
     let diagnosis = NetworkShapes::diagnosis_of(&inference, 9);
     let req = PlanRequest { availability: Availability::AlwaysOn, t_user: 0.2, max_batch: 256 };
-    let p = plan(&req, &inference, &diagnosis).unwrap();
+    let costs = CostSource::Analytical { diagnosis: &diagnosis };
+    let p = plan(&req, &inference, costs, None).unwrap();
     assert_eq!(p.platform, Platform::Fpga);
     let spec = insitu::devices::FpgaSpec::vx690t();
     let pipe = WssNwsPipeline::configure(spec, &inference.convs(), &inference.fcs());
@@ -82,18 +86,19 @@ fn characterization_headlines_hold() {
 fn vgg_plans_need_looser_deadlines() {
     let vgg = NetworkShapes::vgg16();
     let diag = NetworkShapes::diagnosis_of(&vgg, 9);
+    let costs = CostSource::Analytical { diagnosis: &diag };
     // A 30 fps deadline is infeasible for VGG-16 on a TX1-class GPU.
     let strict = PlanRequest {
         availability: Availability::Scheduled,
         t_user: 0.033,
         max_batch: 64,
     };
-    assert!(plan(&strict, &vgg, &diag).is_err());
+    assert!(plan(&strict, &vgg, costs, None).is_err());
     // A relaxed deadline plans fine.
     let relaxed = PlanRequest {
         availability: Availability::Scheduled,
         t_user: 1.0,
         max_batch: 64,
     };
-    assert!(plan(&relaxed, &vgg, &diag).is_ok());
+    assert!(plan(&relaxed, &vgg, costs, None).is_ok());
 }

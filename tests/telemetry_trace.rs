@@ -1,4 +1,4 @@
-//! End-to-end telemetry: a traced streaming session produces a valid
+//! End-to-end telemetry: a traced session produces a valid
 //! Chrome trace spanning every layer — tensor kernels, the worker
 //! pool, node stages and the Cloud's incremental-update cycles — and
 //! disabled telemetry records exactly nothing.
@@ -7,8 +7,11 @@
 //! one test function (this file is its own test binary).
 
 use insitu::cloud::{pretrain, Cloud, IncrementalConfig, PretrainConfig};
-use insitu::core::{run_streaming_session, DiagnosisPolicy, InsituNode};
-use insitu::data::{Condition, Dataset};
+use insitu::core::{
+    run_ingested_session, DiagnosisPolicy, IngestSessionConfig, InsituNode, SessionConfig,
+    SessionStats,
+};
+use insitu::data::{Condition, Dataset, ReplaySource};
 use insitu::nn::models::mini_alexnet;
 use insitu::nn::transfer::transfer_and_freeze;
 use insitu::telemetry;
@@ -50,11 +53,18 @@ fn deployment(seed: u64) -> (InsituNode, Arc<Mutex<Cloud>>) {
     (node, Arc::new(Mutex::new(cloud)))
 }
 
-fn stream(seed: u64) -> Vec<Dataset> {
-    let mut rng = Rng::seed_from(seed);
-    (0..3)
+/// Replays three seeded 16-image stages through a fresh deployment at
+/// batch 8.
+fn session(deployment_seed: u64, stream_seed: u64) -> SessionStats {
+    let (node, cloud) = deployment(deployment_seed);
+    let mut rng = Rng::seed_from(stream_seed);
+    let stream: Vec<Dataset> = (0..3)
         .map(|_| Dataset::generate(16, CLASSES, &Condition::in_situ(), &mut rng).unwrap())
-        .collect()
+        .collect();
+    let config =
+        IngestSessionConfig { session: SessionConfig::with_batch(8), ..Default::default() };
+    let source = Box::new(ReplaySource::new(Arc::new(stream)));
+    run_ingested_session(node, cloud, source, &config).unwrap().1
 }
 
 #[test]
@@ -62,8 +72,7 @@ fn traced_session_exports_chrome_trace() {
     // --- Disabled: a full session records zero events. ----------------
     telemetry::set_enabled(false);
     telemetry::reset();
-    let (node, cloud) = deployment(61);
-    let (_, stats) = run_streaming_session(node, cloud, stream(62), 8).unwrap();
+    let stats = session(61, 62);
     assert!(stats.images_uploaded > 0, "oracle policy should upload");
     assert!(
         stats.telemetry.is_empty(),
@@ -76,8 +85,7 @@ fn traced_session_exports_chrome_trace() {
     insitu::tensor::set_num_threads(2);
     telemetry::set_enabled(true);
     telemetry::reset();
-    let (node, cloud) = deployment(63);
-    let (_, stats) = run_streaming_session(node, cloud, stream(64), 8).unwrap();
+    let stats = session(63, 64);
     telemetry::set_enabled(false);
     insitu::tensor::set_num_threads(1);
 
