@@ -4,6 +4,11 @@ set -eu
 cd "$(dirname "$0")"
 
 cargo build --release --workspace
+# The loop benchmark is its own workspace, so the build above never
+# compiles it; build it here so a core API change cannot break it
+# unnoticed. Its artifacts go under target/, leaving loopbench/ as is.
+CARGO_TARGET_DIR=target/loopbench cargo build --release --offline --locked --quiet \
+    --manifest-path loopbench/Cargo.toml
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -111,9 +116,10 @@ cargo test -q -p insitu-nn --lib train_from_activations
 # insitu-data, then the end-to-end contract in insitu-core — the Block
 # overlapped session must be bitwise identical to a hand-driven
 # sequential loop (proptest across seeds, queue capacities and 1/2/4 threads),
-# each backpressure policy must trigger under a slow consumer, and a
-# backed-up queue must re-plan the node into the i8 configuration
-# live. Run under both SIMD modes: the bitwise gate must hold on the
+# each backpressure policy must trigger under a slow consumer, and the
+# Degrade shed and the latency re-plan loop must share one owner of
+# the node's precision (neither undoes the other; each flip counts
+# once). Run under both SIMD modes: the bitwise gate must hold on the
 # vectorized and the portable kernels alike.
 cargo test -q -p insitu-data ingest
 cargo test -q -p insitu-core --test ingestion

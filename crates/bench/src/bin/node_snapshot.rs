@@ -393,7 +393,7 @@ fn ingest_overlap_row(quick: bool) -> (String, bool) {
     let overlapped_ns = ovl_ns[reps / 2];
     let overlap_speedup = sequential_ns as f64 / overlapped_ns.max(1) as f64;
     // Counted pass: one telemetry-enabled overlapped session for the
-    // queue-depth distribution the re-plan trigger watches.
+    // queue-depth distribution the Degrade shed watches.
     telemetry::set_enabled(true);
     telemetry::advance_epoch();
     let (_, stats, _) = run_ingested_session(make_node(policy), echo(), Box::new(make_source()), &cfg)

@@ -45,20 +45,15 @@ pub enum InferencePrecision {
 /// With a config installed (see [`InsituNode::enable_replan`]) and an
 /// active [`NodePlan`], the node checks every `every_stages` fused
 /// stages whether the **measured** p90 per-image latency (from the
-/// `node.stage_per_image` histogram) has diverged from the plan's
-/// predicted per-image cost by more than `divergence`× in either
-/// direction — or, when `queue_depth_trigger` is set, whether the
-/// ingest queue has backed up that far since the last check — and if
-/// so re-runs the planner on the measurements
-/// ([`plan`](crate::plan) over [`CostSource::Measured`]), emitting a `node.replan` instant with
-/// the before/after plans. With `allow_precision_flip` a re-plan may
-/// switch [`InferencePrecision`] live: under queue pressure an f32
-/// node folds the i8 speedup (the configured [`QuantProfile`]'s, or
-/// the [`MeasuredProfile`]'s observed one) into the measured per-image
-/// cost so the planner admits the faster fixed-point configuration,
-/// and a comfortably fast i8 node flips back once the estimated f32
-/// cost fits the deadline again. Requires telemetry to be enabled —
-/// with it off there are no measurements and the check is skipped.
+/// `node.stage_per_image` histogram, at the deployed precision) has
+/// diverged from the plan's predicted per-image cost by more than
+/// `divergence`× in either direction, and if so re-runs the planner on
+/// the measurements ([`plan`](crate::plan) over
+/// [`CostSource::Measured`]), emitting a `node.replan` instant with the
+/// before/after plans. Queue pressure is not its job: that belongs to
+/// the ingest shed ([`IngestPolicy::Degrade`](crate::IngestPolicy)).
+/// Requires telemetry to be enabled — with it off there are no
+/// measurements and the check is skipped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplanConfig {
     /// Check cadence, in fused stages (`>= 1`).
@@ -66,14 +61,6 @@ pub struct ReplanConfig {
     /// Divergence threshold θ (`> 1`): re-plan when the measured/
     /// predicted per-image ratio leaves `[1/θ, θ]`.
     pub divergence: f64,
-    /// Re-plan when the peak ingest-queue depth observed since the
-    /// last check (fed by [`InsituNode::note_ingest_depth`]) reaches
-    /// this many frames; `None` disables the depth trigger.
-    pub queue_depth_trigger: Option<u64>,
-    /// Allow a re-plan to flip the inference precision F32↔I8 live
-    /// (only ever toward i8 under queue pressure, and only when a
-    /// calibrated quantized network exists).
-    pub allow_precision_flip: bool,
     /// The deployment constraints to re-plan under.
     pub request: PlanRequest,
     /// Shapes of the deployed inference network.
@@ -125,7 +112,11 @@ pub struct InsituNode {
     version: u32,
     movement: DataMovementMeter,
     rng: Rng,
+    /// The deployed precision: what `set_precision`, plan installs and
+    /// re-plans write. I8 only once a quantized network exists.
     precision: InferencePrecision,
+    /// The ingest shed's i8 overlay, on only inside a session.
+    shed_i8: bool,
     quantized: Option<QuantizedNet>,
     calib_images: Option<Tensor>,
     plan: Option<NodePlan>,
@@ -133,7 +124,6 @@ pub struct InsituNode {
     stages_processed: u64,
     replans: u64,
     precision_flips: u64,
-    ingest_depth_peak: u64,
     injected_stage_delay: Option<std::time::Duration>,
 }
 
@@ -173,6 +163,7 @@ impl InsituNode {
             movement: DataMovementMeter::new(),
             rng: Rng::seed_from(seed),
             precision: InferencePrecision::F32,
+            shed_i8: false,
             quantized: None,
             calib_images: None,
             plan: None,
@@ -180,14 +171,42 @@ impl InsituNode {
             stages_processed: 0,
             replans: 0,
             precision_flips: 0,
-            ingest_depth_peak: 0,
             injected_stage_delay: None,
         })
     }
 
-    /// The precision the inference forward runs at.
+    /// The precision the inference forward runs at: i8 when the
+    /// deployed precision is i8, or when a session's load shed asks
+    /// for it and a calibrated quantized network exists.
     pub fn precision(&self) -> InferencePrecision {
-        self.precision
+        if self.shed_i8 && self.quantized.is_some() {
+            InferencePrecision::I8
+        } else {
+            self.precision
+        }
+    }
+
+    /// The one flip path: counts and reports a change of the running
+    /// precision since `before`, whichever write caused it.
+    fn note_precision_change(&mut self, before: InferencePrecision, cause: &str) {
+        let now = self.precision();
+        if now == before {
+            return;
+        }
+        self.precision_flips += 1;
+        let flip = format!("{} -> {} ({cause})", precision_label(before), precision_label(now));
+        telemetry::counter_add("node.precision_flips", "", 1);
+        telemetry::instant_with("node.precision_flip", || flip.clone());
+        recorder::record("precision_flip", flip);
+    }
+
+    /// Turns the ingest shed's i8 overlay on or off. The overlay sits
+    /// on top of the deployed precision, so plan installs and re-plans
+    /// during a shed neither lift it nor get undone when it lifts.
+    pub(crate) fn set_shed_i8(&mut self, on: bool) {
+        let before = self.precision();
+        self.shed_i8 = on;
+        self.note_precision_change(before, if on { "shed" } else { "shed lifted" });
     }
 
     /// Borrow of the calibrated quantized network, if one exists.
@@ -210,13 +229,15 @@ impl InsituNode {
         let _t = telemetry::span_with("node.quantize", || {
             format!("calibrate over {} images", calib.len())
         });
+        let before = self.precision();
         self.quantized = Some(QuantizedNet::calibrate(&self.inference, calib.images())?);
         self.calib_images = Some(calib.images().clone());
         self.precision = InferencePrecision::I8;
+        self.note_precision_change(before, "calibrated");
         Ok(())
     }
 
-    /// Switches the inference precision.
+    /// Switches the deployed inference precision.
     ///
     /// # Errors
     ///
@@ -231,23 +252,26 @@ impl InsituNode {
                     .to_string(),
             });
         }
+        let before = self.precision();
         self.precision = precision;
+        self.note_precision_change(before, "set_precision");
         Ok(())
     }
 
     /// Installs a planner decision as the node's active plan. The
-    /// plan's precision is applied when the node can honor it (i8
-    /// requires a calibrated quantized network; an i8 plan on an
-    /// uncalibrated node keeps f32). Records a `mode_decision` flight
-    /// event.
+    /// plan's precision becomes the deployed precision when the node
+    /// can honor it (i8 requires a calibrated quantized network; an i8
+    /// plan on an uncalibrated node keeps f32). Records a
+    /// `mode_decision` flight event.
     pub fn install_plan(&mut self, plan: NodePlan) {
-        let precision = match plan.precision {
+        let before = self.precision();
+        self.precision = match plan.precision {
             InferencePrecision::I8 if self.quantized.is_none() => InferencePrecision::F32,
             p => p,
         };
-        self.precision = precision;
         recorder::record("mode_decision", plan.summary());
         self.plan = Some(plan);
+        self.note_precision_change(before, "plan");
     }
 
     /// The active plan, if one was installed.
@@ -274,18 +298,12 @@ impl InsituNode {
         self.replans
     }
 
-    /// How many times a re-plan flipped the effective inference
-    /// precision (F32↔I8) live.
+    /// How many times the running inference precision (see
+    /// [`precision`](InsituNode::precision)) changed F32↔I8, whatever
+    /// changed it: calibration, `set_precision`, a plan install or
+    /// re-plan, or a session's load shed.
     pub fn precision_flips(&self) -> u64 {
         self.precision_flips
-    }
-
-    /// Feeds the re-plan loop an observed ingest-queue depth (frames
-    /// waiting behind the one being processed). The peak since the
-    /// last re-plan check is what `queue_depth_trigger` compares
-    /// against; the runtime calls this once per popped frame.
-    pub fn note_ingest_depth(&mut self, depth: u64) {
-        self.ingest_depth_peak = self.ingest_depth_peak.max(depth);
     }
 
     /// Fused stages processed since construction.
@@ -396,7 +414,8 @@ impl InsituNode {
     ///
     /// Returns an error on shape disagreements.
     pub fn accuracy_on(&mut self, data: &Dataset, batch: usize) -> Result<f32> {
-        if let (Some(q), InferencePrecision::I8) = (&mut self.quantized, self.precision) {
+        let precision = self.precision();
+        if let (Some(q), InferencePrecision::I8) = (&mut self.quantized, precision) {
             return Ok(q.accuracy_on(data.images(), data.labels(), batch)?);
         }
         Ok(evaluate(
@@ -435,7 +454,8 @@ impl InsituNode {
         // single relaxed `enabled` check so the disabled path stays
         // clock-free.
         let stage_start = telemetry::enabled().then(std::time::Instant::now);
-        let label = precision_label(self.effective_precision());
+        let precision = self.precision();
+        let label = precision_label(precision);
         // Inference task: predictions for the end application. The
         // per-chunk logits double as the diagnosis logit cache.
         let mut predictions = Vec::with_capacity(data.len());
@@ -448,7 +468,7 @@ impl InsituNode {
                 let end = (start + bs).min(data.len());
                 let sub = data.subset_range(start..end)?;
                 let chunk_start = stage_start.map(|_| std::time::Instant::now());
-                let logits = match (&mut self.quantized, self.precision) {
+                let logits = match (&mut self.quantized, precision) {
                     (Some(q), InferencePrecision::I8) => q.predict(sub.images())?,
                     _ => self.inference.predict(sub.images())?,
                 };
@@ -492,115 +512,44 @@ impl InsituNode {
         Ok(outcome)
     }
 
-    /// The precision the next fused stage will actually run at (i8
-    /// requires the calibrated network to exist).
-    fn effective_precision(&self) -> InferencePrecision {
-        match (&self.quantized, self.precision) {
-            (Some(_), InferencePrecision::I8) => InferencePrecision::I8,
-            _ => InferencePrecision::F32,
-        }
-    }
-
     /// The online re-plan check: every `every_stages` fused stages,
-    /// compare the measured p90 per-image latency with the active
-    /// plan's prediction and re-plan from the measurements when they
-    /// disagree by more than the configured divergence factor — or
-    /// when the ingest queue has backed up past `queue_depth_trigger`
-    /// since the last check. A re-plan may also flip the inference
-    /// precision live (see [`ReplanConfig::allow_precision_flip`]).
+    /// compare the measured p90 per-image latency at the deployed
+    /// precision with the active plan's prediction and re-plan from
+    /// the measurements when they disagree by more than the configured
+    /// divergence factor. Stages run under the shed's i8 overlay are
+    /// not the plan's configuration, so they are not read as its cost.
     fn maybe_replan(&mut self) {
-        let Some(cfg) = self.replan.clone() else { return };
+        let (Some(cfg), Some(plan)) = (&self.replan, &self.plan) else { return };
         if !telemetry::enabled()
             || !self.stages_processed.is_multiple_of(cfg.every_stages)
-            || self.plan.is_none()
+            || plan.inference_batch == 0
+            || plan.predicted_latency_s <= 0.0
         {
             return;
         }
-        let plan = self.plan.clone().expect("checked above");
-        if plan.inference_batch == 0 || plan.predicted_latency_s <= 0.0 {
-            return;
-        }
         let snap = telemetry::snapshot();
-        let effective = self.effective_precision();
-        let Some(measured) = MeasuredProfile::from_snapshot(&snap, effective) else {
+        let Some(measured) = MeasuredProfile::from_snapshot(&snap, self.precision) else {
             return;
         };
-        // The depth peak resets at every check: pressure must persist
-        // into the next window to trigger again.
-        let depth_peak = std::mem::take(&mut self.ingest_depth_peak);
-        let depth_pressure = cfg.queue_depth_trigger.is_some_and(|t| depth_peak >= t.max(1));
         let predicted_per_image = plan.predicted_latency_s / plan.inference_batch as f64;
         let ratio = measured.per_image_p90_s / predicted_per_image;
         let theta = cfg.divergence.max(1.0 + 1e-9);
-        let diverged = !(1.0 / theta..=theta).contains(&ratio);
-        if !diverged && !depth_pressure {
+        if (1.0 / theta..=theta).contains(&ratio) {
             return;
         }
-        // Pick the precision to plan for. Under queue pressure an f32
-        // node with a calibrated i8 network rescales the measured
-        // per-image cost by the i8 speedup so the planner admits the
-        // fixed-point configuration; a comfortably fast i8 node
-        // reverses the rescale and flips back once the estimated f32
-        // cost still meets the deadline.
-        let mut measured_for_plan = measured;
-        let mut quant = cfg.quant;
-        if cfg.allow_precision_flip && self.quantized.is_some() {
-            let speedup = cfg
-                .quant
-                .map(|q| q.speedup)
-                .or(measured.i8_speedup)
-                .filter(|s| s.is_finite() && *s > 1.0);
-            match (effective, speedup) {
-                (InferencePrecision::F32, Some(s)) if depth_pressure => {
-                    measured_for_plan.per_image_p50_s /= s;
-                    measured_for_plan.per_image_p90_s /= s;
-                    quant = Some(
-                        cfg.quant.unwrap_or(QuantProfile { speedup: s, accuracy_delta: 0.0 }),
-                    );
-                }
-                (InferencePrecision::I8, Some(s))
-                    if !depth_pressure
-                        && ratio < 1.0
-                        && measured.per_image_p90_s * s <= cfg.request.t_user =>
-                {
-                    measured_for_plan.per_image_p50_s *= s;
-                    measured_for_plan.per_image_p90_s *= s;
-                    quant = None;
-                }
-                _ => {}
-            }
-        }
-        let cause = if depth_pressure {
-            format!("queue depth {depth_peak}")
-        } else {
-            format!("p90 ratio {ratio:.2}")
-        };
+        let before = plan.summary();
         match crate::planner::plan(
             &cfg.request,
             &cfg.inference_shapes,
-            CostSource::Measured(&measured_for_plan),
-            quant.as_ref(),
+            CostSource::Measured(&measured),
+            cfg.quant.as_ref(),
         ) {
             Ok(new_plan) => {
-                let before = plan.summary();
-                let after = new_plan.summary();
-                telemetry::instant_with("node.replan", || {
-                    format!("{before} -> {after} ({cause})")
-                });
-                recorder::record("replan", format!("{before} -> {after} ({cause})"));
+                let change = format!("{before} -> {} (p90 ratio {ratio:.2})", new_plan.summary());
+                telemetry::instant_with("node.replan", || change.clone());
+                recorder::record("replan", change);
                 self.replans += 1;
                 self.install_plan(new_plan);
-                let now = self.effective_precision();
-                if now != effective {
-                    self.precision_flips += 1;
-                    let flip = format!(
-                        "{} -> {} ({cause})",
-                        precision_label(effective),
-                        precision_label(now)
-                    );
-                    telemetry::instant_with("node.precision_flip", || flip.clone());
-                    recorder::record("precision_flip", flip);
-                }
             }
             Err(e) => {
                 // The measurements admit nothing: keep the old plan

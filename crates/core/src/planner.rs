@@ -52,11 +52,10 @@ pub struct QuantProfile {
 /// The node's fused stage records a `node.stage_per_image` histogram
 /// labelled by precision (`"f32"` / `"i8"`) and a `node.upload_bytes`
 /// size histogram; [`MeasuredProfile::from_snapshot`] reads those into
-/// per-image latency percentiles, the observed i8-vs-f32 speedup, and
-/// the achieved uplink rate. [`plan`] over [`CostSource::Measured`]
-/// then admits the largest batch whose **measured p90** per-image cost
-/// meets the user deadline, instead of trusting Eqs. 5–14's assumed
-/// costs.
+/// per-image latency percentiles and the achieved uplink rate.
+/// [`plan`] over [`CostSource::Measured`] then admits the largest batch
+/// whose **measured p90** per-image cost meets the user deadline,
+/// instead of trusting Eqs. 5–14's assumed costs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredProfile {
     /// Median per-image stage latency, seconds.
@@ -64,9 +63,6 @@ pub struct MeasuredProfile {
     /// 90th-percentile per-image stage latency, seconds — what the
     /// admission decision uses (tail-aware, unlike a mean).
     pub per_image_p90_s: f64,
-    /// Measured f32-p50 / i8-p50 throughput ratio, when both
-    /// precisions have samples in the window.
-    pub i8_speedup: Option<f64>,
     /// Achieved upload rate over the window, bytes/second of stage
     /// time (0.0 when nothing was uploaded).
     pub uplink_bytes_per_s: f64,
@@ -85,12 +81,6 @@ impl MeasuredProfile {
         if per_image.hist.is_empty() {
             return None;
         }
-        let f32_p50 = snap.hist("node.stage_per_image", "f32").map(|h| h.p50);
-        let i8_p50 = snap.hist("node.stage_per_image", "i8").map(|h| h.p50);
-        let i8_speedup = match (f32_p50, i8_p50) {
-            (Some(f), Some(i)) if i > 0 => Some(f as f64 / i as f64),
-            _ => None,
-        };
         let uplink_bytes_per_s = match (
             snap.hist("node.upload_bytes", ""),
             snap.hist("node.stage", ""),
@@ -103,7 +93,6 @@ impl MeasuredProfile {
         Some(MeasuredProfile {
             per_image_p50_s: per_image.p50 as f64 / 1e9,
             per_image_p90_s: per_image.p90 as f64 / 1e9,
-            i8_speedup,
             uplink_bytes_per_s,
             stages: per_image.hist.count(),
         })
@@ -428,7 +417,6 @@ mod tests {
         MeasuredProfile {
             per_image_p50_s: per_image_s * 0.8,
             per_image_p90_s: per_image_s,
-            i8_speedup: None,
             uplink_bytes_per_s: 0.0,
             stages: 10,
         }

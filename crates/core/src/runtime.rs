@@ -30,7 +30,7 @@
 
 use crate::error::CoreError;
 use crate::hub::MetricsHub;
-use crate::node::{InferencePrecision, InsituNode};
+use crate::node::InsituNode;
 use crate::planner::precision_label;
 use crate::recorder;
 use crate::update::{CloudEndpoint, ModelUpdate};
@@ -56,8 +56,8 @@ enum Uplink {
 /// Tuning knobs of the node/Cloud side of a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// Inference batch size while the node is unplanned (a re-planning
-    /// node's active plan takes precedence mid-session).
+    /// Inference batch size while the node is unplanned; a planned
+    /// node prewarms and runs at its active plan's batch instead.
     pub batch_size: usize,
     /// Capacity of the bounded node→Cloud uplink channel, in pending
     /// uploads (clamped to at least 1). The bound is what applies
@@ -109,9 +109,11 @@ pub enum IngestPolicy {
     DropOldest,
     /// Keep every frame (the producer blocks like `Block`) but shed
     /// load on the node instead: under queue pressure the consumer
-    /// halves its batch size down to a floor, then — if allowed and
-    /// calibrated — flips inference to i8; steps are undone one at a
-    /// time once the queue drains.
+    /// halves its batch size down to a floor, then — if the node has a
+    /// calibrated i8 network — runs inference at i8; steps are undone
+    /// one at a time, most recent first, whenever the queue is empty.
+    /// This is the node's one queue-pressure controller, and it needs
+    /// no telemetry.
     Degrade(DegradeConfig),
 }
 
@@ -121,25 +123,14 @@ pub struct DegradeConfig {
     /// Queue depth (observed after popping a frame) at or above which
     /// one degrade step is taken (clamped to at least 1).
     pub high_watermark: usize,
-    /// Queue depth at or below which one degrade step is undone.
-    pub low_watermark: usize,
     /// Floor for batch shrinking (clamped to at least 1). Once the
-    /// batch cannot halve further, the next step is the precision
-    /// flip.
+    /// batch cannot halve further, the next step is i8 inference.
     pub min_batch: usize,
-    /// Allow the final degrade step to flip inference F32→I8 (requires
-    /// a calibrated quantized network; restored on drain).
-    pub allow_precision_flip: bool,
 }
 
 impl Default for DegradeConfig {
     fn default() -> DegradeConfig {
-        DegradeConfig {
-            high_watermark: 3,
-            low_watermark: 0,
-            min_batch: 1,
-            allow_precision_flip: false,
-        }
+        DegradeConfig { high_watermark: 3, min_batch: 1 }
     }
 }
 
@@ -191,13 +182,15 @@ pub struct IngestSummary {
     pub frames: u64,
     /// Frames evicted under [`IngestPolicy::DropOldest`].
     pub drops: u64,
-    /// Degrade steps taken (batch halvings) under
+    /// Degrade steps taken (batch halvings and the i8 step) under
     /// [`IngestPolicy::Degrade`].
     pub degrades: u64,
-    /// Degrade steps undone after the queue drained.
+    /// Degrade steps undone after the queue drained. A shed still in
+    /// force at the end of the stream is lifted without counting here.
     pub restores: u64,
-    /// Live F32↔I8 precision flips, from the degrade controller and
-    /// from depth-triggered re-plans combined.
+    /// Changes of the node's running precision during the session
+    /// ([`InsituNode::precision_flips`] over the session), whichever
+    /// controller caused them.
     pub precision_flips: u64,
     /// High-water mark of the ingest queue depth.
     pub max_queue_depth: u64,
@@ -221,12 +214,14 @@ pub struct IngestSummary {
 /// [`insitu_data::ReplaySource`]).
 ///
 /// The configured [`IngestPolicy`] governs what happens when the node
-/// falls behind; queue depth, producer latency and drop/degrade/flip
-/// counts land in telemetry (`node.ingest.*`) and the flight recorder,
-/// and the pipeline's bookkeeping comes back as an [`IngestSummary`]
-/// next to the ordinary [`SessionStats`]. Frame storage is recycled
-/// through the producer's arena: in steady state ingestion allocates
-/// nothing (see [`insitu_data::ProducerReport::fresh_buffers`]).
+/// falls behind; queue depth, producer latency and drop/degrade counts
+/// land in telemetry (`node.ingest.*`) and the flight recorder, and the
+/// pipeline's bookkeeping comes back as an [`IngestSummary`] next to
+/// the ordinary [`SessionStats`]. A `Degrade` shed is session-scoped:
+/// its batch lives here, and its i8 overlay is lifted before the node
+/// is handed back. Frame storage is recycled through the producer's
+/// arena: in steady state ingestion allocates nothing (see
+/// [`insitu_data::ProducerReport::fresh_buffers`]).
 ///
 /// Under `IngestPolicy::Block` with
 /// [`SessionConfig::lockstep_uploads`], the session reproduces the
@@ -263,7 +258,9 @@ where
         IngestPolicy::Block | IngestPolicy::Degrade(_) => QueueFullPolicy::Block,
     };
     let capacity = config.queue_capacity.max(1);
-    let batch_size = config.session.batch_size;
+    // The batch the first stage runs at: the active plan's, else the
+    // caller's. Prewarm sizes the workspaces at exactly this batch.
+    let batch_size = node.active_batch().unwrap_or(config.session.batch_size);
     let start_detail = format!(
         "{} frames @bs{batch_size} cap{capacity} {queue_policy:?}",
         source.frames_hint().map_or_else(|| "?".to_string(), |n| n.to_string()),
@@ -359,17 +356,18 @@ where
             // the stream starts: real batches then run the
             // zero-allocation kernel path from the first image.
             node.prewarm(batch_size)?;
-            // Degrade controller state: the current shed batch (None
-            // while undegraded) and whether the controller flipped
-            // precision.
-            let mut degraded_batch: Option<usize> = None;
-            let mut degrade_flipped = false;
+            // Shed state: the current shed batch (None while unshed)
+            // and whether the i8 step is in force. The i8 step is the
+            // top rung of the ladder, so undoing it first is undoing
+            // the most recent step.
+            let mut shed_batch: Option<usize> = None;
+            let mut shed_i8 = false;
             let mut drops_seen = 0u64;
             loop {
                 // Fetch the next frame. This blocks only while the
                 // producer is still materializing it — the overlap
                 // window — and the observed wait and queue depth feed
-                // the ingest telemetry and the re-plan loop.
+                // the ingest telemetry and the shed.
                 let wait_start = telemetry::enabled().then(std::time::Instant::now);
                 let Some(frame) = pipeline.next_frame() else { break };
                 if let Some(t0) = wait_start {
@@ -378,7 +376,6 @@ where
                 }
                 let depth = pipeline.depth() as u64;
                 summary.max_queue_depth = summary.max_queue_depth.max(depth);
-                node.note_ingest_depth(depth);
                 telemetry::hist_record("node.ingest.queue_depth", "", depth);
                 telemetry::hist_record("node.ingest.produce", "", frame.produce_ns);
                 telemetry::counter_add("node.ingest.frames", "", 1);
@@ -393,55 +390,39 @@ where
                 }
                 if let IngestPolicy::Degrade(dc) = &config.policy {
                     let base = node.active_batch().unwrap_or(batch_size).max(1);
-                    if depth as usize >= dc.high_watermark.max(1) {
-                        // One degrade step per frame: halve the batch
-                        // to the floor, then flip precision.
-                        let current = degraded_batch.unwrap_or(base);
+                    let current = shed_batch.unwrap_or(base);
+                    if depth as usize >= dc.high_watermark.max(1) && !shed_i8 {
+                        // One step up per frame: halve the batch to the
+                        // floor, then run inference at i8.
                         let next = (current / 2).max(dc.min_batch.max(1));
-                        if next < current {
-                            degraded_batch = Some(next);
+                        let step = if next < current {
+                            shed_batch = Some(next);
+                            Some(format!("batch {current} -> {next}"))
+                        } else if node.quantized().is_some() {
+                            shed_i8 = true;
+                            node.set_shed_i8(true);
+                            Some("i8 inference".to_string())
+                        } else {
+                            None
+                        };
+                        if let Some(step) = step {
                             summary.degrades += 1;
                             telemetry::counter_add("node.ingest.degrades", "", 1);
-                            recorder::record(
-                                "degrade",
-                                format!("queue depth {depth}: batch {current} -> {next}"),
-                            );
-                        } else if dc.allow_precision_flip
-                            && !degrade_flipped
-                            && node.quantized().is_some()
-                            && node.precision() == InferencePrecision::F32
-                            && node.set_precision(InferencePrecision::I8).is_ok()
-                        {
-                            degrade_flipped = true;
-                            summary.precision_flips += 1;
-                            telemetry::counter_add("node.ingest.flips", "", 1);
-                            recorder::record(
-                                "precision_flip",
-                                format!("queue depth {depth}: f32 -> i8 (degrade)"),
-                            );
+                            recorder::record("degrade", format!("queue depth {depth}: {step}"));
                         }
-                    } else if depth as usize <= dc.low_watermark {
-                        // Undo one step, most recent first.
-                        if degrade_flipped {
-                            if node.set_precision(InferencePrecision::F32).is_ok() {
-                                degrade_flipped = false;
-                                summary.precision_flips += 1;
-                                summary.restores += 1;
-                                telemetry::counter_add("node.ingest.flips", "", 1);
-                                recorder::record(
-                                    "precision_flip",
-                                    format!("queue depth {depth}: i8 -> f32 (restore)"),
-                                );
-                            }
-                        } else if let Some(shed) = degraded_batch {
-                            let next = (shed * 2).min(base);
-                            summary.restores += 1;
-                            recorder::record(
-                                "restore",
-                                format!("queue depth {depth}: batch {shed} -> {next}"),
-                            );
-                            degraded_batch = if next >= base { None } else { Some(next) };
-                        }
+                    } else if depth == 0 && (shed_i8 || shed_batch.is_some()) {
+                        // One step down per frame, most recent first.
+                        let step = if shed_i8 {
+                            shed_i8 = false;
+                            node.set_shed_i8(false);
+                            "i8 inference lifted".to_string()
+                        } else {
+                            let next = (current * 2).min(base);
+                            shed_batch = (next < base).then_some(next);
+                            format!("batch {current} -> {next}")
+                        };
+                        summary.restores += 1;
+                        recorder::record("restore", format!("queue depth {depth}: {step}"));
                     }
                 }
                 // Install any updates that arrived while we were busy.
@@ -449,10 +430,9 @@ where
                     install(&mut node, &mut stats, &update)?;
                 }
                 // A re-planning node can change its own batch size mid
-                // session; honor the degrade controller first, then the
-                // active plan, then the caller's value.
-                let bs =
-                    degraded_batch.unwrap_or_else(|| node.active_batch().unwrap_or(batch_size));
+                // session; honor the shed first, then the active plan,
+                // then the caller's value.
+                let bs = shed_batch.unwrap_or_else(|| node.active_batch().unwrap_or(batch_size));
                 let outcome = node.process_stage(&frame.data, bs)?;
                 stats.batches += 1;
                 stats.images_seen += frame.data.len() as u64;
@@ -527,9 +507,11 @@ where
         recorder::dump(&e.to_string());
         return Err(e);
     }
+    // The shed ends with the session.
+    node.set_shed_i8(false);
     drop(session_span);
     stats.replans = node.replans() - replans_before;
-    summary.precision_flips += node.precision_flips() - flips_before;
+    summary.precision_flips = node.precision_flips() - flips_before;
     stats.telemetry = telemetry::snapshot();
     stats.metrics.fold(&stats.telemetry);
     Ok((node, stats, summary))

@@ -11,10 +11,10 @@
 //! pin each policy's observable behavior under a deliberately slow
 //! consumer: `Block` stalls the producer and loses nothing,
 //! `DropOldest` sheds the oldest frames and counts them, `Degrade`
-//! shrinks the node's batch (and, at the floor, flips inference to i8
-//! when allowed). Finally, the re-plan loop's queue-depth trigger is
-//! driven end to end: a backed-up queue makes a planned f32 node
-//! re-plan itself into the calibrated i8 configuration mid-session.
+//! shrinks the node's batch (and, at the floor, runs inference at i8
+//! on a calibrated node). Finally, the `Degrade` shed and the latency
+//! re-plan loop run on one node together: neither undoes the other,
+//! and every precision change is counted once.
 
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -49,7 +49,9 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Serializes tests that enable the process-global telemetry registry.
+/// Serializes every test that runs a session: while tracing is on, a
+/// session opens a fresh telemetry epoch, so one running beside an open
+/// [`Window`] would wipe that window's registry (and run traced).
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<StdMutex<()>> = OnceLock::new();
     GATE.get_or_init(|| StdMutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
@@ -190,6 +192,7 @@ proptest! {
         let frames = 4usize;
         let images = 8usize;
         let batch = 4usize;
+        let _quiet = gate();
         let session = SessionConfig {
             batch_size: batch,
             uplink_capacity: 4,
@@ -239,6 +242,7 @@ proptest! {
 
 #[test]
 fn block_policy_stalls_a_slow_consumer_without_loss() {
+    let _quiet = gate();
     let mut node = make_node(21);
     // A consumer ~25x slower than the producer: the queue saturates.
     node.set_injected_stage_delay(Some(Duration::from_millis(25)));
@@ -263,6 +267,7 @@ fn block_policy_stalls_a_slow_consumer_without_loss() {
 
 #[test]
 fn drop_oldest_sheds_frames_under_a_slow_consumer() {
+    let _quiet = gate();
     let mut node = make_node(23);
     node.set_injected_stage_delay(Some(Duration::from_millis(30)));
     let cloud = EchoCloud::for_seed(23);
@@ -286,18 +291,14 @@ fn drop_oldest_sheds_frames_under_a_slow_consumer() {
 
 #[test]
 fn degrade_policy_halves_the_batch_under_pressure() {
+    let _quiet = gate();
     let mut node = make_node(25);
     node.set_injected_stage_delay(Some(Duration::from_millis(25)));
     let cloud = EchoCloud::for_seed(25);
     let config = IngestSessionConfig {
         session: SessionConfig::with_batch(8),
         queue_capacity: 3,
-        policy: IngestPolicy::Degrade(DegradeConfig {
-            high_watermark: 1,
-            low_watermark: 0,
-            min_batch: 1,
-            allow_precision_flip: false,
-        }),
+        policy: IngestPolicy::Degrade(DegradeConfig { high_watermark: 1, min_batch: 1 }),
     };
     let (_, stats, summary) =
         run_ingested_session(node, cloud, replay(stream(8, 8, 26)), &config).unwrap();
@@ -306,94 +307,136 @@ fn degrade_policy_halves_the_batch_under_pressure() {
     assert!(summary.degrades >= 1, "a backed-up queue must shrink the batch");
 }
 
+/// The shed's i8 step, with tracing off: the depth-driven flip needs
+/// no telemetry, and each step counts once each way.
 #[test]
 fn degrade_policy_flips_precision_at_the_batch_floor() {
-    let mut node = make_node(27);
-    // Calibrate the i8 path, then deploy at f32 so the flip is live.
-    let calib = Dataset::generate(16, CLASSES, &Condition::ideal(), &mut Rng::seed_from(28))
-        .unwrap();
-    node.enable_quantized(&calib).unwrap();
-    node.set_precision(InferencePrecision::F32).unwrap();
+    let _quiet = gate();
+    let mut node = calibrated_f32_node(27);
     node.set_injected_stage_delay(Some(Duration::from_millis(25)));
     let cloud = EchoCloud::for_seed(27);
     let config = IngestSessionConfig {
         session: SessionConfig::with_batch(8),
         queue_capacity: 3,
-        policy: IngestPolicy::Degrade(DegradeConfig {
-            high_watermark: 1,
-            low_watermark: 0,
-            // The floor equals the deployed batch: halving is already
-            // exhausted, so the first degrade step is the flip.
-            min_batch: 8,
-            allow_precision_flip: true,
-        }),
+        // The floor equals the deployed batch: halving is already
+        // exhausted, so the first degrade step is the flip.
+        policy: IngestPolicy::Degrade(DegradeConfig { high_watermark: 1, min_batch: 8 }),
     };
-    let (_, stats, summary) =
+    let (node, stats, summary) =
         run_ingested_session(node, cloud, replay(stream(8, 8, 29)), &config).unwrap();
     assert_eq!(stats.batches, 8);
     assert!(
         summary.precision_flips >= 1,
         "queue pressure at the batch floor must flip f32 -> i8"
     );
+    assert_eq!(summary.degrades, summary.restores, "every step counts once each way");
+    assert_eq!(node.precision(), InferencePrecision::F32, "the shed ends with the session");
 }
 
-/// The re-plan loop's queue-depth trigger, end to end: a planned f32
-/// node with a calibrated i8 network, a huge divergence threshold (so
-/// only the depth trigger can fire) and a backed-up ingest queue must
-/// re-plan into the i8 configuration mid-session.
-#[test]
-fn queue_pressure_replans_into_the_quantized_configuration() {
-    let _w = Window::open();
-    let mut node = make_node(31);
-    let calib = Dataset::generate(16, CLASSES, &Condition::ideal(), &mut Rng::seed_from(32))
-        .unwrap();
+/// A node deployed at f32 with a calibrated i8 network, so the shed's
+/// i8 step is available.
+fn calibrated_f32_node(seed: u64) -> InsituNode {
+    let mut node = make_node(seed);
+    let calib =
+        Dataset::generate(16, CLASSES, &Condition::ideal(), &mut Rng::seed_from(seed + 1)).unwrap();
     node.enable_quantized(&calib).unwrap();
     node.set_precision(InferencePrecision::F32).unwrap();
-    node.install_plan(NodePlan {
+    node
+}
+
+/// An f32 co-running FPGA plan at `batch` images per batch.
+fn fpga_plan(batch: usize, predicted_latency_s: f64) -> NodePlan {
+    NodePlan {
         mode: WorkingMode::CoRunning,
         platform: Platform::Fpga,
-        inference_batch: 8,
-        diagnosis_batch: 8,
-        predicted_latency_s: 0.08,
-        predicted_throughput: 100.0,
+        inference_batch: batch,
+        diagnosis_batch: batch,
+        predicted_latency_s,
+        predicted_throughput: batch as f64 / predicted_latency_s,
         predicted_perf_per_watt: 0.0,
         wss_group_size: 0,
         precision: InferencePrecision::F32,
         accuracy_delta: 0.0,
-    });
-    node.enable_replan(ReplanConfig {
-        every_stages: 2,
-        // Effectively disable the latency trigger: only queue depth
-        // can cause this session's re-plan.
-        divergence: 1e9,
-        queue_depth_trigger: Some(1),
-        allow_precision_flip: true,
-        request: PlanRequest { availability: Availability::AlwaysOn, t_user: 10.0, max_batch: 64 },
-        inference_shapes: NetworkShapes::alexnet(),
-        quant: Some(QuantProfile { speedup: 1.5, accuracy_delta: -0.01 }),
-    });
-    node.set_injected_stage_delay(Some(Duration::from_millis(25)));
-    let cloud = EchoCloud::for_seed(31);
-    let config = IngestSessionConfig {
-        session: SessionConfig::with_batch(8),
-        queue_capacity: 4,
-        policy: IngestPolicy::Block,
+    }
+}
+
+/// The two controllers on one node: the `Degrade` shed at the batch
+/// floor and a latency re-plan against an optimistic plan (0.1 ms per
+/// image predicted, 25 ms per stage injected). A re-plan during the
+/// shed must not lift it, lifting the shed must not undo a re-plan's
+/// precision, and each change of running precision counts once.
+#[test]
+fn shed_and_replan_share_one_owner_of_precision() {
+    let _w = Window::open();
+    let session = |quant: Option<QuantProfile>| {
+        let mut node = calibrated_f32_node(31);
+        node.install_plan(fpga_plan(8, 0.0008));
+        node.enable_replan(ReplanConfig {
+            every_stages: 2,
+            divergence: 1.5,
+            request: PlanRequest {
+                availability: Availability::AlwaysOn,
+                t_user: 10.0,
+                max_batch: 8,
+            },
+            inference_shapes: NetworkShapes::alexnet(),
+            quant,
+        });
+        node.set_injected_stage_delay(Some(Duration::from_millis(25)));
+        let config = IngestSessionConfig {
+            session: SessionConfig::with_batch(8),
+            queue_capacity: 3,
+            policy: IngestPolicy::Degrade(DegradeConfig { high_watermark: 1, min_batch: 8 }),
+        };
+        run_ingested_session(node, EchoCloud::for_seed(31), replay(stream(8, 8, 33)), &config)
+            .unwrap()
     };
-    let (node, stats, summary) =
-        run_ingested_session(node, cloud, replay(stream(8, 8, 33)), &config).unwrap();
+
+    // An i8 re-plan outlives the shed lifting after it.
+    let (node, _, _) = session(Some(QuantProfile { speedup: 1.5, accuracy_delta: -0.01 }));
+    let plan = node.plan().expect("a plan stays installed");
+    assert_eq!(node.precision(), plan.precision, "node and plan must agree after the session");
+
+    // F32 plans only: the node starts and ends at f32, so its flips
+    // pair up, and the shed's i8 step survives the re-plans.
+    let (_, stats, summary) = session(None);
     assert!(summary.max_queue_depth >= 1, "the slow consumer must back the queue up");
-    assert!(stats.replans >= 1, "queue depth must trigger a re-plan");
+    assert!(summary.precision_flips >= 2, "queue pressure at the floor must flip to i8");
+    assert_eq!(summary.precision_flips % 2, 0, "{} flips", summary.precision_flips);
+    let stages_at =
+        |label| stats.telemetry.hist("node.stage_per_image", label).map_or(0, |h| h.hist.count());
     assert!(
-        summary.precision_flips >= 1,
-        "the depth-triggered re-plan must flip f32 -> i8 live"
-    );
-    assert_eq!(
-        node.precision(),
-        InferencePrecision::I8,
-        "the node must end the session on the quantized path"
+        stages_at("i8") > stages_at("f32"),
+        "a re-plan undid the shed: {} i8 vs {} f32 stages",
+        stages_at("i8"),
+        stages_at("f32")
     );
     assert!(
         stats.telemetry.spans.iter().any(|s| s.name == "node.precision_flip"),
         "the flip must emit its telemetry instant"
     );
+}
+
+/// Prewarm runs at the batch the first stage runs at: the active
+/// plan's, not the caller's fallback.
+#[test]
+fn prewarm_uses_the_planned_batch() {
+    let _w = Window::open();
+    let mut node = make_node(35);
+    node.install_plan(fpga_plan(16, 0.0016));
+    let config = IngestSessionConfig {
+        session: SessionConfig::with_batch(4),
+        queue_capacity: 2,
+        policy: IngestPolicy::Block,
+    };
+    let (_, stats, _) =
+        run_ingested_session(node, EchoCloud::for_seed(35), replay(stream(2, 16, 36)), &config)
+            .unwrap();
+    let labels = |name| {
+        let spans = stats.telemetry.spans.iter().filter(move |s| s.name == name);
+        spans.map(|s| s.label.as_str()).collect::<Vec<_>>()
+    };
+    assert_eq!(labels("node.prewarm"), ["bs16"]);
+    let stages = labels("node.stage");
+    assert!(!stages.is_empty() && stages.iter().all(|l| l.ends_with("@bs16")), "{stages:?}");
 }

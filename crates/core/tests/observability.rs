@@ -100,9 +100,9 @@ fn replay(mut node: InsituNode, stream: Vec<Dataset>) -> (InsituNode, SessionSta
 }
 
 /// `MeasuredProfile::from_snapshot` reads the per-image latency
-/// histograms (by precision label), the i8/f32 speedup, and the
-/// achieved uplink rate, with exact values when every sample in a
-/// bucket is identical (percentiles clamp to the observed max).
+/// histograms (by precision label) and the achieved uplink rate, with
+/// exact values when every sample in a bucket is identical
+/// (percentiles clamp to the observed max).
 #[test]
 fn measured_profile_distils_the_window() {
     let _w = Window::open();
@@ -119,7 +119,6 @@ fn measured_profile_distils_the_window() {
     assert_eq!(f32_profile.per_image_p50_s, 0.008);
     assert_eq!(f32_profile.per_image_p90_s, 0.008);
     assert_eq!(f32_profile.stages, 10);
-    assert_eq!(f32_profile.i8_speedup, Some(4.0));
     assert_eq!(f32_profile.uplink_bytes_per_s, (3 * 15_552) as f64);
 
     let i8_profile =
@@ -160,7 +159,7 @@ fn session_exports_validate_and_carry_percentiles() {
 
 /// A node with a deliberately optimistic plan — 8-image batches at a
 /// predicted 0.1 ms/image — and the re-plan loop on: every 2 stages,
-/// divergence θ = 1.5, a 10 s deadline, no depth trigger.
+/// divergence θ = 1.5, a 10 s deadline.
 fn optimistic_replanning_node(seed: u64) -> InsituNode {
     let mut node = make_node(seed);
     node.install_plan(NodePlan {
@@ -178,8 +177,6 @@ fn optimistic_replanning_node(seed: u64) -> InsituNode {
     node.enable_replan(ReplanConfig {
         every_stages: 2,
         divergence: 1.5,
-        queue_depth_trigger: None,
-        allow_precision_flip: false,
         request: PlanRequest { availability: Availability::AlwaysOn, t_user: 10.0, max_batch: 64 },
         inference_shapes: NetworkShapes::alexnet(),
         quant: None,

@@ -61,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let measured = MeasuredProfile {
         per_image_p50_s: 0.005,
         per_image_p90_s: 0.006,
-        i8_speedup: None,
         uplink_bytes_per_s: 0.0,
         stages: 32,
     };

@@ -5,10 +5,10 @@
 //! bounded ingest queue (the node computes stage *N* while the
 //! producer materializes *N+1*), while a concurrent Cloud thread
 //! consumes the valuable uploads and pushes model updates back
-//! mid-stream. The session runs the `Degrade` backpressure policy: if
-//! the node falls behind, it halves its batch down to a floor and —
-//! being i8-calibrated — flips inference to fixed point until the
-//! queue drains.
+//! mid-stream. The session runs the `Degrade` backpressure policy, the
+//! node's one queue-pressure controller: if the node falls behind, it
+//! halves its batch down to a floor and — being i8-calibrated — runs
+//! inference at fixed point, undoing each step once the queue drains.
 //!
 //! Run with: `cargo run --release -p insitu --example streaming_node`
 //!
@@ -16,9 +16,8 @@
 //! is printed and the full Chrome trace is written to
 //! `streaming_trace.json` (load it in chrome://tracing or
 //! <https://ui.perfetto.dev>). Tracing also activates the closed
-//! observability loop — the node re-plans its batch size from the
-//! measured per-image p90, or from ingest-queue pressure, every few
-//! stages — and exports the session's metrics hub to
+//! observability loop — the node re-plans from the measured per-image
+//! p90 every few stages — and exports the session's metrics hub to
 //! `streaming_metrics.prom` (Prometheus text) and
 //! `streaming_metrics.json`.
 
@@ -63,16 +62,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         3,
         77,
     )?;
-    // Calibrate the fixed-point path up front so the degrade
-    // controller (and a depth-triggered re-plan) can flip to i8 live.
+    // Calibrate the fixed-point path up front so the shed's last step
+    // can run inference at i8.
     let calib = Dataset::generate(32, classes, &Condition::ideal(), &mut rng)?;
     node.enable_quantized(&calib)?;
     node.set_precision(insitu::core::InferencePrecision::F32)?;
     if tracing {
         // Close the loop: start from the analytical plan, then let the
         // node re-plan from the measured per-image p90 (1.5x
-        // divergence) or from sustained ingest-queue pressure, with a
-        // live f32 -> i8 flip allowed.
+        // divergence); the quant profile lets a re-plan adopt i8.
         let shapes = NetworkShapes::alexnet();
         let request =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 0.5, max_batch: 64 };
@@ -84,8 +82,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         node.enable_replan(ReplanConfig {
             every_stages: 2,
             divergence: 1.5,
-            queue_depth_trigger: Some(3),
-            allow_precision_flip: true,
             request,
             inference_shapes: shapes,
             quant: Some(QuantProfile { speedup: 1.3, accuracy_delta: -0.01 }),
@@ -108,12 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = IngestSessionConfig {
         session: SessionConfig::with_batch(16),
         queue_capacity: 4,
-        policy: IngestPolicy::Degrade(DegradeConfig {
-            high_watermark: 2,
-            low_watermark: 0,
-            min_batch: 4,
-            allow_precision_flip: true,
-        }),
+        policy: IngestPolicy::Degrade(DegradeConfig { high_watermark: 2, min_batch: 4 }),
     };
     let (mut node, stats, ingest) = run_ingested_session(node, cloud, Box::new(source), &config)?;
     println!(
@@ -170,12 +161,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::write("streaming_trace.json", stats.telemetry.chrome_trace_json())?;
         println!("Chrome trace written to streaming_trace.json (open in ui.perfetto.dev)");
         if let Some(p) = node.plan() {
-            println!(
-                "final plan after {} re-plan(s) and {} lifetime precision flip(s): {}",
-                stats.replans,
-                node.precision_flips(),
-                p.summary()
-            );
+            println!("final plan after {} re-plan(s): {}", stats.replans, p.summary());
         }
         let prometheus = stats.metrics.to_prometheus();
         validate_prometheus(&prometheus).map_err(|e| format!("invalid metrics export: {e}"))?;
