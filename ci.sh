@@ -86,12 +86,19 @@ rm -f /tmp/ci_kernels.json /tmp/ci_trace.json
 
 # Observability gates: the log-bucketed histogram property suite
 # (bucket bounds, merge algebra, percentile monotonicity, bitwise
-# stability across 1/2/4 recording threads), the flight-recorder and
-# metrics-hub unit tests, and the closed-loop integration suite whose
-# end-to-end case perturbs a live session and requires it to re-plan.
+# stability across 1/2/4 recording threads), the flight-recorder unit
+# tests, the snapshot's Prometheus exporter unit tests (golden
+# rendering, escaping, validator; the filter must run at least 4 tests,
+# so a renamed module cannot leave it matching nothing), and the
+# closed-loop integration suite whose end-to-end cases perturb a live
+# session and require it to re-plan, traced or not, from the node's own
+# latency only.
 cargo test -q -p insitu-telemetry --test hist
 cargo test -q -p insitu-core --lib recorder::
-cargo test -q -p insitu-core --lib hub::
+cargo test -q -p insitu-telemetry --lib prometheus:: >/tmp/ci_prom.log 2>&1 \
+    || { cat /tmp/ci_prom.log; exit 1; }
+grep -Eq '^test result: ok\. ([4-9]|[1-9][0-9]+) passed' /tmp/ci_prom.log
+rm -f /tmp/ci_prom.log
 cargo test -q -p insitu-core --test observability
 
 # Activation-reuse gates: the fused co-running stage must stay bitwise

@@ -18,7 +18,7 @@
 //! `per_image_p50/p99_ns` per row). The header carries the GEMM
 //! kernel and SIMD ISA in force and the counted pass's telemetry
 //! totals; a `replan` record re-runs the planner on the measured
-//! profile, and the counted passes' metrics hub must export valid
+//! profile, and the counted probe pass's snapshot must export valid
 //! Prometheus text (dumped on stderr under `INSITU_METRICS=1`) or the
 //! process exits non-zero.
 //!
@@ -52,10 +52,9 @@
 
 use insitu_cloud::{Cloud, IncrementalConfig, Pretrained};
 use insitu_core::{
-    diagnose, diagnose_with_logits, plan, run_ingested_session, validate_prometheus, Availability,
-    CloudEndpoint, CostSource, DiagnosisPolicy, InferencePrecision, IngestPolicy,
-    IngestSessionConfig, InsituNode, MeasuredProfile, MetricsHub, ModelUpdate, PlanRequest,
-    SessionConfig, StageOutcome,
+    diagnose, diagnose_with_logits, plan, run_ingested_session, Availability, CloudEndpoint,
+    CostSource, DiagnosisPolicy, IngestPolicy, IngestSessionConfig, InsituNode, MeasuredProfile,
+    ModelUpdate, PlanRequest, SessionConfig, StageOutcome,
 };
 use insitu_data::{
     Condition, Dataset, DriftSchedule, PermutationSet, ReplaySource, SyntheticDriftSource,
@@ -460,7 +459,6 @@ fn main() {
         |n: &mut InsituNode, d: &Dataset| n.process_stage_unfused(d, BATCH).expect("stage");
     let mut rows = String::new();
     let mut all_identical = true;
-    let mut hub = MetricsHub::new();
     let mut probe_snap = telemetry::TelemetrySnapshot::default();
     for &(name, policy) in POLICIES {
         // Equivalence gate first: same seed, both pipelines, bit-equal
@@ -485,7 +483,6 @@ fn main() {
         // (span auto-feed) and the per-image samples the re-planner eats.
         let (stage_p50, stage_p90, stage_p99) = hist_percentiles(&fused_snap, "node.stage", "");
         let (img_p50, _, img_p99) = hist_percentiles(&fused_snap, "node.stage_per_image", "f32");
-        hub.fold(&fused_snap);
         if name == "jigsaw_probe_3" {
             probe_snap = fused_snap;
         }
@@ -554,7 +551,9 @@ fn main() {
     // MeasuredProfile and let the planner re-admit a batch from the
     // measured p90 instead of the analytical device model.
     let replan_row = {
-        let measured = MeasuredProfile::from_snapshot(&probe_snap, InferencePrecision::F32)
+        let measured = probe_snap
+            .hist("node.stage_per_image", "f32")
+            .and_then(|h| MeasuredProfile::from_hist(&h.hist))
             .expect("counted pass must yield per-image samples");
         let request =
             PlanRequest { availability: Availability::AlwaysOn, t_user: 1.0, max_batch: 128 };
@@ -565,11 +564,9 @@ fn main() {
                 let _ = write!(
                     row,
                     "{{\"measured_per_image_p50_s\": {:.6}, \"measured_per_image_p90_s\": {:.6}, \
-                     \"uplink_bytes_per_s\": {:.0}, \"admitted_batch\": {}, \
-                     \"plan\": \"{}\", \"feasible\": true}}",
+                     \"admitted_batch\": {}, \"plan\": \"{}\", \"feasible\": true}}",
                     measured.per_image_p50_s,
                     measured.per_image_p90_s,
-                    measured.uplink_bytes_per_s,
                     plan.inference_batch,
                     plan.summary()
                 );
@@ -586,12 +583,12 @@ fn main() {
         }
         row
     };
-    // Exporter gate: the hub built from the counted passes must render
-    // Prometheus text the checker accepts — this binary doubles as the
-    // CI smoke for the export pipeline. `INSITU_METRICS=1` dumps the
-    // text on stderr (stdout stays pure snapshot JSON).
-    let prometheus = hub.to_prometheus();
-    if let Err(e) = validate_prometheus(&prometheus) {
+    // Exporter gate: the counted probe pass must render Prometheus
+    // text the checker accepts — this binary doubles as the CI smoke
+    // for the export pipeline. `INSITU_METRICS=1` dumps the text on
+    // stderr (stdout stays pure snapshot JSON).
+    let prometheus = probe_snap.to_prometheus();
+    if let Err(e) = telemetry::validate_prometheus(&prometheus) {
         eprintln!("node_snapshot: invalid Prometheus export: {e}");
         std::process::exit(1);
     }

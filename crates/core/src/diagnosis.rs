@@ -124,8 +124,8 @@ pub fn diagnose(
 /// cache); the inference-side policies read them instead of re-running
 /// the network. The jigsaw policies take the tile-embedding fast path:
 /// one trunk pass over the canonical tiles per image
-/// ([`JigsawNet::tile_features`]), then every probe permutation is a
-/// row gather plus a head pass
+/// ([`JigsawNet::tile_features`]), then an image's probe permutations
+/// are row gathers into one head pass
 /// ([`JigsawNet::predict_from_features`]).
 ///
 /// Verdicts — including the `f32` score bits and the RNG draw order —
@@ -336,7 +336,7 @@ fn canonical_tiles(data: &Dataset, i: usize) -> Result<Tensor> {
 
 /// [`jigsaw_probe`] via the tile-embedding fast path: one trunk pass
 /// per image, then **one batched head pass** over all `probes`
-/// permutations ([`JigsawNet::predict_from_features_batch`]) instead
+/// permutations ([`JigsawNet::predict_from_features`]) instead
 /// of one head pass per probe. All probe classes are drawn *before*
 /// the head runs — predictions consume no randomness, so the RNG
 /// stream is consumed in exactly the reference order — and the batched
@@ -358,7 +358,7 @@ fn jigsaw_probe_fused(
         classes.extend((0..probes).map(|_| rng.below(set.len())));
         perms.clear();
         perms.extend(classes.iter().map(|&cls| set.permutation(cls) as &[u8]));
-        let logits = jigsaw.predict_from_features_batch(&feats, &perms)?;
+        let logits = jigsaw.predict_from_features(&feats, &perms)?;
         let preds = insitu_nn::predictions(&logits)?;
         let correct = preds.iter().zip(&classes).filter(|(p, cls)| *p == *cls).count();
         let score = correct as f32 / probes as f32;
@@ -379,7 +379,7 @@ fn jigsaw_confidence_fused(
     for i in 0..data.len() {
         let feats = jigsaw.tile_features(&canonical_tiles(data, i)?)?;
         let cls = rng.below(set.len());
-        let logits = jigsaw.predict_from_features(&feats, set.permutation(cls))?;
+        let logits = jigsaw.predict_from_features(&feats, &[set.permutation(cls)])?;
         let probs = softmax(&logits)?;
         let p_true = probs.at(&[0, cls]).map_err(insitu_nn::NnError::from)?;
         verdicts.push(Verdict { valuable: p_true < threshold, score: p_true });

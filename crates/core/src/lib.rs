@@ -34,7 +34,6 @@
 
 mod diagnosis;
 mod error;
-mod hub;
 mod metrics;
 mod modes;
 mod node;
@@ -45,8 +44,7 @@ mod update;
 
 pub use diagnosis::{diagnose, diagnose_with_logits, valuable_indices, DiagnosisPolicy, Verdict};
 pub use error::CoreError;
-pub use hub::{validate_prometheus, MetricsHub};
-pub use metrics::{DataMovementMeter, EnergyMeter, UpdateClock, IMAGE_BYTES};
+pub use metrics::{DataMovementMeter, IMAGE_BYTES};
 pub use modes::{select_mode, Availability, Platform, WorkingMode};
 pub use node::{InferencePrecision, InsituNode, ReplanConfig, StageOutcome};
 pub use planner::{

@@ -18,7 +18,9 @@ use insitu_nn::transfer::conv_prefix_identical;
 use insitu_nn::{evaluate, JigsawNet, LabeledBatch, QuantizedNet, Sequential};
 use insitu_tensor::{Rng, Tensor};
 use insitu_telemetry as telemetry;
+use insitu_telemetry::Histogram;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Numeric precision of the node's inference forward pass.
 ///
@@ -40,20 +42,20 @@ pub enum InferencePrecision {
     I8,
 }
 
-/// Configuration of the node's telemetry-driven online re-plan loop.
+/// Configuration of the node's measurement-driven online re-plan loop.
 ///
 /// With a config installed (see [`InsituNode::enable_replan`]) and an
 /// active [`NodePlan`], the node checks every `every_stages` fused
 /// stages whether the **measured** p90 per-image latency (from the
-/// `node.stage_per_image` histogram, at the deployed precision) has
-/// diverged from the plan's predicted per-image cost by more than
-/// `divergence`× in either direction, and if so re-runs the planner on
-/// the measurements ([`plan`](crate::plan) over
+/// node's own per-image histogram at the deployed precision, over the
+/// current session) has diverged from the plan's predicted per-image
+/// cost by more than `divergence`× in either direction, and if so
+/// re-runs the planner on the measurements ([`plan`](crate::plan) over
 /// [`CostSource::Measured`]), emitting a `node.replan` instant with the
 /// before/after plans. Queue pressure is not its job: that belongs to
 /// the ingest shed ([`IngestPolicy::Degrade`](crate::IngestPolicy)).
-/// Requires telemetry to be enabled — with it off there are no
-/// measurements and the check is skipped.
+/// The node measures itself whether or not tracing is on, and never
+/// reads another node's samples.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplanConfig {
     /// Check cadence, in fused stages (`>= 1`).
@@ -122,6 +124,10 @@ pub struct InsituNode {
     plan: Option<NodePlan>,
     replan: Option<ReplanConfig>,
     stages_processed: u64,
+    /// Per-image latency (ns) of every fused stage, one histogram per
+    /// running precision (indexed by `InferencePrecision as usize`):
+    /// the re-plan loop's input. Restarted when a session starts.
+    stage_per_image: [Histogram; 2],
     replans: u64,
     precision_flips: u64,
     injected_stage_delay: Option<std::time::Duration>,
@@ -169,6 +175,7 @@ impl InsituNode {
             plan: None,
             replan: None,
             stages_processed: 0,
+            stage_per_image: Default::default(),
             replans: 0,
             precision_flips: 0,
             injected_stage_delay: None,
@@ -286,8 +293,8 @@ impl InsituNode {
     }
 
     /// Turns the online re-plan loop on. Takes effect once a plan is
-    /// installed ([`InsituNode::install_plan`]) and telemetry is
-    /// enabled; `every_stages` is clamped to at least 1.
+    /// installed ([`InsituNode::install_plan`]); `every_stages` is
+    /// clamped to at least 1.
     pub fn enable_replan(&mut self, mut config: ReplanConfig) {
         config.every_stages = config.every_stages.max(1);
         self.replan = Some(config);
@@ -309,6 +316,12 @@ impl InsituNode {
     /// Fused stages processed since construction.
     pub fn stages_processed(&self) -> u64 {
         self.stages_processed
+    }
+
+    /// Restarts the measurement window the re-plan loop reads: a
+    /// session prices its plan from its own stages only.
+    pub(crate) fn restart_latency_window(&mut self) {
+        self.stage_per_image = Default::default();
     }
 
     /// Test/fault-injection hook: sleep this long inside every fused
@@ -375,7 +388,7 @@ impl InsituNode {
     /// diagnosis warm-up covers both probe shapes the stage can take:
     /// the folded full forward (the unfused reference) and the
     /// tile-embedding fast path (trunk at tile-batch size plus the
-    /// feature-gather head pass).
+    /// feature-gather head pass at the policy's probe count).
     ///
     /// # Errors
     ///
@@ -393,17 +406,15 @@ impl InsituNode {
         self.jigsaw.predict(&probe)?;
         let tiles = Tensor::zeros([PATCHES, CHANNELS, PATCH_SIZE, PATCH_SIZE]);
         let feats = self.jigsaw.tile_features(&tiles)?;
-        let identity: Vec<u8> = (0..PATCHES as u8).collect();
-        self.jigsaw.predict_from_features(&feats, &identity)?;
-        // The fused stage drives the head through its batched entry
-        // point (one GEMM over all probes of an image) — warm that
-        // shape too, at the probe count the active policy will use.
+        // The fused stage runs the head once per image over all of its
+        // probes (one GEMM); warm the probe count the policy uses.
         let probes = match self.policy {
             DiagnosisPolicy::JigsawProbe { probes } => probes.max(1),
             _ => 1,
         };
+        let identity: Vec<u8> = (0..PATCHES as u8).collect();
         let perms: Vec<&[u8]> = (0..probes).map(|_| identity.as_slice()).collect();
-        self.jigsaw.predict_from_features_batch(&feats, &perms)?;
+        self.jigsaw.predict_from_features(&feats, &perms)?;
         Ok(())
     }
 
@@ -450,10 +461,8 @@ impl InsituNode {
     pub fn process_stage(&mut self, data: &Dataset, batch: usize) -> Result<StageOutcome> {
         let _t =
             telemetry::span_with("node.stage", || format!("{} images @bs{batch}", data.len()));
-        // Stage timing for the measured planner profile. Behind the
-        // single relaxed `enabled` check so the disabled path stays
-        // clock-free.
-        let stage_start = telemetry::enabled().then(std::time::Instant::now);
+        // Stage timing for the re-plan loop's measured profile.
+        let stage_start = Instant::now();
         let precision = self.precision();
         let label = precision_label(precision);
         // Inference task: predictions for the end application. The
@@ -467,15 +476,12 @@ impl InsituNode {
             while start < data.len() {
                 let end = (start + bs).min(data.len());
                 let sub = data.subset_range(start..end)?;
-                let chunk_start = stage_start.map(|_| std::time::Instant::now());
+                let chunk_start = Instant::now();
                 let logits = match (&mut self.quantized, precision) {
                     (Some(q), InferencePrecision::I8) => q.predict(sub.images())?,
                     _ => self.inference.predict(sub.images())?,
                 };
-                if let Some(t0) = chunk_start {
-                    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    telemetry::hist_record("node.infer_chunk", label, ns);
-                }
+                telemetry::hist_record("node.infer_chunk", label, elapsed_ns(chunk_start));
                 predictions.extend(insitu_nn::predictions(&logits)?);
                 logit_chunks.push(logits);
                 start = end;
@@ -498,14 +504,9 @@ impl InsituNode {
         if let Some(delay) = self.injected_stage_delay {
             std::thread::sleep(delay);
         }
-        if let Some(t0) = stage_start {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            telemetry::hist_record(
-                "node.stage_per_image",
-                label,
-                ns / data.len().max(1) as u64,
-            );
-        }
+        let per_image = elapsed_ns(stage_start) / data.len().max(1) as u64;
+        self.stage_per_image[precision as usize].record(per_image);
+        telemetry::hist_record("node.stage_per_image", label, per_image);
         let outcome = self.finish_stage(data, predictions, verdicts)?;
         self.stages_processed += 1;
         self.maybe_replan();
@@ -513,24 +514,22 @@ impl InsituNode {
     }
 
     /// The online re-plan check: every `every_stages` fused stages,
-    /// compare the measured p90 per-image latency at the deployed
-    /// precision with the active plan's prediction and re-plan from
-    /// the measurements when they disagree by more than the configured
-    /// divergence factor. Stages run under the shed's i8 overlay are
-    /// not the plan's configuration, so they are not read as its cost.
+    /// compare this node's measured p90 per-image latency at the
+    /// deployed precision with the active plan's prediction and
+    /// re-plan from the measurements when they disagree by more than
+    /// the configured divergence factor. Stages run under the shed's
+    /// i8 overlay are not the plan's configuration, so they are not
+    /// read as its cost.
     fn maybe_replan(&mut self) {
         let (Some(cfg), Some(plan)) = (&self.replan, &self.plan) else { return };
-        if !telemetry::enabled()
-            || !self.stages_processed.is_multiple_of(cfg.every_stages)
+        if !self.stages_processed.is_multiple_of(cfg.every_stages)
             || plan.inference_batch == 0
             || plan.predicted_latency_s <= 0.0
         {
             return;
         }
-        let snap = telemetry::snapshot();
-        let Some(measured) = MeasuredProfile::from_snapshot(&snap, self.precision) else {
-            return;
-        };
+        let deployed = &self.stage_per_image[self.precision as usize];
+        let Some(measured) = MeasuredProfile::from_hist(deployed) else { return };
         let predicted_per_image = plan.predicted_latency_s / plan.inference_batch as f64;
         let ratio = measured.per_image_p90_s / predicted_per_image;
         let theta = cfg.divergence.max(1.0 + 1e-9);
@@ -656,6 +655,11 @@ impl InsituNode {
         self.version = update.version;
         Ok(())
     }
+}
+
+/// Nanoseconds since `start`, saturating.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use crate::node::InferencePrecision;
 use crate::Result;
 use insitu_devices::{FpgaSpec, GpuModel, GpuSpec, NetworkShapes};
 use insitu_fpga::WssNwsPipeline;
-use insitu_telemetry::TelemetrySnapshot;
+use insitu_telemetry::Histogram;
 use serde::{Deserialize, Serialize};
 
 /// Measured i8-vs-f32 trade-off a node feeds back to the planner.
@@ -45,17 +45,16 @@ pub struct QuantProfile {
     pub accuracy_delta: f32,
 }
 
-/// Per-stage costs *measured* on the running node, distilled from the
-/// telemetry histograms — the closed-loop replacement for the static
+/// Per-stage costs *measured* on the running node, distilled from a
+/// latency histogram — the closed-loop replacement for the static
 /// device model.
 ///
-/// The node's fused stage records a `node.stage_per_image` histogram
-/// labelled by precision (`"f32"` / `"i8"`) and a `node.upload_bytes`
-/// size histogram; [`MeasuredProfile::from_snapshot`] reads those into
-/// per-image latency percentiles and the achieved uplink rate.
-/// [`plan`] over [`CostSource::Measured`] then admits the largest batch
-/// whose **measured p90** per-image cost meets the user deadline,
-/// instead of trusting Eqs. 5–14's assumed costs.
+/// Every fused stage records its per-image latency into the node's own
+/// histogram for the precision it ran at;
+/// [`MeasuredProfile::from_hist`] reads one of those into per-image
+/// latency percentiles. [`plan`] over [`CostSource::Measured`] then
+/// admits the largest batch whose **measured p90** per-image cost meets
+/// the user deadline, instead of trusting Eqs. 5–14's assumed costs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredProfile {
     /// Median per-image stage latency, seconds.
@@ -63,38 +62,22 @@ pub struct MeasuredProfile {
     /// 90th-percentile per-image stage latency, seconds — what the
     /// admission decision uses (tail-aware, unlike a mean).
     pub per_image_p90_s: f64,
-    /// Achieved upload rate over the window, bytes/second of stage
-    /// time (0.0 when nothing was uploaded).
-    pub uplink_bytes_per_s: f64,
     /// Stage samples the profile distils.
     pub stages: u64,
 }
 
 impl MeasuredProfile {
-    /// Distils a profile from a telemetry snapshot, reading the
-    /// per-image latency histogram at `precision`. Returns `None`
-    /// when the snapshot has no samples at that precision (telemetry
-    /// disabled, or the window just reset).
-    pub fn from_snapshot(snap: &TelemetrySnapshot, precision: InferencePrecision) -> Option<Self> {
-        let label = precision_label(precision);
-        let per_image = snap.hist("node.stage_per_image", label)?;
-        if per_image.hist.is_empty() {
+    /// Distils a profile from a histogram of per-image stage latencies
+    /// in nanoseconds. Returns `None` when it holds no samples (no
+    /// stage ran at that precision, or the window just restarted).
+    pub fn from_hist(per_image: &Histogram) -> Option<Self> {
+        if per_image.is_empty() {
             return None;
         }
-        let uplink_bytes_per_s = match (
-            snap.hist("node.upload_bytes", ""),
-            snap.hist("node.stage", ""),
-        ) {
-            (Some(bytes), Some(stage)) if stage.hist.sum() > 0 => {
-                bytes.hist.sum() as f64 / (stage.hist.sum() as f64 / 1e9)
-            }
-            _ => 0.0,
-        };
         Some(MeasuredProfile {
-            per_image_p50_s: per_image.p50 as f64 / 1e9,
-            per_image_p90_s: per_image.p90 as f64 / 1e9,
-            uplink_bytes_per_s,
-            stages: per_image.hist.count(),
+            per_image_p50_s: per_image.percentile(0.50) as f64 / 1e9,
+            per_image_p90_s: per_image.percentile(0.90) as f64 / 1e9,
+            stages: per_image.count(),
         })
     }
 }
@@ -417,7 +400,6 @@ mod tests {
         MeasuredProfile {
             per_image_p50_s: per_image_s * 0.8,
             per_image_p90_s: per_image_s,
-            uplink_bytes_per_s: 0.0,
             stages: 10,
         }
     }
@@ -523,12 +505,10 @@ mod tests {
         assert!(!s.contains('\n'));
     }
 
+    /// An empty measurement window yields no profile.
     #[test]
     fn empty_snapshot_yields_no_profile() {
-        assert!(
-            MeasuredProfile::from_snapshot(&TelemetrySnapshot::default(), InferencePrecision::F32)
-                .is_none()
-        );
+        assert!(MeasuredProfile::from_hist(&Histogram::new()).is_none());
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! ([`last_dumps`]) for tests and tooling, and additionally written to
 //! `$INSITU_FLIGHT_DIR/flight_<n>.json` when that variable is set.
 
+use insitu_telemetry::json::quote;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,7 +87,7 @@ pub fn dump(reason: &str) -> String {
     let events: Vec<FlightEvent> = lock(ring()).iter().cloned().collect();
     let mut out = String::with_capacity(events.len() * 64 + 64);
     out.push('{');
-    let _ = write!(out, "\"reason\":{},\"events\":[", json_string(reason));
+    let _ = write!(out, "\"reason\":{},\"events\":[", quote(reason));
     for (i, e) in events.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -96,8 +97,8 @@ pub fn dump(reason: &str) -> String {
             "{{\"seq\":{},\"t_ms\":{},\"kind\":{},\"detail\":{}}}",
             e.seq,
             e.t_ms,
-            json_string(e.kind),
-            json_string(&e.detail)
+            quote(e.kind),
+            quote(&e.detail)
         );
     }
     out.push_str("]}");
@@ -125,27 +126,6 @@ pub fn dump(reason: &str) -> String {
 /// than assuming the last entry is yours.
 pub fn last_dumps() -> Vec<String> {
     lock(dumps()).clone()
-}
-
-/// Escapes `s` as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

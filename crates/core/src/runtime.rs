@@ -29,7 +29,6 @@
 //! `upload_payload` → `incremental_update` → `install_update`).
 
 use crate::error::CoreError;
-use crate::hub::MetricsHub;
 use crate::node::InsituNode;
 use crate::planner::precision_label;
 use crate::recorder;
@@ -163,12 +162,11 @@ pub struct SessionStats {
     /// the node's lifetime count.
     pub replans: u64,
     /// Telemetry captured over the session — empty unless tracing was
-    /// enabled (see [`insitu_telemetry::set_enabled`]).
+    /// enabled (see [`insitu_telemetry::set_enabled`]). This is the
+    /// session's metrics export: Prometheus text via
+    /// [`to_prometheus`](telemetry::TelemetrySnapshot::to_prometheus),
+    /// JSON via [`to_json`](telemetry::TelemetrySnapshot::to_json).
     pub telemetry: telemetry::TelemetrySnapshot,
-    /// Export-ready metric series folded from the session's telemetry
-    /// (Prometheus text via [`MetricsHub::to_prometheus`], JSON via
-    /// [`MetricsHub::to_json`]); empty unless tracing was enabled.
-    pub metrics: MetricsHub,
 }
 
 /// What the ingestion pipeline of a [`run_ingested_session`] did.
@@ -243,7 +241,7 @@ pub struct IngestSummary {
 /// failure wins (a node-side "cloud hung up" error is usually its
 /// symptom). Every error leaves a flight-recorder post-mortem.
 pub fn run_ingested_session<C>(
-    node: InsituNode,
+    mut node: InsituNode,
     cloud: Arc<Mutex<C>>,
     source: Box<dyn StreamSource>,
     config: &IngestSessionConfig,
@@ -271,10 +269,12 @@ where
     // shares one already-configured worker pool instead of racing to
     // create it under the first batch.
     let _kernel_threads = insitu_tensor::num_threads();
-    // Start a fresh telemetry window: back-to-back sessions in one
-    // process must not merge each other's counters and histograms
-    // (nothing to isolate while tracing is off, and resetting here
+    // Start fresh measurement windows: the node prices re-plans from
+    // this session's stages only, and back-to-back sessions in one
+    // process must not merge each other's telemetry (nothing to
+    // isolate while tracing is off, and resetting the registry then
     // would race tests that record around a disabled session).
+    node.restart_latency_window();
     if telemetry::enabled() {
         telemetry::advance_epoch();
     }
@@ -437,12 +437,6 @@ where
                 stats.batches += 1;
                 stats.images_seen += frame.data.len() as u64;
                 stats.images_uploaded += outcome.valuable.len() as u64;
-                // Periodically fold the telemetry window into the
-                // export hub so a long session's stats stay fresh even
-                // if it is later killed.
-                if telemetry::enabled() && stats.batches % 4 == 0 {
-                    stats.metrics.fold(&telemetry::snapshot());
-                }
                 if !outcome.valuable.is_empty() {
                     let payload = node.upload_payload(&frame.data, &outcome)?;
                     let in_flight_depth = in_flight.fetch_add(1, Ordering::Relaxed);
@@ -513,7 +507,6 @@ where
     stats.replans = node.replans() - replans_before;
     summary.precision_flips = node.precision_flips() - flips_before;
     stats.telemetry = telemetry::snapshot();
-    stats.metrics.fold(&stats.telemetry);
     Ok((node, stats, summary))
 }
 

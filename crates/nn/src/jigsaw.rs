@@ -31,14 +31,11 @@ pub struct JigsawNet {
     feature_len: usize,
     /// Batch size of the latest training-mode forward.
     last_batch: usize,
-    /// Reusable `(1, patches · feature_len)` head-input buffer for the
-    /// tile-embedding fast path; sized once at construction.
-    gather: Tensor,
     /// Reusable `(k, patches · feature_len)` head-input buffer for the
-    /// batched probe fast path; re-sized only when the probe count `k`
-    /// changes (a policy constant in steady state, so effectively one
-    /// allocation per deployment).
-    gather_batch: Tensor,
+    /// tile-embedding fast path; re-sized only when the permutation
+    /// count `k` changes (a policy constant in steady state, so
+    /// effectively one allocation per deployment).
+    gather: Tensor,
 }
 
 impl JigsawNet {
@@ -82,7 +79,6 @@ impl JigsawNet {
             feature_len,
             last_batch: 0,
             gather: Tensor::zeros([1, patches * feature_len]),
-            gather_batch: Tensor::zeros([1, patches * feature_len]),
         })
     }
 
@@ -158,56 +154,17 @@ impl JigsawNet {
         Ok(feats)
     }
 
-    /// Head logits for cached tile features under a permutation:
-    /// `out[dest] = feats[perm[dest]]` rows are gathered into the
-    /// reusable head-input buffer and only the head runs.
+    /// Head logits for cached tile features under `k` permutations at
+    /// once: row `j` of the returned `(k, classes)` tensor is the logits
+    /// for `perms[j]`, whose rows `feats[perms[j][dest]]` are gathered
+    /// into the reusable head-input buffer before one head pass.
     ///
-    /// Bitwise identical to [`predict`](JigsawNet::predict) on the
-    /// permuted tiles (`(1, P, C, h, w)` input), at the cost of one
-    /// row gather plus a head pass instead of a full trunk pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `feats` is not the `(patches, feature_len)`
-    /// output of [`tile_features`](JigsawNet::tile_features), or if
-    /// `perm` is not a length-`patches` list of in-range tile indices.
-    pub fn predict_from_features(&mut self, feats: &Tensor, perm: &[u8]) -> Result<Tensor> {
-        let fd = feats.dims();
-        if fd.len() != 2 || fd[0] != self.patches || fd[1] != self.feature_len {
-            return Err(NnError::BadInputShape {
-                layer: "jigsaw predict_from_features".into(),
-                expected: vec![self.patches, self.feature_len],
-                actual: fd.to_vec(),
-            });
-        }
-        if perm.len() != self.patches
-            || perm.iter().any(|&s| usize::from(s) >= self.patches)
-        {
-            return Err(NnError::BadInputShape {
-                layer: "jigsaw permutation".into(),
-                expected: vec![self.patches],
-                actual: vec![perm.len()],
-            });
-        }
-        let f = self.feature_len;
-        let src = feats.as_slice();
-        let dst = self.gather.as_mut_slice();
-        for (dest, &source) in perm.iter().enumerate() {
-            let s = usize::from(source);
-            dst[dest * f..(dest + 1) * f].copy_from_slice(&src[s * f..(s + 1) * f]);
-        }
-        self.head.forward(&self.gather, Mode::Eval)
-    }
-
-    /// Head logits for cached tile features under **many** permutations
-    /// at once: row `j` of the returned `(k, classes)` tensor is the
-    /// logits for `perms[j]`, bitwise identical to calling
-    /// [`predict_from_features`](JigsawNet::predict_from_features) with
-    /// that permutation alone.
-    ///
-    /// All `k` gathered rows feed the head in **one** GEMM per layer
-    /// instead of `k` — the same amortization `tile_features` applies
-    /// to the trunk. Exact because the head (Linear/ReLU) is per-sample
+    /// Row `j` is bitwise identical to [`predict`](JigsawNet::predict)
+    /// on the tiles permuted by `perms[j]` (`(1, P, C, h, w)` input), at
+    /// the cost of a row gather instead of a trunk pass. All `k`
+    /// gathered rows feed the head in **one** GEMM per layer instead of
+    /// `k` — the same amortization `tile_features` applies to the
+    /// trunk. Exact because the head (Linear/ReLU) is per-sample
     /// row-equivariant under the packed GEMM: each output element is
     /// one ascending-k accumulation chain independent of its batch
     /// position.
@@ -218,15 +175,11 @@ impl JigsawNet {
     /// output of [`tile_features`](JigsawNet::tile_features), if
     /// `perms` is empty, or if any permutation is not a
     /// length-`patches` list of in-range tile indices.
-    pub fn predict_from_features_batch(
-        &mut self,
-        feats: &Tensor,
-        perms: &[&[u8]],
-    ) -> Result<Tensor> {
+    pub fn predict_from_features(&mut self, feats: &Tensor, perms: &[&[u8]]) -> Result<Tensor> {
         let fd = feats.dims();
         if fd.len() != 2 || fd[0] != self.patches || fd[1] != self.feature_len {
             return Err(NnError::BadInputShape {
-                layer: "jigsaw predict_from_features_batch".into(),
+                layer: "jigsaw predict_from_features".into(),
                 expected: vec![self.patches, self.feature_len],
                 actual: fd.to_vec(),
             });
@@ -252,11 +205,11 @@ impl JigsawNet {
         let k = perms.len();
         let f = self.feature_len;
         let width = self.patches * f;
-        if self.gather_batch.dims() != [k, width] {
-            self.gather_batch = Tensor::zeros([k, width]);
+        if self.gather.dims() != [k, width] {
+            self.gather = Tensor::zeros([k, width]);
         }
         let src = feats.as_slice();
-        let dst = self.gather_batch.as_mut_slice();
+        let dst = self.gather.as_mut_slice();
         for (row, perm) in perms.iter().enumerate() {
             let out_row = &mut dst[row * width..(row + 1) * width];
             for (dest, &source) in perm.iter().enumerate() {
@@ -264,7 +217,7 @@ impl JigsawNet {
                 out_row[dest * f..(dest + 1) * f].copy_from_slice(&src[s * f..(s + 1) * f]);
             }
         }
-        self.head.forward(&self.gather_batch, Mode::Eval)
+        self.head.forward(&self.gather, Mode::Eval)
     }
 
     fn fold_patches(&self, input: &Tensor) -> Result<(Tensor, usize)> {
@@ -443,52 +396,37 @@ mod tests {
 
     #[test]
     fn predict_from_features_matches_full_forward_bitwise() {
-        // For every permutation of the 4 tiles, gathering cached trunk
-        // features into the head must reproduce the folded forward on
-        // the permuted tiles exactly (the co-running fast path's
-        // correctness contract).
+        // Gathering cached trunk features into the head must reproduce
+        // the folded forward on the permuted tiles exactly (the
+        // co-running fast path's correctness contract), for every row
+        // of a k-permutation head pass — one permutation, several, and
+        // a duplicate — whatever k the buffer was sized for before.
         let mut rng = Rng::seed_from(8);
         let mut net = tiny_jigsaw(&mut rng);
         let tiles = Tensor::randn([4, 1, 6, 6], 0.0, 1.0, &mut rng);
         let feats = net.tile_features(&tiles).unwrap();
         assert_eq!(feats.dims(), &[4, 36]);
-        let perms: [[u8; 4]; 4] = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2], [2, 0, 3, 1]];
+        let perms: [[u8; 4]; 5] =
+            [[0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2], [2, 0, 3, 1], [3, 2, 1, 0]];
         let tile_len = 6 * 6; // one 1-channel 6x6 tile
         let tv = tiles.as_slice();
-        for perm in &perms {
-            // Reference: permute the raw tiles, run the full network.
-            let mut permuted = Vec::with_capacity(tv.len());
-            for &src in perm {
-                let s = src as usize * tile_len;
-                permuted.extend_from_slice(&tv[s..s + tile_len]);
-            }
-            let x = Tensor::from_vec([1, 4, 1, 6, 6], permuted).unwrap();
-            let full = net.predict(&x).unwrap();
-            let fast = net.predict_from_features(&feats, perm).unwrap();
-            assert_eq!(bits(&fast), bits(&full), "perm {perm:?} diverged");
-        }
-    }
-
-    #[test]
-    fn batched_probe_head_matches_per_probe_bitwise() {
-        // One batched head pass over k permutations must reproduce each
-        // per-probe pass bit for bit (row-equivariance of the head),
-        // including duplicate permutations and k != the warmed size.
-        let mut rng = Rng::seed_from(10);
-        let mut net = tiny_jigsaw(&mut rng);
-        let tiles = Tensor::randn([4, 1, 6, 6], 0.0, 1.0, &mut rng);
-        let feats = net.tile_features(&tiles).unwrap();
-        let perms: [[u8; 4]; 4] = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2], [3, 2, 1, 0]];
-        for k in [1usize, 3, 4] {
+        for k in [1usize, 3, 5] {
             let refs: Vec<&[u8]> = perms.iter().take(k).map(|p| p.as_slice()).collect();
-            let batched = net.predict_from_features_batch(&feats, &refs).unwrap();
-            assert_eq!(batched.dims(), &[k, 5]);
+            let fast = net.predict_from_features(&feats, &refs).unwrap();
+            assert_eq!(fast.dims(), &[k, 5]);
             for (j, perm) in refs.iter().enumerate() {
-                let single = net.predict_from_features(&feats, perm).unwrap();
+                // Reference: permute the raw tiles, run the full network.
+                let mut permuted = Vec::with_capacity(tv.len());
+                for &src in *perm {
+                    let s = src as usize * tile_len;
+                    permuted.extend_from_slice(&tv[s..s + tile_len]);
+                }
+                let x = Tensor::from_vec([1, 4, 1, 6, 6], permuted).unwrap();
+                let full = net.predict(&x).unwrap();
                 assert_eq!(
-                    bits(&single),
-                    bits(&batched.row(j).unwrap()),
-                    "probe {j} of batch {k} diverged"
+                    bits(&fast.row(j).unwrap()),
+                    bits(&full),
+                    "perm {perm:?} (row {j} of {k}) diverged"
                 );
             }
         }
@@ -499,14 +437,11 @@ mod tests {
         let mut rng = Rng::seed_from(11);
         let mut net = tiny_jigsaw(&mut rng);
         let feats = net.tile_features(&Tensor::zeros([4, 1, 6, 6])).unwrap();
-        assert!(net.predict_from_features_batch(&feats, &[]).is_err());
-        let short: &[u8] = &[0, 1, 2];
-        assert!(net.predict_from_features_batch(&feats, &[short]).is_err());
+        // No permutation at all, and one bad permutation among good ones.
+        assert!(net.predict_from_features(&feats, &[]).is_err());
         let oob: &[u8] = &[0, 1, 2, 4];
         let ok: &[u8] = &[0, 1, 2, 3];
-        assert!(net.predict_from_features_batch(&feats, &[ok, oob]).is_err());
-        let bad_feats = Tensor::zeros([4, 35]);
-        assert!(net.predict_from_features_batch(&bad_feats, &[ok]).is_err());
+        assert!(net.predict_from_features(&feats, &[ok, oob]).is_err());
     }
 
     #[test]
@@ -517,11 +452,13 @@ mod tests {
         assert!(net.tile_features(&Tensor::zeros([3, 1, 6, 6])).is_err());
         // Wrong feature shape.
         let bad = Tensor::zeros([4, 35]);
-        assert!(net.predict_from_features(&bad, &[0, 1, 2, 3]).is_err());
+        let identity: &[u8] = &[0, 1, 2, 3];
+        assert!(net.predict_from_features(&bad, &[identity]).is_err());
         let feats = net.tile_features(&Tensor::zeros([4, 1, 6, 6])).unwrap();
         // Wrong permutation length and out-of-range tile index.
-        assert!(net.predict_from_features(&feats, &[0, 1, 2]).is_err());
-        assert!(net.predict_from_features(&feats, &[0, 1, 2, 4]).is_err());
+        let (short, oob): (&[u8], &[u8]) = (&[0, 1, 2], &[0, 1, 2, 4]);
+        assert!(net.predict_from_features(&feats, &[short]).is_err());
+        assert!(net.predict_from_features(&feats, &[oob]).is_err());
     }
 
     #[test]

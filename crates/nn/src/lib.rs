@@ -34,12 +34,9 @@ mod layer;
 pub mod layers;
 mod loss;
 pub mod models;
-mod metrics;
 mod net;
 mod optim;
-mod optim_adam;
 pub mod quant;
-mod schedule;
 pub mod serialize;
 mod train;
 pub mod transfer;
@@ -48,13 +45,10 @@ pub use describe::{LayerDesc, NetworkDesc};
 pub use error::NnError;
 pub use jigsaw::JigsawNet;
 pub use layer::{Layer, LayerKind, Mode};
-pub use loss::{accuracy, confidence, entropy, predictions, softmax, softmax_cross_entropy};
-pub use metrics::{top_k_accuracy, ConfusionMatrix};
-pub use net::{split_desc, Network, Sequential};
+pub use loss::{accuracy, confidence, predictions, softmax, softmax_cross_entropy};
+pub use net::{Network, Sequential};
 pub use optim::Sgd;
-pub use optim_adam::Adam;
 pub use quant::{LayerCalibration, QuantizedNet};
-pub use schedule::LrSchedule;
 pub use train::{
     evaluate, gather_samples, train, train_from_activations, EpochStats, LabeledBatch,
     TrainConfig, TrainReport,

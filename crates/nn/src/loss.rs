@@ -138,22 +138,6 @@ pub fn predictions(logits: &Tensor) -> Result<Vec<usize>> {
         .collect())
 }
 
-/// Shannon entropy (nats) of each softmax row; a confidence signal used
-/// by the diagnosis policies.
-///
-/// # Errors
-///
-/// Returns an error if `logits` is not 2-D.
-pub fn entropy(logits: &Tensor) -> Result<Vec<f32>> {
-    let probs = softmax(logits)?;
-    let k = probs.dims()[1];
-    Ok(probs
-        .as_slice()
-        .chunks(k)
-        .map(|row| -row.iter().map(|&p| if p > 1e-12 { p * p.ln() } else { 0.0 }).sum::<f32>())
-        .collect())
-}
-
 /// Maximum softmax probability of each row; the standard confidence
 /// score.
 ///
@@ -249,14 +233,12 @@ mod tests {
         assert_eq!(predictions(&logits).unwrap(), vec![0, 1, 0]);
     }
 
+    /// Confidence at the two entropy extremes: a near one-hot row and
+    /// a uniform one.
     #[test]
     fn entropy_extremes() {
         let confident = Tensor::from_vec([1, 4], vec![100.0, 0.0, 0.0, 0.0]).unwrap();
         let uniform = Tensor::zeros([1, 4]);
-        let e_conf = entropy(&confident).unwrap()[0];
-        let e_unif = entropy(&uniform).unwrap()[0];
-        assert!(e_conf < 0.01);
-        assert!((e_unif - (4.0f32).ln()).abs() < 1e-4);
         assert!(confidence(&confident).unwrap()[0] > 0.99);
         assert!((confidence(&uniform).unwrap()[0] - 0.25).abs() < 1e-5);
     }

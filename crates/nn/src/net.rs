@@ -1,6 +1,6 @@
 //! Networks: the [`Network`] trait and the [`Sequential`] container.
 
-use crate::describe::{LayerDesc, NetworkDesc};
+use crate::describe::NetworkDesc;
 use crate::error::NnError;
 use crate::layer::{Layer, LayerKind, Mode};
 use crate::Result;
@@ -460,11 +460,6 @@ impl Network for Sequential {
     fn inference_ops_per_sample(&self) -> u64 {
         self.layers.iter().filter_map(|l| l.describe()).map(|d| d.ops()).sum()
     }
-}
-
-/// Splits a `NetworkDesc` by layer type; helper shared by experiments.
-pub fn split_desc(desc: &NetworkDesc) -> (Vec<LayerDesc>, Vec<LayerDesc>) {
-    (desc.conv_layers(), desc.fc_layers())
 }
 
 #[cfg(test)]

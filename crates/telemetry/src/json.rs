@@ -1,12 +1,37 @@
-//! A minimal JSON reader, used to validate the exporters' output
-//! (round-tripping the Chrome trace in tests) without external crates.
+//! Minimal JSON without external crates: the one string escaper every
+//! JSON writer in the workspace uses ([`quote`]), and a reader used to
+//! validate the exporters' output (round-tripping the Chrome trace and
+//! the reports in tests).
 //!
-//! Supports the full JSON grammar the exporters emit: objects, arrays,
-//! strings with escapes (including `\uXXXX`), numbers, booleans and
-//! null. Numbers are parsed as `f64`.
+//! The reader supports the full JSON grammar the exporters emit:
+//! objects, arrays, strings with escapes (including `\uXXXX`), numbers,
+//! booleans and null. Numbers are parsed as `f64`.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
+
+/// Escapes `s` as a JSON string literal, quotes included: `"`, `\`
+/// and every character below U+0020 are escaped, the rest is copied.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,6 +326,11 @@ mod tests {
     fn parses_escapes() {
         let v = parse("\"a\\\"b\\\\c\\nd\\u0041e\"").unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndAe"));
+        // The writer's escapes, and their round trip through the reader.
+        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(quote("\t\r\u{1}"), "\"\\t\\r\\u0001\"");
+        let hostile = "bs=\"8\"\\\n\t\u{1} héllo";
+        assert_eq!(parse(&quote(hostile)).unwrap().as_str(), Some(hostile));
     }
 
     #[test]

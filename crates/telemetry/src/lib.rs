@@ -26,8 +26,11 @@
 //! which renders as a hierarchical text [`TelemetrySnapshot::summary`],
 //! as Chrome `trace_event` JSON
 //! ([`TelemetrySnapshot::chrome_trace_json`], loadable in
-//! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)), or as a
-//! machine-readable report ([`TelemetrySnapshot::to_json`]).
+//! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)), and is
+//! the one metrics export: a machine-readable JSON report
+//! ([`TelemetrySnapshot::to_json`]) or Prometheus text
+//! ([`TelemetrySnapshot::to_prometheus`], checked by
+//! [`validate_prometheus`]).
 //!
 //! ## Cost
 //!
@@ -60,10 +63,12 @@
 
 pub mod hist;
 pub mod json;
+mod prometheus;
 mod registry;
 mod report;
 
 pub use hist::Histogram;
+pub use prometheus::validate_prometheus;
 pub use report::{CounterTotal, HistogramTotal, SpanRecord, TelemetrySnapshot};
 
 use std::time::Instant;

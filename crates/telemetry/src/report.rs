@@ -1,7 +1,9 @@
 //! Snapshots and exporters: hierarchical text summary, Chrome
-//! `trace_event` JSON, and a machine-readable counter report.
+//! `trace_event` JSON, and a machine-readable counter report (the
+//! Prometheus renderer lives in `prometheus.rs`).
 
 use crate::hist::Histogram;
+use crate::json::quote;
 use crate::registry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -63,7 +65,7 @@ pub struct HistogramTotal {
 }
 
 impl HistogramTotal {
-    fn from_hist(name: String, label: String, hist: Histogram) -> Self {
+    pub(crate) fn from_hist(name: String, label: String, hist: Histogram) -> Self {
         let (p50, p90, p99, max) =
             (hist.percentile(0.50), hist.percentile(0.90), hist.percentile(0.99), hist.max());
         HistogramTotal { name, label, hist, p50, p90, p99, max }
@@ -259,7 +261,7 @@ impl TelemetrySnapshot {
             events.push(format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
                  \"args\":{{\"name\":{}}}}}",
-                json_string(thread)
+                quote(thread)
             ));
         }
         for s in &self.spans {
@@ -267,11 +269,11 @@ impl TelemetrySnapshot {
             let common = format!(
                 "\"name\":{},\"cat\":{},\"pid\":1,\"tid\":{},\"ts\":{:.3},\
                  \"args\":{{\"label\":{}}}",
-                json_string(&s.name),
-                json_string(cat),
+                quote(&s.name),
+                quote(cat),
                 s.tid,
                 s.ts_ns as f64 / 1e3,
-                json_string(&s.label),
+                quote(&s.label),
             );
             if s.instant {
                 events.push(format!("{{{common},\"ph\":\"i\",\"s\":\"t\"}}"));
@@ -305,7 +307,7 @@ impl TelemetrySnapshot {
             .map(|(name, (calls, total_ns))| {
                 format!(
                     "{{\"name\":{},\"calls\":{calls},\"total_ns\":{total_ns}}}",
-                    json_string(name)
+                    quote(name)
                 )
             })
             .collect();
@@ -315,8 +317,8 @@ impl TelemetrySnapshot {
             .map(|c| {
                 format!(
                     "{{\"name\":{},\"label\":{},\"calls\":{},\"total\":{},\"max\":{}}}",
-                    json_string(&c.name),
-                    json_string(&c.label),
+                    quote(&c.name),
+                    quote(&c.label),
                     c.calls,
                     c.total,
                     c.max
@@ -330,8 +332,8 @@ impl TelemetrySnapshot {
                 format!(
                     "{{\"name\":{},\"label\":{},\"count\":{},\"sum\":{},\"min\":{},\
                      \"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                    json_string(&h.name),
-                    json_string(&h.label),
+                    quote(&h.name),
+                    quote(&h.label),
                     h.hist.count(),
                     h.hist.sum(),
                     h.hist.min(),
@@ -365,27 +367,6 @@ fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns} ns")
     }
-}
-
-/// Escapes `s` as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -476,11 +457,26 @@ mod tests {
 
     #[test]
     fn report_json_parses() {
-        let v = crate::json::parse(&sample().to_json()).unwrap();
-        assert_eq!(
-            v.get("counters").and_then(|c| c.as_array()).map(Vec::len),
-            Some(1)
-        );
+        let mut snap = sample();
+        // Labels with quotes, backslashes, newlines and control
+        // characters must survive the round trip.
+        let hostile = "bs=\"8\"\\\n\t\u{1}";
+        snap.counters.push(CounterTotal {
+            name: "cloud.cache.hit".into(),
+            label: hostile.into(),
+            calls: 3,
+            total: 123,
+            max: 100,
+        });
+        let v = crate::json::parse(&snap.to_json()).unwrap();
+        let counters = v.get("counters").and_then(|c| c.as_array()).unwrap();
+        assert_eq!(counters.len(), 2);
+        let hit = counters
+            .iter()
+            .find(|c| c.get("label").and_then(|l| l.as_str()) == Some(hostile))
+            .expect("the hostile label round-trips");
+        assert_eq!(hit.get("name").and_then(|n| n.as_str()), Some("cloud.cache.hit"));
+        assert_eq!(hit.get("total").and_then(|t| t.as_f64()), Some(123.0));
         assert_eq!(
             v.get("span_totals").and_then(|c| c.as_array()).map(Vec::len),
             Some(2)
@@ -518,7 +514,6 @@ mod tests {
         assert_eq!(fmt_ns(1_500), "1.50 us");
         assert_eq!(fmt_ns(2_500_000), "2.50 ms");
         assert_eq!(fmt_ns(3_000_000_000), "3.00 s");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         let snap = sample();
         assert!(snap.has_span("a.out"));
         assert!(!snap.has_span("zz"));

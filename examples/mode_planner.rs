@@ -58,12 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A node that measured a 6 ms p90 per image re-admits its batch
     // from that measurement instead of the device model.
-    let measured = MeasuredProfile {
-        per_image_p50_s: 0.005,
-        per_image_p90_s: 0.006,
-        uplink_bytes_per_s: 0.0,
-        stages: 32,
-    };
+    let measured = MeasuredProfile { per_image_p50_s: 0.005, per_image_p90_s: 0.006, stages: 32 };
     let request = PlanRequest { availability: Availability::AlwaysOn, t_user: 0.2, max_batch: 256 };
     let p = plan(&request, &inference, CostSource::Measured(&measured), None)?;
     println!("\nre-planned from a measured 6 ms/image p90 at 200 ms: {}", p.summary());

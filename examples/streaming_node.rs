@@ -9,25 +9,26 @@
 //! node's one queue-pressure controller: if the node falls behind, it
 //! halves its batch down to a floor and — being i8-calibrated — runs
 //! inference at fixed point, undoing each step once the queue drains.
+//! The node starts from the analytical plan and closes the loop on its
+//! own measurements: every few stages it re-plans from its measured
+//! per-image p90.
 //!
 //! Run with: `cargo run --release -p insitu --example streaming_node`
 //!
 //! Set `INSITU_TRACE=1` to trace the session: a hierarchical summary
-//! is printed and the full Chrome trace is written to
+//! is printed, the full Chrome trace is written to
 //! `streaming_trace.json` (load it in chrome://tracing or
-//! <https://ui.perfetto.dev>). Tracing also activates the closed
-//! observability loop — the node re-plans from the measured per-image
-//! p90 every few stages — and exports the session's metrics hub to
-//! `streaming_metrics.prom` (Prometheus text) and
+//! <https://ui.perfetto.dev>), and the session's telemetry is exported
+//! to `streaming_metrics.prom` (Prometheus text) and
 //! `streaming_metrics.json`.
 
 use insitu::cloud::{
     build_inference, pretrain, Cloud, DeployConfig, IncrementalConfig, PretrainConfig,
 };
 use insitu::core::{
-    plan, run_ingested_session, validate_prometheus, Availability, CostSource, DegradeConfig,
-    DiagnosisPolicy, IngestPolicy, IngestSessionConfig, InsituNode, PlanRequest, QuantProfile,
-    ReplanConfig, SessionConfig,
+    plan, run_ingested_session, Availability, CostSource, DegradeConfig, DiagnosisPolicy,
+    IngestPolicy, IngestSessionConfig, InsituNode, PlanRequest, QuantProfile, ReplanConfig,
+    SessionConfig,
 };
 use insitu::data::{Condition, Dataset, DriftSchedule, SyntheticDriftSource};
 use insitu::devices::NetworkShapes;
@@ -67,26 +68,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let calib = Dataset::generate(32, classes, &Condition::ideal(), &mut rng)?;
     node.enable_quantized(&calib)?;
     node.set_precision(insitu::core::InferencePrecision::F32)?;
-    if tracing {
-        // Close the loop: start from the analytical plan, then let the
-        // node re-plan from the measured per-image p90 (1.5x
-        // divergence); the quant profile lets a re-plan adopt i8.
-        let shapes = NetworkShapes::alexnet();
-        let request =
-            PlanRequest { availability: Availability::AlwaysOn, t_user: 0.5, max_batch: 64 };
-        let diagnosis = NetworkShapes::diagnosis_of(&shapes, 9);
-        let analytical =
-            plan(&request, &shapes, CostSource::Analytical { diagnosis: &diagnosis }, None)?;
-        println!("analytical plan: {}", analytical.summary());
-        node.install_plan(analytical);
-        node.enable_replan(ReplanConfig {
-            every_stages: 2,
-            divergence: 1.5,
-            request,
-            inference_shapes: shapes,
-            quant: Some(QuantProfile { speedup: 1.3, accuracy_delta: -0.01 }),
-        });
-    }
+    // Close the loop: start from the analytical plan, then let the node
+    // re-plan from its measured per-image p90 (1.5x divergence); the
+    // quant profile lets a re-plan adopt i8.
+    let shapes = NetworkShapes::alexnet();
+    let request = PlanRequest { availability: Availability::AlwaysOn, t_user: 0.5, max_batch: 64 };
+    let diagnosis = NetworkShapes::diagnosis_of(&shapes, 9);
+    let analytical =
+        plan(&request, &shapes, CostSource::Analytical { diagnosis: &diagnosis }, None)?;
+    println!("analytical plan: {}", analytical.summary());
+    node.install_plan(analytical);
+    node.enable_replan(ReplanConfig {
+        every_stages: 2,
+        divergence: 1.5,
+        request,
+        inference_shapes: shapes,
+        quant: Some(QuantProfile { speedup: 1.3, accuracy_delta: -0.01 }),
+    });
     let cloud = Arc::new(Mutex::new(Cloud::new(
         inference,
         pre,
@@ -133,6 +131,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ingest.precision_flips,
         insitu::core::precision_label(node.precision())
     );
+    if let Some(p) = node.plan() {
+        println!("final plan after {} re-plan(s): {}", stats.replans, p.summary());
+    }
     println!(
         "node ended at model v{} with {:.1}% accuracy on the drifted environment",
         node.version(),
@@ -160,17 +161,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         std::fs::write("streaming_trace.json", stats.telemetry.chrome_trace_json())?;
         println!("Chrome trace written to streaming_trace.json (open in ui.perfetto.dev)");
-        if let Some(p) = node.plan() {
-            println!("final plan after {} re-plan(s): {}", stats.replans, p.summary());
-        }
-        let prometheus = stats.metrics.to_prometheus();
-        validate_prometheus(&prometheus).map_err(|e| format!("invalid metrics export: {e}"))?;
+        let prometheus = stats.telemetry.to_prometheus();
+        let samples = insitu::telemetry::validate_prometheus(&prometheus)
+            .map_err(|e| format!("invalid metrics export: {e}"))?;
         std::fs::write("streaming_metrics.prom", &prometheus)?;
-        std::fs::write("streaming_metrics.json", stats.metrics.to_json())?;
+        std::fs::write("streaming_metrics.json", stats.telemetry.to_json())?;
         println!(
-            "metrics hub: {} series (epoch {}) written to streaming_metrics.prom / .json",
-            stats.metrics.len(),
-            stats.metrics.epoch()
+            "metrics: {samples} Prometheus samples (epoch {}) written to \
+             streaming_metrics.prom / .json",
+            stats.telemetry.epoch
         );
     }
     Ok(())
