@@ -6,9 +6,9 @@
 //! cargo run --release -p insitu-bench --bin kernels_snapshot > BENCH_kernels.json
 //! ```
 //!
-//! Criterion's reports are for humans; this snapshot is for diffing
-//! across commits. The host core count is recorded, and the thread
-//! sweep skips counts above it — on a single-core host a t2/t4 row
+//! The snapshot is for diffing across commits. The host core count is
+//! recorded, and the thread sweep skips counts above it — on a
+//! single-core host a t2/t4 row
 //! would measure pool overhead, not speedup (and `plan_parts` caps
 //! kernel splits at the host cores anyway, so such rows would just
 //! duplicate t1).

@@ -204,11 +204,6 @@ impl IotSystem {
         self.kind
     }
 
-    /// The current model (for accuracy probes).
-    pub fn model_mut(&mut self) -> &mut Sequential {
-        &mut self.model
-    }
-
     /// Selects the mispredicted ("valuable") samples under the current
     /// model.
     fn valuable(&mut self, data: &Dataset) -> Result<Vec<usize>> {

@@ -81,8 +81,8 @@ pub struct Verdict {
 /// policies re-run the inference network and the jigsaw policies run
 /// the full trunk once per probe. The co-running fast path
 /// ([`diagnose_with_logits`]) must stay bitwise identical to this
-/// function; it is kept public as the differential-testing and
-/// benchmarking oracle.
+/// function; it is kept public as the differential-testing oracle and
+/// the diagnosis-policy ablation's entry point.
 ///
 /// # Errors
 ///

@@ -1,8 +1,6 @@
 //! The In-situ AI node: inference + autonomous diagnosis at the edge.
 
-use crate::diagnosis::{
-    diagnose, diagnose_with_logits, valuable_indices, DiagnosisPolicy, Verdict,
-};
+use crate::diagnosis::{diagnose_with_logits, valuable_indices, DiagnosisPolicy, Verdict};
 use crate::error::CoreError;
 use crate::metrics::{DataMovementMeter, ScoreSummary, IMAGE_BYTES};
 use crate::planner::{
@@ -28,9 +26,9 @@ use std::time::Instant;
 /// network through the symmetric fixed-point kernels (the paper's
 /// FPGA PEs operate in fixed point — Section V). Diagnosis always runs
 /// in f32: the jigsaw verdicts and the RNG stream are part of the
-/// bitwise equivalence contract with
-/// [`process_stage_unfused`](InsituNode::process_stage_unfused), and
-/// the diagnosis task is not on the end-user latency path.
+/// bitwise equivalence contract with the unfused reference
+/// ([`diagnose`](crate::diagnose)), and the diagnosis task is not on
+/// the end-user latency path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum InferencePrecision {
     /// Full-precision f32 inference (the default and the reference).
@@ -385,10 +383,9 @@ impl InsituNode {
     /// grow to their steady-state size on first use; running that first
     /// use here — before the stream starts — means the session's real
     /// batches hit the zero-allocation kernel path from image one. The
-    /// diagnosis warm-up covers both probe shapes the stage can take:
-    /// the folded full forward (the unfused reference) and the
-    /// tile-embedding fast path (trunk at tile-batch size plus the
-    /// feature-gather head pass at the policy's probe count).
+    /// diagnosis warm-up covers the shapes the fused stage runs: the
+    /// trunk at tile-batch size and the feature-gather head pass at the
+    /// policy's probe count.
     ///
     /// # Errors
     ///
@@ -402,8 +399,6 @@ impl InsituNode {
         if let Some(q) = &mut self.quantized {
             q.predict(&zeros)?;
         }
-        let probe = Tensor::zeros([1, PATCHES, CHANNELS, PATCH_SIZE, PATCH_SIZE]);
-        self.jigsaw.predict(&probe)?;
         let tiles = Tensor::zeros([PATCHES, CHANNELS, PATCH_SIZE, PATCH_SIZE]);
         let feats = self.jigsaw.tile_features(&tiles)?;
         // The fused stage runs the head once per image over all of its
@@ -445,8 +440,8 @@ impl InsituNode {
     /// evaluate every probe permutation from one cached trunk pass per
     /// image (see [`diagnose_with_logits`]). At
     /// [`InferencePrecision::F32`] predictions and verdicts are bitwise
-    /// identical to the unfused reference
-    /// ([`process_stage_unfused`](InsituNode::process_stage_unfused)).
+    /// identical to the unfused reference: a chunked inference forward
+    /// followed by [`diagnose`](crate::diagnose) on the node's RNG.
     ///
     /// At [`InferencePrecision::I8`] the inference forward runs on the
     /// calibrated fixed-point network; its logits feed the application
@@ -559,50 +554,7 @@ impl InsituNode {
         }
     }
 
-    /// Processes one stage on the **unfused reference path**: the
-    /// diagnosis policies recompute the inference forward and run one
-    /// full jigsaw trunk pass per probe, exactly as the node did before
-    /// the activation-reuse layer existed.
-    ///
-    /// Kept public as the differential-testing oracle and the "before"
-    /// side of the `node_snapshot` benchmark;
-    /// [`process_stage`](InsituNode::process_stage) must stay bitwise
-    /// identical to it (same predictions, verdict bits and RNG stream).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape disagreements.
-    pub fn process_stage_unfused(&mut self, data: &Dataset, batch: usize) -> Result<StageOutcome> {
-        let _t = telemetry::span_with("node.stage_unfused", || {
-            format!("{} images @bs{batch}", data.len())
-        });
-        let mut predictions = Vec::with_capacity(data.len());
-        let bs = batch.max(1);
-        {
-            let _inf = telemetry::span("node.inference");
-            let mut start = 0;
-            while start < data.len() {
-                let end = (start + bs).min(data.len());
-                let sub = data.subset_range(start..end)?;
-                let logits = self.inference.predict(sub.images())?;
-                predictions.extend(insitu_nn::predictions(&logits)?);
-                start = end;
-            }
-        }
-        let _diag = telemetry::span("node.diagnosis");
-        let verdicts = diagnose(
-            self.policy,
-            &mut self.inference,
-            &mut self.jigsaw,
-            &self.perm_set,
-            data,
-            batch,
-            &mut self.rng,
-        )?;
-        self.finish_stage(data, predictions, verdicts)
-    }
-
-    /// Shared stage epilogue: upload selection and movement accounting.
+    /// Stage epilogue: upload selection and movement accounting.
     fn finish_stage(
         &mut self,
         data: &Dataset,

@@ -31,11 +31,12 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper's FPGA PEs are fixed-point; running the deployed network
 /// at [`InferencePrecision::I8`] trades a small accuracy delta for a
-/// throughput gain. Both numbers come from *measurement* on the node
-/// (the `node_snapshot` benchmark reports them), not from the
-/// analytical model — the planner folds them into the Eqs. (10)–(14)
-/// time model to decide whether the quantized configuration still
-/// meets the user's deadline and what batch it admits.
+/// throughput gain. The caller measures both numbers on the node (i8
+/// vs f32 stage time, held-out accuracy at each precision); they do not
+/// come from the analytical model — the planner folds them into the
+/// Eqs. (10)–(14) time model to decide whether the quantized
+/// configuration still meets the user's deadline and what batch it
+/// admits.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QuantProfile {
     /// Measured i8 throughput multiplier over f32 (e.g. `1.8`).

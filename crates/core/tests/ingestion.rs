@@ -179,11 +179,12 @@ fn hand_driven(seed: u64, frames: &[Dataset], batch: usize) -> Fingerprint {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// An overlapped `Block` session with lockstep uploads over the
-    /// live synthesizing source must be bitwise identical to the
-    /// hand-driven loop over the materialized stream — same counts,
-    /// same final model version and weights — across seeds, queue
-    /// capacities and 1/2/4 kernel threads.
+    /// An overlapped `Block` session with lockstep uploads must be
+    /// bitwise identical to the hand-driven loop over the materialized
+    /// stream — same counts, same final model version and weights —
+    /// whether it reads the live synthesizing source or replays the
+    /// materialized frames, across seeds, queue capacities and 1/2/4
+    /// kernel threads.
     #[test]
     fn block_overlapped_session_is_bitwise_identical_to_sequential(
         seed in 0u64..200,
@@ -198,44 +199,51 @@ proptest! {
             uplink_capacity: 4,
             lockstep_uploads: true,
         };
+        let overlapped = |source: Box<dyn StreamSource>| -> Fingerprint {
+            let (mut node, stats, summary) = run_ingested_session(
+                make_node(seed),
+                EchoCloud::for_seed(seed),
+                source,
+                &IngestSessionConfig {
+                    session: session.clone(),
+                    queue_capacity: capacity,
+                    policy: IngestPolicy::Block,
+                },
+            )
+            .unwrap();
+            // Block is lossless: every frame reaches the node and
+            // arena recycling bounds fresh allocations by the queue
+            // capacity, never the stream length.
+            assert_eq!(summary.frames, frames as u64);
+            assert_eq!(summary.drops, 0);
+            assert!(
+                summary.fresh_buffers <= capacity as u64 + 2,
+                "fresh {} > cap {} + 2",
+                summary.fresh_buffers,
+                capacity
+            );
+            let version = node.version();
+            (
+                stats.batches,
+                stats.images_seen,
+                stats.images_uploaded,
+                stats.updates_installed,
+                version,
+                state_dict(node.inference_mut()),
+            )
+        };
         for threads in [1usize, 2, 4] {
-            let (sequential, overlapped) = with_threads(threads, || {
+            let (sequential, synthesized, replayed) = with_threads(threads, || {
                 let source = drift_source(frames, images, seed.wrapping_add(17));
-                let sequential = hand_driven(seed, &source.materialize().unwrap(), batch);
-                let (mut node, stats, summary) = run_ingested_session(
-                    make_node(seed),
-                    EchoCloud::for_seed(seed),
-                    Box::new(source),
-                    &IngestSessionConfig {
-                        session: session.clone(),
-                        queue_capacity: capacity,
-                        policy: IngestPolicy::Block,
-                    },
+                let materialized = source.materialize().unwrap();
+                (
+                    hand_driven(seed, &materialized, batch),
+                    overlapped(Box::new(source)),
+                    overlapped(replay(materialized)),
                 )
-                .unwrap();
-                // Block is lossless: every frame reaches the node and
-                // arena recycling bounds fresh allocations by the
-                // queue capacity, never the stream length.
-                assert_eq!(summary.frames, frames as u64);
-                assert_eq!(summary.drops, 0);
-                assert!(
-                    summary.fresh_buffers <= capacity as u64 + 2,
-                    "fresh {} > cap {} + 2",
-                    summary.fresh_buffers,
-                    capacity
-                );
-                let version = node.version();
-                let overlapped = (
-                    stats.batches,
-                    stats.images_seen,
-                    stats.images_uploaded,
-                    stats.updates_installed,
-                    version,
-                    state_dict(node.inference_mut()),
-                );
-                (sequential, overlapped)
             });
-            prop_assert_eq!(&sequential, &overlapped);
+            prop_assert_eq!(&sequential, &synthesized);
+            prop_assert_eq!(&sequential, &replayed);
         }
     }
 }

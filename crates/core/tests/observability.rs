@@ -147,6 +147,8 @@ fn session_exports_validate_and_carry_percentiles() {
         assert!(text.contains(&row), "missing {row}:\n{text}");
     }
     assert!(text.contains("insitu_h_node_stage_per_image_max{label=\"f32\"}"), "{text}");
+    // The `node.stage` span feeds a latency summary of its own.
+    assert!(text.contains("\n# TYPE insitu_h_node_stage summary\n"), "{text}");
 
     let v = telemetry::json::parse(&stats.telemetry.to_json()).expect("JSON export must parse");
     let hists = v.get("hists").and_then(|h| h.as_array()).expect("hists array");

@@ -3,19 +3,25 @@
 //! identical** to the unfused reference for every diagnosis policy, at
 //! any batch size, image count and kernel thread count.
 //!
-//! Two nodes are built from the same seed; one runs
-//! [`InsituNode::process_stage`] (fused), the other
-//! [`InsituNode::process_stage_unfused`] (reference). Everything the
-//! stage produces is compared at the bit level: predictions, verdict
-//! flags, verdict score bits, upload selection and byte accounting —
-//! and, because the jigsaw policies draw probe permutations from the
-//! node RNG, equality also proves the fused path consumes the RNG
-//! stream in exactly the reference order.
+//! A node and the reference are built from the same seed. The node
+//! runs [`InsituNode::process_stage`] (fused); the reference is the
+//! unfused stage written out in this file ([`Reference::stage`]): the
+//! inference forward in batch chunks for the predictions, then
+//! [`diagnose`], which recomputes the inference forward and runs one
+//! full jigsaw trunk pass per probe, on the RNG the node seeds itself
+//! with. Everything the stage produces is compared at the bit level:
+//! predictions, verdict flags, verdict score bits, upload selection and
+//! byte accounting — and, because the jigsaw policies draw probe
+//! permutations from the node RNG, equality also proves the fused path
+//! consumes the RNG stream in exactly the reference order.
 
-use insitu_core::{DiagnosisPolicy, InsituNode, StageOutcome};
+use insitu_core::{
+    diagnose, valuable_indices, DiagnosisPolicy, InsituNode, StageOutcome, Verdict, IMAGE_BYTES,
+};
 use insitu_data::{Condition, Dataset, PermutationSet};
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
 use insitu_nn::transfer::transfer_and_freeze;
+use insitu_nn::{JigsawNet, Sequential};
 use insitu_tensor::{num_threads, set_num_threads, Rng};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -35,13 +41,25 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 const PERMS: usize = 8;
 const CLASSES: usize = 4;
 
-fn make_node(seed: u64, policy: DiagnosisPolicy) -> InsituNode {
+/// The deployed networks and permutation set of `seed`, with the
+/// first three convs shared the way `transfer_and_freeze` deploys them.
+fn parts(seed: u64) -> (Sequential, JigsawNet, PermutationSet) {
     let mut rng = Rng::seed_from(seed);
     let jigsaw = jigsaw_network(PERMS, &mut rng).unwrap();
     let mut inference = mini_alexnet(CLASSES, &mut rng).unwrap();
     transfer_and_freeze(jigsaw.trunk(), &mut inference, 3, 3).unwrap();
     let set = PermutationSet::generate(PERMS, &mut rng).unwrap();
-    InsituNode::new(inference, jigsaw, set, policy, 3, seed ^ 0xA5).unwrap()
+    (inference, jigsaw, set)
+}
+
+/// The seed of the node's diagnosis RNG.
+fn node_seed(seed: u64) -> u64 {
+    seed ^ 0xA5
+}
+
+fn make_node(seed: u64, policy: DiagnosisPolicy) -> InsituNode {
+    let (inference, jigsaw, set) = parts(seed);
+    InsituNode::new(inference, jigsaw, set, policy, 3, node_seed(seed)).unwrap()
 }
 
 /// Every bit the stage outcome carries, in comparable form:
@@ -49,44 +67,83 @@ fn make_node(seed: u64, policy: DiagnosisPolicy) -> InsituNode {
 type OutcomeBits = (Vec<usize>, Vec<(bool, u32)>, Vec<usize>, u64);
 
 fn outcome_bits(o: &StageOutcome) -> OutcomeBits {
-    (
-        o.predictions.clone(),
-        o.verdicts.iter().map(|v| (v.valuable, v.score.to_bits())).collect(),
-        o.valuable.clone(),
-        o.uploaded_bytes,
-    )
+    (o.predictions.clone(), verdict_bits(&o.verdicts), o.valuable.clone(), o.uploaded_bytes)
 }
 
-fn policy_from_index(idx: usize) -> DiagnosisPolicy {
-    match idx {
-        0 => DiagnosisPolicy::Oracle,
-        1 => DiagnosisPolicy::InferenceConfidence { threshold: 0.6 },
-        2 => DiagnosisPolicy::JigsawProbe { probes: 3 },
-        3 => DiagnosisPolicy::JigsawConfidence { threshold: 0.4 },
-        // Degenerate and larger probe counts exercise the batched
-        // head's k=1 path and a head batch bigger than the perm pool.
-        4 => DiagnosisPolicy::JigsawProbe { probes: 1 },
-        _ => DiagnosisPolicy::JigsawProbe { probes: 5 },
+fn verdict_bits(verdicts: &[Verdict]) -> Vec<(bool, u32)> {
+    verdicts.iter().map(|v| (v.valuable, v.score.to_bits())).collect()
+}
+
+/// The unfused reference stage, sharing no stage code with the node:
+/// the same networks and RNG as [`make_node`], no activation reuse.
+struct Reference {
+    inference: Sequential,
+    jigsaw: JigsawNet,
+    set: PermutationSet,
+    policy: DiagnosisPolicy,
+    rng: Rng,
+}
+
+impl Reference {
+    fn new(seed: u64, policy: DiagnosisPolicy) -> Self {
+        let (inference, jigsaw, set) = parts(seed);
+        Reference { inference, jigsaw, set, policy, rng: Rng::seed_from(node_seed(seed)) }
+    }
+
+    /// Predictions from the inference forward in `batch`-image chunks,
+    /// then verdicts from [`diagnose`], which recomputes that forward
+    /// and runs the full jigsaw network once per probe.
+    fn stage(&mut self, data: &Dataset, batch: usize) -> OutcomeBits {
+        let mut predictions = Vec::with_capacity(data.len());
+        let mut start = 0;
+        while start < data.len() {
+            let end = (start + batch).min(data.len());
+            let chunk = data.subset_range(start..end).unwrap();
+            let logits = self.inference.predict(chunk.images()).unwrap();
+            predictions.extend(insitu_nn::predictions(&logits).unwrap());
+            start = end;
+        }
+        let verdicts = diagnose(
+            self.policy,
+            &mut self.inference,
+            &mut self.jigsaw,
+            &self.set,
+            data,
+            batch,
+            &mut self.rng,
+        )
+        .unwrap();
+        let valuable = valuable_indices(&verdicts);
+        let uploaded_bytes = valuable.len() as u64 * IMAGE_BYTES;
+        (predictions, verdict_bits(&verdicts), valuable, uploaded_bytes)
     }
 }
+
+const POLICIES: [DiagnosisPolicy; 6] = [
+    DiagnosisPolicy::Oracle,
+    DiagnosisPolicy::InferenceConfidence { threshold: 0.6 },
+    DiagnosisPolicy::JigsawProbe { probes: 3 },
+    DiagnosisPolicy::JigsawConfidence { threshold: 0.4 },
+    // Degenerate and larger probe counts exercise the batched head's
+    // k=1 path and a head batch bigger than the perm pool.
+    DiagnosisPolicy::JigsawProbe { probes: 1 },
+    DiagnosisPolicy::JigsawProbe { probes: 5 },
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Fused == unfused, bitwise, across seeds, ragged batch sizes,
-    /// image counts, six policy variants (including 1- and 5-probe
-    /// jigsaw, which stress the batched head) and 1/2/4 kernel
-    /// threads. The single-thread reference outcome is also pinned
-    /// across thread counts, so parallelism cannot smuggle in a
-    /// divergence either.
+    /// Fused == unfused, bitwise, across seeds, ragged batch sizes and
+    /// image counts, for each of six policy variants (including 1- and
+    /// 5-probe jigsaw, which stress the batched head) at 1/2/4 kernel
+    /// threads. The single-thread outcome is also pinned across thread
+    /// counts, so parallelism cannot smuggle in a divergence either.
     #[test]
     fn fused_stage_is_bitwise_identical_to_reference(
         seed in 0u64..500,
         batch in 1usize..9,
         images in 1usize..11,
-        policy_idx in 0usize..6,
     ) {
-        let policy = policy_from_index(policy_idx);
         let data = Dataset::generate(
             images,
             CLASSES,
@@ -94,46 +151,52 @@ proptest! {
             &mut Rng::seed_from(seed.wrapping_add(991)),
         )
         .unwrap();
-        let mut pinned: Option<OutcomeBits> = None;
-        for threads in [1usize, 2, 4] {
-            let (fused, reference) = with_threads(threads, || {
-                let mut a = make_node(seed, policy);
-                let mut b = make_node(seed, policy);
-                a.prewarm(batch).unwrap();
-                b.prewarm(batch).unwrap();
-                (
-                    outcome_bits(&a.process_stage(&data, batch).unwrap()),
-                    outcome_bits(&b.process_stage_unfused(&data, batch).unwrap()),
-                )
-            });
-            // (policy, threads) context lives in the proptest case
-            // inputs; the stub's prop_assert_eq! is two-argument only.
-            prop_assert_eq!(&fused, &reference);
-            match &pinned {
-                None => pinned = Some(fused),
-                Some(first) => prop_assert_eq!(first, &fused),
+        for policy in POLICIES {
+            let mut pinned: Option<OutcomeBits> = None;
+            for threads in [1usize, 2, 4] {
+                let (fused, reference) = with_threads(threads, || {
+                    let mut node = make_node(seed, policy);
+                    node.prewarm(batch).unwrap();
+                    (
+                        outcome_bits(&node.process_stage(&data, batch).unwrap()),
+                        Reference::new(seed, policy).stage(&data, batch),
+                    )
+                });
+                prop_assert!(
+                    fused == reference,
+                    "{policy:?} at {threads} threads:\n fused {fused:?}\n   ref {reference:?}"
+                );
+                match &pinned {
+                    None => pinned = Some(fused),
+                    Some(first) => prop_assert!(
+                        *first == fused,
+                        "{policy:?}: {threads} threads diverge from 1 thread"
+                    ),
+                }
             }
         }
     }
 }
 
-/// Repeated fused stages on one node keep matching a reference node
-/// that consumed the identical stream — the logit cache and embedding
+/// Repeated fused stages on one node keep matching a reference that
+/// consumed the identical stream — the logit cache and embedding
 /// buffers carry no state across stages.
 #[test]
 fn fused_path_is_stateless_across_stages() {
     let policy = DiagnosisPolicy::JigsawProbe { probes: 2 };
     let mut fused = make_node(41, policy);
-    let mut reference = make_node(41, policy);
+    let mut reference = Reference::new(41, policy);
     fused.prewarm(4).unwrap();
-    reference.prewarm(4).unwrap();
     let mut rng = Rng::seed_from(1234);
+    let (mut seen, mut uploaded) = (0u64, 0u64);
     for stage in 0..3 {
         let data = Dataset::generate(7, CLASSES, &Condition::in_situ(), &mut rng).unwrap();
         let a = fused.process_stage(&data, 4).unwrap();
-        let b = reference.process_stage_unfused(&data, 4).unwrap();
-        assert_eq!(outcome_bits(&a), outcome_bits(&b), "stage {stage} diverged");
+        let b = reference.stage(&data, 4);
+        assert_eq!(outcome_bits(&a), b, "stage {stage} diverged");
+        seen += data.len() as u64;
+        uploaded += b.2.len() as u64;
     }
-    assert_eq!(fused.movement().images_seen, reference.movement().images_seen);
-    assert_eq!(fused.movement().images_uploaded, reference.movement().images_uploaded);
+    assert_eq!(fused.movement().images_seen, seen);
+    assert_eq!(fused.movement().images_uploaded, uploaded);
 }

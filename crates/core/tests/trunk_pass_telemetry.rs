@@ -1,35 +1,35 @@
 //! Telemetry proof of the tile-embedding reuse: under `JigsawProbe`
 //! the fused stage runs **exactly one** jigsaw trunk pass per image
-//! (`jigsaw.trunk_passes == images`), while the unfused reference pays
-//! one per probe (`images × probes`). Runs alone in its own process:
-//! the telemetry registry is process-global, so no other test may
-//! record into the windows captured here.
+//! (`jigsaw.trunk_passes == images`), while the unfused reference
+//! ([`diagnose`] on the same networks) pays one per probe
+//! (`images × probes`). Runs alone in its own process: the telemetry
+//! registry is process-global, so no other test may record into the
+//! windows captured here.
 
-use insitu_core::{DiagnosisPolicy, InsituNode};
+use insitu_core::{diagnose, DiagnosisPolicy, InsituNode};
 use insitu_data::{Condition, Dataset, PermutationSet};
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
 use insitu_nn::transfer::transfer_and_freeze;
+use insitu_nn::{JigsawNet, Sequential};
 use insitu_telemetry as telemetry;
 use insitu_tensor::Rng;
 
 const IMAGES: usize = 10;
 const PROBES: usize = 3;
+const POLICY: DiagnosisPolicy = DiagnosisPolicy::JigsawProbe { probes: PROBES };
 
-fn make_node(seed: u64) -> InsituNode {
+fn parts(seed: u64) -> (Sequential, JigsawNet, PermutationSet) {
     let mut rng = Rng::seed_from(seed);
     let jigsaw = jigsaw_network(8, &mut rng).unwrap();
     let mut inference = mini_alexnet(4, &mut rng).unwrap();
     transfer_and_freeze(jigsaw.trunk(), &mut inference, 3, 3).unwrap();
     let set = PermutationSet::generate(8, &mut rng).unwrap();
-    InsituNode::new(
-        inference,
-        jigsaw,
-        set,
-        DiagnosisPolicy::JigsawProbe { probes: PROBES },
-        3,
-        seed,
-    )
-    .unwrap()
+    (inference, jigsaw, set)
+}
+
+fn make_node(seed: u64) -> InsituNode {
+    let (inference, jigsaw, set) = parts(seed);
+    InsituNode::new(inference, jigsaw, set, POLICY, 3, seed).unwrap()
 }
 
 /// Counter total of `jigsaw.trunk_passes` over one recording window.
@@ -64,7 +64,11 @@ fn trunk_passes_count_images_not_images_times_probes() {
         "fused diagnosis must open a node.reuse span"
     );
 
-    let (unfused_passes, _, _) = counted(|| node.process_stage_unfused(&data, 4).unwrap());
+    let (mut inference, mut jigsaw, set) = parts(21);
+    let mut rng = Rng::seed_from(21);
+    let (unfused_passes, _, _) = counted(|| {
+        diagnose(POLICY, &mut inference, &mut jigsaw, &set, &data, 4, &mut rng).unwrap()
+    });
     assert_eq!(
         unfused_passes,
         (IMAGES * PROBES) as u64,

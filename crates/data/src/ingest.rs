@@ -52,7 +52,7 @@ pub struct FrameBuf {
 /// `acquire` hands out a cleared buffer from the free list, minting a
 /// fresh (empty) one only when the list is dry; `recycle` returns a
 /// buffer to the list with its capacity intact. The fresh/reused
-/// counters are the arena-reuse gate the benchmarks assert on: in
+/// counters are the arena-reuse gate the ingestion tests assert on: in
 /// steady state every frame acquires a reused buffer and the fresh
 /// count stays bounded by the pipeline's in-flight window.
 #[derive(Debug, Default)]

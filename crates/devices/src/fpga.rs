@@ -168,11 +168,6 @@ impl FpgaModel {
     pub fn perf_per_watt(&self, net: &NetworkShapes, batch: usize) -> f64 {
         self.throughput(net, batch) / self.power(net, batch)
     }
-
-    /// Energy per processed image in joules.
-    pub fn energy_per_image(&self, net: &NetworkShapes, batch: usize) -> f64 {
-        self.power(net, batch) * self.batch_latency(net, batch) / batch as f64
-    }
 }
 
 /// Searches the tiling space (`Tm·Tn ≤ dsp_budget`) for the choice that

@@ -171,11 +171,6 @@ impl GpuModel {
         self.throughput(net, batch) / self.power(net, batch)
     }
 
-    /// Energy per processed image in joules.
-    pub fn energy_per_image(&self, net: &NetworkShapes, batch: usize) -> f64 {
-        self.power(net, batch) * self.batch_latency(net, batch) / batch as f64
-    }
-
     /// Paper's Single-running time model use: the largest batch whose
     /// latency meets `t_user` seconds (the optimal batch maximizes
     /// perf/power subject to the latency constraint). Returns `None`

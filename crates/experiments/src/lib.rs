@@ -2,8 +2,8 @@
 //!
 //! The reproduction harness: one module per table/figure of the
 //! paper's evaluation, each returning structured rows plus an aligned
-//! text table, so `cargo bench` (or the `repro` binary) regenerates
-//! the entire evaluation section.
+//! text table, so the `repro` binary regenerates the entire evaluation
+//! section.
 //!
 //! | module | reproduces |
 //! |---|---|

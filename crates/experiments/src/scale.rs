@@ -5,7 +5,7 @@
 //! * [`Scale::Smoke`] — seconds; used by the unit tests to validate
 //!   wiring and result shapes.
 //! * [`Scale::Fast`] — a minute or two per experiment; the default for
-//!   `cargo bench` and the `repro` binary.
+//!   the `repro` binary.
 //! * [`Scale::Full`] — the final-numbers configuration (paper counts
 //!   scaled 1:100).
 //!

@@ -87,11 +87,6 @@ impl NetworkDesc {
         self.layers.iter().map(LayerDesc::ops).sum()
     }
 
-    /// Total trainable parameters.
-    pub fn total_params(&self) -> u64 {
-        self.layers.iter().map(LayerDesc::params).sum()
-    }
-
     /// The convolutional layers, in order.
     pub fn conv_layers(&self) -> Vec<LayerDesc> {
         self.layers.iter().copied().filter(LayerDesc::is_conv).collect()

@@ -97,11 +97,6 @@ impl JigsawNet {
         &self.head
     }
 
-    /// Mutable access to the head.
-    pub fn head_mut(&mut self) -> &mut Sequential {
-        &mut self.head
-    }
-
     /// Number of patches per sample (9 for a 3×3 grid).
     pub fn patches(&self) -> usize {
         self.patches

@@ -167,19 +167,6 @@ impl Sequential {
         self.conv_indices().len()
     }
 
-    /// Freezes or thaws layer `i`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoSuchLayer`] if `i` is out of range.
-    pub fn set_frozen(&mut self, i: usize, frozen: bool) -> Result<()> {
-        if i >= self.frozen.len() {
-            return Err(NnError::NoSuchLayer { layer: format!("index {i}") });
-        }
-        self.frozen[i] = frozen;
-        Ok(())
-    }
-
     /// Whether layer `i` is frozen (out-of-range indices read as false).
     pub fn is_frozen(&self, i: usize) -> bool {
         self.frozen.get(i).copied().unwrap_or(false)

@@ -18,7 +18,9 @@ pub fn state_dict(net: &mut dyn Network) -> Vec<Tensor> {
     params
 }
 
-/// Writes a state dict back into a network.
+/// Writes a state dict back into a network, all or nothing: the count
+/// and every shape are checked before the first tensor is written, so
+/// a rejected dict leaves the network unchanged.
 ///
 /// # Errors
 ///
@@ -37,17 +39,16 @@ pub fn load_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
                     reason: format!("snapshot has only {} tensors", params.len()),
                 });
             }
-            Some(src) => {
-                if p.copy_from(src).is_err() {
-                    failure = Some(NnError::SnapshotMismatch {
-                        reason: format!(
-                            "tensor {idx}: network {} vs snapshot {}",
-                            p.shape(),
-                            src.shape()
-                        ),
-                    });
-                }
+            Some(src) if src.shape() != p.shape() => {
+                failure = Some(NnError::SnapshotMismatch {
+                    reason: format!(
+                        "tensor {idx}: network {} vs snapshot {}",
+                        p.shape(),
+                        src.shape()
+                    ),
+                });
             }
+            Some(_) => {}
         }
         idx += 1;
     });
@@ -59,6 +60,12 @@ pub fn load_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
             reason: format!("network has {idx} tensors, snapshot has {}", params.len()),
         });
     }
+    let mut sources = params.iter();
+    net.visit_all(&mut |p| {
+        if let Some(src) = sources.next() {
+            p.copy_from(src).expect("count and shapes checked above");
+        }
+    });
     Ok(())
 }
 
@@ -114,10 +121,11 @@ pub fn read_snapshot<R: Read>(mut r: R) -> std::io::Result<Vec<Tensor>> {
             r.read_exact(&mut buf8)?;
             dims.push(u64::from_le_bytes(buf8) as usize);
         }
-        let len: usize = dims.iter().product();
-        if len > 1 << 28 {
-            return Err(bad("unreasonable tensor size"));
-        }
+        let len = dims
+            .iter()
+            .try_fold(1usize, |len, &d| len.checked_mul(d))
+            .filter(|&len| len <= 1 << 28)
+            .ok_or_else(|| bad("unreasonable tensor size"))?;
         let mut data = vec![0f32; len];
         for x in &mut data {
             r.read_exact(&mut buf4)?;
@@ -196,6 +204,25 @@ mod tests {
     }
 
     #[test]
+    fn rejected_dict_leaves_the_network_unchanged() {
+        let mut rng = Rng::seed_from(5);
+        let mut a = net(&mut rng);
+        let mut b = net(&mut rng);
+        let bits = |dict: Vec<Tensor>| -> Vec<Vec<u32>> {
+            dict.iter().map(|t| t.as_slice().iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        let before = bits(state_dict(&mut a));
+        let mut wrong_shape = state_dict(&mut b);
+        wrong_shape[2] = Tensor::zeros([9, 9]);
+        assert!(load_state_dict(&mut a, &wrong_shape).is_err());
+        assert_eq!(bits(state_dict(&mut a)), before);
+        let mut long = state_dict(&mut b);
+        long.push(Tensor::zeros([1]));
+        assert!(load_state_dict(&mut a, &long).is_err());
+        assert_eq!(bits(state_dict(&mut a)), before);
+    }
+
+    #[test]
     fn binary_roundtrip() {
         let mut rng = Rng::seed_from(3);
         let mut a = net(&mut rng);
@@ -210,6 +237,18 @@ mod tests {
     fn rejects_garbage() {
         assert!(read_snapshot(&b"garbage!"[..]).is_err());
         assert!(read_snapshot(&b"INSITU01"[..]).is_err()); // truncated
+    }
+
+    #[test]
+    fn overflowing_dims_are_rejected() {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        for _ in 0..2 {
+            buf.extend_from_slice(&(1u64 << 33).to_le_bytes());
+        }
+        let err = read_snapshot(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -291,8 +291,7 @@ impl TelemetrySnapshot {
     }
 
     /// Machine-readable report: dropped-event count, per-name span
-    /// totals, and every counter aggregate. This is what the bench
-    /// snapshot bin embeds next to its ns/iter numbers.
+    /// totals, and every counter aggregate.
     pub fn to_json(&self) -> String {
         let mut span_totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
         for s in &self.spans {
