@@ -20,12 +20,12 @@ cargo test -q -p insitu-tensor --test packed_gemm
 
 # Fixed-point gates: the i8 GEMM must stay bitwise identical to its
 # naive i32 oracle at any shape and thread count, under both the
-# vectorized and the portable kernel (INSITU_GEMM_KERNEL=scalar pins
-# the i8 micro-kernel together with the f32 one), and the quantized
+# vectorized and the portable kernel (INSITU_SIMD=scalar pins the i8
+# micro-kernel together with the f32 one), and the quantized
 # end-to-end path must hold held-out accuracy within two points of
 # f32 (plus exact f32 restoration when the precision knob flips back).
 cargo test -q -p insitu-tensor --test quant_gemm
-INSITU_GEMM_KERNEL=scalar cargo test -q -p insitu-tensor --test quant_gemm
+INSITU_SIMD=scalar cargo test -q -p insitu-tensor --test quant_gemm
 cargo test -q -p insitu-core --test quantized_inference
 
 # SIMD dispatch gates: every dispatched op must match its scalar body
@@ -43,8 +43,8 @@ if grep -q avx512f /proc/cpuinfo 2>/dev/null \
     && grep -q avx512dq /proc/cpuinfo \
     && grep -q avx512vl /proc/cpuinfo; then
     INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test simd_ops
-    INSITU_GEMM_KERNEL=avx512 cargo test -q -p insitu-tensor --test packed_gemm
-    INSITU_GEMM_KERNEL=avx512 cargo test -q -p insitu-tensor --test quant_gemm
+    INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test packed_gemm
+    INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test quant_gemm
 else
     echo "ci: SKIPPED avx512 leg (host lacks avx512f/bw/dq/vl)"
 fi

@@ -56,8 +56,9 @@ use insitu_tensor::simd::{
     dispatch_on, simd_isa_name, Isa, MaxPool2d, QuantizeI8, ReluTrain, SimdOp,
 };
 use insitu_tensor::{
-    gemm_kernel_name, gemm_kernels_supported, matmul, matmul_i8, matmul_with_kernel, max_abs,
-    quant_scale, quantize_i8, set_num_threads, PoolGeometry, Rng, Tensor,
+    gemm_kernel_name, gemm_kernels_supported, matmul_i8_with_kernel, matmul_with_kernel,
+    matmul_ws, max_abs, quant_scale, quantize_i8, set_num_threads, GemmScratch, PoolGeometry, Rng,
+    Tensor,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -84,18 +85,18 @@ const BASELINE_NS: &[(&str, u128)] = &[
 const THREADS: &[usize] = &[1, 2, 4];
 
 /// Median-of-reps wall time per call, in nanoseconds.
-fn time_matmul(a: &Tensor, b: &Tensor, quick: bool) -> u128 {
+fn time_matmul(a: &Tensor, b: &Tensor, scratch: &mut GemmScratch, quick: bool) -> u128 {
     // Warm-up: touches the buffers, grows the packing scratch to its
     // steady-state size and spins up any pool workers.
     for _ in 0..3 {
-        std::hint::black_box(matmul(a, b).unwrap());
+        std::hint::black_box(matmul_ws(a, b, scratch).unwrap());
     }
     let (reps, iters) = if quick { (3, 3u32) } else { (7, 10u32) };
     let mut samples: Vec<u128> = (0..reps)
         .map(|_| {
             let start = Instant::now();
             for _ in 0..iters {
-                std::hint::black_box(matmul(a, b).unwrap());
+                std::hint::black_box(matmul_ws(a, b, scratch).unwrap());
             }
             start.elapsed().as_nanos() / u128::from(iters)
         })
@@ -104,21 +105,25 @@ fn time_matmul(a: &Tensor, b: &Tensor, quick: bool) -> u128 {
     samples[samples.len() / 2]
 }
 
-/// Times the i8 GEMM interleaved with the f32 GEMM on the same
-/// operands: each rep measures both back to back, so `speedup_vs_f32`
-/// is a median of per-rep ratios and clock drift between the two
-/// measurements cancels out. Returns (i8 ns/iter, speedup vs f32).
+/// Times the i8 GEMM (on the process-selected kernel) interleaved
+/// with the f32 GEMM on the same operands: each rep measures both back
+/// to back, so `speedup_vs_f32` is a median of per-rep ratios and clock
+/// drift between the two measurements cancels out. Returns (i8
+/// ns/iter, speedup vs f32).
 fn time_matmul_i8_vs_f32(
     a: &Tensor,
     b: &Tensor,
     qa: &[i8],
     qb: &[i8],
+    scratch: &mut GemmScratch,
     quick: bool,
 ) -> (u128, f64) {
     let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+    let kernel = gemm_kernel_name();
+    let i8_gemm = |s: &mut GemmScratch| matmul_i8_with_kernel(qa, qb, m, k, n, kernel, s).unwrap();
     for _ in 0..3 {
-        std::hint::black_box(matmul(a, b).unwrap());
-        std::hint::black_box(matmul_i8(qa, qb, m, k, n).unwrap());
+        std::hint::black_box(matmul_ws(a, b, scratch).unwrap());
+        std::hint::black_box(i8_gemm(scratch));
     }
     let (reps, iters) = if quick { (3, 3u32) } else { (7, 10u32) };
     let mut i8_ns: Vec<u128> = Vec::with_capacity(reps);
@@ -126,12 +131,12 @@ fn time_matmul_i8_vs_f32(
     for _ in 0..reps {
         let start = Instant::now();
         for _ in 0..iters {
-            std::hint::black_box(matmul(a, b).unwrap());
+            std::hint::black_box(matmul_ws(a, b, scratch).unwrap());
         }
         let f32_sample = start.elapsed().as_nanos() / u128::from(iters);
         let start = Instant::now();
         for _ in 0..iters {
-            std::hint::black_box(matmul_i8(qa, qb, m, k, n).unwrap());
+            std::hint::black_box(i8_gemm(scratch));
         }
         let i8_sample = start.elapsed().as_nanos() / u128::from(iters);
         i8_ns.push(i8_sample);
@@ -146,10 +151,16 @@ fn time_matmul_i8_vs_f32(
 /// `scalar_8x4` kernel on the same operands, so the reported speedup
 /// is a drift-free median of per-rep ratios. Returns
 /// `(kernel ns/iter, scalar ns/iter, speedup_vs_scalar)`.
-fn time_kernel_vs_scalar(a: &Tensor, b: &Tensor, kernel: &str, quick: bool) -> (u128, u128, f64) {
+fn time_kernel_vs_scalar(
+    a: &Tensor,
+    b: &Tensor,
+    kernel: &str,
+    scratch: &mut GemmScratch,
+    quick: bool,
+) -> (u128, u128, f64) {
     for _ in 0..3 {
-        std::hint::black_box(matmul_with_kernel(a, b, "scalar_8x4").unwrap());
-        std::hint::black_box(matmul_with_kernel(a, b, kernel).unwrap());
+        std::hint::black_box(matmul_with_kernel(a, b, "scalar_8x4", scratch).unwrap());
+        std::hint::black_box(matmul_with_kernel(a, b, kernel, scratch).unwrap());
     }
     let (reps, iters) = if quick { (3, 3u32) } else { (7, 10u32) };
     let mut ker_ns: Vec<u128> = Vec::with_capacity(reps);
@@ -158,12 +169,12 @@ fn time_kernel_vs_scalar(a: &Tensor, b: &Tensor, kernel: &str, quick: bool) -> (
     for _ in 0..reps {
         let start = Instant::now();
         for _ in 0..iters {
-            std::hint::black_box(matmul_with_kernel(a, b, "scalar_8x4").unwrap());
+            std::hint::black_box(matmul_with_kernel(a, b, "scalar_8x4", scratch).unwrap());
         }
         let s = start.elapsed().as_nanos() / u128::from(iters);
         let start = Instant::now();
         for _ in 0..iters {
-            std::hint::black_box(matmul_with_kernel(a, b, kernel).unwrap());
+            std::hint::black_box(matmul_with_kernel(a, b, kernel, scratch).unwrap());
         }
         let v = start.elapsed().as_nanos() / u128::from(iters);
         sca_ns.push(s);
@@ -244,11 +255,15 @@ const COUNT_ITERS: u64 = 10;
 /// Runs a telemetry-enabled pass over the same GEMM and returns its
 /// snapshot. Kept apart from [`time_matmul`] so tracing overhead never
 /// touches the timed numbers.
-fn counted_pass(a: &Tensor, b: &Tensor) -> telemetry::TelemetrySnapshot {
+fn counted_pass(
+    a: &Tensor,
+    b: &Tensor,
+    scratch: &mut GemmScratch,
+) -> telemetry::TelemetrySnapshot {
     telemetry::set_enabled(true);
     telemetry::reset();
     for _ in 0..COUNT_ITERS {
-        std::hint::black_box(matmul(a, b).unwrap());
+        std::hint::black_box(matmul_ws(a, b, scratch).unwrap());
     }
     let snap = telemetry::snapshot();
     telemetry::set_enabled(false);
@@ -264,6 +279,9 @@ fn main() {
     let mut rng = Rng::seed_from(7);
     let mut rows = String::new();
     let mut last_snap = telemetry::TelemetrySnapshot::default();
+    // One warm arena for every timed GEMM, as a layer in a training
+    // loop owns one.
+    let mut scratch = GemmScratch::new();
     for &(name, m, k, n) in SHAPES {
         let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
@@ -279,10 +297,10 @@ fn main() {
                 continue; // the row would duplicate t1 (plan_parts caps at cores)
             }
             set_num_threads(t);
-            let ns = time_matmul(&a, &b, quick);
+            let ns = time_matmul(&a, &b, &mut scratch, quick);
             let flops = 2.0 * m as f64 * k as f64 * n as f64;
             let gflops = flops / ns.max(1) as f64;
-            let snap = counted_pass(&a, &b);
+            let snap = counted_pass(&a, &b, &mut scratch);
             let gemm_calls = snap
                 .counter("tensor.gemm_nn", &format!("{m}x{k}x{n}"))
                 .map_or(0, |c| c.calls);
@@ -319,7 +337,8 @@ fn main() {
             // Paired i8 row: same shape and thread count, fixed-point
             // kernel, timed interleaved with f32 so the ratio is
             // drift-free.
-            let (ns_i8, speedup_vs_f32) = time_matmul_i8_vs_f32(&a, &b, &qa, &qb, quick);
+            let (ns_i8, speedup_vs_f32) =
+                time_matmul_i8_vs_f32(&a, &b, &qa, &qb, &mut scratch, quick);
             let gops_i8 = flops / ns_i8.max(1) as f64;
             let _ = write!(
                 rows,
@@ -333,7 +352,7 @@ fn main() {
             // interleaved with the portable kernel so the speedups are
             // drift-free and comparable across rows of this run.
             for kernel in gemm_kernels_supported() {
-                let (kns, sns, sp) = time_kernel_vs_scalar(&a, &b, kernel, quick);
+                let (kns, sns, sp) = time_kernel_vs_scalar(&a, &b, kernel, &mut scratch, quick);
                 let kgf = flops / kns.max(1) as f64;
                 let _ = write!(
                     rows,

@@ -1,4 +1,4 @@
-//! Accounting: node→Cloud data movement and diagnosis-score summaries.
+//! Accounting: node→Cloud data movement.
 //!
 //! Data movement is one of the metrics the paper's end-to-end
 //! evaluation reports (its Table II); the update-time and energy
@@ -45,53 +45,9 @@ impl DataMovementMeter {
     }
 }
 
-/// Summary statistics of a stage's diagnosis scores, computed with
-/// the SIMD reductions in
-/// [`insitu_tensor::simd`]: a deterministic 8-lane sum for the mean
-/// and a NaN-skipping min/max scan. Stage telemetry and snapshots
-/// report it so drift shows up as a shifting score distribution, not
-/// just a valuable-count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ScoreSummary {
-    /// Scores summarized.
-    pub count: usize,
-    /// Mean score (0 when empty).
-    pub mean: f32,
-    /// Smallest score (0 when empty).
-    pub min: f32,
-    /// Largest score (0 when empty).
-    pub max: f32,
-}
-
-impl ScoreSummary {
-    /// Summarizes a slice of scores.
-    pub fn from_scores(scores: &[f32]) -> Self {
-        if scores.is_empty() {
-            return Self::default();
-        }
-        let (min, max) = insitu_tensor::simd::min_max(scores);
-        ScoreSummary {
-            count: scores.len(),
-            mean: insitu_tensor::simd::sum8(scores) / scores.len() as f32,
-            min,
-            max,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn score_summary_statistics() {
-        let s = ScoreSummary::from_scores(&[0.25, 0.75, 0.5, 1.0]);
-        assert_eq!(s.count, 4);
-        assert!((s.mean - 0.625).abs() < 1e-6);
-        assert_eq!(s.min, 0.25);
-        assert_eq!(s.max, 1.0);
-        assert_eq!(ScoreSummary::from_scores(&[]), ScoreSummary::default());
-    }
 
     #[test]
     fn movement_accounting() {

@@ -2,7 +2,7 @@
 
 use crate::diagnosis::{diagnose_with_logits, valuable_indices, DiagnosisPolicy, Verdict};
 use crate::error::CoreError;
-use crate::metrics::{DataMovementMeter, ScoreSummary, IMAGE_BYTES};
+use crate::metrics::{DataMovementMeter, IMAGE_BYTES};
 use crate::planner::{
     precision_label, CostSource, MeasuredProfile, NodePlan, PlanRequest, QuantProfile,
 };
@@ -11,7 +11,7 @@ use crate::update::ModelUpdate;
 use crate::Result;
 use insitu_data::{Dataset, PermutationSet};
 use insitu_devices::NetworkShapes;
-use insitu_nn::serialize::load_state_dict;
+use insitu_nn::serialize::{check_state_dict, load_state_dict};
 use insitu_nn::transfer::conv_prefix_identical;
 use insitu_nn::{evaluate, JigsawNet, LabeledBatch, QuantizedNet, Sequential};
 use insitu_tensor::{Rng, Tensor};
@@ -80,8 +80,6 @@ pub struct StageOutcome {
     pub valuable: Vec<usize>,
     /// Bytes the node sent to the Cloud for this stage.
     pub uploaded_bytes: u64,
-    /// Distribution of the stage's diagnosis scores.
-    pub scores: ScoreSummary,
 }
 
 impl StageOutcome {
@@ -569,9 +567,7 @@ impl InsituNode {
             "stage",
             format!("{} images, {} uploaded (v{})", data.len(), valuable.len(), self.version),
         );
-        let score_buf: Vec<f32> = verdicts.iter().map(|v| v.score).collect();
-        let scores = ScoreSummary::from_scores(&score_buf);
-        Ok(StageOutcome { predictions, verdicts, valuable, uploaded_bytes, scores })
+        Ok(StageOutcome { predictions, verdicts, valuable, uploaded_bytes })
     }
 
     /// Extracts the valuable subset chosen by
@@ -584,16 +580,22 @@ impl InsituNode {
         Ok(data.subset(&outcome.valuable)?)
     }
 
-    /// Installs a model refresh from the Cloud. If the node is running
-    /// quantized inference, the quantized network is recalibrated
-    /// against the retained calibration split — fixed-point scales are
-    /// only valid for the weights they were measured with.
+    /// Installs a model refresh from the Cloud. Both snapshots are
+    /// checked against the deployed architecture before either network
+    /// is written, so a mis-shaped update changes nothing. If the node
+    /// is running quantized inference, the quantized network is
+    /// recalibrated against the retained calibration split —
+    /// fixed-point scales are only valid for the weights they were
+    /// measured with.
     ///
     /// # Errors
     ///
     /// Returns an error if a snapshot does not match the deployed
-    /// architecture.
+    /// architecture; the node is then unchanged.
     pub fn install_update(&mut self, update: &ModelUpdate) -> Result<()> {
+        if let Some(jp) = &update.jigsaw_params {
+            check_state_dict(&mut self.jigsaw, jp)?;
+        }
         load_state_dict(&mut self.inference, &update.inference_params)?;
         if let Some(jp) = &update.jigsaw_params {
             load_state_dict(&mut self.jigsaw, jp)?;
@@ -700,6 +702,29 @@ mod tests {
         };
         assert!(n.install_update(&bad).is_err());
         assert_eq!(n.version(), 5);
+    }
+
+    #[test]
+    fn rejected_update_leaves_the_node_unchanged() {
+        let mut n = node();
+        let (before, version) = (state_dict(n.inference_mut()), n.version());
+        let mut other = mini_alexnet(4, &mut Rng::seed_from(21)).unwrap();
+        let mut update = ModelUpdate {
+            version: 3,
+            inference_params: state_dict(&mut other),
+            jigsaw_params: Some(vec![]),
+            training_ops: 1,
+            eval_accuracy: None,
+        };
+        // A malformed jigsaw dict rejects the whole update before the
+        // valid inference dict is written.
+        assert!(n.install_update(&update).is_err());
+        assert_eq!(state_dict(n.inference_mut()), before);
+        assert_eq!(n.version(), version);
+        update.jigsaw_params = None;
+        n.install_update(&update).unwrap();
+        assert_eq!(state_dict(n.inference_mut()), update.inference_params);
+        assert_eq!(n.version(), 3);
     }
 
     #[test]

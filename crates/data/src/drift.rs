@@ -206,13 +206,17 @@ impl Condition {
         let bias = rng.uniform(self.bias.0, self.bias.1);
         let noise = self.noise_std;
         let mut noise_rng = rng.fork();
-        insitu_tensor::simd::affine(image, gain, bias);
+        for v in image.iter_mut() {
+            *v = *v * gain + bias;
+        }
         if noise > 0.0 {
             for v in image.iter_mut() {
                 *v += noise_rng.normal_with(0.0, noise);
             }
         }
-        insitu_tensor::simd::clamp(image, 0.0, 1.0);
+        for v in image.iter_mut() {
+            *v = v.clamp(0.0, 1.0);
+        }
         Ok(())
     }
 

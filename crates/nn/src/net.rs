@@ -273,11 +273,15 @@ impl Sequential {
         }
         let mut x = input.clone();
         for (i, layer) in self.layers.iter_mut().enumerate().skip(start) {
+            // A frozen prefix never needs backward: run it in Eval mode
+            // even while training so no caches are kept.
             let layer_mode = if mode == Mode::Train && i < first_unfrozen {
                 Mode::Eval
             } else {
                 mode
             };
+            // forward_owned lets in-place layers (ReLU) rewrite the
+            // intermediate activation instead of allocating a copy.
             x = layer.forward_owned(x, layer_mode)?;
         }
         if mode == Mode::Train {
@@ -368,24 +372,7 @@ fn kind_tag(kind: LayerKind) -> u64 {
 
 impl Network for Sequential {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let first_unfrozen = self.first_unfrozen();
-        let mut x = input.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            // A frozen prefix never needs backward: run it in Eval mode
-            // even while training so no caches are kept.
-            let layer_mode = if mode == Mode::Train && i < first_unfrozen {
-                Mode::Eval
-            } else {
-                mode
-            };
-            // forward_owned lets in-place layers (ReLU) rewrite the
-            // intermediate activation instead of allocating a copy.
-            x = layer.forward_owned(x, layer_mode)?;
-        }
-        if mode == Mode::Train {
-            self.first_active = first_unfrozen;
-        }
-        Ok(x)
+        self.forward_from(0, input, mode)
     }
 
     fn backward(&mut self, dout: &Tensor) -> Result<Tensor> {

@@ -18,15 +18,17 @@ pub fn state_dict(net: &mut dyn Network) -> Vec<Tensor> {
     params
 }
 
-/// Writes a state dict back into a network, all or nothing: the count
-/// and every shape are checked before the first tensor is written, so
-/// a rejected dict leaves the network unchanged.
+/// Checks that a state dict fits a network — same tensor count, same
+/// shape at every position — without writing anything. This is the
+/// dims-only pass [`load_state_dict`] runs before its first write, so a
+/// caller installing several dicts can check them all before touching
+/// any network.
 ///
 /// # Errors
 ///
 /// Returns [`NnError::SnapshotMismatch`] if the parameter count or any
 /// shape differs.
-pub fn load_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
+pub fn check_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
     let mut idx = 0usize;
     let mut failure: Option<NnError> = None;
     net.visit_all(&mut |p| {
@@ -60,6 +62,19 @@ pub fn load_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
             reason: format!("network has {idx} tensors, snapshot has {}", params.len()),
         });
     }
+    Ok(())
+}
+
+/// Writes a state dict back into a network, all or nothing: the dict
+/// passes [`check_state_dict`] before the first tensor is written, so
+/// a rejected dict leaves the network unchanged.
+///
+/// # Errors
+///
+/// Returns [`NnError::SnapshotMismatch`] if the parameter count or any
+/// shape differs.
+pub fn load_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
+    check_state_dict(net, params)?;
     let mut sources = params.iter();
     net.visit_all(&mut |p| {
         if let Some(src) = sources.next() {

@@ -4,15 +4,18 @@
 //! (its Fig. 8): `im2col` stretches local input regions into the columns
 //! of a data matrix `Dm`, the filters are flattened into a filter matrix
 //! `Fm`, and the convolution becomes the GEMM `Fm × Dm`. The backward
-//! pass uses the adjoint scatter [`col2im`].
+//! pass uses the adjoint scatter `col2im`.
 //!
-//! Batched passes parallelize over the batch dimension on the shared
-//! worker pool (see [`crate::parallel`]): samples are independent, and
-//! the per-sample gradients are reduced in ascending sample order, so
-//! results are bitwise identical for any thread count. The
-//! [`ConvWorkspace`] variants ([`conv2d_forward_ws`] /
-//! [`conv2d_backward_ws`]) additionally reuse the im2col and scratch
-//! buffers across calls, eliminating steady-state allocations.
+//! The entry points are [`conv2d_forward_ws`] and [`conv2d_backward_ws`]
+//! (f32, the pair a training step runs) and [`conv2d_forward_i8_ws`]
+//! (fixed point). All three run through a [`ConvWorkspace`], which
+//! reuses the im2col and scratch buffers across calls — eliminating
+//! steady-state allocations — and carries the forward pass's im2col
+//! matrices to the backward pass. Batched passes parallelize over the
+//! batch dimension on the shared worker pool (see [`crate::parallel`]):
+//! samples are independent, and the per-sample gradients are reduced
+//! in ascending sample order, so results are bitwise identical for any
+//! thread count.
 
 use crate::error::TensorError;
 use crate::microkernel::Kernel;
@@ -142,31 +145,11 @@ impl ConvGeometry {
     }
 }
 
-/// Stretches one `(C, H, W)` sample into the `(N·K², R·C)` data matrix.
-///
-/// # Errors
-///
-/// Returns an error if `input` does not have shape `(C, H, W)` matching
-/// the geometry.
-pub fn im2col(input: &Tensor, g: &ConvGeometry) -> Result<Tensor> {
-    let expected = [g.in_channels, g.in_h, g.in_w];
-    if input.dims() != expected {
-        return Err(TensorError::ShapeMismatch {
-            expected: expected.to_vec(),
-            actual: input.dims().to_vec(),
-            op: "im2col",
-        });
-    }
-    let (rows, cols) = (g.col_rows(), g.col_cols());
-    let mut out = vec![0.0f32; rows * cols];
-    im2col_into(input.as_slice(), g, &mut out);
-    Tensor::from_vec([rows, cols], out)
-}
-
-/// Core of [`im2col`]: stretches one flattened `(C, H, W)` sample into
-/// `out`. Only the taps that land inside the input are written — padding
-/// positions are left untouched, so `out` must hold zeros there (a fresh
-/// zeroed buffer, or a workspace last used with the same geometry).
+/// im2col: stretches one flattened `(C, H, W)` sample into the
+/// `(N·K², R·C)` data matrix `out`. Only the taps that land inside the
+/// input are written — padding positions are left untouched, so `out`
+/// must hold zeros there (a fresh zeroed buffer, or a workspace last
+/// used with the same geometry).
 /// Generic over the element so the fixed-point forward can stretch
 /// already-quantized samples (`quantize(0) == 0`, so the zero-padding
 /// contract is the same in both domains).
@@ -197,29 +180,9 @@ fn im2col_into<T: Copy>(x: &[T], g: &ConvGeometry, out: &mut [T]) {
     }
 }
 
-/// Adjoint of [`im2col`]: scatters a `(N·K², R·C)` matrix back into a
-/// `(C, H, W)` tensor, *accumulating* values that came from the same
-/// input element.
-///
-/// # Errors
-///
-/// Returns an error if `col` does not match the geometry's im2col shape.
-pub fn col2im(col: &Tensor, g: &ConvGeometry) -> Result<Tensor> {
-    let expected = [g.col_rows(), g.col_cols()];
-    if col.dims() != expected {
-        return Err(TensorError::ShapeMismatch {
-            expected: expected.to_vec(),
-            actual: col.dims().to_vec(),
-            op: "col2im",
-        });
-    }
-    let mut out = Tensor::zeros([g.in_channels, g.in_h, g.in_w]);
-    col2im_into(col.as_slice(), g, out.as_mut_slice());
-    Ok(out)
-}
-
-/// Core of [`col2im`]: scatters a flattened `(N·K², R·C)` matrix into
-/// the flattened `(C, H, W)` buffer `o`, accumulating into it.
+/// col2im, the adjoint of [`im2col_into`]: scatters a flattened
+/// `(N·K², R·C)` matrix into the flattened `(C, H, W)` buffer `o`,
+/// *accumulating* values that came from the same input element.
 fn col2im_into(c_: &[f32], g: &ConvGeometry, o: &mut [f32]) {
     let (h, w, k, cols) = (g.in_h, g.in_w, g.kernel, g.col_cols());
     for c in 0..g.in_channels {
@@ -398,46 +361,18 @@ impl ConvWorkspace {
     }
 }
 
-/// Batched convolution forward pass.
+/// Batched convolution forward pass into a reusable [`ConvWorkspace`].
 ///
 /// * `input`: `(B, C, H, W)`
 /// * `weight`: `(M, C, K, K)`
 /// * `bias`: `(M,)`
 ///
-/// Returns the output `(B, M, R, C)` together with the per-sample im2col
-/// matrices, which the backward pass reuses (C-INTERMEDIATE).
-///
-/// # Errors
-///
-/// Returns an error on any shape disagreement with the geometry.
-pub fn conv2d_forward(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    g: &ConvGeometry,
-) -> Result<(Tensor, Vec<Tensor>)> {
-    let mut ws = ConvWorkspace::new();
-    let out = conv2d_forward_ws(input, weight, bias, g, &mut ws)?;
-    let b = input.dims()[0];
-    let col_len = g.col_rows() * g.col_cols();
-    let cols = (0..b)
-        .map(|s| {
-            Tensor::from_vec(
-                [g.col_rows(), g.col_cols()],
-                ws.cols[s * col_len..(s + 1) * col_len].to_vec(),
-            )
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok((out, cols))
-}
-
-/// Batched convolution forward pass into a reusable [`ConvWorkspace`].
-///
-/// Same computation as [`conv2d_forward`] — bitwise identical output for
-/// any thread count — but the im2col matrices live in `ws` instead of
-/// per-sample tensors, so repeated calls with a stable batch size and
-/// geometry do not allocate. Samples are processed in parallel on the
-/// shared worker pool when the batch is large enough.
+/// Returns the output `(B, M, R, C)`. The per-sample im2col matrices
+/// stay in `ws` for [`conv2d_backward_ws`] to reuse (the paper's
+/// C-INTERMEDIATE reuse), so repeated calls with a stable batch size
+/// and geometry do not allocate. Samples are processed in parallel on
+/// the shared worker pool when the batch is large enough; the output is
+/// bitwise identical for any thread count.
 ///
 /// # Errors
 ///
@@ -663,46 +598,14 @@ pub fn conv2d_forward_i8_ws(
     Ok(out)
 }
 
-/// Gradients of a batched convolution.
-///
-/// Given the upstream gradient `dout: (B, M, R, C)` and the im2col
-/// matrices saved by [`conv2d_forward`], returns
-/// `(dinput, dweight, dbias)`.
-///
-/// # Errors
-///
-/// Returns an error on any shape disagreement with the geometry.
-pub fn conv2d_backward(
-    dout: &Tensor,
-    weight: &Tensor,
-    cols: &[Tensor],
-    g: &ConvGeometry,
-) -> Result<(Tensor, Tensor, Tensor)> {
-    let b = cols.len();
-    let col_len = g.col_rows() * g.col_cols();
-    let mut ws = ConvWorkspace::new();
-    ws.prepare_forward(b, g, Kernel::select());
-    for (s, col) in cols.iter().enumerate() {
-        let expected = [g.col_rows(), g.col_cols()];
-        if col.dims() != expected {
-            return Err(TensorError::ShapeMismatch {
-                expected: expected.to_vec(),
-                actual: col.dims().to_vec(),
-                op: "conv2d_backward",
-            });
-        }
-        ws.cols[s * col_len..(s + 1) * col_len].copy_from_slice(col.as_slice());
-    }
-    conv2d_backward_ws(dout, weight, g, &mut ws)
-}
-
 /// Gradients of a batched convolution, reading the im2col matrices that
 /// [`conv2d_forward_ws`] saved in `ws`.
 ///
-/// Same computation as [`conv2d_backward`] — bitwise identical gradients
-/// for any thread count: samples run in parallel into per-sample partial
-/// buffers, which are then reduced in ascending sample order exactly as
-/// the sequential loop accumulates them.
+/// Given the upstream gradient `dout: (B, M, R, C)`, returns
+/// `(dinput, dweight, dbias)`, bitwise identical for any thread count:
+/// samples run in parallel into per-sample partial buffers, which are
+/// then reduced in ascending sample order exactly as the sequential
+/// loop accumulates them.
 ///
 /// # Errors
 ///
@@ -881,9 +784,35 @@ fn check_weight_bias(weight: &Tensor, bias: &Tensor, g: &ConvGeometry) -> Result
 mod tests {
     use super::*;
     use crate::rng::Rng;
+    use proptest::prelude::*;
 
     fn small_geom() -> ConvGeometry {
         ConvGeometry::new(2, 5, 5, 3, 3, 1, 1).unwrap()
+    }
+
+    /// im2col of one flattened `(C, H, W)` sample into a fresh zeroed
+    /// matrix.
+    fn im2col(x: &[f32], g: &ConvGeometry) -> Vec<f32> {
+        let mut out = vec![0.0; g.col_rows() * g.col_cols()];
+        im2col_into(x, g, &mut out);
+        out
+    }
+
+    /// col2im of one flattened `(N·K², R·C)` matrix into a fresh zeroed
+    /// sample.
+    fn col2im(col: &[f32], g: &ConvGeometry) -> Vec<f32> {
+        let mut out = vec![0.0; g.in_channels * g.in_h * g.in_w];
+        col2im_into(col, g, &mut out);
+        out
+    }
+
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        a.iter().zip(b).map(|(&x, &y)| x * y).sum()
+    }
+
+    /// The forward pass on a fresh workspace.
+    fn forward(x: &Tensor, w: &Tensor, b: &Tensor, g: &ConvGeometry) -> Result<Tensor> {
+        conv2d_forward_ws(x, w, b, g, &mut ConvWorkspace::new())
     }
 
     #[test]
@@ -907,22 +836,22 @@ mod tests {
     fn im2col_identity_kernel() {
         // 1x1 kernel, stride 1, no pad: col matrix equals input flattened.
         let g = ConvGeometry::new(2, 3, 3, 1, 1, 1, 0).unwrap();
-        let x = Tensor::from_vec([2, 3, 3], (0..18).map(|i| i as f32).collect()).unwrap();
-        let col = im2col(&x, &g).unwrap();
-        assert_eq!(col.dims(), &[2, 9]);
-        assert_eq!(col.as_slice(), x.as_slice());
+        let x: Vec<f32> = (0..18).map(|i| i as f32).collect();
+        let col = im2col(&x, &g);
+        assert_eq!((g.col_rows(), g.col_cols()), (2, 9));
+        assert_eq!(col, x);
     }
 
     #[test]
     fn im2col_known_values() {
         // 1 channel, 3x3 input, 2x2 kernel, stride 1, no pad.
         let g = ConvGeometry::new(1, 3, 3, 1, 2, 1, 0).unwrap();
-        let x = Tensor::from_vec([1, 3, 3], (1..=9).map(|i| i as f32).collect()).unwrap();
-        let col = im2col(&x, &g).unwrap();
+        let x: Vec<f32> = (1..=9).map(|i| i as f32).collect();
+        let col = im2col(&x, &g);
         // Rows: k-position; cols: 4 output positions (2x2).
-        assert_eq!(col.dims(), &[4, 4]);
-        assert_eq!(col.row(0).unwrap().as_slice(), &[1.0, 2.0, 4.0, 5.0]); // top-left taps
-        assert_eq!(col.row(3).unwrap().as_slice(), &[5.0, 6.0, 8.0, 9.0]); // bottom-right taps
+        assert_eq!((g.col_rows(), g.col_cols()), (4, 4));
+        assert_eq!(&col[0..4], &[1.0, 2.0, 4.0, 5.0]); // top-left taps
+        assert_eq!(&col[12..16], &[5.0, 6.0, 8.0, 9.0]); // bottom-right taps
     }
 
     #[test]
@@ -932,7 +861,7 @@ mod tests {
         let x = Tensor::from_vec([1, 1, 3, 3], (1..=9).map(|i| i as f32).collect()).unwrap();
         let w = Tensor::filled([1, 1, 2, 2], 1.0);
         let bias = Tensor::zeros([1]);
-        let (y, _) = conv2d_forward(&x, &w, &bias, &g).unwrap();
+        let y = forward(&x, &w, &bias, &g).unwrap();
         assert_eq!(y.as_slice(), &[12.0, 16.0, 24.0, 28.0]);
     }
 
@@ -942,7 +871,7 @@ mod tests {
         let x = Tensor::zeros([1, 1, 2, 2]);
         let w = Tensor::zeros([2, 1, 1, 1]);
         let bias = Tensor::from_vec([2], vec![0.5, -1.5]).unwrap();
-        let (y, _) = conv2d_forward(&x, &w, &bias, &g).unwrap();
+        let y = forward(&x, &w, &bias, &g).unwrap();
         assert_eq!(&y.as_slice()[0..4], &[0.5; 4]);
         assert_eq!(&y.as_slice()[4..8], &[-1.5; 4]);
     }
@@ -954,20 +883,27 @@ mod tests {
         let mut rng = Rng::seed_from(6);
         let x = Tensor::rand_uniform([2, 5, 5], -1.0, 1.0, &mut rng);
         let y = Tensor::rand_uniform([g.col_rows(), g.col_cols()], -1.0, 1.0, &mut rng);
-        let lhs: f32 = im2col(&x, &g)
-            .unwrap()
-            .as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .map(|(&a, &b)| a * b)
-            .sum();
-        let rhs: f32 = x
-            .as_slice()
-            .iter()
-            .zip(col2im(&y, &g).unwrap().as_slice())
-            .map(|(&a, &b)| a * b)
-            .sum();
+        let lhs = dot(&im2col(x.as_slice(), &g), y.as_slice());
+        let rhs = dot(x.as_slice(), &col2im(y.as_slice(), &g));
         assert!((lhs - rhs).abs() < 1e-3, "lhs={lhs} rhs={rhs}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn im2col_col2im_adjoint(
+            c in 1usize..4, h in 3usize..8, k in 1usize..4, pad in 0usize..2, seed in 0u64..500
+        ) {
+            prop_assume!(k <= h + 2 * pad);
+            let g = ConvGeometry::new(c, h, h, 1, k, 1, pad).unwrap();
+            let mut rng = Rng::seed_from(seed);
+            let x = Tensor::rand_uniform([c, h, h], -1.0, 1.0, &mut rng);
+            let y = Tensor::rand_uniform([g.col_rows(), g.col_cols()], -1.0, 1.0, &mut rng);
+            let lhs = dot(&im2col(x.as_slice(), &g), y.as_slice());
+            let rhs = dot(x.as_slice(), &col2im(y.as_slice(), &g));
+            prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()));
+        }
     }
 
     #[test]
@@ -979,14 +915,14 @@ mod tests {
         let w = Tensor::rand_uniform([2, 2, 3, 3], -0.5, 0.5, &mut rng);
         let bias = Tensor::rand_uniform([2], -0.1, 0.1, &mut rng);
         // Loss = sum(output); so dout = ones.
-        let (_, cols) = conv2d_forward(&x, &w, &bias, &g).unwrap();
+        let mut ws = ConvWorkspace::new();
+        conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
         let dout = Tensor::filled([1, 2, g.out_h, g.out_w], 1.0);
-        let (dx, dw, db) = conv2d_backward(&dout, &w, &cols, &g).unwrap();
+        let (dx, dw, db) = conv2d_backward_ws(&dout, &w, &g, &mut ws).unwrap();
 
         let eps = 1e-2f32;
-        let loss = |x: &Tensor, w: &Tensor, b: &Tensor| -> f32 {
-            conv2d_forward(x, w, b, &g).unwrap().0.sum()
-        };
+        let loss =
+            |x: &Tensor, w: &Tensor, b: &Tensor| -> f32 { forward(x, w, b, &g).unwrap().sum() };
         // Check a scattering of weight coordinates.
         for idx in [0usize, 5, 17, 35] {
             let mut wp = w.clone();
@@ -1025,7 +961,7 @@ mod tests {
         let x = Tensor::rand_uniform([3, 2, 5, 5], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform([3, 2, 3, 3], -0.5, 0.5, &mut rng);
         let bias = Tensor::rand_uniform([3], -0.1, 0.1, &mut rng);
-        let (y, _) = conv2d_forward(&x, &w, &bias, &g).unwrap();
+        let y = forward(&x, &w, &bias, &g).unwrap();
         let sample_len = 2 * 5 * 5;
         let out_len = 3 * g.out_h * g.out_w;
         for s in 0..3 {
@@ -1034,7 +970,7 @@ mod tests {
                 x.as_slice()[s * sample_len..(s + 1) * sample_len].to_vec(),
             )
             .unwrap();
-            let (ys, _) = conv2d_forward(&xs, &w, &bias, &g).unwrap();
+            let ys = forward(&xs, &w, &bias, &g).unwrap();
             assert_eq!(&y.as_slice()[s * out_len..(s + 1) * out_len], ys.as_slice());
         }
     }
@@ -1045,10 +981,10 @@ mod tests {
         let bad_x = Tensor::zeros([1, 3, 5, 5]);
         let w = Tensor::zeros([3, 2, 3, 3]);
         let bias = Tensor::zeros([3]);
-        assert!(conv2d_forward(&bad_x, &w, &bias, &g).is_err());
+        assert!(forward(&bad_x, &w, &bias, &g).is_err());
         let x = Tensor::zeros([1, 2, 5, 5]);
-        assert!(conv2d_forward(&x, &Tensor::zeros([3, 2, 2, 2]), &bias, &g).is_err());
-        assert!(conv2d_forward(&x, &w, &Tensor::zeros([4]), &g).is_err());
+        assert!(forward(&x, &Tensor::zeros([3, 2, 2, 2]), &bias, &g).is_err());
+        assert!(forward(&x, &w, &Tensor::zeros([4]), &g).is_err());
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -1069,8 +1005,9 @@ mod tests {
             let dout = Tensor::rand_uniform([2, 3, g.out_h, g.out_w], -1.0, 1.0, &mut rng);
             let y = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
             let (dx, dw, db) = conv2d_backward_ws(&dout, &w, &g, &mut ws).unwrap();
-            let (y2, cols) = conv2d_forward(&x, &w, &bias, &g).unwrap();
-            let (dx2, dw2, db2) = conv2d_backward(&dout, &w, &cols, &g).unwrap();
+            let mut fresh = ConvWorkspace::new();
+            let y2 = conv2d_forward_ws(&x, &w, &bias, &g, &mut fresh).unwrap();
+            let (dx2, dw2, db2) = conv2d_backward_ws(&dout, &w, &g, &mut fresh).unwrap();
             assert_eq!(bits(&y), bits(&y2));
             assert_eq!(bits(&dx), bits(&dx2));
             assert_eq!(bits(&dw), bits(&dw2));
@@ -1092,7 +1029,7 @@ mod tests {
             let w = Tensor::rand_uniform([m, 2, 3, 3], -0.5, 0.5, &mut rng);
             let bias = Tensor::rand_uniform([m], -0.1, 0.1, &mut rng);
             let y = conv2d_forward_ws(&x, &w, &bias, g, &mut ws).unwrap();
-            let (y2, _) = conv2d_forward(&x, &w, &bias, g).unwrap();
+            let y2 = forward(&x, &w, &bias, g).unwrap();
             assert_eq!(bits(&y), bits(&y2));
         }
     }

@@ -7,8 +7,11 @@
 //! panels inside a reusable [`GemmScratch`] arena (see [`crate::pack`]),
 //! then a fixed-order MR×NR micro-kernel (see [`crate::microkernel`])
 //! computes every output tile with its accumulators in registers.
-//! [`matmul_naive`] is the trivially-correct reference used by the
-//! property tests.
+//! Production code calls [`matmul_ws`], [`matmul_tn_ws`] and
+//! [`matmul_nt_ws`] (the transposed readings are the backward pass's
+//! gradient products); [`matmul_with_kernel`] pins one micro-kernel for
+//! tests and benchmarks, and [`matmul_naive`] is the trivially-correct
+//! reference used by the property tests.
 //!
 //! ## Determinism
 //!
@@ -25,11 +28,10 @@
 //!
 //! ## Allocation
 //!
-//! The `*_ws` variants pack into a caller-owned [`GemmScratch`] that
+//! Every entry point packs into a caller-owned [`GemmScratch`] that
 //! only ever grows, so steady-state training/inference performs zero
 //! heap allocations in the kernel path (the returned output tensor is
-//! the one remaining allocation). The scratch-free entry points use a
-//! thread-local arena with the same property.
+//! the one remaining allocation).
 
 use crate::error::TensorError;
 use crate::microkernel::Kernel;
@@ -39,23 +41,11 @@ use crate::parallel::{parallel_for, plan_parts, split_range, SendPtr};
 use crate::tensor::Tensor;
 use crate::Result;
 use insitu_telemetry as telemetry;
-use std::cell::RefCell;
-
-/// Opens the per-call telemetry span and bytes counter for one GEMM
-/// kernel (inert while telemetry is disabled). `m`/`k`/`n` describe the
-/// logical product; the bytes counter accounts both operands plus the
-/// output at `f32` width.
-fn gemm_telemetry(kernel: &'static str, m: usize, k: usize, n: usize) -> telemetry::Span {
-    let span = telemetry::span_with(kernel, || format!("{m}x{k}x{n}"));
-    let short = kernel.rsplit('.').next().unwrap_or(kernel);
-    telemetry::counter_add("tensor.bytes", short, 4 * (m * k + k * n + m * n) as u64);
-    span
-}
 
 /// Name of the GEMM micro-kernel variant this process selected (e.g.
 /// `"avx2_8x8"` on an AVX2+FMA host, `"scalar_8x4"` otherwise or under
-/// `INSITU_GEMM_KERNEL=scalar`). Selection happens once; benchmarks
-/// record this so results are attributable to a kernel.
+/// `INSITU_SIMD=scalar`). Selection happens once; benchmarks record
+/// this so results are attributable to a kernel.
 pub fn gemm_kernel_name() -> &'static str {
     Kernel::select().name()
 }
@@ -69,17 +59,6 @@ pub fn gemm_kernels_supported() -> Vec<&'static str> {
     Kernel::supported().into_iter().map(Kernel::name).collect()
 }
 
-thread_local! {
-    /// Arena behind the scratch-free `matmul*` entry points. One per
-    /// thread, so pool workers and user threads never contend; grows to
-    /// the largest shape a thread has multiplied and then stays put.
-    static TL_SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::new());
-}
-
-fn with_tl_scratch<R>(f: impl FnOnce(&mut GemmScratch) -> R) -> R {
-    TL_SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
 fn check_2d(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
     if t.shape().ndim() != 2 {
         return Err(TensorError::InvalidGeometry {
@@ -91,7 +70,7 @@ fn check_2d(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
 
 /// Reference `O(M·N·K)` triple-loop matrix product, `C = A·B`.
 ///
-/// Use [`matmul`] in production code; this exists as the oracle for
+/// Use [`matmul_ws`] in production code; this exists as the oracle for
 /// property tests and for readability. The packed production kernels
 /// reproduce this function's results bitwise (see the module docs).
 ///
@@ -122,32 +101,15 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec([m, n], out)
 }
 
-/// Packs both operands into `scratch` and drives the micro-kernel over
-/// the whole output, splitting panel-aligned row bands across the
+/// Packs both operands into `scratch` and drives micro-kernel `kern`
+/// over the whole output, splitting panel-aligned row bands across the
 /// worker pool when the product is large enough.
 ///
 /// `a_trans`/`b_trans` select the `Aᵀ`/`Bᵀ` readings of the flat
 /// operand slices; `out` is the row-major `m × n` output buffer, every
 /// element of which is assigned.
-#[allow(clippy::too_many_arguments)] // flat GEMM signature: operands + dims + scratch
-pub(crate) fn gemm_packed(
-    av: &[f32],
-    a_trans: bool,
-    bv: &[f32],
-    b_trans: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut GemmScratch,
-    out: &mut [f32],
-) {
-    gemm_packed_with(Kernel::select(), av, a_trans, bv, b_trans, m, k, n, scratch, out);
-}
-
-/// [`gemm_packed`] on an explicit micro-kernel variant — the entry
-/// point behind [`matmul_with_kernel`] and the cross-kernel tests.
-#[allow(clippy::too_many_arguments)] // flat GEMM signature: operands + dims + scratch
-pub(crate) fn gemm_packed_with(
+#[allow(clippy::too_many_arguments)] // flat GEMM signature: kernel + operands + dims + scratch
+fn gemm_packed(
     kern: Kernel,
     av: &[f32],
     a_trans: bool,
@@ -170,21 +132,7 @@ pub(crate) fn gemm_packed_with(
         pack_a(av, m, k, a_trans, mr, pa);
         pack_b(bv, k, n, b_trans, nr, pb);
     }
-    gemm_packed_prepacked(kern, pa, pb, m, k, n, out);
-}
-
-/// The compute half of [`gemm_packed`], for callers that pre-pack (the
-/// convolution passes share one packed operand across a batch).
-pub(crate) fn gemm_packed_prepacked(
-    kern: Kernel,
-    pa: &[f32],
-    pb: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    let mr = kern.mr();
+    let (pa, pb) = (&*pa, &*pb);
     let mp = m.div_ceil(mr);
     let parts = plan_parts(mp, 2 * m as u64 * k as u64 * n as u64);
     if parts <= 1 {
@@ -203,9 +151,43 @@ pub(crate) fn gemm_packed_prepacked(
     });
 }
 
-/// Packed register-tiled matrix product, `C = A·B`.
-///
-/// Equivalent to [`matmul_ws`] with a per-thread scratch arena.
+/// The one shape-checked body behind every public GEMM: `op` names the
+/// entry point in errors, `span` is its telemetry span (whose bytes
+/// counter accounts both operands plus the output at `f32` width), and
+/// the transpose flags say how `a` and `b` are read.
+#[allow(clippy::too_many_arguments)] // kernel + names + operands with their readings + scratch
+fn gemm(
+    kern: Kernel,
+    op: &'static str,
+    span: &'static str,
+    a: &Tensor,
+    a_trans: bool,
+    b: &Tensor,
+    b_trans: bool,
+    scratch: &mut GemmScratch,
+) -> Result<Tensor> {
+    let (ar, ac) = check_2d(a, op)?;
+    let (br, bc) = check_2d(b, op)?;
+    let (m, ka) = if a_trans { (ac, ar) } else { (ar, ac) };
+    let (kb, n) = if b_trans { (bc, br) } else { (br, bc) };
+    if ka != kb {
+        return Err(TensorError::ShapeMismatch {
+            expected: a.dims().to_vec(),
+            actual: b.dims().to_vec(),
+            op,
+        });
+    }
+    let _t = telemetry::span_with(span, || format!("{m}x{ka}x{n}"));
+    let short = span.rsplit('.').next().unwrap_or(span);
+    telemetry::counter_add("tensor.bytes", short, 4 * (m * ka + ka * n + m * n) as u64);
+    let mut out = vec![0.0f32; m * n];
+    gemm_packed(kern, a.as_slice(), a_trans, b.as_slice(), b_trans, m, ka, n, scratch, &mut out);
+    Tensor::from_vec([m, n], out)
+}
+
+/// Packed register-tiled matrix product, `C = A·B`, packing into a
+/// caller-owned [`GemmScratch`], so repeated calls with stable shapes
+/// perform no kernel-path allocations.
 ///
 /// # Errors
 ///
@@ -215,76 +197,40 @@ pub(crate) fn gemm_packed_prepacked(
 /// # Examples
 ///
 /// ```
-/// use insitu_tensor::{matmul, Tensor};
+/// use insitu_tensor::{matmul_ws, GemmScratch, Tensor};
 /// # fn main() -> Result<(), insitu_tensor::TensorError> {
 /// let a = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0])?;
 /// let i = Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0])?;
-/// assert_eq!(matmul(&a, &i)?, a);
+/// let mut scratch = GemmScratch::new();
+/// assert_eq!(matmul_ws(&a, &i, &mut scratch)?, a);
 /// # Ok(())
 /// # }
 /// ```
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    with_tl_scratch(|s| matmul_ws(a, b, s))
-}
-
-/// [`matmul`] packing into a caller-owned [`GemmScratch`], so repeated
-/// calls with stable shapes perform no kernel-path allocations.
-///
-/// # Errors
-///
-/// Returns an error if either operand is not 2-D or the inner dimensions
-/// disagree.
 pub fn matmul_ws(a: &Tensor, b: &Tensor, scratch: &mut GemmScratch) -> Result<Tensor> {
-    let (m, ka) = check_2d(a, "matmul")?;
-    let (kb, n) = check_2d(b, "matmul")?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![m, ka],
-            actual: vec![kb, n],
-            op: "matmul",
-        });
-    }
-    let _t = gemm_telemetry("tensor.gemm_nn", m, ka, n);
-    let mut out = vec![0.0f32; m * n];
-    gemm_packed(a.as_slice(), false, b.as_slice(), false, m, ka, n, scratch, &mut out);
-    Tensor::from_vec([m, n], out)
+    gemm(Kernel::select(), "matmul", "tensor.gemm_nn", a, false, b, false, scratch)
 }
 
-/// [`matmul`] forced onto a specific micro-kernel variant by name
+/// [`matmul_ws`] forced onto a specific micro-kernel variant by name
 /// (one of [`gemm_kernels_supported`]), regardless of the process-wide
 /// selection. This is how the property tests and the benchmark sweep
 /// every runnable kernel in one process; production code should use
-/// [`matmul`] and let selection pick the widest.
+/// [`matmul_ws`] and let selection pick the widest.
 ///
 /// # Errors
 ///
 /// Returns an error if `kernel` is not a host-supported kernel name,
 /// either operand is not 2-D, or the inner dimensions disagree.
-pub fn matmul_with_kernel(a: &Tensor, b: &Tensor, kernel: &str) -> Result<Tensor> {
-    let kern = Kernel::from_name(kernel).ok_or_else(|| TensorError::InvalidGeometry {
-        reason: format!(
-            "unknown or host-unsupported GEMM kernel `{kernel}`; this host supports {:?}",
-            gemm_kernels_supported()
-        ),
-    })?;
-    let (m, ka) = check_2d(a, "matmul")?;
-    let (kb, n) = check_2d(b, "matmul")?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![m, ka],
-            actual: vec![kb, n],
-            op: "matmul",
-        });
-    }
-    let _t = gemm_telemetry("tensor.gemm_nn", m, ka, n);
-    let mut out = vec![0.0f32; m * n];
-    with_tl_scratch(|s| {
-        gemm_packed_with(kern, a.as_slice(), false, b.as_slice(), false, m, ka, n, s, &mut out)
-    });
-    Tensor::from_vec([m, n], out)
+pub fn matmul_with_kernel(
+    a: &Tensor,
+    b: &Tensor,
+    kernel: &str,
+    scratch: &mut GemmScratch,
+) -> Result<Tensor> {
+    gemm(Kernel::from_name(kernel)?, "matmul", "tensor.gemm_nn", a, false, b, false, scratch)
 }
 
-/// Computes `C = Aᵀ·B` without materializing the transpose.
+/// Computes `C = Aᵀ·B` without materializing the transpose, packing
+/// into a caller-owned [`GemmScratch`].
 ///
 /// With `A: (K, M)` and `B: (K, N)`, the result is `(M, N)`. This is the
 /// shape that appears in weight-gradient computations
@@ -295,110 +241,23 @@ pub fn matmul_with_kernel(a: &Tensor, b: &Tensor, kernel: &str) -> Result<Tensor
 ///
 /// Returns an error if either operand is not 2-D or the shared leading
 /// dimensions disagree.
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    with_tl_scratch(|s| matmul_tn_ws(a, b, s))
-}
-
-/// [`matmul_tn`] packing into a caller-owned [`GemmScratch`].
-///
-/// # Errors
-///
-/// Returns an error if either operand is not 2-D or the shared leading
-/// dimensions disagree.
 pub fn matmul_tn_ws(a: &Tensor, b: &Tensor, scratch: &mut GemmScratch) -> Result<Tensor> {
-    let (ka, m) = check_2d(a, "matmul_tn")?;
-    let (kb, n) = check_2d(b, "matmul_tn")?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![ka, m],
-            actual: vec![kb, n],
-            op: "matmul_tn",
-        });
-    }
-    let _t = gemm_telemetry("tensor.gemm_tn", m, ka, n);
-    let mut out = vec![0.0f32; m * n];
-    gemm_packed(a.as_slice(), true, b.as_slice(), false, m, ka, n, scratch, &mut out);
-    Tensor::from_vec([m, n], out)
+    gemm(Kernel::select(), "matmul_tn", "tensor.gemm_tn", a, true, b, false, scratch)
 }
 
-/// Computes `C = A·Bᵀ` without materializing the transpose.
+/// Computes `C = A·Bᵀ` without materializing the transpose, packing
+/// into a caller-owned [`GemmScratch`].
 ///
 /// With `A: (M, K)` and `B: (N, K)`, the result is `(M, N)`. This is the
 /// shape that appears in input-gradient computations; as with
-/// [`matmul_tn`], the packing stage absorbs the transpose.
-///
-/// # Errors
-///
-/// Returns an error if either operand is not 2-D or the trailing
-/// dimensions disagree.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    with_tl_scratch(|s| matmul_nt_ws(a, b, s))
-}
-
-/// [`matmul_nt`] packing into a caller-owned [`GemmScratch`].
+/// [`matmul_tn_ws`], the packing stage absorbs the transpose.
 ///
 /// # Errors
 ///
 /// Returns an error if either operand is not 2-D or the trailing
 /// dimensions disagree.
 pub fn matmul_nt_ws(a: &Tensor, b: &Tensor, scratch: &mut GemmScratch) -> Result<Tensor> {
-    let (m, ka) = check_2d(a, "matmul_nt")?;
-    let (n, kb) = check_2d(b, "matmul_nt")?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![m, ka],
-            actual: vec![n, kb],
-            op: "matmul_nt",
-        });
-    }
-    let _t = gemm_telemetry("tensor.gemm_nt", m, ka, n);
-    let mut out = vec![0.0f32; m * n];
-    gemm_packed(a.as_slice(), false, b.as_slice(), true, m, ka, n, scratch, &mut out);
-    Tensor::from_vec([m, n], out)
-}
-
-/// Matrix-vector product `y = A·x` for `A: (M, N)`, `x: (N,)`.
-///
-/// Deliberately *not* routed through the packed kernel: a matvec reads
-/// every `A` element exactly once, so it is bandwidth-bound and packing
-/// would double its memory traffic for zero reuse. Row dot products
-/// (parallelized over row bands) are optimal here.
-///
-/// # Errors
-///
-/// Returns an error if `a` is not 2-D, `x` is not 1-D, or sizes disagree.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    let (m, n) = check_2d(a, "matvec")?;
-    if x.shape().ndim() != 1 || x.len() != n {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![n],
-            actual: x.dims().to_vec(),
-            op: "matvec",
-        });
-    }
-    let _t = gemm_telemetry("tensor.matvec", m, n, 1);
-    let (av, xv) = (a.as_slice(), x.as_slice());
-    let mut out = vec![0.0f32; m];
-    let parts = plan_parts(m, 2 * m as u64 * n as u64);
-    if parts <= 1 {
-        for (y, arow) in out.iter_mut().zip(av.chunks_exact(n.max(1))) {
-            *y = arow.iter().zip(xv).map(|(&a, &b)| a * b).sum();
-        }
-    } else {
-        let base = SendPtr(out.as_mut_ptr());
-        parallel_for(parts, move |p| {
-            let rows = split_range(m, parts, p);
-            // SAFETY: `split_range` partitions `0..m`; bands disjoint.
-            let band = unsafe {
-                std::slice::from_raw_parts_mut(base.get().add(rows.start), rows.len())
-            };
-            for (local, i) in rows.enumerate() {
-                let arow = &av[i * n..(i + 1) * n];
-                band[local] = arow.iter().zip(xv).map(|(&a, &b)| a * b).sum();
-            }
-        });
-    }
-    Tensor::from_vec([m], out)
+    gemm(Kernel::select(), "matmul_nt", "tensor.gemm_nt", a, false, b, true, scratch)
 }
 
 #[cfg(test)]
@@ -406,12 +265,17 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
 
+    /// The production entry point on a fresh arena.
+    fn mm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+        matmul_ws(a, b, &mut GemmScratch::new())
+    }
+
     #[test]
     fn identity_product() {
         let a = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let i = Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        assert_eq!(matmul(&a, &i).unwrap(), a);
-        assert_eq!(matmul(&i, &a).unwrap(), a);
+        assert_eq!(mm(&a, &i).unwrap(), a);
+        assert_eq!(mm(&i, &a).unwrap(), a);
     }
 
     #[test]
@@ -419,7 +283,7 @@ mod tests {
         // [1 2; 3 4] * [5 6; 7 8] = [19 22; 43 50]
         let a = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let b = Tensor::from_vec([2, 2], vec![5.0, 6.0, 7.0, 8.0]).unwrap();
-        let c = matmul(&a, &b).unwrap();
+        let c = mm(&a, &b).unwrap();
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
@@ -433,7 +297,7 @@ mod tests {
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (70, 65, 130), (128, 64, 1), (8, 9, 4)] {
             let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
             let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
-            let fast = matmul(&a, &b).unwrap();
+            let fast = mm(&a, &b).unwrap();
             let slow = matmul_naive(&a, &b).unwrap();
             assert_eq!(bits(&fast), bits(&slow), "{m}x{k}x{n} diverged from the oracle");
         }
@@ -450,13 +314,9 @@ mod tests {
         let b = Tensor::rand_uniform([n, k], -1.0, 1.0, &mut rng); // (N, K): packed transposed
         let oracle = bits(&matmul_naive(&a, &b.transpose2d().unwrap()).unwrap());
         for kern in Kernel::supported() {
-            let (mr, nr) = (kern.mr(), kern.nr());
-            let mut scratch = GemmScratch::new();
-            let (pa, pb) = scratch.panels(packed_a_len(m, k, mr), packed_b_len(k, n, nr));
-            pack_a(a.as_slice(), m, k, false, mr, pa);
-            pack_b(b.as_slice(), k, n, true, nr, pb);
             let mut out = vec![0.0f32; m * n];
-            gemm_packed_prepacked(kern, pa, pb, m, k, n, &mut out);
+            let mut scratch = GemmScratch::new();
+            gemm_packed(kern, a.as_slice(), false, b.as_slice(), true, m, k, n, &mut scratch, &mut out);
             let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, oracle, "kernel {} diverged", kern.name());
         }
@@ -467,8 +327,8 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let a = Tensor::rand_uniform([7, 4], -1.0, 1.0, &mut rng); // (K, M)
         let b = Tensor::rand_uniform([7, 5], -1.0, 1.0, &mut rng); // (K, N)
-        let via_tn = matmul_tn(&a, &b).unwrap();
-        let via_t = matmul(&a.transpose2d().unwrap(), &b).unwrap();
+        let via_tn = matmul_tn_ws(&a, &b, &mut GemmScratch::new()).unwrap();
+        let via_t = mm(&a.transpose2d().unwrap(), &b).unwrap();
         assert_eq!(bits(&via_tn), bits(&via_t));
     }
 
@@ -477,20 +337,9 @@ mod tests {
         let mut rng = Rng::seed_from(4);
         let a = Tensor::rand_uniform([4, 7], -1.0, 1.0, &mut rng); // (M, K)
         let b = Tensor::rand_uniform([5, 7], -1.0, 1.0, &mut rng); // (N, K)
-        let via_nt = matmul_nt(&a, &b).unwrap();
-        let via_t = matmul(&a, &b.transpose2d().unwrap()).unwrap();
+        let via_nt = matmul_nt_ws(&a, &b, &mut GemmScratch::new()).unwrap();
+        let via_t = mm(&a, &b.transpose2d().unwrap()).unwrap();
         assert_eq!(bits(&via_nt), bits(&via_t));
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let mut rng = Rng::seed_from(5);
-        let a = Tensor::rand_uniform([6, 9], -1.0, 1.0, &mut rng);
-        let x = Tensor::rand_uniform([9], -1.0, 1.0, &mut rng);
-        let y = matvec(&a, &x).unwrap();
-        let xm = x.reshape([9, 1]).unwrap();
-        let ym = matmul(&a, &xm).unwrap();
-        assert!(y.max_abs_diff(&ym.reshape([6]).unwrap()).unwrap() < 1e-5);
     }
 
     #[test]
@@ -498,7 +347,7 @@ mod tests {
         let mut rng = Rng::seed_from(6);
         let a = Tensor::rand_uniform([17, 23], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([23, 11], -1.0, 1.0, &mut rng);
-        let fresh = matmul(&a, &b).unwrap();
+        let fresh = mm(&a, &b).unwrap();
         let mut s = GemmScratch::new();
         let first = matmul_ws(&a, &b, &mut s).unwrap();
         let grows = s.reallocations();
@@ -515,8 +364,7 @@ mod tests {
     fn dimension_errors() {
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([2, 3]);
-        assert!(matmul(&a, &b).is_err()); // inner dims 3 vs 2
-        assert!(matmul(&a, &Tensor::zeros([3])).is_err()); // not 2-D
-        assert!(matvec(&a, &Tensor::zeros([2])).is_err());
+        assert!(mm(&a, &b).is_err()); // inner dims 3 vs 2
+        assert!(mm(&a, &Tensor::zeros([3])).is_err()); // not 2-D
     }
 }

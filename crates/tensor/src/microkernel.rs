@@ -43,12 +43,13 @@
 //! Anything that keeps a single ascending-k accumulation chain per
 //! element inherits the determinism guarantee for free.
 //!
-//! Selection is cached per process and follows the crate-wide
-//! [`Isa`](crate::simd::Isa) choice (the `INSITU_SIMD` knob); the
-//! legacy `INSITU_GEMM_KERNEL` override (`scalar` / `avx2` / `avx512`
-//! / `neon` / `auto`) still takes precedence for the GEMM alone, which
-//! is how the property tests pin the portable path. Both knobs
-//! hard-error on unrecognized or host-unsupported values.
+//! Selection follows the crate-wide [`Isa`](crate::simd::Isa) choice,
+//! resolved once per process: the `INSITU_SIMD` knob (`scalar` /
+//! `avx2` / `avx512` / `neon` / `auto`) pins the GEMM together with
+//! every other dispatched op and hard-errors on unrecognized or
+//! host-unsupported values. Tests and benchmarks that need every
+//! kernel in one process name them explicitly
+//! ([`matmul_with_kernel`](crate::matmul_with_kernel)).
 //!
 //! # i8 tiles
 //!
@@ -61,9 +62,9 @@
 //! so a worst-case accumulation cannot overflow; every shape in this
 //! codebase is orders of magnitude below that.
 
-use crate::simd::{parse_isa_request, Isa};
+use crate::error::TensorError;
+use crate::simd::Isa;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Generic MR×NR register tile: one ascending pass over `kc` packed
 /// k-steps. Kept `#[inline(always)]` so each instantiation inlines into
@@ -733,7 +734,7 @@ impl Kernel {
     /// Runs the i8 micro-kernel over one panel-aligned row band: same
     /// contract as [`run_band`](Kernel::run_band), i8 packed panels in,
     /// i32 band out. Dispatching through the same selected variant is
-    /// what makes `INSITU_GEMM_KERNEL=scalar` pin the portable i8 path
+    /// what makes `INSITU_SIMD=scalar` pin the portable i8 path
     /// together with the f32 one.
     pub(crate) fn run_band_i8(
         self,
@@ -762,24 +763,11 @@ impl Kernel {
         }
     }
 
-    /// The kernel every GEMM in this process uses, resolved once and
-    /// cached. ISA choice comes from the crate-wide SIMD dispatcher
-    /// ([`Isa::select`], governed by `INSITU_SIMD`); the legacy
-    /// `INSITU_GEMM_KERNEL` variable (`scalar` / `avx2` / `avx512` /
-    /// `neon` / `auto`) still overrides it for the GEMM alone.
-    /// Unrecognized or host-unsupported values are a startup error
-    /// listing the valid set, never a silent fallback.
+    /// The kernel every GEMM in this process uses: the tile geometry of
+    /// the ISA the crate-wide dispatcher resolved ([`Isa::select`],
+    /// governed by `INSITU_SIMD` and cached once per process).
     pub(crate) fn select() -> Kernel {
-        static SELECTED: OnceLock<Kernel> = OnceLock::new();
-        *SELECTED.get_or_init(|| {
-            let want = std::env::var("INSITU_GEMM_KERNEL").unwrap_or_default();
-            let want = want.trim();
-            if want.is_empty() {
-                // No GEMM-specific override: follow the crate-wide knob.
-                return Kernel::from_isa(Isa::select());
-            }
-            Kernel::from_isa(parse_isa_request("INSITU_GEMM_KERNEL", want))
-        })
+        Kernel::from_isa(Isa::select())
     }
 
     /// The tile geometry matching an ISA chosen by the dispatcher.
@@ -804,7 +792,21 @@ impl Kernel {
 
     /// Looks a kernel up by its stable [`name`](Kernel::name) among the
     /// host-supported set.
-    pub(crate) fn from_name(name: &str) -> Option<Kernel> {
-        Kernel::supported().into_iter().find(|kern| kern.name() == name)
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the request and listing the supported
+    /// set, never a silent fallback to another kernel.
+    pub(crate) fn from_name(name: &str) -> crate::Result<Kernel> {
+        let supported = Kernel::supported();
+        if let Some(&kern) = supported.iter().find(|kern| kern.name() == name) {
+            return Ok(kern);
+        }
+        let names: Vec<_> = supported.into_iter().map(Kernel::name).collect();
+        Err(TensorError::InvalidGeometry {
+            reason: format!(
+                "unknown or host-unsupported GEMM kernel `{name}`; this host supports {names:?}"
+            ),
+        })
     }
 }

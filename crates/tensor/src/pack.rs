@@ -300,10 +300,10 @@ pub(crate) fn grow_scratch<T: Copy + Default>(
 ///
 /// One scratch serves any sequence of GEMM calls: each call packs its
 /// operands into the arena, growing it only when a larger shape than
-/// ever before arrives. The `matmul*` entry points without an explicit
-/// scratch use a thread-local one; layers that sit in a training loop
-/// (see `insitu-nn`'s `Linear`) own a scratch so their steady state
-/// allocates nothing in the kernel path.
+/// ever before arrives. Every GEMM entry point takes the caller's
+/// scratch; layers that sit in a training loop (see `insitu-nn`'s
+/// `Linear`) own one so their steady state allocates nothing in the
+/// kernel path.
 ///
 /// Cloning yields a fresh empty scratch: the buffers hold no data that
 /// outlives a call, so there is nothing meaningful to copy and cloned
@@ -466,7 +466,7 @@ mod tests {
                 assert_eq!(got, want, "pack_a_i8ᵀ {m}x{k} mr{mr}");
             }
             let (kk, n) = (m, k); // reuse the buffer as a (k, n) operand
-            for nr in [4usize, 8] {
+            for nr in [4usize, 8, 16] {
                 let mut want = vec![i8::MIN; packed_b_len(kk, n, nr)];
                 let mut got = vec![i8::MAX; packed_b_len(kk, n, nr)];
                 pack_b(&src, kk, n, false, nr, &mut want);

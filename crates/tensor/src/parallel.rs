@@ -19,8 +19,11 @@
 //! The thread count is resolved in this order:
 //!
 //! 1. [`set_num_threads`] — programmatic override, wins over everything;
-//! 2. the `INSITU_THREADS` environment variable, read once on first use;
-//! 3. [`std::thread::available_parallelism`].
+//! 2. the `INSITU_THREADS` environment variable, read once on first use
+//!    — an integer in `1..=`[`MAX_THREADS`]; anything else panics at the
+//!    first kernel call rather than silently running another count;
+//! 3. [`std::thread::available_parallelism`], when the variable is
+//!    unset or empty.
 //!
 //! A count of 1 disables the pool entirely: every kernel takes its plain
 //! sequential path, exactly reproducing single-threaded behavior.
@@ -34,8 +37,8 @@ use std::thread;
 
 use insitu_telemetry as telemetry;
 
-/// Upper bound on pool threads; a safety valve against absurd
-/// `INSITU_THREADS` values, far above any realistic core count here.
+/// Upper bound on pool threads, far above any realistic core count
+/// here; `INSITU_THREADS` values above it are rejected.
 pub const MAX_THREADS: usize = 64;
 
 /// Kernels stay sequential below this much work (~multiply-accumulates);
@@ -65,7 +68,12 @@ pub fn set_num_threads(n: usize) {
 ///
 /// On first call (unless [`set_num_threads`] ran earlier) this resolves
 /// the default from the `INSITU_THREADS` environment variable, falling
-/// back to [`std::thread::available_parallelism`].
+/// back to [`std::thread::available_parallelism`] when it is unset.
+///
+/// # Panics
+///
+/// Panics if `INSITU_THREADS` is set to anything but an integer in
+/// `1..=`[`MAX_THREADS`].
 pub fn num_threads() -> usize {
     let n = CONFIGURED.load(Ordering::Acquire);
     if n != 0 {
@@ -78,14 +86,22 @@ pub fn num_threads() -> usize {
 }
 
 fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("INSITU_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n.min(MAX_THREADS);
-            }
-        }
+    let v = std::env::var("INSITU_THREADS").unwrap_or_default();
+    parse_threads(&v).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parses an `INSITU_THREADS` value: empty means the detected core
+/// count (capped at [`MAX_THREADS`]); anything else must be an integer
+/// in `1..=MAX_THREADS`.
+fn parse_threads(v: &str) -> Result<usize, String> {
+    let v = v.trim();
+    if v.is_empty() {
+        return Ok(host_cores().min(MAX_THREADS));
     }
-    thread::available_parallelism().map_or(1, |n| n.get()).min(MAX_THREADS)
+    match v.parse::<usize>() {
+        Ok(n) if (1..=MAX_THREADS).contains(&n) => Ok(n),
+        _ => Err(format!("INSITU_THREADS={v}: expected an integer in 1..={MAX_THREADS}")),
+    }
 }
 
 /// `dyn` task closure with the borrow lifetime erased. Sound because
@@ -404,6 +420,17 @@ mod tests {
         set_num_threads(prev);
         if let Err(e) = result {
             std::panic::resume_unwind(e);
+        }
+    }
+
+    #[test]
+    fn insitu_threads_values_are_validated() {
+        for (v, n) in [("1", 1), (" 4 ", 4), ("64", 64)] {
+            assert_eq!(parse_threads(v), Ok(n), "{v:?}");
+        }
+        for v in ["0", "-1", "abc", "4x", "65"] {
+            let err = parse_threads(v).unwrap_err();
+            assert!(err.contains("1..=64"), "{v:?}: {err}");
         }
     }
 

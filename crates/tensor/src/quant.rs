@@ -15,19 +15,22 @@
 //! * **Accumulation is i32 and exact.** `|a·b| ≤ 127²`, so any
 //!   `k ≤ i32::MAX / 127²` (≈ 133 000, far beyond every shape here)
 //!   cannot overflow, and — unlike f32 — *every* summation order
-//!   yields the same bits. [`matmul_i8`] is therefore bitwise
+//!   yields the same bits. The packed i8 GEMM is therefore bitwise
 //!   identical to the naive [`matmul_i8_naive`] oracle at any shape,
 //!   micro-kernel and thread count, which is the same contract the
 //!   f32 packed kernels carry, only cheaper to uphold.
 //!
-//! The packed path reuses everything the f32 GEMM built: the same
-//! BLIS panel layout (the packers in [`crate::pack`] are generic over
-//! the element type), the same [`Kernel`] runtime dispatch (so
-//! `INSITU_GEMM_KERNEL=scalar` pins the portable i8 kernel together
-//! with the f32 one), the same row-band parallel split, and the same
-//! grow-only [`GemmScratch`] arena — steady state allocates nothing.
-//! Kernel activity is traced under `tensor.quant.*` spans with a
-//! `tensor.quant.bytes` counter.
+//! Production reaches the i8 GEMM through [`linear_forward_i8_ws`] and
+//! [`conv2d_forward_i8_ws`](crate::conv2d_forward_i8_ws);
+//! [`matmul_i8_with_kernel`] exposes the bare product on a named
+//! micro-kernel for tests and benchmarks. The packed path reuses
+//! everything the f32 GEMM built: the same BLIS panel layout (the
+//! packers in [`crate::pack`] are generic over the element type), the
+//! same [`Kernel`] runtime dispatch (so `INSITU_SIMD=scalar` pins the
+//! portable i8 kernel together with the f32 one), the same row-band
+//! parallel split, and the same grow-only [`GemmScratch`] arena —
+//! steady state allocates nothing. Kernel activity is traced under
+//! `tensor.quant.*` spans with a `tensor.quant.bytes` counter.
 
 use crate::error::TensorError;
 use crate::microkernel::Kernel;
@@ -36,7 +39,6 @@ use crate::parallel::{parallel_for, plan_parts, split_range, SendPtr};
 use crate::tensor::Tensor;
 use crate::Result;
 use insitu_telemetry as telemetry;
-use std::cell::RefCell;
 
 /// Largest representable quantized magnitude. The symmetric scheme
 /// uses `[-127, 127]` (not -128) so that negation is closed and the
@@ -60,7 +62,7 @@ pub fn quant_scale(max_abs: f32) -> f32 {
 /// blow up a layer's scale. Dispatched through the SIMD layer — the
 /// calibration scan walks every activation of every layer.
 pub fn max_abs(values: &[f32]) -> f32 {
-    crate::simd::max_abs(values)
+    crate::simd::dispatch(crate::simd::MaxAbs { src: values })
 }
 
 /// Quantizes `src` into `dst` with round-to-nearest (ties to even, the
@@ -158,14 +160,8 @@ impl QuantizedMatrix {
     }
 }
 
-thread_local! {
-    /// Arena behind the scratch-free [`matmul_i8`] entry point,
-    /// mirroring the f32 thread-local scratch.
-    static TL_QUANT_SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::new());
-}
-
 /// Reference `O(M·N·K)` i8 triple-loop product with i32 accumulation —
-/// the oracle [`matmul_i8`] must match bitwise.
+/// the oracle [`matmul_i8_with_kernel`] must match bitwise.
 pub fn matmul_i8_naive(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
     assert_eq!(a.len(), m * k, "matmul_i8_naive: A length");
     assert_eq!(b.len(), k * n, "matmul_i8_naive: B length");
@@ -181,11 +177,11 @@ pub fn matmul_i8_naive(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<
     out
 }
 
-/// The compute half of the packed i8 GEMM: drives the selected i8
-/// micro-kernel over panel-aligned row bands, in parallel when the
+/// The compute half of the packed i8 GEMM: drives i8 micro-kernel
+/// `kern` over panel-aligned row bands, in parallel when the
 /// product is large enough. Bitwise equal to the naive oracle at any
 /// split (integer accumulation is exact).
-pub(crate) fn gemm_packed_prepacked_i8(
+fn gemm_packed_prepacked_i8(
     kern: Kernel,
     pa: &[i8],
     pb: &[i8],
@@ -213,103 +209,12 @@ pub(crate) fn gemm_packed_prepacked_i8(
     });
 }
 
-/// Packs both i8 operands into `scratch` and runs the packed kernel.
-/// `b_trans` reads `bv` as its transpose (`(n, k)` row-major), which is
-/// how Linear weights are stored.
-#[allow(clippy::too_many_arguments)] // flat GEMM signature: operands + dims + scratch
-pub(crate) fn gemm_packed_i8(
-    av: &[i8],
-    a_trans: bool,
-    bv: &[i8],
-    b_trans: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut GemmScratch,
-    out: &mut [i32],
-) {
-    gemm_packed_i8_with(Kernel::select(), av, a_trans, bv, b_trans, m, k, n, scratch, out);
-}
-
-/// [`gemm_packed_i8`] on an explicit micro-kernel variant — the entry
-/// point behind [`matmul_i8_with_kernel`] and the cross-kernel tests.
-#[allow(clippy::too_many_arguments)] // flat GEMM signature: operands + dims + scratch
-pub(crate) fn gemm_packed_i8_with(
-    kern: Kernel,
-    av: &[i8],
-    a_trans: bool,
-    bv: &[i8],
-    b_trans: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut GemmScratch,
-    out: &mut [i32],
-) {
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let (mr, nr) = (kern.mr(), kern.nr());
-    let (pa, pb) = scratch.panels_i8(packed_a_len(m, k, mr), packed_b_len(k, n, nr));
-    {
-        let _p = telemetry::span_with("tensor.quant.pack", || format!("{m}x{k}x{n}"));
-        pack_a_i8(av, m, k, a_trans, mr, pa);
-        pack_b_i8(bv, k, n, b_trans, nr, pb);
-    }
-    gemm_packed_prepacked_i8(kern, pa, pb, m, k, n, out);
-}
-
-/// Packed i8 matrix product `C = A·B` with i32 accumulation, into a
-/// caller-owned scratch and output buffer. Bitwise identical to
-/// [`matmul_i8_naive`] at any shape, kernel and thread count.
-///
-/// # Errors
-///
-/// Returns an error if any slice length disagrees with `(m, k, n)`.
-pub fn matmul_i8_ws(
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut GemmScratch,
-    out: &mut [i32],
-) -> Result<()> {
-    if a.len() != m * k || b.len() != k * n || out.len() != m * n {
-        return Err(TensorError::InvalidGeometry {
-            reason: format!(
-                "matmul_i8: A {} / B {} / C {} incompatible with {m}x{k}x{n}",
-                a.len(),
-                b.len(),
-                out.len()
-            ),
-        });
-    }
-    let _t = telemetry::span_with("tensor.quant.gemm_i8", || format!("{m}x{k}x{n}"));
-    telemetry::counter_add("tensor.quant.bytes", "gemm_i8", (m * k + k * n + 4 * m * n) as u64);
-    // No pre-clear: the band kernels assign every element of `out`
-    // (zero-k included), so a memset here would only cost bandwidth.
-    gemm_packed_i8(a, false, b, false, m, k, n, scratch, out);
-    Ok(())
-}
-
-/// Packed i8 matrix product `C = A·B`, allocating the output. Uses a
-/// thread-local scratch (steady state packs into warm buffers).
-///
-/// # Errors
-///
-/// Returns an error if a slice length disagrees with `(m, k, n)`.
-pub fn matmul_i8(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec<i32>> {
-    let mut out = vec![0i32; m * n];
-    TL_QUANT_SCRATCH.with(|s| matmul_i8_ws(a, b, m, k, n, &mut s.borrow_mut(), &mut out))?;
-    Ok(out)
-}
-
-/// [`matmul_i8`] forced onto a specific micro-kernel variant by name
-/// (one of [`gemm_kernels_supported`](crate::gemm_kernels_supported)),
-/// regardless of the process-wide selection — the i8 twin of
-/// [`matmul_with_kernel`](crate::matmul_with_kernel).
+/// Packed i8 matrix product `C = A·B` with i32 accumulation on a
+/// specific micro-kernel variant by name (one of
+/// [`gemm_kernels_supported`](crate::gemm_kernels_supported)), packing
+/// into a caller-owned scratch — the i8 twin of
+/// [`matmul_with_kernel`](crate::matmul_with_kernel). Bitwise identical
+/// to [`matmul_i8_naive`] at any shape, kernel and thread count.
 ///
 /// # Errors
 ///
@@ -322,13 +227,9 @@ pub fn matmul_i8_with_kernel(
     k: usize,
     n: usize,
     kernel: &str,
+    scratch: &mut GemmScratch,
 ) -> Result<Vec<i32>> {
-    let kern = Kernel::from_name(kernel).ok_or_else(|| TensorError::InvalidGeometry {
-        reason: format!(
-            "unknown or host-unsupported GEMM kernel `{kernel}`; this host supports {:?}",
-            crate::gemm_kernels_supported()
-        ),
-    })?;
+    let kern = Kernel::from_name(kernel)?;
     if a.len() != m * k || b.len() != k * n {
         return Err(TensorError::InvalidGeometry {
             reason: format!(
@@ -341,9 +242,16 @@ pub fn matmul_i8_with_kernel(
     let _t = telemetry::span_with("tensor.quant.gemm_i8", || format!("{m}x{k}x{n}"));
     telemetry::counter_add("tensor.quant.bytes", "gemm_i8", (m * k + k * n + 4 * m * n) as u64);
     let mut out = vec![0i32; m * n];
-    TL_QUANT_SCRATCH.with(|s| {
-        gemm_packed_i8_with(kern, a, false, b, false, m, k, n, &mut s.borrow_mut(), &mut out)
-    });
+    if m == 0 || n == 0 {
+        return Ok(out);
+    }
+    let (pa, pb) = scratch.panels_i8(packed_a_len(m, k, kern.mr()), packed_b_len(k, n, kern.nr()));
+    {
+        let _p = telemetry::span_with("tensor.quant.pack", || format!("{m}x{k}x{n}"));
+        pack_a_i8(a, m, k, false, kern.mr(), pa);
+        pack_b_i8(b, k, n, false, kern.nr(), pb);
+    }
+    gemm_packed_prepacked_i8(kern, pa, pb, m, k, n, &mut out);
     Ok(out)
 }
 
@@ -488,7 +396,7 @@ mod tests {
         let in_scale = quant_scale(max_abs(x.as_slice()));
         let mut scratch = GemmScratch::new();
         let got = linear_forward_i8_ws(&x, &qw, &bias, in_scale, &mut scratch).unwrap();
-        let mut reference = crate::matmul_nt(&x, &w).unwrap();
+        let mut reference = crate::matmul_nt_ws(&x, &w, &mut GemmScratch::new()).unwrap();
         for s in 0..5 {
             for o in 0..8 {
                 let v = reference.at(&[s, o]).unwrap() + bias.as_slice()[o];

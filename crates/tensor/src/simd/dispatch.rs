@@ -11,21 +11,20 @@
 //!
 //! The GEMM micro-kernels predate this layer and keep their own
 //! [`Kernel`](crate::microkernel::Kernel) enum (their dispatch carries
-//! tile-geometry state no other op needs), but their ISA choice now
-//! comes from [`Isa::select`] too, so one knob governs the whole
-//! crate: `INSITU_SIMD=scalar` pins every op — GEMM included — to the
-//! portable path, and the legacy `INSITU_GEMM_KERNEL` override keeps
-//! working for the GEMM alone.
+//! tile-geometry state no other op needs), but their ISA choice comes
+//! from [`Isa::select`] too, so one knob governs the whole crate:
+//! `INSITU_SIMD=scalar` pins every op — GEMM included — to the
+//! portable path.
 //!
-//! Both environment knobs are validated, not best-effort: an
-//! unrecognized or host-unsupported value aborts at first use with a
-//! message listing the valid set, instead of silently degrading to a
-//! different ISA than the operator asked for.
+//! The knob is validated, not best-effort: an unrecognized or
+//! host-unsupported value aborts at first use with a message listing
+//! the valid set, instead of silently degrading to a different ISA
+//! than the operator asked for.
 
 use insitu_telemetry as telemetry;
 use std::sync::OnceLock;
 
-/// Every ISA name the override knobs accept, in precedence-note order.
+/// Every ISA name `INSITU_SIMD` accepts, in precedence-note order.
 /// `auto` (or an unset/empty variable) means "detect the widest".
 pub const ISA_NAMES: &[&str] = &["scalar", "avx2", "avx512", "neon", "auto"];
 
@@ -51,11 +50,9 @@ pub enum Isa {
     Neon,
 }
 
-/// Resolves an override string from `INSITU_SIMD` / `INSITU_GEMM_KERNEL`
-/// into an ISA, or panics with the valid set. Shared by [`Isa::select`]
-/// and [`Kernel::select`](crate::microkernel::Kernel::select) so both
-/// knobs reject bad input identically.
-pub(crate) fn parse_isa_request(var: &str, want: &str) -> Isa {
+/// Resolves an `INSITU_SIMD` value into an ISA, or panics with the
+/// valid set.
+fn parse_isa_request(want: &str) -> Isa {
     match want {
         "" | "auto" => Isa::detect(),
         "scalar" => Isa::Scalar,
@@ -67,10 +64,10 @@ pub(crate) fn parse_isa_request(var: &str, want: &str) -> Isa {
                 {
                     return Isa::Avx2;
                 }
-                panic!("{var}=avx2: this x86-64 host does not support AVX2+FMA");
+                panic!("INSITU_SIMD=avx2: this x86-64 host does not support AVX2+FMA");
             }
             #[cfg(not(target_arch = "x86_64"))]
-            panic!("{var}=avx2: AVX2 is an x86-64 ISA; this build targets {}", ARCH);
+            panic!("INSITU_SIMD=avx2: AVX2 is an x86-64 ISA; this build targets {}", ARCH);
         }
         "avx512" => {
             #[cfg(target_arch = "x86_64")]
@@ -78,10 +75,10 @@ pub(crate) fn parse_isa_request(var: &str, want: &str) -> Isa {
                 if avx512_detected() {
                     return Isa::Avx512;
                 }
-                panic!("{var}=avx512: this x86-64 host does not support AVX-512 F+BW+DQ+VL");
+                panic!("INSITU_SIMD=avx512: this x86-64 host does not support AVX-512 F+BW+DQ+VL");
             }
             #[cfg(not(target_arch = "x86_64"))]
-            panic!("{var}=avx512: AVX-512 is an x86-64 ISA; this build targets {}", ARCH);
+            panic!("INSITU_SIMD=avx512: AVX-512 is an x86-64 ISA; this build targets {}", ARCH);
         }
         "neon" => {
             #[cfg(target_arch = "aarch64")]
@@ -89,12 +86,12 @@ pub(crate) fn parse_isa_request(var: &str, want: &str) -> Isa {
                 if std::arch::is_aarch64_feature_detected!("neon") {
                     return Isa::Neon;
                 }
-                panic!("{var}=neon: this aarch64 host does not report NEON support");
+                panic!("INSITU_SIMD=neon: this aarch64 host does not report NEON support");
             }
             #[cfg(not(target_arch = "aarch64"))]
-            panic!("{var}=neon: NEON is an aarch64 ISA; this build targets {}", ARCH);
+            panic!("INSITU_SIMD=neon: NEON is an aarch64 ISA; this build targets {}", ARCH);
         }
-        other => panic!("{var}={other}: unrecognized ISA; valid values are {ISA_NAMES:?}"),
+        other => panic!("INSITU_SIMD={other}: unrecognized ISA; valid values are {ISA_NAMES:?}"),
     }
 }
 
@@ -124,7 +121,7 @@ impl Isa {
         static SELECTED: OnceLock<Isa> = OnceLock::new();
         *SELECTED.get_or_init(|| {
             let want = std::env::var("INSITU_SIMD").unwrap_or_default();
-            parse_isa_request("INSITU_SIMD", want.trim())
+            parse_isa_request(want.trim())
         })
     }
 
@@ -316,22 +313,22 @@ mod tests {
 
     #[test]
     fn auto_and_empty_resolve_to_detection() {
-        assert_eq!(parse_isa_request("INSITU_SIMD", ""), Isa::detect());
-        assert_eq!(parse_isa_request("INSITU_SIMD", "auto"), Isa::detect());
-        assert_eq!(parse_isa_request("INSITU_SIMD", "scalar"), Isa::Scalar);
+        assert_eq!(parse_isa_request(""), Isa::detect());
+        assert_eq!(parse_isa_request("auto"), Isa::detect());
+        assert_eq!(parse_isa_request("scalar"), Isa::Scalar);
     }
 
     #[test]
     #[should_panic(expected = "unrecognized ISA")]
     fn unknown_isa_request_panics_with_valid_set() {
-        parse_isa_request("INSITU_SIMD", "sse42");
+        parse_isa_request("sse42");
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     #[should_panic(expected = "aarch64 ISA")]
     fn wrong_arch_request_panics() {
-        parse_isa_request("INSITU_SIMD", "neon");
+        parse_isa_request("neon");
     }
 
     struct Double<'a>(&'a mut [f32]);

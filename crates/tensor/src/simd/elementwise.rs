@@ -1,5 +1,4 @@
-//! Elementwise ops: ReLU (eval, fused train forward, backward) and the
-//! drift model's affine/clamp passes.
+//! Elementwise ops: ReLU (eval, fused train forward, backward).
 //!
 //! The train-mode ReLU is fused: one pass writes the rectified values
 //! *and* a bit-packed keep mask (bit `i % 8` of byte `i / 8`, 1 ⇔
@@ -525,116 +524,5 @@ impl SimdOp for ReluBackward<'_> {
                 );
             }
         });
-    }
-}
-
-/// In-place affine map `x = x * gain + bias` (the drift model's
-/// illumination pass). Plain multiply-then-add in both bodies — no FMA
-/// contraction — so results are bitwise identical across ISAs.
-pub struct Affine<'a> {
-    /// The buffer, transformed in place.
-    pub buf: &'a mut [f32],
-    /// Multiplicative gain.
-    pub gain: f32,
-    /// Additive bias.
-    pub bias: f32,
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn affine_avx2_range(buf: &mut [f32], gain: f32, bias: f32) {
-    use std::arch::x86_64::*;
-    let (g, b) = (_mm256_set1_ps(gain), _mm256_set1_ps(bias));
-    let n = buf.len();
-    let p = buf.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        // SAFETY: i + 8 <= n bounds the lanes. mul then add, not FMA:
-        // must match the scalar `x * gain + bias` bit for bit.
-        let v = _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(p.add(i)), g), b);
-        _mm256_storeu_ps(p.add(i), v);
-        i += 8;
-    }
-    for v in &mut buf[i..] {
-        *v = *v * gain + bias;
-    }
-}
-
-impl SimdOp for Affine<'_> {
-    const NAME: &'static str = "tensor.simd.affine";
-    type Output = ();
-
-    fn bytes(&self) -> u64 {
-        8 * self.buf.len() as u64
-    }
-
-    fn scalar(self) {
-        let (gain, bias) = (self.gain, self.bias);
-        for v in self.buf {
-            *v = *v * gain + bias;
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) {
-        // SAFETY: AVX2 verified by the dispatcher.
-        unsafe { affine_avx2_range(self.buf, self.gain, self.bias) }
-    }
-}
-
-/// In-place clamp to `[lo, hi]`, replicating `f32::clamp` exactly:
-/// NaN passes through unchanged and `-0.0` survives a `0.0` lower
-/// bound (it is not `< 0.0`).
-pub struct Clamp<'a> {
-    /// The buffer, clamped in place.
-    pub buf: &'a mut [f32],
-    /// Lower bound (must not be NaN).
-    pub lo: f32,
-    /// Upper bound (must not be NaN).
-    pub hi: f32,
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn clamp_avx2_range(buf: &mut [f32], lo: f32, hi: f32) {
-    use std::arch::x86_64::*;
-    let (lov, hiv) = (_mm256_set1_ps(lo), _mm256_set1_ps(hi));
-    let n = buf.len();
-    let p = buf.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        // SAFETY: i + 8 <= n bounds the lanes. Two compare+blend steps
-        // mirror f32::clamp's `if x < lo` / `if x > hi` chain — unlike
-        // min/max ps, this keeps NaN lanes and -0.0 bit-identical.
-        let v = _mm256_loadu_ps(p.add(i));
-        let v = _mm256_blendv_ps(v, lov, _mm256_cmp_ps(v, lov, _CMP_LT_OQ));
-        let v = _mm256_blendv_ps(v, hiv, _mm256_cmp_ps(v, hiv, _CMP_GT_OQ));
-        _mm256_storeu_ps(p.add(i), v);
-        i += 8;
-    }
-    for v in &mut buf[i..] {
-        *v = v.clamp(lo, hi);
-    }
-}
-
-impl SimdOp for Clamp<'_> {
-    const NAME: &'static str = "tensor.simd.clamp";
-    type Output = ();
-
-    fn bytes(&self) -> u64 {
-        8 * self.buf.len() as u64
-    }
-
-    fn scalar(self) {
-        let (lo, hi) = (self.lo, self.hi);
-        for v in self.buf {
-            *v = v.clamp(lo, hi);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) {
-        // SAFETY: AVX2 verified by the dispatcher.
-        unsafe { clamp_avx2_range(self.buf, self.lo, self.hi) }
     }
 }

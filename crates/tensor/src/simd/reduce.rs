@@ -1,20 +1,8 @@
-//! Reductions: max-abs (quantization calibration), max-abs-diff
-//! (tensor comparison), 8-lane sum and min/max (drift and verdict
-//! metrics).
+//! Reductions: max-abs, the quantization calibration scan.
 //!
-//! Max-style reductions are order-independent over their filtered
-//! inputs, so the vector bodies (AVX2, AVX-512, NEON) are bitwise
-//! exact. The sum is made exact a different way: *every* body
-//! accumulates into the same 8-lane virtual accumulator (lane `i % 8`)
-//! folded in a fixed order at the end, so the scalar oracle and the
-//! vector bodies perform the identical sequence of additions per lane.
-//! Because the 8-lane chain is part of the contract, [`Sum8`] has no
-//! AVX-512 override — a 16-lane accumulator would change lane
-//! assignment — and inherits the AVX2 body through the trait default;
-//! the NEON body splits the virtual accumulator across two `float32x4`
-//! registers to keep the same per-lane chains. Reductions here run
-//! over small buffers (scores, calibration scans), so they stay
-//! sequential.
+//! A max over the filtered inputs is order-independent, so the vector
+//! bodies (AVX2, AVX-512, NEON) are bitwise exact. Calibration scans
+//! run over small buffers, so the op stays sequential.
 
 use super::dispatch::SimdOp;
 
@@ -116,323 +104,6 @@ impl SimdOp for MaxAbs<'_> {
             let mut best = vmaxvq_f32(acc);
             best = best.max(max_abs_scalar(&self.src[i..]));
             best
-        }
-    }
-}
-
-/// `max |a - b|`, the tensor comparison metric. NaN differences are
-/// ignored (as the scalar fold's `f32::max` does); infinite
-/// differences propagate.
-pub struct MaxAbsDiff<'a> {
-    /// Left operand.
-    pub a: &'a [f32],
-    /// Right operand, same length.
-    pub b: &'a [f32],
-}
-
-fn max_abs_diff_scalar(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).fold(0.0, f32::max)
-}
-
-impl SimdOp for MaxAbsDiff<'_> {
-    const NAME: &'static str = "tensor.simd.max_abs_diff";
-    type Output = f32;
-
-    fn bytes(&self) -> u64 {
-        8 * self.a.len() as u64
-    }
-
-    fn scalar(self) -> f32 {
-        max_abs_diff_scalar(self.a, self.b)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) -> f32 {
-        use std::arch::x86_64::*;
-        assert_eq!(self.a.len(), self.b.len());
-        let sign = _mm256_set1_ps(-0.0);
-        let mut acc = _mm256_setzero_ps();
-        let n = self.a.len();
-        let (pa, pb) = (self.a.as_ptr(), self.b.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= n bounds both loads.
-            let d = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-            let ad = _mm256_andnot_ps(sign, d);
-            // NaN lanes drop to 0 — scalar's fold ignores them too
-            // (f32::max returns the non-NaN operand).
-            let ord = _mm256_cmp_ps(ad, ad, _CMP_ORD_Q);
-            acc = _mm256_max_ps(acc, _mm256_and_ps(ad, ord));
-            i += 8;
-        }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut best = lanes.iter().copied().fold(0.0, f32::max);
-        best = best.max(max_abs_diff_scalar(&self.a[i..], &self.b[i..]));
-        best
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx512(self) -> f32 {
-        use std::arch::x86_64::*;
-        assert_eq!(self.a.len(), self.b.len());
-        let mut acc = _mm512_setzero_ps();
-        let n = self.a.len();
-        let (pa, pb) = (self.a.as_ptr(), self.b.as_ptr());
-        let mut i = 0;
-        while i + 16 <= n {
-            // SAFETY: i + 16 <= n bounds both loads.
-            let d = _mm512_sub_ps(_mm512_loadu_ps(pa.add(i)), _mm512_loadu_ps(pb.add(i)));
-            let ad = _mm512_abs_ps(d);
-            // NaN lanes drop to 0 — scalar's fold ignores them too
-            // (f32::max returns the non-NaN operand).
-            let ord = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(ad, ad);
-            acc = _mm512_max_ps(acc, _mm512_maskz_mov_ps(ord, ad));
-            i += 16;
-        }
-        let mut lanes = [0.0f32; 16];
-        _mm512_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut best = lanes.iter().copied().fold(0.0, f32::max);
-        best = best.max(max_abs_diff_scalar(&self.a[i..], &self.b[i..]));
-        best
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn neon(self) -> f32 {
-        use std::arch::aarch64::*;
-        assert_eq!(self.a.len(), self.b.len());
-        // SAFETY: caller verified NEON; loads below stay in bounds.
-        unsafe {
-            let mut acc = vdupq_n_f32(0.0);
-            let n = self.a.len();
-            let (pa, pb) = (self.a.as_ptr(), self.b.as_ptr());
-            let mut i = 0;
-            while i + 4 <= n {
-                let d = vsubq_f32(vld1q_f32(pa.add(i)), vld1q_f32(pb.add(i)));
-                let ad = vabsq_f32(d);
-                // NaN lanes drop to 0 (vceqq is false for NaN), matching
-                // the scalar fold that ignores them.
-                let ord = vceqq_f32(ad, ad);
-                acc = vmaxq_f32(acc, vreinterpretq_f32_u32(vandq_u32(
-                    vreinterpretq_u32_f32(ad),
-                    ord,
-                )));
-                i += 4;
-            }
-            let mut best = vmaxvq_f32(acc);
-            best = best.max(max_abs_diff_scalar(&self.a[i..], &self.b[i..]));
-            best
-        }
-    }
-}
-
-/// Sum with an 8-lane virtual accumulator: element `i` adds into lane
-/// `i % 8`, lanes fold left-to-right at the end. Deterministic and
-/// identical across ISAs by construction.
-pub struct Sum8<'a> {
-    /// Values to sum.
-    pub src: &'a [f32],
-}
-
-fn sum8_lanes_scalar(src: &[f32], acc: &mut [f32; 8]) {
-    let mut chunks = src.chunks_exact(8);
-    for c in &mut chunks {
-        for (l, &v) in acc.iter_mut().zip(c) {
-            *l += v;
-        }
-    }
-    for (l, &v) in acc.iter_mut().zip(chunks.remainder()) {
-        *l += v;
-    }
-}
-
-fn fold_lanes(acc: [f32; 8]) -> f32 {
-    acc.into_iter().fold(0.0, |s, l| s + l)
-}
-
-impl SimdOp for Sum8<'_> {
-    const NAME: &'static str = "tensor.simd.sum8";
-    type Output = f32;
-
-    fn bytes(&self) -> u64 {
-        4 * self.src.len() as u64
-    }
-
-    fn scalar(self) -> f32 {
-        let mut acc = [0.0f32; 8];
-        sum8_lanes_scalar(self.src, &mut acc);
-        fold_lanes(acc)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) -> f32 {
-        use std::arch::x86_64::*;
-        let mut vacc = _mm256_setzero_ps();
-        let n = self.src.len();
-        let p = self.src.as_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= n bounds the load. Lane l accumulates
-            // elements ≡ l (mod 8) in index order — the exact additions
-            // the scalar body performs on acc[l].
-            vacc = _mm256_add_ps(vacc, _mm256_loadu_ps(p.add(i)));
-            i += 8;
-        }
-        let mut acc = [0.0f32; 8];
-        _mm256_storeu_ps(acc.as_mut_ptr(), vacc);
-        sum8_lanes_scalar(&self.src[i..], &mut acc);
-        fold_lanes(acc)
-    }
-
-    // No `avx512` override: the 8-lane virtual accumulator is part of
-    // the op's contract (a 16-lane accumulator would change which
-    // elements share an addition chain), so AVX-512 inherits the AVX2
-    // body through the trait default.
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn neon(self) -> f32 {
-        use std::arch::aarch64::*;
-        // SAFETY: caller verified NEON; loads below stay in bounds.
-        unsafe {
-            // The 8-lane virtual accumulator split across two q
-            // registers: a0 holds lanes 0-3, a1 lanes 4-7 — the exact
-            // per-lane addition chains of the scalar body.
-            let mut a0 = vdupq_n_f32(0.0);
-            let mut a1 = vdupq_n_f32(0.0);
-            let n = self.src.len();
-            let p = self.src.as_ptr();
-            let mut i = 0;
-            while i + 8 <= n {
-                a0 = vaddq_f32(a0, vld1q_f32(p.add(i)));
-                a1 = vaddq_f32(a1, vld1q_f32(p.add(i + 4)));
-                i += 8;
-            }
-            let mut acc = [0.0f32; 8];
-            vst1q_f32(acc.as_mut_ptr(), a0);
-            vst1q_f32(acc.as_mut_ptr().add(4), a1);
-            sum8_lanes_scalar(&self.src[i..], &mut acc);
-            fold_lanes(acc)
-        }
-    }
-}
-
-/// `(min, max)` over a slice, NaN elements skipped. Returns
-/// `(inf, -inf)` for an empty (or all-NaN) slice, like the scalar
-/// fold. Exact by value; for inputs mixing `-0.0` and `+0.0` the sign
-/// of a zero result may differ between ISAs (the values still compare
-/// equal).
-pub struct MinMax<'a> {
-    /// Values to scan.
-    pub src: &'a [f32],
-}
-
-fn min_max_scalar(src: &[f32], mut lo: f32, mut hi: f32) -> (f32, f32) {
-    for &v in src {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    (lo, hi)
-}
-
-impl SimdOp for MinMax<'_> {
-    const NAME: &'static str = "tensor.simd.min_max";
-    type Output = (f32, f32);
-
-    fn bytes(&self) -> u64 {
-        4 * self.src.len() as u64
-    }
-
-    fn scalar(self) -> (f32, f32) {
-        min_max_scalar(self.src, f32::INFINITY, f32::NEG_INFINITY)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) -> (f32, f32) {
-        use std::arch::x86_64::*;
-        let pinf = _mm256_set1_ps(f32::INFINITY);
-        let ninf = _mm256_set1_ps(f32::NEG_INFINITY);
-        let mut vlo = pinf;
-        let mut vhi = ninf;
-        let n = self.src.len();
-        let p = self.src.as_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= n bounds the load. NaN lanes are
-            // replaced with the fold identity so min/max ps never see
-            // an unordered operand — matching scalar f32::min/max,
-            // which skip NaN.
-            let v = _mm256_loadu_ps(p.add(i));
-            let ord = _mm256_cmp_ps(v, v, _CMP_ORD_Q);
-            vlo = _mm256_min_ps(vlo, _mm256_blendv_ps(pinf, v, ord));
-            vhi = _mm256_max_ps(vhi, _mm256_blendv_ps(ninf, v, ord));
-            i += 8;
-        }
-        let mut lo_lanes = [0.0f32; 8];
-        let mut hi_lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lo_lanes.as_mut_ptr(), vlo);
-        _mm256_storeu_ps(hi_lanes.as_mut_ptr(), vhi);
-        let lo = lo_lanes.into_iter().fold(f32::INFINITY, f32::min);
-        let hi = hi_lanes.into_iter().fold(f32::NEG_INFINITY, f32::max);
-        min_max_scalar(&self.src[i..], lo, hi)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx512(self) -> (f32, f32) {
-        use std::arch::x86_64::*;
-        let pinf = _mm512_set1_ps(f32::INFINITY);
-        let ninf = _mm512_set1_ps(f32::NEG_INFINITY);
-        let mut vlo = pinf;
-        let mut vhi = ninf;
-        let n = self.src.len();
-        let p = self.src.as_ptr();
-        let mut i = 0;
-        while i + 16 <= n {
-            // SAFETY: i + 16 <= n bounds the load. NaN lanes are
-            // replaced with the fold identity so min/max ps never see
-            // an unordered operand — matching scalar f32::min/max,
-            // which skip NaN.
-            let v = _mm512_loadu_ps(p.add(i));
-            let ord = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(v, v);
-            vlo = _mm512_min_ps(vlo, _mm512_mask_mov_ps(pinf, ord, v));
-            vhi = _mm512_max_ps(vhi, _mm512_mask_mov_ps(ninf, ord, v));
-            i += 16;
-        }
-        let mut lo_lanes = [0.0f32; 16];
-        let mut hi_lanes = [0.0f32; 16];
-        _mm512_storeu_ps(lo_lanes.as_mut_ptr(), vlo);
-        _mm512_storeu_ps(hi_lanes.as_mut_ptr(), vhi);
-        let lo = lo_lanes.into_iter().fold(f32::INFINITY, f32::min);
-        let hi = hi_lanes.into_iter().fold(f32::NEG_INFINITY, f32::max);
-        min_max_scalar(&self.src[i..], lo, hi)
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn neon(self) -> (f32, f32) {
-        use std::arch::aarch64::*;
-        // SAFETY: caller verified NEON; loads below stay in bounds.
-        unsafe {
-            let pinf = vdupq_n_f32(f32::INFINITY);
-            let ninf = vdupq_n_f32(f32::NEG_INFINITY);
-            let mut vlo = pinf;
-            let mut vhi = ninf;
-            let n = self.src.len();
-            let p = self.src.as_ptr();
-            let mut i = 0;
-            while i + 4 <= n {
-                // NaN lanes swap to the fold identity (vceqq is false
-                // for NaN) so vminq/vmaxq never see an unordered
-                // operand — matching scalar f32::min/max.
-                let v = vld1q_f32(p.add(i));
-                let ord = vceqq_f32(v, v);
-                vlo = vminq_f32(vlo, vbslq_f32(ord, v, pinf));
-                vhi = vmaxq_f32(vhi, vbslq_f32(ord, v, ninf));
-                i += 4;
-            }
-            // The accumulators are NaN-free, so the horizontal folds
-            // are exact.
-            let lo = vminvq_f32(vlo);
-            let hi = vmaxvq_f32(vhi);
-            min_max_scalar(&self.src[i..], lo, hi)
         }
     }
 }

@@ -268,13 +268,16 @@ impl Tensor {
     }
 
     /// Largest absolute difference to another tensor of the same shape.
+    /// NaN differences are ignored (`f32::max` returns the non-NaN
+    /// operand); infinite differences propagate.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn max_abs_diff(&self, other: &Tensor) -> Result<f32> {
         self.check_same_shape(other, "max_abs_diff")?;
-        Ok(crate::simd::max_abs_diff(&self.data, &other.data))
+        let diffs = self.data.iter().zip(&other.data).map(|(&x, &y)| (x - y).abs());
+        Ok(diffs.fold(0.0, f32::max))
     }
 
     /// Copies `other`'s contents into `self` (shapes must match).

@@ -14,9 +14,8 @@
 //! call ([`GemmScratch::reallocations`] goes flat).
 
 use insitu_tensor::{
-    gemm_kernels_supported, matmul, matmul_naive, matmul_nt, matmul_nt_ws, matmul_tn,
-    matmul_tn_ws, matmul_with_kernel, matmul_ws, num_threads, set_num_threads, GemmScratch, Rng,
-    Tensor,
+    gemm_kernels_supported, matmul_naive, matmul_nt_ws, matmul_tn_ws, matmul_with_kernel,
+    matmul_ws, num_threads, set_num_threads, GemmScratch, Rng, Tensor,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -52,6 +51,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 #[test]
 fn ragged_ladder_matches_naive_bitwise_at_all_thread_counts() {
     let mut rng = Rng::seed_from(101);
+    let mut s = GemmScratch::new();
     for &m in RAGGED {
         for &k in RAGGED {
             for &n in RAGGED {
@@ -67,9 +67,9 @@ fn ragged_ladder_matches_naive_bitwise_at_all_thread_counts() {
                 for threads in [1usize, 2, 4] {
                     let (nn, tn, nt) = with_threads(threads, || {
                         (
-                            matmul(&a, &b).unwrap(),
-                            matmul_tn(&a_tn, &b).unwrap(),
-                            matmul_nt(&a, &b_nt).unwrap(),
+                            matmul_ws(&a, &b, &mut s).unwrap(),
+                            matmul_tn_ws(&a_tn, &b, &mut s).unwrap(),
+                            matmul_nt_ws(&a, &b_nt, &mut s).unwrap(),
                         )
                     });
                     assert_eq!(bits(&nn), oracle, "matmul {m}x{k}x{n} @ t{threads}");
@@ -99,6 +99,7 @@ fn ragged_ladder_all_detected_kernels_bitwise() {
         }
     }
     let mut rng = Rng::seed_from(606);
+    let mut s = GemmScratch::new();
     for &m in RAGGED {
         for &k in RAGGED {
             for &n in RAGGED {
@@ -107,8 +108,9 @@ fn ragged_ladder_all_detected_kernels_bitwise() {
                 let oracle = bits(&matmul_naive(&a, &b).unwrap());
                 for kernel in &supported {
                     for threads in [1usize, 2, 4] {
-                        let got =
-                            with_threads(threads, || matmul_with_kernel(&a, &b, kernel).unwrap());
+                        let got = with_threads(threads, || {
+                            matmul_with_kernel(&a, &b, kernel, &mut s).unwrap()
+                        });
                         assert_eq!(
                             bits(&got),
                             oracle,
@@ -128,7 +130,7 @@ fn unknown_kernel_name_is_an_error() {
     let mut rng = Rng::seed_from(707);
     let a = Tensor::rand_uniform([4, 4], -1.0, 1.0, &mut rng);
     let b = Tensor::rand_uniform([4, 4], -1.0, 1.0, &mut rng);
-    let err = matmul_with_kernel(&a, &b, "avx1024_64x64").unwrap_err();
+    let err = matmul_with_kernel(&a, &b, "avx1024_64x64", &mut GemmScratch::new()).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("avx1024_64x64"), "error must name the request: {msg}");
     assert!(msg.contains("scalar_8x4"), "error must list supported kernels: {msg}");
@@ -200,13 +202,14 @@ proptest! {
         let a = Tensor::rand_uniform([m, k], -2.0, 2.0, &mut rng);
         let b = Tensor::rand_uniform([k, n], -2.0, 2.0, &mut rng);
         let oracle = bits(&matmul_naive(&a, &b).unwrap());
+        let mut s = GemmScratch::new();
         for threads in [1usize, 2, 4] {
-            let got = with_threads(threads, || matmul(&a, &b).unwrap());
+            let got = with_threads(threads, || matmul_ws(&a, &b, &mut s).unwrap());
             prop_assert_eq!(bits(&got), oracle.clone());
         }
         // And through every detected kernel, not just the selected one.
         for kernel in gemm_kernels_supported() {
-            let got = matmul_with_kernel(&a, &b, kernel).unwrap();
+            let got = matmul_with_kernel(&a, &b, kernel, &mut s).unwrap();
             prop_assert!(bits(&got) == oracle, "kernel {}", kernel);
         }
     }

@@ -1,8 +1,8 @@
 //! Property-based tests for the tensor kernels.
 
 use insitu_tensor::{
-    col2im, conv2d_backward, conv2d_forward, im2col, matmul, matmul_naive, matmul_nt, matmul_tn,
-    matvec, num_threads, set_num_threads, ConvGeometry, Rng, Shape, Tensor,
+    conv2d_backward_ws, conv2d_forward_ws, matmul_naive, matmul_nt_ws, matmul_tn_ws, matmul_ws,
+    num_threads, set_num_threads, ConvGeometry, ConvWorkspace, GemmScratch, Rng, Shape, Tensor,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -37,7 +37,7 @@ proptest! {
         let mut rng = Rng::seed_from(seed);
         let a = Tensor::rand_uniform([m, k], -2.0, 2.0, &mut rng);
         let b = Tensor::rand_uniform([k, n], -2.0, 2.0, &mut rng);
-        let fast = matmul(&a, &b).unwrap();
+        let fast = matmul_ws(&a, &b, &mut GemmScratch::new()).unwrap();
         let slow = matmul_naive(&a, &b).unwrap();
         prop_assert!(fast.max_abs_diff(&slow).unwrap() < 1e-3);
     }
@@ -48,8 +48,10 @@ proptest! {
         let a = Tensor::rand_uniform([5, 7], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([7, 3], -1.0, 1.0, &mut rng);
         let c = Tensor::rand_uniform([7, 3], -1.0, 1.0, &mut rng);
-        let lhs = matmul(&a, &b.add(&c).unwrap()).unwrap();
-        let rhs = matmul(&a, &b).unwrap().add(&matmul(&a, &c).unwrap()).unwrap();
+        let mut s = GemmScratch::new();
+        let lhs = matmul_ws(&a, &b.add(&c).unwrap(), &mut s).unwrap();
+        let ab = matmul_ws(&a, &b, &mut s).unwrap();
+        let rhs = ab.add(&matmul_ws(&a, &c, &mut s).unwrap()).unwrap();
         prop_assert!(lhs.max_abs_diff(&rhs).unwrap() < 1e-3);
     }
 
@@ -58,28 +60,13 @@ proptest! {
         let mut rng = Rng::seed_from(seed);
         let a = Tensor::rand_uniform([6, 4], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([6, 5], -1.0, 1.0, &mut rng);
-        let tn = matmul_tn(&a, &b).unwrap(); // (4, 5)
-        let direct = matmul(&a.transpose2d().unwrap(), &b).unwrap();
+        let mut s = GemmScratch::new();
+        let tn = matmul_tn_ws(&a, &b, &mut s).unwrap(); // (4, 5)
+        let direct = matmul_ws(&a.transpose2d().unwrap(), &b, &mut s).unwrap();
         prop_assert!(tn.max_abs_diff(&direct).unwrap() < 1e-4);
-        let nt = matmul_nt(&tn, &b).unwrap(); // (4,5)x(6,5)ᵀ = (4,6)
-        let direct2 = matmul(&tn, &b.transpose2d().unwrap()).unwrap();
+        let nt = matmul_nt_ws(&tn, &b, &mut s).unwrap(); // (4,5)x(6,5)ᵀ = (4,6)
+        let direct2 = matmul_ws(&tn, &b.transpose2d().unwrap(), &mut s).unwrap();
         prop_assert!(nt.max_abs_diff(&direct2).unwrap() < 1e-3);
-    }
-
-    #[test]
-    fn im2col_col2im_adjoint(
-        c in 1usize..4, h in 3usize..8, k in 1usize..4, pad in 0usize..2, seed in 0u64..500
-    ) {
-        prop_assume!(k <= h + 2 * pad);
-        let g = ConvGeometry::new(c, h, h, 1, k, 1, pad).unwrap();
-        let mut rng = Rng::seed_from(seed);
-        let x = Tensor::rand_uniform([c, h, h], -1.0, 1.0, &mut rng);
-        let y = Tensor::rand_uniform([g.col_rows(), g.col_cols()], -1.0, 1.0, &mut rng);
-        let lhs: f32 = im2col(&x, &g).unwrap().as_slice().iter()
-            .zip(y.as_slice()).map(|(&a, &b)| a * b).sum();
-        let rhs: f32 = x.as_slice().iter()
-            .zip(col2im(&y, &g).unwrap().as_slice()).map(|(&a, &b)| a * b).sum();
-        prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()));
     }
 
     #[test]
@@ -123,8 +110,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// All three GEMM variants must be bitwise identical at 1, 2 and 4
-    /// threads. The ranges include degenerate edges (1×1×1) and sizes
-    /// straddling the 64-wide cache block.
+    /// threads, packing into one warm scratch. The ranges include
+    /// degenerate edges (1×1×1) and sizes straddling the 64-wide cache
+    /// block.
     #[test]
     fn gemm_bitwise_identical_across_threads(
         m in 1usize..96, k in 1usize..80, n in 1usize..80, seed in 0u64..1000
@@ -134,27 +122,26 @@ proptest! {
         let b = Tensor::rand_uniform([k, n], -2.0, 2.0, &mut rng);
         let a_tn = Tensor::rand_uniform([k, m], -2.0, 2.0, &mut rng);
         let b_nt = Tensor::rand_uniform([n, k], -2.0, 2.0, &mut rng);
-        let x = Tensor::rand_uniform([k], -2.0, 2.0, &mut rng);
-        let run = || {
+        let mut s = GemmScratch::new();
+        let mut run = || {
             (
-                matmul(&a, &b).unwrap(),
-                matmul_tn(&a_tn, &b).unwrap(),
-                matmul_nt(&a, &b_nt).unwrap(),
-                matvec(&a, &x).unwrap(),
+                matmul_ws(&a, &b, &mut s).unwrap(),
+                matmul_tn_ws(&a_tn, &b, &mut s).unwrap(),
+                matmul_nt_ws(&a, &b_nt, &mut s).unwrap(),
             )
         };
-        let reference = with_threads(1, run);
+        let reference = with_threads(1, &mut run);
         for threads in [2usize, 4] {
-            let got = with_threads(threads, run);
+            let got = with_threads(threads, &mut run);
             prop_assert_eq!(bits(&got.0), bits(&reference.0));
             prop_assert_eq!(bits(&got.1), bits(&reference.1));
             prop_assert_eq!(bits(&got.2), bits(&reference.2));
-            prop_assert_eq!(bits(&got.3), bits(&reference.3));
         }
     }
 
     /// Batched conv forward + backward must be bitwise identical at 1, 2
-    /// and 4 threads (batch sizes straddle the thread counts).
+    /// and 4 threads (batch sizes straddle the thread counts), both
+    /// passes running through one workspace as `Conv2d` runs them.
     #[test]
     fn conv_bitwise_identical_across_threads(
         b in 1usize..9, c in 1usize..3, h in 5usize..11, m in 1usize..9,
@@ -167,14 +154,15 @@ proptest! {
         let w = Tensor::rand_uniform([m, c, k, k], -0.5, 0.5, &mut rng);
         let bias = Tensor::rand_uniform([m], -0.1, 0.1, &mut rng);
         let dout = Tensor::rand_uniform([b, m, g.out_h, g.out_w], -1.0, 1.0, &mut rng);
-        let run = || {
-            let (y, cols) = conv2d_forward(&x, &w, &bias, &g).unwrap();
-            let (dx, dw, db) = conv2d_backward(&dout, &w, &cols, &g).unwrap();
+        let mut ws = ConvWorkspace::new();
+        let mut run = || {
+            let y = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
+            let (dx, dw, db) = conv2d_backward_ws(&dout, &w, &g, &mut ws).unwrap();
             (y, dx, dw, db)
         };
-        let reference = with_threads(1, run);
+        let reference = with_threads(1, &mut run);
         for threads in [2usize, 4] {
-            let got = with_threads(threads, run);
+            let got = with_threads(threads, &mut run);
             prop_assert_eq!(bits(&got.0), bits(&reference.0));
             prop_assert_eq!(bits(&got.1), bits(&reference.1));
             prop_assert_eq!(bits(&got.2), bits(&reference.2));
@@ -203,16 +191,17 @@ fn parallel_gemm_bitwise_on_paper_shapes() {
         let b = Tensor::rand_uniform([k, n], -2.0, 2.0, &mut rng);
         let a_tn = Tensor::rand_uniform([k, m], -2.0, 2.0, &mut rng);
         let b_nt = Tensor::rand_uniform([n, k], -2.0, 2.0, &mut rng);
-        let run = || {
+        let mut s = GemmScratch::new();
+        let mut run = || {
             (
-                matmul(&a, &b).unwrap(),
-                matmul_tn(&a_tn, &b).unwrap(),
-                matmul_nt(&a, &b_nt).unwrap(),
+                matmul_ws(&a, &b, &mut s).unwrap(),
+                matmul_tn_ws(&a_tn, &b, &mut s).unwrap(),
+                matmul_nt_ws(&a, &b_nt, &mut s).unwrap(),
             )
         };
-        let reference = with_threads(1, run);
+        let reference = with_threads(1, &mut run);
         for threads in [2usize, 3, 4] {
-            let got = with_threads(threads, run);
+            let got = with_threads(threads, &mut run);
             assert_eq!(bits(&got.0), bits(&reference.0), "matmul {m}x{k}x{n} @ {threads}");
             assert_eq!(bits(&got.1), bits(&reference.1), "matmul_tn {m}x{k}x{n} @ {threads}");
             assert_eq!(bits(&got.2), bits(&reference.2), "matmul_nt {m}x{k}x{n} @ {threads}");
@@ -231,14 +220,15 @@ fn parallel_conv_bitwise_on_paper_batch() {
     let w = Tensor::rand_uniform([24, 16, 3, 3], -0.2, 0.2, &mut rng);
     let bias = Tensor::rand_uniform([24], -0.1, 0.1, &mut rng);
     let dout = Tensor::rand_uniform([b, 24, 18, 18], -1.0, 1.0, &mut rng);
-    let run = || {
-        let (y, cols) = conv2d_forward(&x, &w, &bias, &g).unwrap();
-        let (dx, dw, db) = conv2d_backward(&dout, &w, &cols, &g).unwrap();
+    let mut ws = ConvWorkspace::new();
+    let mut run = || {
+        let y = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
+        let (dx, dw, db) = conv2d_backward_ws(&dout, &w, &g, &mut ws).unwrap();
         (y, dx, dw, db)
     };
-    let reference = with_threads(1, run);
+    let reference = with_threads(1, &mut run);
     for threads in [2usize, 4] {
-        let got = with_threads(threads, run);
+        let got = with_threads(threads, &mut run);
         assert_eq!(bits(&got.0), bits(&reference.0), "forward @ {threads}");
         assert_eq!(bits(&got.1), bits(&reference.1), "dinput @ {threads}");
         assert_eq!(bits(&got.2), bits(&reference.2), "dweight @ {threads}");

@@ -1,10 +1,11 @@
 //! The fixed-point i8 GEMM against its naive oracle.
 //!
 //! Integer accumulation is exact, so the contract is stronger than the
-//! f32 suite's: [`matmul_i8`] must equal [`matmul_i8_naive`] **exactly**
-//! at any shape, any selected kernel (the harness pins the portable
-//! kernel via `INSITU_GEMM_KERNEL=scalar` in one CI leg) and any thread
-//! count — packing, the vectorized `madd` pairing and panel
+//! f32 suite's: [`matmul_i8_with_kernel`] must equal [`matmul_i8_naive`]
+//! **exactly** at any shape, any kernel — the process-selected one
+//! ([`gemm_kernel_name`], which one CI leg pins to the portable kernel
+//! via `INSITU_SIMD=scalar`) and every detected one — and any thread
+//! count: packing, the vectorized `madd` pairing and panel
 //! partitioning can reorder the sum freely without changing a single
 //! accumulator bit. The same ragged ladder as `packed_gemm.rs` is swept
 //! so partial tiles at every edge are covered.
@@ -13,9 +14,9 @@
 //! scheme: symmetric scale `max_abs/127`, error at most half a step.
 
 use insitu_tensor::{
-    dequantize_i8, gemm_kernels_supported, matmul_i8, matmul_i8_naive, matmul_i8_with_kernel,
-    matmul_i8_ws, max_abs, num_threads, quant_scale, quantize_i8, set_num_threads, GemmScratch,
-    Rng, QUANT_MAX,
+    dequantize_i8, gemm_kernel_name, gemm_kernels_supported, matmul_i8_naive,
+    matmul_i8_with_kernel, max_abs, num_threads, quant_scale, quantize_i8, set_num_threads,
+    GemmScratch, Rng, QUANT_MAX,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -49,6 +50,7 @@ fn rand_i8(len: usize, rng: &mut Rng) -> Vec<i8> {
 #[test]
 fn ragged_ladder_matches_naive_exactly_at_all_thread_counts() {
     let mut rng = Rng::seed_from(303);
+    let mut s = GemmScratch::new();
     for &m in RAGGED {
         for &k in RAGGED {
             for &n in RAGGED {
@@ -56,7 +58,9 @@ fn ragged_ladder_matches_naive_exactly_at_all_thread_counts() {
                 let b = rand_i8(k * n, &mut rng);
                 let oracle = matmul_i8_naive(&a, &b, m, k, n);
                 for threads in [1usize, 2, 4] {
-                    let got = with_threads(threads, || matmul_i8(&a, &b, m, k, n).unwrap());
+                    let got = with_threads(threads, || {
+                        matmul_i8_with_kernel(&a, &b, m, k, n, gemm_kernel_name(), &mut s).unwrap()
+                    });
                     assert_eq!(got, oracle, "matmul_i8 {m}x{k}x{n} @ t{threads}");
                 }
             }
@@ -81,6 +85,7 @@ fn ragged_ladder_all_detected_kernels_exact() {
         }
     }
     let mut rng = Rng::seed_from(808);
+    let mut s = GemmScratch::new();
     for &m in RAGGED {
         for &k in RAGGED {
             for &n in RAGGED {
@@ -90,7 +95,7 @@ fn ragged_ladder_all_detected_kernels_exact() {
                 for kernel in &supported {
                     for threads in [1usize, 2, 4] {
                         let got = with_threads(threads, || {
-                            matmul_i8_with_kernel(&a, &b, m, k, n, kernel).unwrap()
+                            matmul_i8_with_kernel(&a, &b, m, k, n, kernel, &mut s).unwrap()
                         });
                         assert_eq!(got, oracle, "kernel {kernel} {m}x{k}x{n} @ t{threads}");
                     }
@@ -103,7 +108,8 @@ fn ragged_ladder_all_detected_kernels_exact() {
 /// Unknown kernel names must be a hard error naming the supported set.
 #[test]
 fn unknown_i8_kernel_name_is_an_error() {
-    let err = matmul_i8_with_kernel(&[1i8], &[1i8], 1, 1, 1, "mmx_2x2").unwrap_err();
+    let err = matmul_i8_with_kernel(&[1i8], &[1i8], 1, 1, 1, "mmx_2x2", &mut GemmScratch::new())
+        .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("mmx_2x2"), "error must name the request: {msg}");
     assert!(msg.contains("scalar_8x4"), "error must list supported kernels: {msg}");
@@ -130,9 +136,7 @@ fn i8_scratch_reuse_is_allocation_free_and_exact() {
         shapes
             .iter()
             .map(|(d, a, b)| {
-                let mut out = vec![0i32; d * d];
-                matmul_i8_ws(a, b, *d, k, *d, scratch, &mut out).unwrap();
-                out
+                matmul_i8_with_kernel(a, b, *d, k, *d, gemm_kernel_name(), scratch).unwrap()
             })
             .collect()
     };
@@ -193,13 +197,16 @@ proptest! {
         let a = rand_i8(m * k, &mut rng);
         let b = rand_i8(k * n, &mut rng);
         let oracle = matmul_i8_naive(&a, &b, m, k, n);
+        let mut s = GemmScratch::new();
         for threads in [1usize, 2, 4] {
-            let got = with_threads(threads, || matmul_i8(&a, &b, m, k, n).unwrap());
+            let got = with_threads(threads, || {
+                matmul_i8_with_kernel(&a, &b, m, k, n, gemm_kernel_name(), &mut s).unwrap()
+            });
             prop_assert_eq!(&got, &oracle);
         }
         // And through every detected kernel, not just the selected one.
         for kernel in gemm_kernels_supported() {
-            let got = matmul_i8_with_kernel(&a, &b, m, k, n, kernel).unwrap();
+            let got = matmul_i8_with_kernel(&a, &b, m, k, n, kernel, &mut s).unwrap();
             prop_assert!(got == oracle, "kernel {}", kernel);
         }
     }

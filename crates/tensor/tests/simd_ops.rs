@@ -4,9 +4,8 @@
 //! these properties hold every other runnable body
 //! ([`Isa::supported`]) to it **bitwise** (compared via `to_bits`)
 //! across ragged shapes and 1/2/4 threads, per the policy in
-//! `insitu_tensor::simd`: relu forward / train / backward, clamp,
-//! affine, quantize_i8, max_abs, max_abs_diff, sum8, and maxpool
-//! values *and* argmax.
+//! `insitu_tensor::simd`: relu forward / train / backward,
+//! quantize_i8, max_abs, and maxpool values *and* argmax.
 //!
 //! Beyond scalar↔vector, `cross_isa_all_pairs_bitwise` holds every
 //! *pair* of host-supported ISAs to each other at 1/2/4 threads, and
@@ -18,8 +17,8 @@
 //! with `INSITU_SIMD=avx512`.
 
 use insitu_tensor::simd::{
-    dispatch_on, simd_isa_name, Affine, Clamp, Isa, MaxAbs, MaxAbsDiff, MaxPool2d, MinMax,
-    QuantizeI8, Relu, ReluBackward, ReluTrain, Sum8, ISA_NAMES,
+    dispatch_on, simd_isa_name, Isa, MaxAbs, MaxPool2d, QuantizeI8, Relu, ReluBackward, ReluTrain,
+    ISA_NAMES,
 };
 use insitu_tensor::{maxpool2d_forward, num_threads, set_num_threads, PoolGeometry, Rng, Tensor};
 use proptest::prelude::*;
@@ -96,25 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn affine_and_clamp_bitwise(
-        n in 0usize..300,
-        seed in 0u64..1000,
-        gain in -3.0f32..3.0,
-        bias in -1.0f32..1.0,
-    ) {
-        let src = values(n, seed);
-        let mut oracle = src.clone();
-        dispatch_on(Isa::Scalar, Affine { buf: &mut oracle, gain, bias });
-        dispatch_on(Isa::Scalar, Clamp { buf: &mut oracle, lo: 0.0, hi: 1.0 });
-        for isa in Isa::supported() {
-            let mut got = src.clone();
-            dispatch_on(isa, Affine { buf: &mut got, gain, bias });
-            dispatch_on(isa, Clamp { buf: &mut got, lo: 0.0, hi: 1.0 });
-            assert_bits_eq(&got, &oracle, isa.name());
-        }
-    }
-
-    #[test]
     fn quantize_i8_bitwise(
         n in 0usize..300,
         seed in 0u64..1000,
@@ -136,18 +116,9 @@ proptest! {
     #[test]
     fn reductions_match_scalar(n in 1usize..300, seed in 0u64..1000) {
         let a = values(n, seed);
-        let b = values(n, seed.wrapping_add(7919));
-        let (a, b) = (&a[..], &b[..]);
-        let o_abs = dispatch_on(Isa::Scalar, MaxAbs { src: a });
-        let o_diff = dispatch_on(Isa::Scalar, MaxAbsDiff { a, b });
-        let o_sum = dispatch_on(Isa::Scalar, Sum8 { src: a });
-        let o_mm = dispatch_on(Isa::Scalar, MinMax { src: a });
+        let o_abs = dispatch_on(Isa::Scalar, MaxAbs { src: &a });
         for isa in Isa::supported() {
-            prop_assert_eq!(dispatch_on(isa, MaxAbs { src: a }).to_bits(), o_abs.to_bits());
-            prop_assert_eq!(dispatch_on(isa, MaxAbsDiff { a, b }).to_bits(), o_diff.to_bits());
-            prop_assert_eq!(dispatch_on(isa, Sum8 { src: a }).to_bits(), o_sum.to_bits());
-            // min/max: value-exact (±0 sign may legally differ).
-            prop_assert_eq!(dispatch_on(isa, MinMax { src: a }), o_mm);
+            prop_assert_eq!(dispatch_on(isa, MaxAbs { src: &a }).to_bits(), o_abs.to_bits());
         }
     }
 
@@ -261,8 +232,6 @@ fn special_values_follow_the_oracle() {
     let mut o_relu = src.clone();
     let mut o_mask = vec![0u8; src.len().div_ceil(8)];
     dispatch_on(Isa::Scalar, ReluTrain { buf: &mut o_relu, mask: &mut o_mask });
-    let mut o_clamp = src.clone();
-    dispatch_on(Isa::Scalar, Clamp { buf: &mut o_clamp, lo: 0.0, hi: 1.0 });
     let mut o_q = vec![0i8; src.len()];
     dispatch_on(Isa::Scalar, QuantizeI8 { src: &src, inv_scale: 2.0, dst: &mut o_q });
     let o_abs = dispatch_on(Isa::Scalar, MaxAbs { src: &src });
@@ -276,9 +245,6 @@ fn special_values_follow_the_oracle() {
         dispatch_on(isa, ReluTrain { buf: &mut relu, mask: &mut mask });
         assert_bits_eq(&relu, &o_relu, "relu specials");
         assert_eq!(mask, o_mask, "relu mask specials @ {}", isa.name());
-        let mut cl = src.clone();
-        dispatch_on(isa, Clamp { buf: &mut cl, lo: 0.0, hi: 1.0 });
-        assert_bits_eq(&cl, &o_clamp, "clamp specials");
         let mut q = vec![0i8; src.len()];
         dispatch_on(isa, QuantizeI8 { src: &src, inv_scale: 2.0, dst: &mut q });
         assert_eq!(q, o_q, "quantize specials @ {}", isa.name());
@@ -307,13 +273,14 @@ fn dispatch_env_override_is_honored() {
 /// Every output of one [`op_battery`] run, so ISAs can be compared
 /// pairwise field by field.
 struct Battery {
+    relu_eval: Vec<f32>,
     relu: Vec<f32>,
     mask: Vec<u8>,
     bwd: Vec<f32>,
     quant: Vec<i8>,
     pool: Vec<f32>,
     argmax: Vec<usize>,
-    reductions: [u32; 4],
+    max_abs: u32,
 }
 
 /// One battery of every dispatched op on one ISA at one thread count.
@@ -324,13 +291,13 @@ fn op_battery(isa: Isa, threads: usize) -> Battery {
     let src = values(n, 0xC0FFEE);
     let grad = values(n, 0xBEEF);
     with_threads(threads, || {
+        let mut relu_eval = src.clone();
+        dispatch_on(isa, Relu { buf: &mut relu_eval });
         let mut relu = src.clone();
         let mut mask = vec![0u8; n.div_ceil(8)];
         dispatch_on(isa, ReluTrain { buf: &mut relu, mask: &mut mask });
         let mut g = grad.clone();
         dispatch_on(isa, ReluBackward { grad: &mut g, mask: &mask });
-        dispatch_on(isa, Affine { buf: &mut g, gain: 1.25, bias: -0.5 });
-        dispatch_on(isa, Clamp { buf: &mut g, lo: -0.75, hi: 0.75 });
         let mut q = vec![0i8; n];
         dispatch_on(isa, QuantizeI8 { src: &src, inv_scale: 37.5, dst: &mut q });
         let pg = PoolGeometry::new(4, 50, 100, 2, 2).unwrap();
@@ -341,23 +308,15 @@ fn op_battery(isa: Isa, threads: usize) -> Battery {
             isa,
             MaxPool2d { x: &src[..planes * 50 * 100], g: pg, planes, out: &mut pool, argmax: &mut arg },
         );
-        let reds = [
-            dispatch_on(isa, MaxAbs { src: &src }).to_bits(),
-            dispatch_on(isa, MaxAbsDiff { a: &src, b: &grad }).to_bits(),
-            dispatch_on(isa, Sum8 { src: &src }).to_bits(),
-            {
-                let (lo, hi) = dispatch_on(isa, MinMax { src: &src });
-                lo.to_bits() ^ hi.to_bits().rotate_left(16)
-            },
-        ];
         Battery {
+            relu_eval,
             relu,
             mask,
             bwd: g,
             quant: q,
             pool,
             argmax: arg,
-            reductions: reds,
+            max_abs: dispatch_on(isa, MaxAbs { src: &src }).to_bits(),
         }
     })
 }
@@ -381,13 +340,14 @@ fn cross_isa_all_pairs_bitwise() {
         for (ai, (isa_a, a)) in batteries.iter().enumerate() {
             for (isa_b, b) in &batteries[ai + 1..] {
                 let pair = format!("{} vs {} @ t{threads}", isa_a.name(), isa_b.name());
+                assert_bits_eq(&a.relu_eval, &b.relu_eval, &format!("relu {pair}"));
                 assert_bits_eq(&a.relu, &b.relu, &format!("relu_train {pair}"));
                 assert_eq!(a.mask, b.mask, "mask {pair}");
-                assert_bits_eq(&a.bwd, &b.bwd, &format!("bwd/affine/clamp {pair}"));
+                assert_bits_eq(&a.bwd, &b.bwd, &format!("relu_bwd {pair}"));
                 assert_eq!(a.quant, b.quant, "quantize {pair}");
                 assert_bits_eq(&a.pool, &b.pool, &format!("maxpool {pair}"));
                 assert_eq!(a.argmax, b.argmax, "argmax {pair}");
-                assert_eq!(a.reductions, b.reductions, "reductions {pair}");
+                assert_eq!(a.max_abs, b.max_abs, "max_abs {pair}");
             }
         }
     }
