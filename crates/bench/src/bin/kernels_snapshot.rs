@@ -9,8 +9,8 @@
 //! The snapshot is for diffing across commits. The host core count is
 //! recorded, and the thread sweep skips counts above it — on a
 //! single-core host a t2/t4 row
-//! would measure pool overhead, not speedup (and `plan_parts` caps
-//! kernel splits at the host cores anyway, so such rows would just
+//! would measure pool overhead, not speedup (and the kernels' split
+//! is capped at the host cores anyway, so such rows would just
 //! duplicate t1).
 //!
 //! Each row carries `gflops` (2·M·K·N per iteration over the measured
@@ -294,7 +294,7 @@ fn main() {
             BASELINE_NS.iter().find(|(bn, _)| *bn == name).map(|&(_, ns)| ns);
         for &t in THREADS {
             if t > cores {
-                continue; // the row would duplicate t1 (plan_parts caps at cores)
+                continue; // the row would duplicate t1 (splits cap at cores)
             }
             set_num_threads(t);
             let ns = time_matmul(&a, &b, &mut scratch, quick);

@@ -1,12 +1,12 @@
 //! The Cloud endpoint an [`InsituNode`](insitu_core::InsituNode)
-//! talks to: holds the master copies of both models and serves
-//! incremental updates.
+//! talks to: holds the master inference model and serves incremental
+//! updates of it.
 
 use crate::cache::{sample_ids, ActivationCache, CacheStats, DEFAULT_CACHE_BUDGET};
 use crate::incremental::{
     fine_tune, fine_tune_from_activations, split_holdout, IncrementalConfig,
 };
-use crate::pretrain::{continue_pretrain, Pretrained};
+use crate::pretrain::Pretrained;
 use insitu_core::{CloudEndpoint, ModelUpdate};
 use insitu_data::Dataset;
 use insitu_nn::serialize::state_dict;
@@ -19,7 +19,6 @@ use std::collections::HashSet;
 #[derive(Debug)]
 pub struct Cloud {
     inference: Sequential,
-    pretrained: Pretrained,
     incremental: IncrementalConfig,
     /// Valuable data retained from previous updates; every incremental
     /// update trains over the retained history plus the new upload, so
@@ -31,9 +30,6 @@ pub struct Cloud {
     /// Frozen-prefix activation cache; `None` recomputes every epoch.
     /// Results are bitwise identical either way.
     cache: Option<ActivationCache>,
-    /// Refresh the unsupervised network every `jigsaw_refresh_every`
-    /// updates (0 = never).
-    jigsaw_refresh_every: u32,
     version: u32,
     total_training_ops: u64,
     rng: Rng,
@@ -44,30 +40,28 @@ impl Cloud {
     /// prefix activation cache is on by default
     /// ([`DEFAULT_CACHE_BUDGET`]); see
     /// [`without_activation_cache`](Cloud::without_activation_cache).
+    ///
+    /// Only the inference model is kept and updated. The pre-trained
+    /// diagnosis model stays as deployed: its trunk shares the frozen
+    /// conv prefix with the inference net, so retraining it in the Cloud
+    /// would break the weight sharing the node relies on. Updates
+    /// therefore carry no `jigsaw_params`.
     pub fn new(
         inference: Sequential,
-        pretrained: Pretrained,
+        _pretrained: Pretrained,
         incremental: IncrementalConfig,
         seed: u64,
     ) -> Cloud {
         Cloud {
             inference,
-            pretrained,
             incremental,
             archive: None,
             archive_ids: Vec::new(),
             cache: Some(ActivationCache::new(DEFAULT_CACHE_BUDGET)),
-            jigsaw_refresh_every: 0,
             version: 0,
             total_training_ops: 0,
             rng: Rng::seed_from(seed),
         }
-    }
-
-    /// Enables periodic unsupervised refreshes of the diagnosis model.
-    pub fn with_jigsaw_refresh(mut self, every: u32) -> Cloud {
-        self.jigsaw_refresh_every = every;
-        self
     }
 
     /// Replaces the activation cache with one bounded to
@@ -196,29 +190,12 @@ impl CloudEndpoint for Cloud {
         }
         self.archive = train_set;
         self.version += 1;
-        let jigsaw_params = if self.jigsaw_refresh_every > 0
-            && self.version.is_multiple_of(self.jigsaw_refresh_every)
-            && !uploaded.is_empty()
-        {
-            ops += continue_pretrain(
-                &mut self.pretrained,
-                uploaded,
-                self.incremental.epochs,
-                self.incremental.batch_size,
-                self.incremental.lr,
-                &mut self.rng,
-            )
-            .map_err(to_core)?;
-            Some(state_dict(&mut self.pretrained.jigsaw))
-        } else {
-            None
-        };
         self.total_training_ops += ops;
         telemetry::hist_record("cloud.training_ops", "", ops);
         Ok(ModelUpdate {
             version: self.version,
             inference_params: state_dict(&mut self.inference),
-            jigsaw_params,
+            jigsaw_params: None,
             training_ops: ops,
             eval_accuracy,
         })
@@ -321,16 +298,5 @@ mod tests {
         assert_eq!((s2.hits, s2.misses), (6, 10));
         assert!(s2.resident_bytes > 0);
         assert!(s2.hit_rate() > 0.3);
-    }
-
-    #[test]
-    fn jigsaw_refresh_fires_on_schedule() {
-        let mut c = cloud().with_jigsaw_refresh(2);
-        let mut rng = Rng::seed_from(53);
-        let data = Dataset::generate(8, 4, &Condition::in_situ(), &mut rng).unwrap();
-        let u1 = c.incremental_update(&data).unwrap();
-        assert!(u1.jigsaw_params.is_none()); // version 1
-        let u2 = c.incremental_update(&data).unwrap();
-        assert!(u2.jigsaw_params.is_some()); // version 2
     }
 }

@@ -40,7 +40,7 @@ pub use error::CloudError;
 pub use incremental::{
     fine_tune, fine_tune_from_activations, split_holdout, IncrementalConfig,
 };
-pub use pretrain::{continue_pretrain, pretrain, Pretrained, PretrainConfig};
+pub use pretrain::{pretrain, Pretrained, PretrainConfig};
 pub use systems::{run_campaign, IotSystem, StageReport, SystemConfig, SystemKind};
 
 /// Crate-wide result alias.

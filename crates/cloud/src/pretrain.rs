@@ -90,29 +90,6 @@ pub fn pretrain(raw: &Dataset, cfg: &PretrainConfig, rng: &mut Rng) -> Result<Pr
     Ok(Pretrained { jigsaw, set, task_accuracy, ops: report.total_ops })
 }
 
-/// Continues pre-training an existing jigsaw network on newly acquired
-/// raw data (the incremental refresh of the diagnosis model).
-///
-/// # Errors
-///
-/// Returns an error on shape disagreements.
-pub fn continue_pretrain(
-    pretrained: &mut Pretrained,
-    raw: &Dataset,
-    epochs: usize,
-    batch_size: usize,
-    lr: f32,
-    rng: &mut Rng,
-) -> Result<u64> {
-    let _t =
-        telemetry::span_with("cloud.continue_pretrain", || format!("{} raw samples", raw.len()));
-    let (x, y) = jigsaw_batch(raw, &pretrained.set, rng)?;
-    let cfg = TrainConfig { epochs, batch_size, lr, ..Default::default() };
-    let report = train(&mut pretrained.jigsaw, LabeledBatch::new(&x, &y)?, None, &cfg, rng)?;
-    pretrained.ops += report.total_ops;
-    Ok(report.total_ops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,18 +105,5 @@ mod tests {
         assert!(out.task_accuracy > 0.5, "jigsaw accuracy {}", out.task_accuracy);
         assert!(out.ops > 0);
         assert_eq!(out.set.len(), 4);
-    }
-
-    #[test]
-    fn continue_pretrain_accumulates_ops() {
-        let mut rng = Rng::seed_from(22);
-        let raw = Dataset::generate(40, 4, &Condition::ideal(), &mut rng).unwrap();
-        let cfg = PretrainConfig { permutations: 4, epochs: 1, batch_size: 8, lr: 0.02, threads: None };
-        let mut out = pretrain(&raw, &cfg, &mut rng).unwrap();
-        let before = out.ops;
-        let more = Dataset::generate(16, 4, &Condition::in_situ(), &mut rng).unwrap();
-        let spent = continue_pretrain(&mut out, &more, 1, 8, 0.02, &mut rng).unwrap();
-        assert!(spent > 0);
-        assert_eq!(out.ops, before + spent);
     }
 }

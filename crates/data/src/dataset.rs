@@ -18,73 +18,6 @@ pub struct Dataset {
     num_classes: usize,
 }
 
-/// A borrowed, zero-copy window over a contiguous sample range of a
-/// [`Dataset`].
-///
-/// Batch loops and the streaming replay producer walk a dataset front
-/// to back; a view lets them do so without cloning image storage on
-/// the hot path — the samples are appended straight into recycled
-/// arena buffers via [`append_to`](DatasetView::append_to), or
-/// materialized once with [`to_dataset`](DatasetView::to_dataset) when
-/// an owned copy is genuinely needed.
-#[derive(Debug, Clone, Copy)]
-pub struct DatasetView<'a> {
-    images: &'a [f32],
-    labels: &'a [usize],
-    num_classes: usize,
-}
-
-impl<'a> DatasetView<'a> {
-    /// Number of samples in the view.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    /// Number of classes of the underlying dataset.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    /// The flattened image storage, `len() * SAMPLE_LEN` floats.
-    pub fn images(&self) -> &'a [f32] {
-        self.images
-    }
-
-    /// The labels of the viewed samples.
-    pub fn labels(&self) -> &'a [usize] {
-        self.labels
-    }
-
-    /// Appends the viewed samples to raw buffers (the arena path: the
-    /// target vectors keep their capacity across frames, so a warm
-    /// buffer absorbs the copy without allocating).
-    pub fn append_to(&self, images: &mut Vec<f32>, labels: &mut Vec<usize>) {
-        images.extend_from_slice(self.images);
-        labels.extend_from_slice(self.labels);
-    }
-
-    /// Materializes the view as an owned dataset (one copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the underlying storage is inconsistent.
-    pub fn to_dataset(&self) -> Result<Dataset> {
-        Dataset::from_parts(
-            Tensor::from_vec(
-                [self.len(), CHANNELS, IMAGE_SIZE, IMAGE_SIZE],
-                self.images.to_vec(),
-            )?,
-            self.labels.to_vec(),
-            self.num_classes,
-        )
-    }
-}
-
 impl Dataset {
     /// Generates `n` images with uniformly random classes under the
     /// given environment condition.
@@ -277,44 +210,6 @@ impl Dataset {
         })
     }
 
-    /// Borrows the contiguous sample range `range` as a zero-copy
-    /// [`DatasetView`] — the hot-path sibling of
-    /// [`subset_range`](Dataset::subset_range), which copies.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the range reaches past the end.
-    pub fn view(&self, range: std::ops::Range<usize>) -> Result<DatasetView<'_>> {
-        if range.start > range.end || range.end > self.len() {
-            return Err(DataError::BadConfig {
-                reason: format!("range {range:?} out of {}", self.len()),
-            });
-        }
-        Ok(DatasetView {
-            images: &self.images.as_slice()[range.start * SAMPLE_LEN..range.end * SAMPLE_LEN],
-            labels: &self.labels[range],
-            num_classes: self.num_classes,
-        })
-    }
-
-    /// Iterates borrowed views over consecutive chunks of at most
-    /// `chunk` samples (the last chunk may be shorter; `chunk` is
-    /// clamped to at least 1). No image storage is cloned — this is
-    /// what the replay producer walks when copying a dataset into
-    /// recycled arena buffers.
-    pub fn chunk_views(&self, chunk: usize) -> impl Iterator<Item = DatasetView<'_>> {
-        let chunk = chunk.max(1);
-        let n = self.len();
-        (0..n).step_by(chunk).map(move |start| {
-            let end = (start + chunk).min(n);
-            DatasetView {
-                images: &self.images.as_slice()[start * SAMPLE_LEN..end * SAMPLE_LEN],
-                labels: &self.labels[start..end],
-                num_classes: self.num_classes,
-            }
-        })
-    }
-
     /// Decomposes the dataset into its owned image tensor and label
     /// vector — the inverse of [`from_parts`](Dataset::from_parts).
     /// The streaming arena uses this to reclaim a consumed frame's
@@ -426,42 +321,6 @@ mod tests {
         assert!(c.split_at(41).is_err());
         let other = Dataset::generate(4, 2, &Condition::ideal(), &mut rng).unwrap();
         assert!(a.concat(&other).is_err());
-    }
-
-    #[test]
-    fn views_borrow_without_copying() {
-        let mut rng = Rng::seed_from(11);
-        let d = small(&mut rng);
-        let v = d.view(4..13).unwrap();
-        assert_eq!(v.len(), 9);
-        assert_eq!(v.num_classes(), 4);
-        // Same storage as the copying path.
-        let copied = d.subset_range(4..13).unwrap();
-        assert_eq!(v.images(), copied.images().as_slice());
-        assert_eq!(v.labels(), copied.labels());
-        assert_eq!(v.to_dataset().unwrap(), copied);
-        // The borrowed pointer aims into the parent's storage: no clone.
-        assert_eq!(v.images().as_ptr(), d.images().as_slice()[4 * SAMPLE_LEN..].as_ptr());
-        assert!(d.view(4..21).is_err());
-        assert!(d.view(5..5).unwrap().is_empty());
-    }
-
-    #[test]
-    fn chunk_views_cover_the_dataset_in_order() {
-        let mut rng = Rng::seed_from(12);
-        let d = small(&mut rng); // 20 samples
-        let chunks: Vec<_> = d.chunk_views(8).collect();
-        assert_eq!(chunks.iter().map(|c| c.len()).collect::<Vec<_>>(), vec![8, 8, 4]);
-        let mut images = Vec::new();
-        let mut labels = Vec::new();
-        for c in &chunks {
-            c.append_to(&mut images, &mut labels);
-        }
-        assert_eq!(&images[..], d.images().as_slice());
-        assert_eq!(&labels[..], d.labels());
-        // chunk = 0 clamps to 1; empty dataset yields no chunks.
-        assert_eq!(d.chunk_views(0).count(), 20);
-        assert_eq!(d.subset_range(0..0).unwrap().chunk_views(4).count(), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! producer allocates nothing.
 
 use crate::concepts::Concept;
-use crate::dataset::{Dataset, SAMPLE_LEN};
+use crate::dataset::Dataset;
 use crate::drift::Condition;
 use crate::error::DataError;
 use crate::Result;
@@ -148,10 +148,9 @@ fn dataset_from_buf(buf: FrameBuf, num_classes: usize) -> Result<Dataset> {
 /// Replays a pre-materialized `Vec<Dataset>` as a frame stream.
 ///
 /// Each frame's samples are copied from the shared stream into a
-/// recycled arena buffer through borrowed [`Dataset::chunk_views`] —
-/// the source never clones image storage beyond that single
-/// unavoidable copy into the arena, and in steady state performs no
-/// heap allocation at all.
+/// recycled arena buffer — the source never clones image storage beyond
+/// that single unavoidable copy into the arena, and in steady state
+/// performs no heap allocation at all.
 #[derive(Debug)]
 pub struct ReplaySource {
     stream: Arc<Vec<Dataset>>,
@@ -172,11 +171,8 @@ impl StreamSource for ReplaySource {
         };
         self.next += 1;
         let mut buf = arena.acquire();
-        buf.images.reserve(stage.len() * SAMPLE_LEN);
-        buf.labels.reserve(stage.len());
-        for chunk in stage.chunk_views(stage.len().max(1)) {
-            chunk.append_to(&mut buf.images, &mut buf.labels);
-        }
+        buf.images.extend_from_slice(stage.images().as_slice());
+        buf.labels.extend_from_slice(stage.labels());
         Ok(Some(dataset_from_buf(buf, stage.num_classes())?))
     }
 

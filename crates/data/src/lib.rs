@@ -34,7 +34,7 @@ pub mod jigsaw;
 mod stream;
 
 pub use concepts::{Concept, PatternKind, CHANNELS, IMAGE_SIZE};
-pub use dataset::{Dataset, DatasetView, SAMPLE_LEN};
+pub use dataset::{Dataset, SAMPLE_LEN};
 pub use drift::Condition;
 pub use ingest::{
     DriftSchedule, Frame, FrameArena, FrameBuf, IngestConfig, IngestPipeline, IngestQueue,

@@ -16,8 +16,10 @@ use insitu_tensor::{conv2d_backward_ws, conv2d_forward_ws, ConvGeometry, ConvWor
 /// The layer owns a [`ConvWorkspace`], so its im2col, GEMM-packing and
 /// gradient scratch buffers are allocated once and reused across steps
 /// (zero kernel-path heap allocations in steady state); the forward
-/// pass stores the im2col matrices there for the backward pass.
-#[derive(Debug, Clone)]
+/// pass stores the im2col matrices there for the backward pass. A clone
+/// copies parameters and gradients but starts with an empty workspace,
+/// so it needs its own Train forward before `backward`.
+#[derive(Debug)]
 pub struct Conv2d {
     name: String,
     geom: ConvGeometry,
@@ -28,6 +30,22 @@ pub struct Conv2d {
     ws: ConvWorkspace,
     /// True after a Train-mode forward, until consumed by `backward`.
     has_cache: bool,
+}
+
+impl Clone for Conv2d {
+    fn clone(&self) -> Self {
+        Conv2d {
+            name: self.name.clone(),
+            geom: self.geom,
+            weight: self.weight.clone(),
+            bias: self.bias.clone(),
+            dweight: self.dweight.clone(),
+            dbias: self.dbias.clone(),
+            ws: ConvWorkspace::new(),
+            // The saved columns live in the workspace, which stays behind.
+            has_cache: false,
+        }
+    }
 }
 
 impl Conv2d {
@@ -198,6 +216,19 @@ mod tests {
         assert!(l.backward(&Tensor::zeros([1, 3, 6, 6])).is_err());
         let _ = l.forward(&x, Mode::Train).unwrap();
         assert!(l.backward(&Tensor::zeros([1, 3, 6, 6])).is_ok());
+    }
+
+    #[test]
+    fn a_clone_after_a_train_forward_has_no_cache() {
+        let mut rng = Rng::seed_from(7);
+        let mut l = layer(&mut rng);
+        let x = Tensor::randn([1, 2, 6, 6], 0.0, 1.0, &mut rng);
+        let _ = l.forward(&x, Mode::Train).unwrap();
+        let mut c = l.clone();
+        let dout = Tensor::zeros([1, 3, 6, 6]);
+        assert!(matches!(c.backward(&dout), Err(NnError::NoForwardCache { .. })));
+        assert_eq!(c.weight(), l.weight());
+        assert!(l.backward(&dout).is_ok(), "the original keeps its cache");
     }
 
     #[test]

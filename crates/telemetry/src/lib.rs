@@ -60,6 +60,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod hist;
 pub mod json;

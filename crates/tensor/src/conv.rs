@@ -20,7 +20,7 @@
 use crate::error::TensorError;
 use crate::microkernel::Kernel;
 use crate::pack::{grow_scratch, pack_a, pack_a_i8, pack_b, pack_b_i8, packed_a_len, packed_b_len};
-use crate::parallel::{parallel_for, plan_parts, SendPtr};
+use crate::parallel::{par_split, PerUnit};
 use crate::quant::{quantize_i8, QuantizedMatrix};
 use crate::tensor::Tensor;
 use crate::Result;
@@ -220,7 +220,12 @@ fn col2im_into(c_: &[f32], g: &ConvGeometry, o: &mut [f32]) {
 ///
 /// Workspaces are cheap to create (`Default`) and independent; use one
 /// per layer (or per thread when running models concurrently).
-#[derive(Debug, Clone, Default)]
+///
+/// Cloning yields a fresh empty workspace, as
+/// [`GemmScratch`](crate::GemmScratch)'s clone does: scratch is not
+/// model state, so a cloned layer neither copies warm buffers nor
+/// inherits the saved im2col matrices.
+#[derive(Debug, Default)]
 pub struct ConvWorkspace {
     /// Batched im2col matrices, `b × (N·K² · R·C)`. Padding positions
     /// are zeroed on (re)allocation and never dirtied afterwards, since
@@ -272,6 +277,12 @@ pub struct ConvWorkspace {
     /// How many times any buffer above has grown (see
     /// [`ConvWorkspace::reallocations`]).
     grows: usize,
+}
+
+impl Clone for ConvWorkspace {
+    fn clone(&self) -> Self {
+        ConvWorkspace::new()
+    }
 }
 
 impl ConvWorkspace {
@@ -410,26 +421,18 @@ pub fn conv2d_forward_ws(
         pack_a(weight.as_slice(), g.out_channels, nk2, false, kern.mr(), &mut ws.packed_w[..pa_len]);
     }
     let bv = bias.as_slice();
-    let parts = plan_parts(b, b as u64 * g.ops());
-    {
-        let out_base = SendPtr(out.as_mut_slice().as_mut_ptr());
-        let cols_base = SendPtr(ws.cols.as_mut_ptr());
-        let pcols_base = SendPtr(ws.packed_cols.as_mut_ptr());
-        let pw = &ws.packed_w[..pa_len];
-        let run = |s: usize| {
-            // SAFETY: task `s` touches only sample `s`'s slice of each
-            // buffer; samples are disjoint.
-            let col = unsafe {
-                std::slice::from_raw_parts_mut(cols_base.get().add(s * col_len), col_len)
-            };
-            let pcol = unsafe {
-                std::slice::from_raw_parts_mut(pcols_base.get().add(s * pb_len), pb_len)
-            };
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(out_base.get().add(s * out_len), out_len)
-            };
-            let xs = &xv[s * sample_len..(s + 1) * sample_len];
-            im2col_into(xs, g, col);
+    let pw = &ws.packed_w[..pa_len];
+    let bufs = (
+        PerUnit::new(out.as_mut_slice(), out_len),
+        PerUnit::new(&mut ws.cols[..b * col_len], col_len),
+        PerUnit::new(&mut ws.packed_cols[..b * pb_len], pb_len),
+    );
+    par_split(b, b as u64 * g.ops(), bufs, |samples, (dst, cols, pcols)| {
+        for (i, s) in samples.enumerate() {
+            let dst = &mut dst[i * out_len..][..out_len];
+            let col = &mut cols[i * col_len..][..col_len];
+            let pcol = &mut pcols[i * pb_len..][..pb_len];
+            im2col_into(&xv[s * sample_len..][..sample_len], g, col);
             // Fm × Dm: the micro-kernel assigns every output element,
             // then the bias is added on top.
             pack_b(col, nk2, positions, false, kern.nr(), pcol);
@@ -440,15 +443,8 @@ pub fn conv2d_forward_ws(
                     *v += bm;
                 }
             }
-        };
-        if parts == 1 {
-            for s in 0..b {
-                run(s);
-            }
-        } else {
-            parallel_for(b, run);
         }
-    }
+    });
     Ok(out)
 }
 
@@ -542,38 +538,26 @@ pub fn conv2d_forward_i8_ws(
     }
     let bv = bias.as_slice();
     let scales = qweight.scales();
-    let parts = plan_parts(b, b as u64 * g.ops());
-    {
-        let out_base = SendPtr(out.as_mut_slice().as_mut_ptr());
-        let qx_base = SendPtr(ws.qx.as_mut_ptr());
-        let qcols_base = SendPtr(ws.qcols.as_mut_ptr());
-        let pcols_base = SendPtr(ws.packed_cols_i8.as_mut_ptr());
-        let acc_base = SendPtr(ws.acc_i32.as_mut_ptr());
-        let pw = &ws.packed_w_i8[..pa_len];
-        let run = |s: usize| {
-            // SAFETY: task `s` touches only sample `s`'s slice of each
-            // buffer; samples are disjoint.
-            let qxs = unsafe {
-                std::slice::from_raw_parts_mut(qx_base.get().add(s * sample_len), sample_len)
-            };
-            let qcol = unsafe {
-                std::slice::from_raw_parts_mut(qcols_base.get().add(s * col_len), col_len)
-            };
-            let pcol = unsafe {
-                std::slice::from_raw_parts_mut(pcols_base.get().add(s * pb_len), pb_len)
-            };
-            let acc = unsafe {
-                std::slice::from_raw_parts_mut(acc_base.get().add(s * acc_len), acc_len)
-            };
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(out_base.get().add(s * out_len), out_len)
-            };
-            let xs = &xv[s * sample_len..(s + 1) * sample_len];
+    let pw = &ws.packed_w_i8[..pa_len];
+    let bufs = (
+        PerUnit::new(out.as_mut_slice(), out_len),
+        PerUnit::new(&mut ws.qx[..b * sample_len], sample_len),
+        PerUnit::new(&mut ws.qcols[..b * col_len], col_len),
+        PerUnit::new(&mut ws.packed_cols_i8[..b * pb_len], pb_len),
+        PerUnit::new(&mut ws.acc_i32[..b * acc_len], acc_len),
+    );
+    par_split(b, b as u64 * g.ops(), bufs, |samples, (dst, qx, qcols, pcols, acc)| {
+        for (i, s) in samples.enumerate() {
+            let dst = &mut dst[i * out_len..][..out_len];
+            let qxs = &mut qx[i * sample_len..][..sample_len];
+            let qcol = &mut qcols[i * col_len..][..col_len];
+            let pcol = &mut pcols[i * pb_len..][..pb_len];
+            let acc = &mut acc[i * acc_len..][..acc_len];
             // Quantize the sample once, then stretch in the i8 domain:
             // im2col duplicates each element up to K² times, so
             // rounding after the stretch would do K² times the work
             // for bit-identical output.
-            quantize_i8(xs, in_scale, qxs);
+            quantize_i8(&xv[s * sample_len..][..sample_len], in_scale, qxs);
             im2col_into(qxs, g, qcol);
             pack_b_i8(qcol, nk2, positions, false, kern.nr(), pcol);
             kern.run_band_i8(pw, pcol, nk2, positions, 0..g.out_channels, acc);
@@ -586,15 +570,8 @@ pub fn conv2d_forward_i8_ws(
                     *d = a as f32 * factor + bm;
                 }
             }
-        };
-        if parts == 1 {
-            for s in 0..b {
-                run(s);
-            }
-        } else {
-            parallel_for(b, run);
         }
-    }
+    });
     Ok(out)
 }
 
@@ -670,32 +647,28 @@ pub fn conv2d_backward_ws(
     let pdya_len = packed_a_len(m_ch, positions, mr);
     let pcolt_len = packed_b_len(positions, nk2, nr);
     let pdyb_len = packed_b_len(m_ch, positions, nr);
-    let parts = plan_parts(b, 2 * b as u64 * g.ops());
-    {
-        let din_base = SendPtr(dinput.as_mut_slice().as_mut_ptr());
-        let dcol_base = SendPtr(ws.dcols.as_mut_ptr());
-        let dw_base = SendPtr(ws.dw_parts.as_mut_ptr());
-        let db_base = SendPtr(ws.db_parts.as_mut_ptr());
-        let pdya_base = SendPtr(ws.packed_dy_a.as_mut_ptr());
-        let pcolt_base = SendPtr(ws.packed_colt.as_mut_ptr());
-        let pdyb_base = SendPtr(ws.packed_dy_b.as_mut_ptr());
-        let cols = &ws.cols;
-        let pwt = &ws.packed_wt[..pwt_len];
-        let run = |s: usize| {
+    let (cols, pwt) = (&ws.cols, &ws.packed_wt[..pwt_len]);
+    let bufs = (
+        PerUnit::new(dinput.as_mut_slice(), sample_len),
+        PerUnit::new(&mut ws.dcols[..b * col_len], col_len),
+        PerUnit::new(&mut ws.dw_parts[..b * dw_len], dw_len),
+        PerUnit::new(&mut ws.db_parts[..b * m_ch], m_ch),
+        PerUnit::new(&mut ws.packed_dy_a[..b * pdya_len], pdya_len),
+        PerUnit::new(&mut ws.packed_colt[..b * pcolt_len], pcolt_len),
+        PerUnit::new(&mut ws.packed_dy_b[..b * pdyb_len], pdyb_len),
+    );
+    let flops = 2 * b as u64 * g.ops();
+    par_split(b, flops, bufs, |samples, (dxs, dcols, dws, dbs, pdyas, pcolts, pdybs)| {
+        for (i, s) in samples.enumerate() {
             let dy = &dv[s * out_len..(s + 1) * out_len]; // (M, P)
             let col = &cols[s * col_len..(s + 1) * col_len]; // (N·K², P)
-            // SAFETY: task `s` touches only sample `s`'s slice of each
-            // scratch/output buffer; samples are disjoint.
-            let pdya = unsafe {
-                std::slice::from_raw_parts_mut(pdya_base.get().add(s * pdya_len), pdya_len)
-            };
-            let pcolt = unsafe {
-                std::slice::from_raw_parts_mut(pcolt_base.get().add(s * pcolt_len), pcolt_len)
-            };
-            let pdyb = unsafe {
-                std::slice::from_raw_parts_mut(pdyb_base.get().add(s * pdyb_len), pdyb_len)
-            };
-            let dw = unsafe { std::slice::from_raw_parts_mut(dw_base.get().add(s * dw_len), dw_len) };
+            let pdya = &mut pdyas[i * pdya_len..][..pdya_len];
+            let pcolt = &mut pcolts[i * pcolt_len..][..pcolt_len];
+            let pdyb = &mut pdybs[i * pdyb_len..][..pdyb_len];
+            let dw = &mut dws[i * dw_len..][..dw_len];
+            let db = &mut dbs[i * m_ch..][..m_ch];
+            let dcol = &mut dcols[i * col_len..][..col_len];
+            let dx = &mut dxs[i * sample_len..][..sample_len];
             // dW_s = dY · colᵀ → (M, N·K²); col is (N·K², P) = (n, k),
             // so its transposed packing is the B-operand. The kernel
             // assigns every element, so `dw` needs no pre-zeroing.
@@ -703,31 +676,16 @@ pub fn conv2d_backward_ws(
             pack_b(col, positions, nk2, true, nr, pcolt);
             kern.run_band(pdya, pcolt, positions, nk2, 0..m_ch, dw);
             // db_s = row sums of dY.
-            let db = unsafe {
-                std::slice::from_raw_parts_mut(db_base.get().add(s * m_ch), m_ch)
-            };
             for m in 0..m_ch {
                 db[m] = dy[m * positions..(m + 1) * positions].iter().sum::<f32>();
             }
             // dX_s = col2im(Wᵀ · dY); the kernel assigns every element
             // of dcol, which col2im then scatters into dx.
-            let dcol =
-                unsafe { std::slice::from_raw_parts_mut(dcol_base.get().add(s * col_len), col_len) };
             pack_b(dy, m_ch, positions, false, nr, pdyb);
             kern.run_band(pwt, pdyb, m_ch, positions, 0..nk2, dcol);
-            let dx = unsafe {
-                std::slice::from_raw_parts_mut(din_base.get().add(s * sample_len), sample_len)
-            };
             col2im_into(dcol, g, dx);
-        };
-        if parts == 1 {
-            for s in 0..b {
-                run(s);
-            }
-        } else {
-            parallel_for(b, run);
         }
-    }
+    });
 
     // Deterministic reduction: ascending sample order, independent of
     // which worker produced each partial — the same fold the sequential
@@ -1013,6 +971,25 @@ mod tests {
             assert_eq!(bits(&dw), bits(&dw2));
             assert_eq!(bits(&db), bits(&db2));
         }
+    }
+
+    #[test]
+    fn a_cloned_workspace_starts_empty() {
+        let g = small_geom();
+        let mut rng = Rng::seed_from(34);
+        let x = Tensor::rand_uniform([2, 2, 5, 5], -1.0, 1.0, &mut rng);
+        let w = Tensor::rand_uniform([3, 2, 3, 3], -0.5, 0.5, &mut rng);
+        let bias = Tensor::rand_uniform([3], -0.1, 0.1, &mut rng);
+        let mut ws = ConvWorkspace::new();
+        let y = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
+        assert!(ws.reallocations() > 0);
+        let mut cloned = ws.clone();
+        assert_eq!(cloned.reallocations(), 0, "a clone must not copy warm buffers");
+        // No saved columns travel with the clone.
+        let dout = Tensor::zeros([2, 3, g.out_h, g.out_w]);
+        assert!(conv2d_backward_ws(&dout, &w, &g, &mut cloned).is_err());
+        let y2 = conv2d_forward_ws(&x, &w, &bias, &g, &mut cloned).unwrap();
+        assert_eq!(bits(&y), bits(&y2));
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //!
 //! The non-GEMM hot ops the loop runs (ReLU, maxpool, quantization
 //! and its calibration scan) go through the [`simd`] dispatch layer:
-//! one [`simd::SimdOp`] trait, a scalar oracle body per op, and
-//! runtime-detected vector bodies (AVX2 and AVX-512 on x86-64, NEON
-//! on aarch64), all pinnable with
-//! `INSITU_SIMD=scalar|avx2|avx512|neon`.
+//! one [`simd::SimdOp`] trait, a scalar oracle kernel per op,
+//! runtime-detected vector kernels of the same signature (AVX2 and
+//! AVX-512 on x86-64, NEON on aarch64) and one parallel split per op,
+//! all pinnable with `INSITU_SIMD=scalar|avx2|avx512|neon`.
 //!
 //! A symmetric-i8 fixed-point inference path
 //! ([`conv2d_forward_i8_ws`], [`linear_forward_i8_ws`]) mirrors the
@@ -52,6 +52,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod conv;
 mod error;
@@ -74,7 +75,7 @@ pub use matmul::{
     gemm_kernel_name, gemm_kernels_supported, matmul_naive, matmul_nt_ws, matmul_tn_ws,
     matmul_with_kernel, matmul_ws, GemmScratch,
 };
-pub use parallel::{num_threads, par_chunks_mut, parallel_for, set_num_threads};
+pub use parallel::{num_threads, par_chunks_mut, set_num_threads};
 pub use pool::{maxpool2d_backward, maxpool2d_forward, PoolGeometry};
 pub use quant::{
     dequantize_i8, linear_forward_i8_ws, matmul_i8_naive, matmul_i8_with_kernel, max_abs,

@@ -37,7 +37,7 @@ use crate::error::TensorError;
 use crate::microkernel::Kernel;
 use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len};
 pub use crate::pack::GemmScratch;
-use crate::parallel::{parallel_for, plan_parts, split_range, SendPtr};
+use crate::parallel::{par_split, PerUnit};
 use crate::tensor::Tensor;
 use crate::Result;
 use insitu_telemetry as telemetry;
@@ -133,21 +133,12 @@ fn gemm_packed(
         pack_b(bv, k, n, b_trans, nr, pb);
     }
     let (pa, pb) = (&*pa, &*pb);
-    let mp = m.div_ceil(mr);
-    let parts = plan_parts(mp, 2 * m as u64 * k as u64 * n as u64);
-    if parts <= 1 {
-        kern.run_band(pa, pb, k, n, 0..m, out);
-        return;
-    }
-    let base = SendPtr(out.as_mut_ptr());
-    parallel_for(parts, move |p| {
-        let pr = split_range(mp, parts, p);
-        let (r0, r1) = (pr.start * mr, (pr.end * mr).min(m));
-        // SAFETY: `split_range` partitions the panel index space, so
-        // each task's row band `r0..r1` of `out` is disjoint.
-        let band =
-            unsafe { std::slice::from_raw_parts_mut(base.get().add(r0 * n), (r1 - r0) * n) };
-        kern.run_band(pa, pb, k, n, r0..r1, band);
+    // The split's unit is one MR-row panel, so bands start on panel
+    // boundaries; only the last panel may be short.
+    let flops = 2 * m as u64 * k as u64 * n as u64;
+    par_split(m.div_ceil(mr), flops, PerUnit::new(out, mr * n), |panels, band| {
+        let rows = panels.start * mr..(panels.end * mr).min(m);
+        kern.run_band(pa, pb, k, n, rows, band);
     });
 }
 

@@ -27,8 +27,18 @@
 //!
 //! A count of 1 disables the pool entirely: every kernel takes its plain
 //! sequential path, exactly reproducing single-threaded behavior.
+//!
+//! ## The split
+//!
+//! `par_split` is the only code in the crate that plans a split or cuts
+//! a buffer into per-task slices. A kernel names its unit (an 8-element
+//! group, a plane, an MR-row panel, a sample) and the buffers it
+//! writes, each as a `PerUnit` with its elements per unit; the helper
+//! checks every buffer against the unit count, then hands each task its
+//! unit range and the matching sub-slices.
 
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -44,7 +54,7 @@ pub const MAX_THREADS: usize = 64;
 /// Kernels stay sequential below this much work (~multiply-accumulates);
 /// waking the pool costs more than a tiny op. This is a performance
 /// heuristic only — results are identical either way.
-pub(crate) const PAR_MIN_FLOPS: u64 = 1 << 18;
+const PAR_MIN_FLOPS: u64 = 1 << 18;
 
 /// Resolved thread count; 0 means "not resolved yet".
 static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
@@ -112,6 +122,8 @@ struct JobFn(*const (dyn Fn(usize) + Sync));
 // SAFETY: the pointee is `Sync` (shared calls are fine from any thread)
 // and is only dereferenced while the submitting call keeps it alive.
 unsafe impl Send for JobFn {}
+// SAFETY: as for `Send`: sharing the pointer only shares calls to a
+// `Sync` closure that outlives every dereference.
 unsafe impl Sync for JobFn {}
 
 /// One batch of tasks submitted to the pool.
@@ -225,7 +237,7 @@ fn worker_loop() {
 ///
 /// If a task panics, the remaining tasks still run, and the panic is
 /// re-raised here once all of them finish.
-pub fn parallel_for<F>(tasks: usize, f: F)
+fn parallel_for<F>(tasks: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
@@ -244,15 +256,17 @@ fn run_pooled(tasks: usize, threads: usize, f: &(dyn Fn(usize) + Sync)) {
     telemetry::counter_add("pool.jobs", "", 1);
     telemetry::counter_add("pool.tasks", "", tasks as u64);
     // Erase the borrow lifetime so workers can hold the closure pointer.
-    // SAFETY (of the lifetime, not a memory access): this function does
-    // not return until `Job::wait` observes all tasks finished, so the
-    // raw pointer never outlives the borrow it was made from — dangling
-    // copies held by late workers are never dereferenced (see
-    // `Job::work`).
     #[allow(clippy::transmute_ptr_to_ptr)] // cast can't erase the lifetime
-    let func = JobFn(unsafe {
-        std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(f)
-    });
+    let func = JobFn(
+        // SAFETY: this erases a lifetime, it accesses no memory. This
+        // function does not return until `Job::wait` observes all tasks
+        // finished, so the raw pointer never outlives the borrow it was
+        // made from — dangling copies held by late workers are never
+        // dereferenced (see `Job::work`).
+        unsafe {
+            std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(f)
+        },
+    );
     let helper_limit = (threads - 1).min(tasks - 1).min(MAX_THREADS);
     let job = Arc::new(Job {
         func,
@@ -305,38 +319,12 @@ fn run_pooled(tasks: usize, threads: usize, f: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// Raw pointer that may cross threads; used to hand disjoint sub-slices
-/// of one buffer to parallel tasks.
-pub(crate) struct SendPtr<T>(pub *mut T);
-
-// Manual impls: the derives would add a spurious `T: Copy` bound.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// The wrapped pointer. (A method rather than field access so that
-    /// closures capture the `Sync` wrapper, not the raw pointer.)
-    pub(crate) fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-// SAFETY: tasks built on `SendPtr` only touch disjoint regions (each
-// call site documents its partition), so sharing the base pointer across
-// threads is sound.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
 /// Physical cores the host actually has, resolved once. Distinct from
 /// [`num_threads`], which callers may set to anything: the *requested*
 /// count sizes the pool, but kernels never split work wider than the
 /// hardware (see [`plan_parts`]) — on a 1-core host, extra threads only
 /// add dispatch and contention cost without any parallel speedup.
-pub(crate) fn host_cores() -> usize {
+fn host_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
@@ -348,7 +336,7 @@ pub(crate) fn host_cores() -> usize {
 /// capped at [`host_cores`], because splitting beyond the physical
 /// cores is a pure loss (the parts time-slice one core and pay the
 /// pool's dispatch overhead on top).
-pub(crate) fn plan_parts(units: usize, flops: u64) -> usize {
+fn plan_parts(units: usize, flops: u64) -> usize {
     let t = num_threads().min(host_cores());
     if t <= 1 || units <= 1 || flops < PAR_MIN_FLOPS {
         1
@@ -358,7 +346,7 @@ pub(crate) fn plan_parts(units: usize, flops: u64) -> usize {
 }
 
 /// The `part`-th of `parts` balanced contiguous sub-ranges of `0..n`.
-pub(crate) fn split_range(n: usize, parts: usize, part: usize) -> Range<usize> {
+fn split_range(n: usize, parts: usize, part: usize) -> Range<usize> {
     debug_assert!(part < parts);
     let base = n / parts;
     let extra = n % parts;
@@ -367,13 +355,135 @@ pub(crate) fn split_range(n: usize, parts: usize, part: usize) -> Range<usize> {
     start..start + len
 }
 
+/// One `&mut [T]` handed to [`par_split`], cut into units of `per`
+/// elements: the task running units `r` gets elements
+/// `r.start * per..r.end * per`, clipped to the buffer, so only the
+/// last unit may be short.
+pub(crate) struct PerUnit<'a, T> {
+    base: *mut T,
+    len: usize,
+    per: usize,
+    _borrow: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: `len` and `per` are plain data every task only reads, and
+// `base` is dereferenced only through `Split::piece`, whose callers cut
+// disjoint ranges: sharing a `PerUnit` hands each task its own `&mut`
+// piece, which is sending `&mut [T]` to another thread, sound whenever
+// `T: Send`.
+unsafe impl<T: Send> Sync for PerUnit<'_, T> {}
+
+impl<'a, T> PerUnit<'a, T> {
+    /// Borrows `buf` for one split, `per` elements per unit.
+    pub(crate) fn new(buf: &'a mut [T], per: usize) -> Self {
+        PerUnit { base: buf.as_mut_ptr(), len: buf.len(), per, _borrow: PhantomData }
+    }
+}
+
+/// The buffers one [`par_split`] call cuts: a [`PerUnit`] or a tuple of
+/// them.
+pub(crate) trait Split: Sync {
+    /// What one task receives: the sub-slice of every buffer.
+    type Piece;
+
+    /// Panics unless every buffer holds exactly `units` units (the last
+    /// one may be short).
+    fn check(&self, units: usize);
+
+    /// The sub-slices covering units `r`.
+    ///
+    /// # Safety
+    ///
+    /// `r` must not overlap any other range this value is cut at while
+    /// the pieces live.
+    unsafe fn piece(&self, r: &Range<usize>) -> Self::Piece;
+}
+
+impl<'a, T: Send> Split for PerUnit<'a, T> {
+    type Piece = &'a mut [T];
+
+    fn check(&self, units: usize) {
+        let (len, per) = (self.len, self.per);
+        let holds = units.checked_mul(per).is_some_and(|cap| len <= cap && cap - len < per.max(1));
+        assert!(
+            holds,
+            "par_split: a buffer of {len} elements does not hold {units} units of {per}"
+        );
+    }
+
+    unsafe fn piece(&self, r: &Range<usize>) -> &'a mut [T] {
+        let start = (r.start * self.per).min(self.len);
+        let end = (r.end * self.per).min(self.len);
+        // SAFETY: `start..end` lies inside the borrowed buffer, and the
+        // caller never cuts overlapping ranges, so no two pieces alias.
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(start), end - start) }
+    }
+}
+
+macro_rules! split_tuple {
+    ($($buf:ident $b:ident),+) => {
+        impl<$($buf: Split),+> Split for ($($buf,)+) {
+            type Piece = ($($buf::Piece,)+);
+
+            fn check(&self, units: usize) {
+                let ($($b,)+) = self;
+                $($b.check(units);)+
+            }
+
+            unsafe fn piece(&self, r: &Range<usize>) -> Self::Piece {
+                let ($($b,)+) = self;
+                // SAFETY: the caller's disjointness promise holds for
+                // every buffer of the tuple.
+                unsafe { ($($b.piece(r),)+) }
+            }
+        }
+    };
+}
+
+// One impl per arity a kernel uses: ReLU train and maxpool (2), the
+// f32 conv forward (3), the i8 conv forward (5), the conv backward (7).
+split_tuple!(A a, B b);
+split_tuple!(A a, B b, C c);
+split_tuple!(A a, B b, C c, D d, E e);
+split_tuple!(A a, B b, C c, D d, E e, F f, G g);
+
+/// Runs `f` over disjoint, contiguous ranges covering `0..units`,
+/// handing each range the pieces of `bufs` it covers.
+///
+/// [`plan_parts`] sizes the split from `flops`. One part is a single
+/// inline call, `f(0..units, whole buffers)`; more run on the pool as
+/// balanced ranges (see [`split_range`]). Each range is one task, so a
+/// kernel that needs whole groups, planes, panels or samples per task
+/// makes that its unit.
+///
+/// # Panics
+///
+/// Panics before running anything if a buffer does not hold `units`
+/// units of its per-unit length (only the last may be short), so a
+/// sizing bug is a panic rather than an out-of-bounds piece. A panic in
+/// `f` is re-raised once every task finishes.
+pub(crate) fn par_split<B, F>(units: usize, flops: u64, bufs: B, f: F)
+where
+    B: Split,
+    F: Fn(Range<usize>, B::Piece) + Sync,
+{
+    bufs.check(units);
+    let parts = plan_parts(units, flops);
+    parallel_for(parts, |p| {
+        let r = split_range(units, parts, p);
+        // SAFETY: `split_range` partitions `0..units` and `parallel_for`
+        // runs each part exactly once, so no range is cut twice.
+        let piece = unsafe { bufs.piece(&r) };
+        f(r, piece);
+    });
+}
+
 /// Runs `f(i, chunk_i)` over the consecutive `chunk_len`-sized chunks of
 /// `data` in parallel (the last chunk may be shorter). Chunks are
 /// disjoint, so no synchronization is needed inside `f`.
 ///
 /// This is the building block training uses to parallelize batch
-/// assembly; it falls back to a plain call when there is at most one
-/// chunk or the pool is disabled.
+/// assembly; it makes one sequential pass when the pool is disabled.
 ///
 /// # Panics
 ///
@@ -384,22 +494,12 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "par_chunks_mut: chunk_len must be nonzero");
-    let len = data.len();
-    let tasks = len.div_ceil(chunk_len);
-    if tasks <= 1 {
-        if len > 0 {
-            f(0, data);
+    let chunks = data.len().div_ceil(chunk_len);
+    // The caller sized the chunks, so no work threshold applies.
+    par_split(chunks, u64::MAX, PerUnit::new(data, chunk_len), |r, part| {
+        for (i, chunk) in r.zip(part.chunks_mut(chunk_len)) {
+            f(i, chunk);
         }
-        return;
-    }
-    let base = SendPtr(data.as_mut_ptr());
-    parallel_for(tasks, move |i| {
-        let start = i * chunk_len;
-        let clen = chunk_len.min(len - start);
-        // SAFETY: chunk `i` covers `start..start + clen`, disjoint from
-        // every other chunk index.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), clen) };
-        f(i, chunk);
     });
 }
 
@@ -533,6 +633,67 @@ mod tests {
             }
             assert_eq!(data, expect);
         });
+    }
+
+    #[test]
+    fn one_planned_part_is_one_inline_call_over_every_unit() {
+        let caller = thread::current().id();
+        // One thread, or a job below the work threshold at four.
+        for (threads, flops) in [(1, u64::MAX), (4, PAR_MIN_FLOPS - 1)] {
+            with_threads(threads, || {
+                let mut buf = vec![0u32; 29]; // 10 units of 3, the last short
+                let calls = Mutex::new(Vec::new());
+                par_split(10, flops, PerUnit::new(&mut buf, 3), |r, piece| {
+                    calls.lock().unwrap().push((r, piece.len(), thread::current().id()));
+                });
+                assert_eq!(calls.into_inner().unwrap(), vec![(0..10, 29, caller)]);
+            });
+        }
+    }
+
+    #[test]
+    fn split_ranges_are_disjoint_ordered_and_cover_every_unit() {
+        const UNITS: usize = 103;
+        const LEN: usize = 3 * UNITS - 1; // the last unit is short
+        for threads in [2, 4] {
+            with_threads(threads, || {
+                let mut buf: Vec<usize> = (0..LEN).collect();
+                let mut mask = vec![0u8; UNITS];
+                let ranges = Mutex::new(Vec::new());
+                let bufs = (PerUnit::new(&mut buf, 3), PerUnit::new(&mut mask, 1));
+                par_split(UNITS, u64::MAX, bufs, |r, (piece, m)| {
+                    // Each piece is exactly the range's elements.
+                    assert_eq!(piece.len(), (3 * r.end).min(LEN) - 3 * r.start);
+                    assert_eq!(piece.first(), Some(&(3 * r.start)));
+                    assert_eq!(m.len(), r.len());
+                    piece.iter_mut().for_each(|v| *v += 1);
+                    m.iter_mut().for_each(|v| *v += 1);
+                    ranges.lock().unwrap().push(r);
+                });
+                let mut ranges = ranges.into_inner().unwrap();
+                assert_eq!(ranges.len(), threads.min(host_cores()));
+                ranges.sort_by_key(|r| r.start);
+                let mut next = 0;
+                for r in &ranges {
+                    assert!(!r.is_empty());
+                    assert_eq!(r.start, next, "ranges must tile 0..units in order");
+                    next = r.end;
+                }
+                assert_eq!(next, UNITS);
+                // Every element and every mask byte was handed out once.
+                assert!(buf.iter().enumerate().all(|(i, &v)| v == i + 1));
+                assert!(mask.iter().all(|&v| v == 1));
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold 4 units of 3")]
+    fn a_buffer_short_of_its_units_panics() {
+        let mut whole = vec![0f32; 12];
+        let mut short = vec![0f32; 9];
+        let bufs = (PerUnit::new(&mut whole, 3), PerUnit::new(&mut short, 3));
+        par_split(4, u64::MAX, bufs, |_, _| panic!("nothing may run"));
     }
 
     #[test]

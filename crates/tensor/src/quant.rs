@@ -35,7 +35,7 @@
 use crate::error::TensorError;
 use crate::microkernel::Kernel;
 use crate::pack::{pack_a_i8, pack_b_i8, packed_a_len, packed_b_len, GemmScratch};
-use crate::parallel::{parallel_for, plan_parts, split_range, SendPtr};
+use crate::parallel::{par_split, PerUnit};
 use crate::tensor::Tensor;
 use crate::Result;
 use insitu_telemetry as telemetry;
@@ -191,21 +191,10 @@ fn gemm_packed_prepacked_i8(
     out: &mut [i32],
 ) {
     let mr = kern.mr();
-    let mp = m.div_ceil(mr);
-    let parts = plan_parts(mp, 2 * m as u64 * k as u64 * n as u64);
-    if parts <= 1 {
-        kern.run_band_i8(pa, pb, k, n, 0..m, out);
-        return;
-    }
-    let base = SendPtr(out.as_mut_ptr());
-    parallel_for(parts, move |p| {
-        let pr = split_range(mp, parts, p);
-        let (r0, r1) = (pr.start * mr, (pr.end * mr).min(m));
-        // SAFETY: `split_range` partitions the panel index space, so
-        // each task's row band `r0..r1` of `out` is disjoint.
-        let band =
-            unsafe { std::slice::from_raw_parts_mut(base.get().add(r0 * n), (r1 - r0) * n) };
-        kern.run_band_i8(pa, pb, k, n, r0..r1, band);
+    let flops = 2 * m as u64 * k as u64 * n as u64;
+    par_split(m.div_ceil(mr), flops, PerUnit::new(out, mr * n), |panels, band| {
+        let rows = panels.start * mr..(panels.end * mr).min(m);
+        kern.run_band_i8(pa, pb, k, n, rows, band);
     });
 }
 

@@ -1,13 +1,14 @@
 //! The instruction-set selector and the [`SimdOp`] dispatcher.
 //!
 //! Every vectorized non-GEMM kernel in this crate is a [`SimdOp`]: a
-//! small struct borrowing its operands, with one `scalar` body (the
-//! portable oracle, always available) and optional vector bodies
-//! (hand-written intrinsics, runtime-detected: AVX2 and AVX-512 on
-//! x86-64, NEON on aarch64). [`dispatch`] resolves the ISA once per
-//! process and runs the matching body under a `tensor.simd.*`
-//! telemetry span, so traces show exactly how much time each op spends
-//! on which path.
+//! small struct borrowing its operands, with one scalar per-range
+//! kernel (the portable oracle, always available), optional vector
+//! kernels (hand-written intrinsics, runtime-detected: AVX2 and AVX-512
+//! on x86-64, NEON on aarch64) of the same signature, and one `run`
+//! that splits the op once and applies whichever kernel it is given.
+//! [`dispatch`] resolves the ISA once per process, picks the kernel
+//! and runs it under a `tensor.simd.*` telemetry span, so traces show
+//! exactly how much time each op spends on which path.
 //!
 //! The GEMM micro-kernels predate this layer and keep their own
 //! [`Kernel`](crate::microkernel::Kernel) enum (their dispatch carries
@@ -98,8 +99,8 @@ fn parse_isa_request(want: &str) -> Isa {
 const ARCH: &str = std::env::consts::ARCH;
 
 /// True when the host supports the AVX-512 subset our bodies compile
-/// for (F+BW+DQ+VL), plus AVX2+FMA so the default fallback chain
-/// (`avx512` body defaulting to the `avx2` body) is always sound.
+/// for (F+BW+DQ+VL), plus AVX2+FMA so the fallback from a missing
+/// AVX-512 kernel to the AVX2 one is always sound.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx512_detected() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
@@ -193,102 +194,105 @@ pub fn simd_isa_name() -> &'static str {
 }
 
 /// One vectorizable operation: operands borrowed in the struct, one
-/// body per ISA. `scalar` is mandatory and is the oracle; each vector
-/// body defaults to the next-narrower one (`avx512` → `avx2` →
-/// `scalar`, `neon` → `scalar`) so an op can be added portably first
-/// and gain vector bodies later without touching its call sites.
-pub trait SimdOp {
+/// per-range kernel per ISA, and one [`run`](SimdOp::run) that splits
+/// the op once and applies the kernel it is given to every range.
+///
+/// `SCALAR` is mandatory and is the oracle. A vector kernel left `None`
+/// falls back to the next-narrower one (`AVX512` → `AVX2` → `SCALAR`,
+/// `NEON` → `SCALAR`; see [`dispatch_on`]), so an op can be added
+/// portably first and gain vector kernels later without touching its
+/// call sites.
+pub trait SimdOp: Sized {
     /// Span name recorded by the dispatcher, e.g. `"tensor.simd.relu"`.
     const NAME: &'static str;
 
     /// What the op produces (often `()` for in-place ops).
     type Output;
 
+    /// The per-range kernel signature every ISA shares, e.g.
+    /// `unsafe fn(&mut [f32])`.
+    type Kernel: Copy;
+
+    /// The portable kernel — the oracle all others must match.
+    const SCALAR: Self::Kernel;
+
+    /// The AVX2+FMA kernel.
+    #[cfg(target_arch = "x86_64")]
+    const AVX2: Option<Self::Kernel> = None;
+
+    /// The AVX-512 (F+BW+DQ+VL) kernel.
+    #[cfg(target_arch = "x86_64")]
+    const AVX512: Option<Self::Kernel> = None;
+
+    /// The NEON kernel.
+    #[cfg(target_arch = "aarch64")]
+    const NEON: Option<Self::Kernel> = None;
+
     /// Bytes the op reads plus writes; fed to the
     /// `tensor.simd.bytes` counter so traces can derive per-op
     /// bandwidth.
     fn bytes(&self) -> u64;
 
-    /// The portable body — the oracle all other bodies must match.
-    fn scalar(self) -> Self::Output;
-
-    /// The AVX2+FMA body.
+    /// Splits the op once and runs `kernel` over every range.
     ///
     /// # Safety
     ///
-    /// The caller must have verified that the host supports AVX2 and
-    /// FMA (the dispatcher only passes ISAs from [`Isa::select`] or
-    /// [`Isa::supported`], which both check).
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) -> Self::Output
-    where
-        Self: Sized,
-    {
-        self.scalar()
-    }
+    /// `kernel` must be `SCALAR` or a vector kernel of an ISA the host
+    /// supports ([`dispatch_on`] checks this).
+    unsafe fn run(self, kernel: Self::Kernel) -> Self::Output;
+}
 
-    /// The AVX-512 body. Defaults to the AVX2 body: [`avx512_detected`]
-    /// requires AVX2+FMA alongside the AVX-512 subset, so the fallback
-    /// is always sound.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified that the host supports AVX-512
-    /// F+BW+DQ+VL and AVX2+FMA (the dispatcher only passes ISAs from
-    /// [`Isa::select`] or [`Isa::supported`], which both check).
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx512(self) -> Self::Output
-    where
-        Self: Sized,
-    {
-        // SAFETY: the avx512 contract includes AVX2+FMA support.
-        unsafe { self.avx2() }
-    }
+/// The host's supported ISAs, resolved once.
+fn host_isas() -> &'static [Isa] {
+    static HOST: OnceLock<Vec<Isa>> = OnceLock::new();
+    HOST.get_or_init(Isa::supported)
+}
 
-    /// The NEON body.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified that the host supports NEON (the
-    /// dispatcher only passes ISAs from [`Isa::select`] or
-    /// [`Isa::supported`], which both check).
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn neon(self) -> Self::Output
-    where
-        Self: Sized,
-    {
-        self.scalar()
+/// Panics, naming `isa`, unless it is in `supported`.
+fn require_supported(isa: Isa, supported: &[Isa]) {
+    if !supported.contains(&isa) {
+        let names: Vec<_> = supported.iter().map(|i| i.name()).collect();
+        let isa = isa.name();
+        panic!("dispatch_on({isa}): this host does not support it; supported ISAs are {names:?}");
     }
 }
 
 /// Runs `op` on the process-wide ISA from [`Isa::select`].
 pub fn dispatch<O: SimdOp>(op: O) -> O::Output {
-    dispatch_on(Isa::select(), op)
+    // `select` only resolves host-supported ISAs.
+    run_on(Isa::select(), op)
 }
 
 /// Runs `op` on an explicit ISA — the entry point the equivalence
-/// tests and the benchmark's scalar-vs-vector timing use. The ISA must
-/// come from [`Isa::select`] or [`Isa::supported`] so the vector
-/// body's feature requirement is known to hold.
+/// tests and the benchmark's scalar-vs-vector timing use.
+///
+/// # Panics
+///
+/// Panics if the host does not support `isa`, exactly as a bad
+/// `INSITU_SIMD` does, rather than running instructions it lacks.
 pub fn dispatch_on<O: SimdOp>(isa: Isa, op: O) -> O::Output {
+    require_supported(isa, host_isas());
+    run_on(isa, op)
+}
+
+/// Picks `op`'s kernel for a host-supported `isa`, falling back to the
+/// next-narrower kernel where the op has none, and runs it.
+fn run_on<O: SimdOp>(isa: Isa, op: O) -> O::Output {
     let _t = telemetry::span_with(O::NAME, || isa.name().to_string());
     telemetry::counter_add("tensor.simd.bytes", O::NAME, op.bytes());
-    match isa {
-        Isa::Scalar => op.scalar(),
+    let kernel = match isa {
+        Isa::Scalar => O::SCALAR,
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa` values only come from `select`/`supported`,
-        // which gate Avx2 behind runtime detection of AVX2 and FMA.
-        Isa::Avx2 => unsafe { op.avx2() },
+        Isa::Avx2 => O::AVX2.unwrap_or(O::SCALAR),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa` values only come from `select`/`supported`,
-        // which gate Avx512 behind runtime detection of the AVX-512
-        // subset plus AVX2+FMA.
-        Isa::Avx512 => unsafe { op.avx512() },
+        Isa::Avx512 => O::AVX512.or(O::AVX2).unwrap_or(O::SCALAR),
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: `isa` values only come from `select`/`supported`,
-        // which gate Neon behind runtime detection of NEON.
-        Isa::Neon => unsafe { op.neon() },
-    }
+        Isa::Neon => O::NEON.unwrap_or(O::SCALAR),
+    };
+    // SAFETY: `isa` is host-supported (`select` resolves only supported
+    // ISAs and `dispatch_on` checks), and an AVX-512 host also has the
+    // AVX2+FMA its fallback kernel needs (`avx512_detected`).
+    unsafe { op.run(kernel) }
 }
 
 #[cfg(test)]
@@ -331,19 +335,45 @@ mod tests {
         parse_isa_request("neon");
     }
 
+    #[test]
+    fn dispatch_on_rejects_an_isa_the_host_lacks() {
+        require_supported(Isa::Scalar, &[Isa::Scalar]);
+        for isa in Isa::supported() {
+            require_supported(isa, host_isas());
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            let err = std::panic::catch_unwind(|| {
+                require_supported(Isa::Avx512, &[Isa::Scalar, Isa::Avx2]);
+            })
+            .unwrap_err();
+            let msg = err.downcast_ref::<String>().unwrap();
+            assert!(msg.contains("dispatch_on(avx512)"), "{msg}");
+            assert!(msg.contains(r#"["scalar", "avx2"]"#), "{msg}");
+        }
+    }
+
     struct Double<'a>(&'a mut [f32]);
+
+    fn double(buf: &mut [f32]) {
+        for v in buf {
+            *v *= 2.0;
+        }
+    }
+
     impl SimdOp for Double<'_> {
         const NAME: &'static str = "tensor.simd.test_double";
         type Output = ();
+        type Kernel = unsafe fn(&mut [f32]);
+        const SCALAR: Self::Kernel = double;
+        // No vector kernels: every ISA must fall back to scalar.
         fn bytes(&self) -> u64 {
             8 * self.0.len() as u64
         }
-        fn scalar(self) {
-            for v in self.0 {
-                *v *= 2.0;
-            }
+        unsafe fn run(self, kernel: Self::Kernel) {
+            // SAFETY: forwarded from the caller.
+            unsafe { kernel(self.0) }
         }
-        // No vector bodies: every default must fall back to scalar.
     }
 
     #[test]

@@ -14,32 +14,12 @@
 //!
 //! All bodies here are **bitwise exact** against the scalar oracle for
 //! every input (NaN and `-0.0` included) at any thread count: elements
-//! are independent, and the parallel split is aligned to mask-byte
-//! boundaries so no two tasks touch one byte.
+//! are independent, and the parallel split's unit is an 8-element group
+//! (one mask byte), so no two tasks touch one byte. Only the final
+//! group is ragged.
 
 use super::dispatch::SimdOp;
-use crate::parallel::{parallel_for, plan_parts, split_range, SendPtr};
-
-/// Runs `f` over 8-aligned element sub-ranges of `0..n`, in parallel
-/// when `flops` is large enough. Alignment keeps mask bytes (one per 8
-/// elements) private to one task; only the final range is ragged.
-pub(crate) fn par_groups(n: usize, flops: u64, f: impl Fn(std::ops::Range<usize>) + Sync) {
-    let groups = n.div_ceil(8);
-    let parts = plan_parts(groups, flops);
-    if parts <= 1 {
-        if n > 0 {
-            f(0..n);
-        }
-        return;
-    }
-    parallel_for(parts, |p| {
-        let gr = split_range(groups, parts, p);
-        let (e0, e1) = (gr.start * 8, (gr.end * 8).min(n));
-        if e0 < e1 {
-            f(e0..e1);
-        }
-    });
-}
+use crate::parallel::{par_split, PerUnit};
 
 /// In-place eval-mode ReLU: `x = if x > 0 { x } else { 0.0 }`.
 ///
@@ -117,54 +97,24 @@ unsafe fn relu_neon_range(buf: &mut [f32]) {
 impl SimdOp for Relu<'_> {
     const NAME: &'static str = "tensor.simd.relu";
     type Output = ();
+    type Kernel = unsafe fn(&mut [f32]);
+    const SCALAR: Self::Kernel = relu_scalar_range;
+    #[cfg(target_arch = "x86_64")]
+    const AVX2: Option<Self::Kernel> = Some(relu_avx2_range);
+    #[cfg(target_arch = "x86_64")]
+    const AVX512: Option<Self::Kernel> = Some(relu_avx512_range);
+    #[cfg(target_arch = "aarch64")]
+    const NEON: Option<Self::Kernel> = Some(relu_neon_range);
 
     fn bytes(&self) -> u64 {
         8 * self.buf.len() as u64
     }
 
-    fn scalar(self) {
-        let base = SendPtr(self.buf.as_mut_ptr());
-        par_groups(self.buf.len(), self.buf.len() as u64, move |r| {
-            // SAFETY: par_groups hands out disjoint sub-ranges of buf.
-            relu_scalar_range(unsafe {
-                std::slice::from_raw_parts_mut(base.get().add(r.start), r.len())
-            });
-        });
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) {
-        let base = SendPtr(self.buf.as_mut_ptr());
-        par_groups(self.buf.len(), self.buf.len() as u64, move |r| {
-            // SAFETY: disjoint sub-ranges; AVX2 verified by the caller.
-            unsafe {
-                relu_avx2_range(std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()));
-            }
-        });
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx512(self) {
-        let base = SendPtr(self.buf.as_mut_ptr());
-        par_groups(self.buf.len(), self.buf.len() as u64, move |r| {
-            // SAFETY: disjoint sub-ranges; AVX-512 verified by the caller.
-            unsafe {
-                relu_avx512_range(std::slice::from_raw_parts_mut(
-                    base.get().add(r.start),
-                    r.len(),
-                ));
-            }
-        });
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn neon(self) {
-        let base = SendPtr(self.buf.as_mut_ptr());
-        par_groups(self.buf.len(), self.buf.len() as u64, move |r| {
-            // SAFETY: disjoint sub-ranges; NEON verified by the caller.
-            unsafe {
-                relu_neon_range(std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()));
-            }
+    unsafe fn run(self, kernel: Self::Kernel) {
+        let n = self.buf.len();
+        par_split(n.div_ceil(8), n as u64, PerUnit::new(self.buf, 8), |_, buf| {
+            // SAFETY: the caller vouches that `kernel` runs on this host.
+            unsafe { kernel(buf) }
         });
     }
 }
@@ -277,86 +227,28 @@ unsafe fn relu_train_neon_range(buf: &mut [f32], mask: &mut [u8]) {
 impl SimdOp for ReluTrain<'_> {
     const NAME: &'static str = "tensor.simd.relu_train";
     type Output = ();
+    type Kernel = unsafe fn(&mut [f32], &mut [u8]);
+    const SCALAR: Self::Kernel = relu_train_scalar_range;
+    #[cfg(target_arch = "x86_64")]
+    const AVX2: Option<Self::Kernel> = Some(relu_train_avx2_range);
+    // Ranges are 8-aligned, not 16-: the 16-lane loop just leaves a
+    // ≤15-element scalar tail per range.
+    #[cfg(target_arch = "x86_64")]
+    const AVX512: Option<Self::Kernel> = Some(relu_train_avx512_range);
+    #[cfg(target_arch = "aarch64")]
+    const NEON: Option<Self::Kernel> = Some(relu_train_neon_range);
 
     fn bytes(&self) -> u64 {
         8 * self.buf.len() as u64 + self.mask.len() as u64
     }
 
-    fn scalar(self) {
+    unsafe fn run(self, kernel: Self::Kernel) {
         assert_eq!(self.mask.len(), self.buf.len().div_ceil(8), "mask must be 1 bit per element");
-        let (base, mbase) = (SendPtr(self.buf.as_mut_ptr()), SendPtr(self.mask.as_mut_ptr()));
         let n = self.buf.len();
-        par_groups(n, n as u64, move |r| {
-            // SAFETY: 8-aligned disjoint ranges — each task owns its
-            // elements and the mask bytes covering exactly them.
-            unsafe {
-                relu_train_scalar_range(
-                    std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()),
-                    std::slice::from_raw_parts_mut(
-                        mbase.get().add(r.start / 8),
-                        r.len().div_ceil(8),
-                    ),
-                );
-            }
-        });
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) {
-        assert_eq!(self.mask.len(), self.buf.len().div_ceil(8), "mask must be 1 bit per element");
-        let (base, mbase) = (SendPtr(self.buf.as_mut_ptr()), SendPtr(self.mask.as_mut_ptr()));
-        let n = self.buf.len();
-        par_groups(n, n as u64, move |r| {
-            // SAFETY: disjoint 8-aligned ranges as above; AVX2 verified.
-            unsafe {
-                relu_train_avx2_range(
-                    std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()),
-                    std::slice::from_raw_parts_mut(
-                        mbase.get().add(r.start / 8),
-                        r.len().div_ceil(8),
-                    ),
-                );
-            }
-        });
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx512(self) {
-        assert_eq!(self.mask.len(), self.buf.len().div_ceil(8), "mask must be 1 bit per element");
-        let (base, mbase) = (SendPtr(self.buf.as_mut_ptr()), SendPtr(self.mask.as_mut_ptr()));
-        let n = self.buf.len();
-        par_groups(n, n as u64, move |r| {
-            // SAFETY: disjoint 8-aligned ranges as above; AVX-512
-            // verified. (Ranges are 8-aligned, not 16-: the 16-lane
-            // loop just leaves a ≤15-element scalar tail per range.)
-            unsafe {
-                relu_train_avx512_range(
-                    std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()),
-                    std::slice::from_raw_parts_mut(
-                        mbase.get().add(r.start / 8),
-                        r.len().div_ceil(8),
-                    ),
-                );
-            }
-        });
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn neon(self) {
-        assert_eq!(self.mask.len(), self.buf.len().div_ceil(8), "mask must be 1 bit per element");
-        let (base, mbase) = (SendPtr(self.buf.as_mut_ptr()), SendPtr(self.mask.as_mut_ptr()));
-        let n = self.buf.len();
-        par_groups(n, n as u64, move |r| {
-            // SAFETY: disjoint 8-aligned ranges as above; NEON verified.
-            unsafe {
-                relu_train_neon_range(
-                    std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()),
-                    std::slice::from_raw_parts_mut(
-                        mbase.get().add(r.start / 8),
-                        r.len().div_ceil(8),
-                    ),
-                );
-            }
+        let bufs = (PerUnit::new(self.buf, 8), PerUnit::new(self.mask, 1));
+        par_split(n.div_ceil(8), n as u64, bufs, |_, (buf, mask)| {
+            // SAFETY: the caller vouches that `kernel` runs on this host.
+            unsafe { kernel(buf, mask) }
         });
     }
 }
@@ -457,72 +349,25 @@ unsafe fn relu_bwd_neon_range(grad: &mut [f32], mask: &[u8]) {
 impl SimdOp for ReluBackward<'_> {
     const NAME: &'static str = "tensor.simd.relu_bwd";
     type Output = ();
+    type Kernel = unsafe fn(&mut [f32], &[u8]);
+    const SCALAR: Self::Kernel = relu_bwd_scalar_range;
+    #[cfg(target_arch = "x86_64")]
+    const AVX2: Option<Self::Kernel> = Some(relu_bwd_avx2_range);
+    #[cfg(target_arch = "x86_64")]
+    const AVX512: Option<Self::Kernel> = Some(relu_bwd_avx512_range);
+    #[cfg(target_arch = "aarch64")]
+    const NEON: Option<Self::Kernel> = Some(relu_bwd_neon_range);
 
     fn bytes(&self) -> u64 {
         8 * self.grad.len() as u64 + self.mask.len() as u64
     }
 
-    fn scalar(self) {
+    unsafe fn run(self, kernel: Self::Kernel) {
         assert_eq!(self.mask.len(), self.grad.len().div_ceil(8), "mask must be 1 bit per element");
-        let base = SendPtr(self.grad.as_mut_ptr());
-        let mask = self.mask;
-        par_groups(self.grad.len(), self.grad.len() as u64, move |r| {
-            // SAFETY: disjoint 8-aligned ranges of grad; mask is shared
-            // read-only.
-            unsafe {
-                relu_bwd_scalar_range(
-                    std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()),
-                    &mask[r.start / 8..r.start / 8 + r.len().div_ceil(8)],
-                );
-            }
-        });
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) {
-        assert_eq!(self.mask.len(), self.grad.len().div_ceil(8), "mask must be 1 bit per element");
-        let base = SendPtr(self.grad.as_mut_ptr());
-        let mask = self.mask;
-        par_groups(self.grad.len(), self.grad.len() as u64, move |r| {
-            // SAFETY: disjoint 8-aligned ranges; AVX2 verified.
-            unsafe {
-                relu_bwd_avx2_range(
-                    std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()),
-                    &mask[r.start / 8..r.start / 8 + r.len().div_ceil(8)],
-                );
-            }
-        });
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx512(self) {
-        assert_eq!(self.mask.len(), self.grad.len().div_ceil(8), "mask must be 1 bit per element");
-        let base = SendPtr(self.grad.as_mut_ptr());
-        let mask = self.mask;
-        par_groups(self.grad.len(), self.grad.len() as u64, move |r| {
-            // SAFETY: disjoint 8-aligned ranges; AVX-512 verified.
-            unsafe {
-                relu_bwd_avx512_range(
-                    std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()),
-                    &mask[r.start / 8..r.start / 8 + r.len().div_ceil(8)],
-                );
-            }
-        });
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn neon(self) {
-        assert_eq!(self.mask.len(), self.grad.len().div_ceil(8), "mask must be 1 bit per element");
-        let base = SendPtr(self.grad.as_mut_ptr());
-        let mask = self.mask;
-        par_groups(self.grad.len(), self.grad.len() as u64, move |r| {
-            // SAFETY: disjoint 8-aligned ranges; NEON verified.
-            unsafe {
-                relu_bwd_neon_range(
-                    std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()),
-                    &mask[r.start / 8..r.start / 8 + r.len().div_ceil(8)],
-                );
-            }
+        let (n, mask) = (self.grad.len(), self.mask);
+        par_split(n.div_ceil(8), n as u64, PerUnit::new(self.grad, 8), |groups, grad| {
+            // SAFETY: the caller vouches that `kernel` runs on this host.
+            unsafe { kernel(grad, &mask[groups]) }
         });
     }
 }

@@ -17,14 +17,14 @@
 //! deinterleaves even/odd columns in one load, and the candidate fold
 //! uses `vcgtq`/`vbslq` — the identical first-strictly-greater chain.
 //! There is no dedicated AVX-512 body: maxpool is load-bound and the
-//! AVX2 body (inherited through the trait default) already saturates
-//! the two load ports, so wider registers buy nothing.
+//! AVX2 body (the dispatcher's AVX-512 fallback) already saturates the
+//! two load ports, so wider registers buy nothing.
 //!
 //! Planes (batch × channel) are independent, so parallelism splits
 //! planes; outputs never depend on the split.
 
 use super::dispatch::SimdOp;
-use crate::parallel::{parallel_for, plan_parts, split_range, SendPtr};
+use crate::parallel::{par_split, PerUnit};
 use crate::pool::PoolGeometry;
 
 /// One output plane, naive windows. `x` is the full input slice;
@@ -54,11 +54,23 @@ fn pool_plane_scalar(x: &[f32], plane: usize, g: &PoolGeometry, out: &mut [f32],
     }
 }
 
-/// Window-2 / stride-2 plane: 8 outputs per step. Caller guarantees
-/// the geometry and that `plane + in_h * in_w <= i32::MAX`.
+/// True when the vector plane kernels apply: window 2, stride 2, rows of
+/// at least `min_w` inputs, and every input index fits the i32 index
+/// lanes (no real workload here comes close to the limit).
+fn w2s2_fits(x: &[f32], g: &PoolGeometry, min_w: usize) -> bool {
+    g.window == 2 && g.stride == 2 && g.in_w >= min_w && x.len() <= i32::MAX as usize
+}
+
+/// Window-2 / stride-2 plane: 8 outputs per step; any other plane
+/// (see [`w2s2_fits`]) takes the scalar chain.
+///
+/// # Safety
+///
+/// The host must support AVX2, `x` must hold the plane at `plane`, and
+/// `out`/`arg` must be exactly one output plane.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn pool_plane_avx2_w2s2(
+unsafe fn pool_plane_avx2(
     x: &[f32],
     plane: usize,
     g: &PoolGeometry,
@@ -66,7 +78,9 @@ unsafe fn pool_plane_avx2_w2s2(
     arg: &mut [usize],
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(g.window == 2 && g.stride == 2);
+    if !w2s2_fits(x, g, 16) {
+        return pool_plane_scalar(x, plane, g, out, arg);
+    }
     // Even/odd column deinterleave of two consecutive 8-float loads.
     let deint = |v0: __m256, v1: __m256, imm_evens: bool| -> __m256 {
         let s = if imm_evens {
@@ -138,11 +152,16 @@ unsafe fn pool_plane_avx2_w2s2(
     }
 }
 
-/// Window-2 / stride-2 plane: 4 outputs per step. Caller guarantees
-/// the geometry and that `plane + in_h * in_w <= i32::MAX`.
+/// Window-2 / stride-2 plane: 4 outputs per step; any other plane
+/// (see [`w2s2_fits`]) takes the scalar chain.
+///
+/// # Safety
+///
+/// The host must support NEON, `x` must hold the plane at `plane`, and
+/// `out`/`arg` must be exactly one output plane.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn pool_plane_neon_w2s2(
+unsafe fn pool_plane_neon(
     x: &[f32],
     plane: usize,
     g: &PoolGeometry,
@@ -150,8 +169,10 @@ unsafe fn pool_plane_neon_w2s2(
     arg: &mut [usize],
 ) {
     use std::arch::aarch64::*;
-    debug_assert!(g.window == 2 && g.stride == 2);
-    // SAFETY: geometry checked by the caller; every load below is
+    if !w2s2_fits(x, g, 8) {
+        return pool_plane_scalar(x, plane, g, out, arg);
+    }
+    // SAFETY: geometry checked above; every load below is
     // bounds-justified at its site.
     unsafe {
         let iota = vld1q_s32([0i32, 2, 4, 6].as_ptr());
@@ -229,92 +250,40 @@ pub struct MaxPool2d<'a> {
     pub argmax: &'a mut [usize],
 }
 
-impl MaxPool2d<'_> {
-    /// Splits planes across threads and hands each plane to `f`.
-    fn for_planes(self, f: impl Fn(&[f32], usize, &PoolGeometry, &mut [f32], &mut [usize]) + Sync) {
-        let g = self.g;
-        let in_sz = g.in_h * g.in_w;
-        let out_sz = g.out_h * g.out_w;
-        assert_eq!(self.x.len(), self.planes * in_sz);
-        assert_eq!(self.out.len(), self.planes * out_sz);
-        assert_eq!(self.argmax.len(), self.out.len());
-        let flops = self.out.len() as u64 * (g.window * g.window) as u64;
-        let parts = plan_parts(self.planes, flops);
-        let x = self.x;
-        let (op, ap) = (SendPtr(self.out.as_mut_ptr()), SendPtr(self.argmax.as_mut_ptr()));
-        let run = |plane_range: std::ops::Range<usize>| {
-            for pi in plane_range {
-                // SAFETY: each plane's output slice is disjoint.
-                let (out, arg) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(op.get().add(pi * out_sz), out_sz),
-                        std::slice::from_raw_parts_mut(ap.get().add(pi * out_sz), out_sz),
-                    )
-                };
-                f(x, pi * in_sz, &g, out, arg);
-            }
-        };
-        if parts <= 1 {
-            run(0..self.planes);
-        } else {
-            let planes = self.planes;
-            parallel_for(parts, |p| run(split_range(planes, parts, p)));
-        }
-    }
-}
-
 impl SimdOp for MaxPool2d<'_> {
     const NAME: &'static str = "tensor.simd.maxpool";
     type Output = ();
+    type Kernel = unsafe fn(&[f32], usize, &PoolGeometry, &mut [f32], &mut [usize]);
+    const SCALAR: Self::Kernel = pool_plane_scalar;
+    #[cfg(target_arch = "x86_64")]
+    const AVX2: Option<Self::Kernel> = Some(pool_plane_avx2);
+    // No `AVX512` kernel: load-bound op, the AVX2 fallback already
+    // saturates the load ports.
+    #[cfg(target_arch = "aarch64")]
+    const NEON: Option<Self::Kernel> = Some(pool_plane_neon);
 
     fn bytes(&self) -> u64 {
         4 * self.x.len() as u64 + 12 * self.out.len() as u64
     }
 
-    fn scalar(self) {
-        self.for_planes(pool_plane_scalar);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) {
+    unsafe fn run(self, kernel: Self::Kernel) {
         let g = self.g;
-        // Index lanes are i32: bail to scalar if the input can outgrow
-        // them (no real workload here comes close).
-        let fast = g.window == 2
-            && g.stride == 2
-            && g.in_w >= 16
-            && self.x.len() <= i32::MAX as usize;
-        if fast {
-            self.for_planes(|x, plane, g, out, arg| {
-                // SAFETY: AVX2 verified by the dispatcher; geometry and
-                // index range checked above.
-                unsafe { pool_plane_avx2_w2s2(x, plane, g, out, arg) }
-            });
-        } else {
-            self.for_planes(pool_plane_scalar);
-        }
-    }
-
-    // No `avx512` override: load-bound op, the inherited AVX2 body
-    // already saturates the load ports.
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn neon(self) {
-        let g = self.g;
-        // Index lanes are i32: bail to scalar if the input can outgrow
-        // them (no real workload here comes close).
-        let fast = g.window == 2
-            && g.stride == 2
-            && g.in_w >= 8
-            && self.x.len() <= i32::MAX as usize;
-        if fast {
-            self.for_planes(|x, plane, g, out, arg| {
-                // SAFETY: NEON verified by the dispatcher; geometry and
-                // index range checked above.
-                unsafe { pool_plane_neon_w2s2(x, plane, g, out, arg) }
-            });
-        } else {
-            self.for_planes(pool_plane_scalar);
-        }
+        let (in_sz, out_sz) = (g.in_h * g.in_w, g.out_h * g.out_w);
+        // Exact sizes: the vector kernels store a whole plane unchecked.
+        assert_eq!(self.x.len(), self.planes * in_sz);
+        assert_eq!(self.out.len(), self.planes * out_sz);
+        assert_eq!(self.argmax.len(), self.out.len());
+        let flops = self.out.len() as u64 * (g.window * g.window) as u64;
+        let x = self.x;
+        let bufs = (PerUnit::new(self.out, out_sz), PerUnit::new(self.argmax, out_sz));
+        par_split(self.planes, flops, bufs, |planes, (outs, args)| {
+            for (i, pi) in planes.enumerate() {
+                let out = &mut outs[i * out_sz..][..out_sz];
+                let arg = &mut args[i * out_sz..][..out_sz];
+                // SAFETY: the caller vouches that `kernel` runs on this
+                // host; `out`/`arg` are exactly one plane.
+                unsafe { kernel(x, pi * in_sz, &g, out, arg) }
+            }
+        });
     }
 }

@@ -1,6 +1,7 @@
 //! The SIMD dispatch layer: every non-GEMM hot op the loop runs as a
-//! [`SimdOp`] with a scalar oracle body and runtime-detected vector
-//! bodies (AVX2 and AVX-512 on x86-64, NEON on aarch64).
+//! [`SimdOp`] that splits its work once and runs a per-range kernel: a
+//! scalar oracle or a runtime-detected vector kernel (AVX2 and AVX-512
+//! on x86-64, NEON on aarch64).
 //!
 //! An op earns its vector bodies here only when the paper's loop runs
 //! it: ReLU forward / train / backward (node forward and Cloud

@@ -14,8 +14,7 @@
 //!   bodies, so ties break identically (to even).
 
 use super::dispatch::SimdOp;
-use super::elementwise::par_groups;
-use crate::parallel::SendPtr;
+use crate::parallel::{par_split, PerUnit};
 
 /// Clamp limit: i8 range is symmetric at ±127 so a negated scale
 /// never overflows.
@@ -154,75 +153,26 @@ pub struct QuantizeI8<'a> {
 impl SimdOp for QuantizeI8<'_> {
     const NAME: &'static str = "tensor.simd.quantize_i8";
     type Output = ();
+    type Kernel = unsafe fn(&[f32], f32, &mut [i8]);
+    const SCALAR: Self::Kernel = quantize_scalar_range;
+    #[cfg(target_arch = "x86_64")]
+    const AVX2: Option<Self::Kernel> = Some(quantize_avx2_range);
+    #[cfg(target_arch = "x86_64")]
+    const AVX512: Option<Self::Kernel> = Some(quantize_avx512_range);
+    #[cfg(target_arch = "aarch64")]
+    const NEON: Option<Self::Kernel> = Some(quantize_neon_range);
 
     fn bytes(&self) -> u64 {
         5 * self.src.len() as u64
     }
 
-    fn scalar(self) {
+    unsafe fn run(self, kernel: Self::Kernel) {
         assert_eq!(self.src.len(), self.dst.len());
-        let inv = self.inv_scale;
-        let (sp, dp) = (SendPtr(self.src.as_ptr().cast_mut()), SendPtr(self.dst.as_mut_ptr()));
-        par_groups(self.src.len(), self.src.len() as u64 * 4, move |r| {
-            // SAFETY: disjoint sub-ranges of src/dst per task.
-            unsafe {
-                quantize_scalar_range(
-                    std::slice::from_raw_parts(sp.get().add(r.start), r.len()),
-                    inv,
-                    std::slice::from_raw_parts_mut(dp.get().add(r.start), r.len()),
-                );
-            }
-        });
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self) {
-        assert_eq!(self.src.len(), self.dst.len());
-        let inv = self.inv_scale;
-        let (sp, dp) = (SendPtr(self.src.as_ptr().cast_mut()), SendPtr(self.dst.as_mut_ptr()));
-        par_groups(self.src.len(), self.src.len() as u64 * 4, move |r| {
-            // SAFETY: disjoint sub-ranges; AVX2 verified by the caller.
-            unsafe {
-                quantize_avx2_range(
-                    std::slice::from_raw_parts(sp.get().add(r.start), r.len()),
-                    inv,
-                    std::slice::from_raw_parts_mut(dp.get().add(r.start), r.len()),
-                );
-            }
-        });
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx512(self) {
-        assert_eq!(self.src.len(), self.dst.len());
-        let inv = self.inv_scale;
-        let (sp, dp) = (SendPtr(self.src.as_ptr().cast_mut()), SendPtr(self.dst.as_mut_ptr()));
-        par_groups(self.src.len(), self.src.len() as u64 * 4, move |r| {
-            // SAFETY: disjoint sub-ranges; AVX-512 verified by the caller.
-            unsafe {
-                quantize_avx512_range(
-                    std::slice::from_raw_parts(sp.get().add(r.start), r.len()),
-                    inv,
-                    std::slice::from_raw_parts_mut(dp.get().add(r.start), r.len()),
-                );
-            }
-        });
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn neon(self) {
-        assert_eq!(self.src.len(), self.dst.len());
-        let inv = self.inv_scale;
-        let (sp, dp) = (SendPtr(self.src.as_ptr().cast_mut()), SendPtr(self.dst.as_mut_ptr()));
-        par_groups(self.src.len(), self.src.len() as u64 * 4, move |r| {
-            // SAFETY: disjoint sub-ranges; NEON verified by the caller.
-            unsafe {
-                quantize_neon_range(
-                    std::slice::from_raw_parts(sp.get().add(r.start), r.len()),
-                    inv,
-                    std::slice::from_raw_parts_mut(dp.get().add(r.start), r.len()),
-                );
-            }
+        let (n, src, inv) = (self.src.len(), self.src, self.inv_scale);
+        par_split(n.div_ceil(8), 4 * n as u64, PerUnit::new(self.dst, 8), |groups, dst| {
+            let src = &src[groups.start * 8..][..dst.len()];
+            // SAFETY: the caller vouches that `kernel` runs on this host.
+            unsafe { kernel(src, inv, dst) }
         });
     }
 }
