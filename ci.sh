@@ -28,6 +28,26 @@ cargo test -q -p insitu-tensor --test quant_gemm
 INSITU_SIMD=scalar cargo test -q -p insitu-tensor --test quant_gemm
 cargo test -q -p insitu-core --test quantized_inference
 
+# Install gates: an i8 install's in-place recalibration must stay
+# bitwise equal to a fresh calibration (suffix-only and prefix-changing
+# updates, 1-8 calibration images, 1/2/4 threads), and a corrupted
+# update (truncated, an extra tensor, a wrong shape, a shared-prefix
+# weight one ulp off, a prefix zero of the other sign, a jigsaw trunk
+# prefix that differs from the inference dict's) must be rejected on an
+# f32 and an i8 node, leaving each bitwise equal to a twin that never
+# saw it. Recalibration runs max_abs and quantize_i8, so both gates run
+# under the auto-detected ISA and the portable one. The recalibration
+# filter names one test and must run it, so a rename cannot leave it
+# matching nothing.
+for simd in auto scalar; do
+    INSITU_SIMD=$simd cargo test -q -p insitu-nn --lib \
+        quant::tests::recalibrate_equals_a_fresh_calibrate >/tmp/ci_recal.log 2>&1 \
+        || { cat /tmp/ci_recal.log; exit 1; }
+    grep -q '^test result: ok\. 1 passed' /tmp/ci_recal.log
+    INSITU_SIMD=$simd cargo test -q -p insitu-core --test install_gate
+done
+rm -f /tmp/ci_recal.log
+
 # SIMD dispatch gates: every dispatched op must match its scalar body
 # bitwise across ragged shapes and 1/2/4 threads, under both the
 # auto-detected ISA and the forced portable path (INSITU_SIMD=scalar —

@@ -1,4 +1,4 @@
-//! Accounting: node→Cloud data movement.
+//! Accounting: node↔Cloud data movement.
 //!
 //! Data movement is one of the metrics the paper's end-to-end
 //! evaluation reports (its Table II); the update-time and energy
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Bytes occupied by one image on the uplink (3×36×36 fp32).
 pub const IMAGE_BYTES: u64 = (3 * 36 * 36 * 4) as u64;
 
-/// Accumulates node→Cloud data movement.
+/// Accumulates node↔Cloud data movement: images up, model updates down.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DataMovementMeter {
     /// Images examined by the node.
@@ -18,6 +18,11 @@ pub struct DataMovementMeter {
     pub images_uploaded: u64,
     /// Bytes uploaded.
     pub bytes_uploaded: u64,
+    /// Model updates installed.
+    pub updates_installed: u64,
+    /// Bytes of installed updates
+    /// ([`ModelUpdate::downlink_bytes`](crate::ModelUpdate::downlink_bytes)).
+    pub bytes_downloaded: u64,
 }
 
 impl DataMovementMeter {
@@ -32,6 +37,12 @@ impl DataMovementMeter {
         self.images_seen += seen;
         self.images_uploaded += uploaded;
         self.bytes_uploaded += uploaded * IMAGE_BYTES;
+    }
+
+    /// Records an installed model update of `bytes` downlink bytes.
+    pub fn record_install(&mut self, bytes: u64) {
+        self.updates_installed += 1;
+        self.bytes_downloaded += bytes;
     }
 
     /// Fraction of seen images that were uploaded (1.0 when nothing
@@ -59,6 +70,10 @@ mod tests {
         assert_eq!(m.images_uploaded, 40);
         assert_eq!(m.bytes_uploaded, 40 * IMAGE_BYTES);
         assert!((m.upload_fraction() - 0.2).abs() < 1e-12);
+        m.record_install(100);
+        m.record_install(20);
+        assert_eq!((m.updates_installed, m.bytes_downloaded), (2, 120));
+        assert_eq!(m.bytes_uploaded, 40 * IMAGE_BYTES, "the uplink is counted apart");
     }
 
     #[test]

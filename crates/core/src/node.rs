@@ -11,9 +11,11 @@ use crate::update::ModelUpdate;
 use crate::Result;
 use insitu_data::{Dataset, PermutationSet};
 use insitu_devices::NetworkShapes;
-use insitu_nn::serialize::{check_state_dict, load_state_dict};
+use insitu_nn::serialize::{
+    check_state_dict, leading_bits_equal, load_state_dict, load_state_dict_from,
+};
 use insitu_nn::transfer::conv_prefix_identical;
-use insitu_nn::{evaluate, JigsawNet, LabeledBatch, QuantizedNet, Sequential};
+use insitu_nn::{evaluate, JigsawNet, LabeledBatch, NnError, QuantizedNet, Sequential};
 use insitu_tensor::{Rng, Tensor};
 use insitu_telemetry as telemetry;
 use insitu_telemetry::Histogram;
@@ -97,9 +99,10 @@ impl StageOutcome {
 ///
 /// The node holds the deployed inference network and the unsupervised
 /// diagnosis network; the first `shared_convs` convolutional layers of
-/// the two hold identical weights (the invariant the WSS hardware's
-/// shared weight buffers rely on), which
-/// [`InsituNode::new`] verifies at construction.
+/// the two hold bitwise-identical weights (the invariant the WSS
+/// hardware's shared weight buffers rely on), which
+/// [`InsituNode::new`] verifies at construction and
+/// [`InsituNode::install_update`] keeps.
 #[derive(Debug)]
 pub struct InsituNode {
     inference: Sequential,
@@ -107,6 +110,9 @@ pub struct InsituNode {
     perm_set: PermutationSet,
     policy: DiagnosisPolicy,
     shared_convs: usize,
+    /// Leading state-dict tensors of the shared conv prefix: in the
+    /// inference dict, and in the jigsaw dict (whose trunk comes first).
+    shared_tensors: (usize, usize),
     version: u32,
     movement: DataMovementMeter,
     rng: Rng,
@@ -116,7 +122,6 @@ pub struct InsituNode {
     /// The ingest shed's i8 overlay, on only inside a session.
     shed_i8: bool,
     quantized: Option<QuantizedNet>,
-    calib_images: Option<Tensor>,
     plan: Option<NodePlan>,
     replan: Option<ReplanConfig>,
     stages_processed: u64,
@@ -138,8 +143,8 @@ impl InsituNode {
     /// conv layers of the inference network and the jigsaw trunk are
     /// not weight-identical.
     pub fn new(
-        inference: Sequential,
-        jigsaw: JigsawNet,
+        mut inference: Sequential,
+        mut jigsaw: JigsawNet,
         perm_set: PermutationSet,
         policy: DiagnosisPolicy,
         shared_convs: usize,
@@ -155,19 +160,27 @@ impl InsituNode {
                 ),
             });
         }
+        // Both nets hold at least `shared_convs` convs: checked above.
+        let prefix_end = |net: &Sequential| match shared_convs {
+            0 => 0,
+            n => net.conv_indices()[n - 1] + 1,
+        };
+        let (inference_end, trunk_end) = (prefix_end(&inference), prefix_end(jigsaw.trunk()));
+        let shared_tensors =
+            (inference.tensors_before(inference_end), jigsaw.trunk_mut().tensors_before(trunk_end));
         Ok(InsituNode {
             inference,
             jigsaw,
             perm_set,
             policy,
             shared_convs,
+            shared_tensors,
             version: 0,
             movement: DataMovementMeter::new(),
             rng: Rng::seed_from(seed),
             precision: InferencePrecision::F32,
             shed_i8: false,
             quantized: None,
-            calib_images: None,
             plan: None,
             replan: None,
             stages_processed: 0,
@@ -220,9 +233,11 @@ impl InsituNode {
     /// Calibrates an i8 copy of the inference network over `calib`
     /// (a held-out split that should mirror the deployment's input
     /// distribution) and switches inference to
-    /// [`InferencePrecision::I8`]. The calibration images are retained
-    /// so [`install_update`](InsituNode::install_update) can
-    /// recalibrate automatically after a model refresh.
+    /// [`InferencePrecision::I8`]. The [`QuantizedNet`] keeps the
+    /// calibration images, its f32 shadow of the network and the
+    /// shadow's activation at the freeze cut, so
+    /// [`install_update`](InsituNode::install_update) recalibrates in
+    /// place, re-walking only the layers above the cut.
     ///
     /// # Errors
     ///
@@ -234,7 +249,6 @@ impl InsituNode {
         });
         let before = self.precision();
         self.quantized = Some(QuantizedNet::calibrate(&self.inference, calib.images())?);
-        self.calib_images = Some(calib.images().clone());
         self.precision = InferencePrecision::I8;
         self.note_precision_change(before, "calibrated");
         Ok(())
@@ -580,33 +594,65 @@ impl InsituNode {
         Ok(data.subset(&outcome.valuable)?)
     }
 
-    /// Installs a model refresh from the Cloud. Both snapshots are
-    /// checked against the deployed architecture before either network
-    /// is written, so a mis-shaped update changes nothing. If the node
-    /// is running quantized inference, the quantized network is
-    /// recalibrated against the retained calibration split —
-    /// fixed-point scales are only valid for the weights they were
-    /// measured with.
+    /// Installs a model refresh from the Cloud, all or nothing.
+    ///
+    /// Before anything is written, both state dicts are checked against
+    /// the deployed architecture, and the update must keep the
+    /// weight-shared prefix: the inference dict's tensors through the
+    /// first `shared_convs` conv layers must be bitwise equal to the
+    /// trunk prefix that will be deployed. Without a jigsaw dict that is
+    /// the deployed prefix, compared in place; with one, it is the jigsaw
+    /// dict's. On an i8 node the quantized network is then recalibrated
+    /// ([`QuantizedNet::recalibrate`]); an update that keeps the frozen
+    /// prefix, as every Cloud update does, re-walks only the layers above
+    /// the freeze cut. Only then are the deployed networks loaded, so a
+    /// rejected update leaves the node serving its last good model. A
+    /// successful install adds the update's downlink bytes to the
+    /// [`movement`](InsituNode::movement) meter.
     ///
     /// # Errors
     ///
-    /// Returns an error if a snapshot does not match the deployed
-    /// architecture; the node is then unchanged.
+    /// Returns an error if a dict does not match the deployed
+    /// architecture or changes the shared prefix; the node is then
+    /// unchanged.
     pub fn install_update(&mut self, update: &ModelUpdate) -> Result<()> {
+        let params = &update.inference_params;
+        check_state_dict(&mut self.inference, params)?;
         if let Some(jp) = &update.jigsaw_params {
             check_state_dict(&mut self.jigsaw, jp)?;
         }
-        load_state_dict(&mut self.inference, &update.inference_params)?;
-        if let Some(jp) = &update.jigsaw_params {
-            load_state_dict(&mut self.jigsaw, jp)?;
+        let (n, n_trunk) = self.shared_tensors;
+        let keeps_prefix = match &update.jigsaw_params {
+            // The deployed trunk prefix equals the inference net's own.
+            None => leading_bits_equal(&mut self.inference, params, n),
+            Some(jp) => {
+                n == n_trunk && params[..n].iter().zip(&jp[..n]).all(|(a, b)| a.same_bits(b))
+            }
+        };
+        if !keeps_prefix {
+            return Err(NnError::SnapshotMismatch {
+                reason: format!(
+                    "update changes the first {} conv layers shared with diagnosis",
+                    self.shared_convs
+                ),
+            }
+            .into());
         }
-        if self.quantized.is_some() {
-            if let Some(calib) = &self.calib_images {
-                let _t = telemetry::span("node.quantize_refresh");
-                self.quantized = Some(QuantizedNet::calibrate(&self.inference, calib)?);
+        if let Some(q) = &mut self.quantized {
+            let mut span = telemetry::span("node.quantize_refresh");
+            let start = q.recalibrate(params)?;
+            span.set_label(|| format!("from layer {start}"));
+        }
+        match &update.jigsaw_params {
+            // The prefix was just shown equal: write only what follows.
+            None => load_state_dict_from(&mut self.inference, params, n)?,
+            Some(jp) => {
+                load_state_dict(&mut self.inference, params)?;
+                load_state_dict(&mut self.jigsaw, jp)?;
             }
         }
         self.version = update.version;
+        self.movement.record_install(update.downlink_bytes());
         Ok(())
     }
 }
@@ -635,6 +681,14 @@ mod tests {
 
     fn data() -> Dataset {
         Dataset::generate(12, 4, &Condition::ideal(), &mut Rng::seed_from(5)).unwrap()
+    }
+
+    /// The inference dict of a fresh Mini-AlexNet that keeps `n`'s
+    /// shared prefix, as every Cloud update does.
+    fn params_keeping_prefix(n: &InsituNode, seed: u64) -> Vec<Tensor> {
+        let mut other = mini_alexnet(4, &mut Rng::seed_from(seed)).unwrap();
+        transfer_and_freeze(n.jigsaw().trunk(), &mut other, 3, 3).unwrap();
+        state_dict(&mut other)
     }
 
     #[test]
@@ -680,11 +734,9 @@ mod tests {
     #[test]
     fn install_update_bumps_version_and_weights() {
         let mut n = node();
-        let mut rng = Rng::seed_from(9);
-        let mut other = mini_alexnet(4, &mut rng).unwrap();
         let update = ModelUpdate {
             version: 5,
-            inference_params: state_dict(&mut other),
+            inference_params: params_keeping_prefix(&n, 9),
             jigsaw_params: None,
             training_ops: 1,
             eval_accuracy: None,
@@ -708,10 +760,9 @@ mod tests {
     fn rejected_update_leaves_the_node_unchanged() {
         let mut n = node();
         let (before, version) = (state_dict(n.inference_mut()), n.version());
-        let mut other = mini_alexnet(4, &mut Rng::seed_from(21)).unwrap();
         let mut update = ModelUpdate {
             version: 3,
-            inference_params: state_dict(&mut other),
+            inference_params: params_keeping_prefix(&n, 21),
             jigsaw_params: Some(vec![]),
             training_ops: 1,
             eval_accuracy: None,
@@ -788,11 +839,9 @@ mod tests {
         n.enable_quantized(&calib).unwrap();
         let before: Vec<f32> =
             n.quantized().unwrap().calibration().iter().map(|c| c.in_scale).collect();
-        let mut rng = Rng::seed_from(17);
-        let mut other = mini_alexnet(4, &mut rng).unwrap();
         let update = ModelUpdate {
             version: 2,
-            inference_params: state_dict(&mut other),
+            inference_params: params_keeping_prefix(&n, 17),
             jigsaw_params: None,
             training_ops: 1,
             eval_accuracy: None,
@@ -805,5 +854,57 @@ mod tests {
         assert_eq!(before.len(), after.len());
         assert_ne!(before, after, "update with new weights must refresh the scales");
         n.process_stage(&data(), 4).unwrap();
+    }
+
+    #[test]
+    fn install_keeps_every_i8_and_shadow_workspace_warm() {
+        let mut n = node();
+        let calib = Dataset::generate(4, 4, &Condition::ideal(), &mut Rng::seed_from(19)).unwrap();
+        n.enable_quantized(&calib).unwrap();
+        n.prewarm(4).unwrap();
+        let warm = n.quantized().unwrap().workspace_reallocations();
+        assert!(warm.iter().all(|&g| g > 0), "every workspace warmed: {warm:?}");
+        let update = ModelUpdate {
+            version: 1,
+            inference_params: params_keeping_prefix(&n, 23),
+            jigsaw_params: None,
+            training_ops: 1,
+            eval_accuracy: None,
+        };
+        n.install_update(&update).unwrap();
+        // Replaced workspaces would restart at 0; grown ones would count up.
+        assert_eq!(n.quantized().unwrap().workspace_reallocations(), warm, "install");
+        n.process_stage(&data(), 4).unwrap();
+        assert_eq!(n.quantized().unwrap().workspace_reallocations(), warm, "stage");
+    }
+
+    #[test]
+    fn a_jigsaw_update_moves_both_prefixes_together() {
+        let mut n = node();
+        let calib = Dataset::generate(4, 4, &Condition::ideal(), &mut Rng::seed_from(29)).unwrap();
+        n.enable_quantized(&calib).unwrap();
+        let mut rng = Rng::seed_from(31);
+        let mut jigsaw = jigsaw_network(8, &mut rng).unwrap();
+        let mut inference = mini_alexnet(4, &mut rng).unwrap();
+        transfer_and_freeze(jigsaw.trunk(), &mut inference, 3, 3).unwrap();
+        let update = ModelUpdate {
+            version: 1,
+            inference_params: state_dict(&mut inference),
+            jigsaw_params: Some(state_dict(&mut jigsaw)),
+            training_ops: 1,
+            eval_accuracy: None,
+        };
+        n.install_update(&update).unwrap();
+        assert_eq!(state_dict(n.inference_mut()), update.inference_params);
+        assert_eq!(Some(state_dict(n.jigsaw_mut())), update.jigsaw_params);
+        assert!(conv_prefix_identical(n.jigsaw().trunk(), n.inference(), 3).unwrap());
+        // The changed prefix recalibrated from layer 0: the quantized net
+        // equals a fresh calibration of the installed weights.
+        let fresh = QuantizedNet::calibrate(n.inference(), calib.images()).unwrap();
+        let records = |q: &QuantizedNet| -> Vec<(u32, u32)> {
+            let c = q.calibration();
+            c.iter().map(|r| (r.in_scale.to_bits(), r.max_weight_scale.to_bits())).collect()
+        };
+        assert_eq!(records(n.quantized().unwrap()), records(&fresh));
     }
 }

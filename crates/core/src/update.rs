@@ -24,6 +24,15 @@ pub struct ModelUpdate {
     pub eval_accuracy: Option<f32>,
 }
 
+impl ModelUpdate {
+    /// Bytes the update moves on the downlink: 4 B per f32 element of
+    /// every tensor in both state dicts.
+    pub fn downlink_bytes(&self) -> u64 {
+        let tensors = self.inference_params.iter().chain(self.jigsaw_params.iter().flatten());
+        tensors.map(|t| 4 * t.len() as u64).sum()
+    }
+}
+
 /// The node's view of the Cloud: something that accepts valuable data
 /// and returns a refreshed model. Implemented by
 /// `insitu_cloud::Cloud`; test doubles implement it directly.
@@ -50,5 +59,8 @@ mod tests {
             eval_accuracy: None,
         };
         assert_eq!(u.clone(), u);
+        assert_eq!(u.downlink_bytes(), 16);
+        let both = ModelUpdate { jigsaw_params: Some(vec![Tensor::zeros([3])]), ..u };
+        assert_eq!(both.downlink_bytes(), 28);
     }
 }

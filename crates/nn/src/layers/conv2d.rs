@@ -108,6 +108,12 @@ impl Conv2d {
         self.bias.copy_from(bias).map_err(NnError::from)?;
         Ok(())
     }
+
+    /// Growth count of the layer's workspace
+    /// ([`ConvWorkspace::reallocations`]).
+    pub(crate) fn workspace_reallocations(&self) -> usize {
+        self.ws.reallocations()
+    }
 }
 
 impl Layer for Conv2d {

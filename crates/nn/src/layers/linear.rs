@@ -77,6 +77,12 @@ impl Linear {
         self.bias.copy_from(bias).map_err(NnError::from)?;
         Ok(())
     }
+
+    /// Growth count of the layer's packing arena
+    /// ([`GemmScratch::reallocations`]).
+    pub(crate) fn workspace_reallocations(&self) -> usize {
+        self.scratch.reallocations()
+    }
 }
 
 impl Layer for Linear {

@@ -223,6 +223,17 @@ impl Sequential {
         self.frozen.iter().position(|&f| !f).unwrap_or(self.layers.len())
     }
 
+    /// Number of parameter tensors held by the layers before `layer`:
+    /// the length of that prefix's slice at the head of a
+    /// [`state_dict`](crate::serialize::state_dict).
+    pub fn tensors_before(&mut self, layer: usize) -> usize {
+        let mut n = 0;
+        for l in self.layers.iter_mut().take(layer) {
+            l.visit_params(&mut |_, _| n += 1);
+        }
+        n
+    }
+
     /// Runs only the frozen prefix — the layers before
     /// [`first_unfrozen`](Sequential::first_unfrozen) — in `Eval` mode,
     /// exactly as [`forward`](Network::forward) runs them during
@@ -586,6 +597,15 @@ mod tests {
         // the skipped trainable layers would silently take no gradient.
         assert!(net.forward_from(cut + 1, &act, Mode::Train).is_err());
         assert!(net.forward_from(net.len() + 1, &act, Mode::Eval).is_err());
+    }
+
+    #[test]
+    fn tensors_before_counts_the_state_dict_prefix() {
+        let mut net = tiny_cnn(&mut Rng::seed_from(13));
+        // conv1 (weight, bias), relu1, pool1, conv2 (weight, bias), ...
+        let counts: Vec<usize> = (0..=net.len()).map(|i| net.tensors_before(i)).collect();
+        assert_eq!(counts, vec![0, 2, 2, 2, 4, 4, 4, 6]);
+        assert_eq!(net.tensors_before(99), 6);
     }
 
     #[test]

@@ -14,19 +14,32 @@
 //! implement [`Network`](crate::Network), because the fixed-point path
 //! has no backward pass (the paper's FPGA PEs are likewise
 //! inference/diagnosis engines; incremental training happens in f32 on
-//! the cloud). Re-run [`QuantizedNet::calibrate`] after every model
-//! update — scales are only valid for the weights they were measured
-//! with.
+//! the cloud).
+//!
+//! Scales are only valid for the weights they were measured with, so
+//! every model update goes through [`QuantizedNet::recalibrate`]. The
+//! net keeps what that needs: the f32 network it walks (the *shadow*),
+//! the calibration images, the freeze cut
+//! ([`Sequential::first_unfrozen`]) and the shadow's activation at the
+//! cut. An update that leaves the frozen prefix bitwise unchanged —
+//! every incremental update the Cloud ships — is re-walked from the
+//! cut, starting at the cached activation; any other update is
+//! re-walked from layer 0. Either way the result is bitwise equal to a
+//! fresh `calibrate` of the updated network over the same images, and
+//! the fixed-point layers are rewritten in place, so their kernel
+//! workspaces stay warm across updates.
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode};
 use crate::layers::{Conv2d, Linear};
 use crate::net::Sequential;
+use crate::serialize::{leading_bits_equal, load_state_dict_from};
 use crate::Result;
 use insitu_tensor::{
     conv2d_forward_i8_ws, linear_forward_i8_ws, max_abs, quant_scale, ConvGeometry,
     ConvWorkspace, GemmScratch, QuantizedMatrix, Tensor,
 };
+use std::ops::Range;
 
 /// Calibration record for one quantized layer, for reports and tests.
 #[derive(Debug, Clone)]
@@ -61,13 +74,88 @@ enum QLayer {
     Passthrough(Box<dyn Layer>),
 }
 
+impl QLayer {
+    /// The fixed-point twin of `layer`, or its f32 passthrough clone.
+    /// The first calibration walk measures the twin's input scale (and
+    /// re-quantizes its weights, as every walk does).
+    fn of(layer: &dyn Layer) -> Result<QLayer> {
+        let any = layer.as_any();
+        Ok(if let Some(conv) = any.downcast_ref::<Conv2d>() {
+            let geom = *conv.geometry();
+            QLayer::Conv {
+                geom,
+                qweight: QuantizedMatrix::from_rows(
+                    conv.weight().as_slice(),
+                    geom.out_channels,
+                    geom.col_rows(),
+                )?,
+                bias: conv.bias().clone(),
+                in_scale: 0.0,
+                ws: Box::new(ConvWorkspace::new()),
+            }
+        } else if let Some(lin) = any.downcast_ref::<Linear>() {
+            QLayer::Linear {
+                qweight: QuantizedMatrix::from_rows(
+                    lin.weight().as_slice(),
+                    lin.out_features(),
+                    lin.in_features(),
+                )?,
+                bias: lin.bias().clone(),
+                in_scale: 0.0,
+                scratch: GemmScratch::new(),
+            }
+        } else {
+            QLayer::Passthrough(layer.clone_box())
+        })
+    }
+
+    /// One step of the calibration walk: re-quantizes a fixed-point
+    /// layer from `layer`, its f32 original, and measures its input
+    /// scale on `x`, the activation entering it. Passthrough layers
+    /// have nothing to calibrate.
+    fn calibrate(&mut self, layer: &dyn Layer, x: &Tensor) -> Result<Option<LayerCalibration>> {
+        let (qweight, bias, in_scale) = match self {
+            QLayer::Conv { qweight, bias, in_scale, .. }
+            | QLayer::Linear { qweight, bias, in_scale, .. } => (qweight, bias, in_scale),
+            QLayer::Passthrough(_) => return Ok(None),
+        };
+        let any = layer.as_any();
+        let (weight, src_bias) = if let Some(conv) = any.downcast_ref::<Conv2d>() {
+            (conv.weight(), conv.bias())
+        } else {
+            let lin = any.downcast_ref::<Linear>().expect("a fixed-point layer mirrors a Linear");
+            (lin.weight(), lin.bias())
+        };
+        *qweight = QuantizedMatrix::from_rows(weight.as_slice(), qweight.rows(), qweight.cols())?;
+        bias.copy_from(src_bias)?;
+        *in_scale = quant_scale(max_abs(x.as_slice()));
+        Ok(Some(LayerCalibration {
+            name: layer.name().to_string(),
+            in_scale: *in_scale,
+            max_weight_scale: max_abs(qweight.scales()),
+        }))
+    }
+}
+
 /// An inference network quantized to symmetric i8 by post-training
-/// calibration. Build with [`QuantizedNet::calibrate`], run with
+/// calibration. Build with [`QuantizedNet::calibrate`], keep current
+/// with [`QuantizedNet::recalibrate`], run with
 /// [`QuantizedNet::predict`]. See the module docs for the scheme.
 #[derive(Debug)]
 pub struct QuantizedNet {
     layers: Vec<QLayer>,
     report: Vec<LayerCalibration>,
+    /// The f32 network the calibration walks: a clone of the calibrated
+    /// network, into which every update is loaded.
+    shadow: Sequential,
+    /// The calibration images, `(B, C, H, W)`.
+    calib: Tensor,
+    /// The shadow's freeze cut: layers before it are the frozen prefix.
+    cut: usize,
+    /// How many leading state-dict tensors the frozen prefix holds.
+    prefix_tensors: usize,
+    /// The shadow's activation at the cut over `calib`.
+    at_cut: Tensor,
 }
 
 impl QuantizedNet {
@@ -75,7 +163,9 @@ impl QuantizedNet {
     /// `(B, C, H, W)`) and quantizes every Conv2d/Linear layer.
     ///
     /// The calibration forward runs on a clone of `net` in `Eval` mode,
-    /// so the source network's caches and parameters are untouched.
+    /// so the source network's caches and parameters are untouched. The
+    /// clone, the images and the activation at `net`'s freeze cut are
+    /// kept for [`recalibrate`](QuantizedNet::recalibrate).
     ///
     /// # Errors
     ///
@@ -89,56 +179,80 @@ impl QuantizedNet {
                 actual: calib.dims().to_vec(),
             });
         }
-        let mut reference = net.clone();
-        let mut x = calib.clone();
-        let mut layers = Vec::with_capacity(reference.len());
-        let mut report = Vec::new();
-        for i in 0..reference.len() {
-            let layer = reference.layer_mut(i)?;
-            if let Some(conv) = layer.as_any().downcast_ref::<Conv2d>() {
-                let geom = *conv.geometry();
-                let in_scale = quant_scale(max_abs(x.as_slice()));
-                let qweight = QuantizedMatrix::from_rows(
-                    conv.weight().as_slice(),
-                    geom.out_channels,
-                    geom.col_rows(),
-                )?;
-                report.push(LayerCalibration {
-                    name: layer.name().to_string(),
-                    in_scale,
-                    max_weight_scale: max_abs(qweight.scales()),
-                });
-                layers.push(QLayer::Conv {
-                    geom,
-                    qweight,
-                    bias: conv.bias().clone(),
-                    in_scale,
-                    ws: Box::new(ConvWorkspace::new()),
-                });
-            } else if let Some(lin) = layer.as_any().downcast_ref::<Linear>() {
-                let in_scale = quant_scale(max_abs(x.as_slice()));
-                let qweight = QuantizedMatrix::from_rows(
-                    lin.weight().as_slice(),
-                    lin.out_features(),
-                    lin.in_features(),
-                )?;
-                report.push(LayerCalibration {
-                    name: layer.name().to_string(),
-                    in_scale,
-                    max_weight_scale: max_abs(qweight.scales()),
-                });
-                layers.push(QLayer::Linear {
-                    qweight,
-                    bias: lin.bias().clone(),
-                    in_scale,
-                    scratch: GemmScratch::new(),
-                });
-            } else {
-                layers.push(QLayer::Passthrough(layer.clone_box()));
-            }
-            x = layer.forward(&x, Mode::Eval)?;
+        let mut shadow = net.clone();
+        let layers =
+            (0..shadow.len()).map(|i| QLayer::of(shadow.layer(i)?)).collect::<Result<Vec<_>>>()?;
+        let cut = shadow.first_unfrozen();
+        let prefix_tensors = shadow.tensors_before(cut);
+        let mut q = QuantizedNet {
+            layers,
+            report: Vec::new(),
+            shadow,
+            calib: calib.clone(),
+            cut,
+            prefix_tensors,
+            at_cut: Tensor::zeros([0]),
+        };
+        q.walk(true)?;
+        Ok(q)
+    }
+
+    /// Recalibrates after a model update. `params` is the new state
+    /// dict of the network this net was calibrated from.
+    ///
+    /// The dict is checked against the shadow (tensor count and shapes)
+    /// before anything is written, then loaded into it. If the frozen
+    /// prefix is bitwise unchanged, the walk resumes at the cut from the
+    /// cached activation; otherwise it runs from layer 0 and refreshes
+    /// the cache. Either way the calibration records, i8 weights, row
+    /// scales, biases and input scales are bitwise those of a fresh
+    /// [`calibrate`](QuantizedNet::calibrate) of the updated network
+    /// over the same images. They are written into the existing layers:
+    /// every kernel workspace and passthrough layer survives.
+    ///
+    /// Returns the layer the walk started at: the cut when the cached
+    /// activation was reused, 0 when the prefix changed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::SnapshotMismatch`] if the dict does not fit
+    /// the network; nothing is written then.
+    pub fn recalibrate(&mut self, params: &[Tensor]) -> Result<usize> {
+        let n = self.prefix_tensors;
+        let prefix_kept = leading_bits_equal(&mut self.shadow, params, n);
+        load_state_dict_from(&mut self.shadow, params, if prefix_kept { n } else { 0 })?;
+        self.walk(!prefix_kept)
+    }
+
+    /// The one calibration walk. With `through_prefix` it starts at
+    /// layer 0 on the calibration images and caches the activation at
+    /// the cut; otherwise it starts at the cut, from that cache. Every
+    /// fixed-point layer it passes is re-quantized and re-measured.
+    /// Returns the layer it started at.
+    fn walk(&mut self, through_prefix: bool) -> Result<usize> {
+        let start = if through_prefix { 0 } else { self.cut };
+        let kept =
+            self.layers[..start].iter().filter(|l| !matches!(l, QLayer::Passthrough(_))).count();
+        self.report.truncate(kept);
+        if through_prefix {
+            self.at_cut = self.walk_layers(0..self.cut, self.calib.clone())?;
         }
-        Ok(QuantizedNet { layers, report })
+        self.walk_layers(self.cut..self.layers.len(), self.at_cut.clone())?;
+        Ok(start)
+    }
+
+    /// Calibrates `range` of layers on `x`, the activation entering its
+    /// first layer, and returns the activation leaving its last.
+    fn walk_layers(&mut self, range: Range<usize>, mut x: Tensor) -> Result<Tensor> {
+        for i in range {
+            let layer = self.shadow.layer_mut(i)?;
+            if let Some(record) = self.layers[i].calibrate(layer, &x)? {
+                self.report.push(record);
+            }
+            // forward_owned: in-place layers (ReLU) rewrite x.
+            x = layer.forward_owned(x, Mode::Eval)?;
+        }
+        Ok(x)
     }
 
     /// Fixed-point inference forward: `(B, C, H, W)` → logits.
@@ -213,13 +327,36 @@ impl QuantizedNet {
     pub fn calibration(&self) -> &[LayerCalibration] {
         &self.report
     }
+
+    /// Growth counts of every kernel workspace the net owns: each
+    /// fixed-point layer's, then each shadow Conv2d's and Linear's, in
+    /// layer order. A count that holds across a call means the call
+    /// allocated no kernel scratch there (see
+    /// [`ConvWorkspace::reallocations`]); a replaced workspace would
+    /// restart at 0.
+    pub fn workspace_reallocations(&self) -> Vec<usize> {
+        let fixed = self.layers.iter().filter_map(|l| match l {
+            QLayer::Conv { ws, .. } => Some(ws.reallocations()),
+            QLayer::Linear { scratch, .. } => Some(scratch.reallocations()),
+            QLayer::Passthrough(_) => None,
+        });
+        let shadow = (0..self.shadow.len()).filter_map(|i| {
+            let any = self.shadow.layer(i).ok()?.as_any();
+            any.downcast_ref::<Conv2d>()
+                .map(Conv2d::workspace_reallocations)
+                .or_else(|| any.downcast_ref::<Linear>().map(Linear::workspace_reallocations))
+        });
+        fixed.chain(shadow).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::mini_alexnet;
-    use insitu_tensor::Rng;
+    use crate::serialize::{load_state_dict, state_dict};
+    use insitu_tensor::{num_threads, set_num_threads, Rng};
+    use proptest::prelude::*;
 
     #[test]
     fn calibrate_quantizes_every_conv_and_linear() {
@@ -273,5 +410,124 @@ mod tests {
         let mut rng = Rng::seed_from(43);
         let net = mini_alexnet(4, &mut rng).unwrap();
         assert!(QuantizedNet::calibrate(&net, &Tensor::zeros([0, 3, 36, 36])).is_err());
+    }
+
+    /// Everything a calibration decides, as bits: the records, then
+    /// every fixed-point layer's i8 weights, row scales, bias and input
+    /// scale.
+    type CalibrationBits = (Vec<(String, u32, u32)>, Vec<(Vec<i8>, Vec<u32>, Vec<u32>, u32)>);
+
+    fn calibration_bits(q: &QuantizedNet) -> CalibrationBits {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let records = q
+            .report
+            .iter()
+            .map(|r| (r.name.clone(), r.in_scale.to_bits(), r.max_weight_scale.to_bits()))
+            .collect();
+        let layers = q
+            .layers
+            .iter()
+            .filter_map(|l| match l {
+                QLayer::Conv { qweight, bias, in_scale, .. }
+                | QLayer::Linear { qweight, bias, in_scale, .. } => Some((
+                    qweight.data().to_vec(),
+                    bits(qweight.scales()),
+                    bits(bias.as_slice()),
+                    in_scale.to_bits(),
+                )),
+                QLayer::Passthrough(_) => None,
+            })
+            .collect();
+        (records, layers)
+    }
+
+    fn output_bits(q: &mut QuantizedNet, x: &Tensor) -> Vec<u32> {
+        q.predict(x).unwrap().as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Calibrates a frozen-prefix Mini-AlexNet, then applies `updates`,
+    /// recalibrating in place after each one and checking the result
+    /// against a fresh calibration of the same weights. Every update
+    /// moves the suffix; a `true` one moves the frozen prefix too.
+    /// Returns the last recalibrated logits, for the cross-thread-count
+    /// pin.
+    fn recalibrate_against_fresh(seed: u64, images: usize, updates: &[bool]) -> Vec<u32> {
+        let mut rng = Rng::seed_from(seed);
+        let mut net = mini_alexnet(4, &mut rng).unwrap();
+        net.freeze_first_convs(3).unwrap();
+        let cut = net.first_unfrozen();
+        let prefix = net.tensors_before(cut);
+        let calib = Tensor::rand_uniform([images, 3, 36, 36], 0.0, 1.0, &mut rng);
+        let probe = Tensor::rand_uniform([3, 3, 36, 36], 0.0, 1.0, &mut rng);
+        let mut q = QuantizedNet::calibrate(&net, &calib).unwrap();
+        let mut logits = output_bits(&mut q, &probe);
+        for &moves_prefix in updates {
+            let mut dict = state_dict(&mut net);
+            let first = if moves_prefix { 0 } else { prefix };
+            for t in &mut dict[first..] {
+                for v in t.as_mut_slice() {
+                    *v += rng.uniform(-0.02, 0.02);
+                }
+            }
+            load_state_dict(&mut net, &dict).unwrap();
+            let start = q.recalibrate(&dict).unwrap();
+            assert_eq!(start, if moves_prefix { 0 } else { cut }, "prefix moved: {moves_prefix}");
+            let mut fresh = QuantizedNet::calibrate(&net, &calib).unwrap();
+            assert_eq!(
+                calibration_bits(&q),
+                calibration_bits(&fresh),
+                "prefix moved: {moves_prefix}"
+            );
+            logits = output_bits(&mut q, &probe);
+            assert_eq!(logits, output_bits(&mut fresh, &probe), "prefix moved: {moves_prefix}");
+        }
+        logits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The bitwise gate: after any sequence of suffix-only and
+        /// prefix-changing updates, `recalibrate` equals a fresh
+        /// `calibrate` of the same weights over the same images (records,
+        /// i8 weights, row scales, biases, input scales and `predict`
+        /// bits), for calibration batches of 1–8 images at 1/2/4 kernel
+        /// threads, and the thread count changes nothing.
+        #[test]
+        fn recalibrate_equals_a_fresh_calibrate(
+            seed in 0u64..1000,
+            images in 1usize..9,
+            kinds in proptest::collection::vec(0usize..2, 1..4),
+        ) {
+            let updates: Vec<bool> = kinds.iter().map(|&k| k == 1).collect();
+            // The only test here that sets the global thread count.
+            let prev = num_threads();
+            let pinned: Vec<Vec<u32>> = [1usize, 2, 4]
+                .iter()
+                .map(|&threads| {
+                    set_num_threads(threads);
+                    recalibrate_against_fresh(seed, images, &updates)
+                })
+                .collect();
+            set_num_threads(prev);
+            prop_assert!(pinned.iter().all(|p| *p == pinned[0]), "thread count changed the logits");
+        }
+    }
+
+    #[test]
+    fn a_rejected_dict_leaves_the_quantized_net_unchanged() {
+        let mut rng = Rng::seed_from(47);
+        let mut net = mini_alexnet(4, &mut rng).unwrap();
+        net.freeze_first_convs(3).unwrap();
+        let calib = Tensor::rand_uniform([2, 3, 36, 36], 0.0, 1.0, &mut rng);
+        let mut q = QuantizedNet::calibrate(&net, &calib).unwrap();
+        let before = calibration_bits(&q);
+        let original = state_dict(&mut net);
+        // New values everywhere, one tensor short.
+        let mut dict: Vec<Tensor> = original.iter().map(|t| t.map(|v| v + 1.0)).collect();
+        dict.pop();
+        assert!(q.recalibrate(&dict).is_err());
+        assert_eq!(calibration_bits(&q), before);
+        assert_eq!(state_dict(&mut q.shadow), original);
     }
 }

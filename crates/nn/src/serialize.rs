@@ -60,6 +60,25 @@ pub fn check_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> 
     Ok(())
 }
 
+/// Whether the first `n` tensors of `params` are bitwise equal
+/// ([`Tensor::same_bits`]) to the network's first `n` parameters,
+/// shapes included. False when either side holds fewer than `n`.
+/// Reads only; this is how an install tells whether a dict keeps a
+/// network's frozen or shared prefix.
+pub fn leading_bits_equal(net: &mut dyn Network, params: &[Tensor], n: usize) -> bool {
+    if params.len() < n {
+        return false;
+    }
+    let (mut idx, mut equal) = (0usize, true);
+    net.visit_all(&mut |p| {
+        if idx < n {
+            equal &= p.same_bits(&params[idx]);
+        }
+        idx += 1;
+    });
+    equal && idx >= n
+}
+
 /// Writes a state dict back into a network, all or nothing: the dict
 /// passes [`check_state_dict`] before the first tensor is written, so
 /// a rejected dict leaves the network unchanged.
@@ -69,12 +88,26 @@ pub fn check_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> 
 /// Returns [`NnError::SnapshotMismatch`] if the parameter count or any
 /// shape differs.
 pub fn load_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
+    load_state_dict_from(net, params, 0)
+}
+
+/// [`load_state_dict`] for a caller that has just shown the first
+/// `first` tensors equal to the network's (see
+/// [`leading_bits_equal`]): the whole dict is checked, then only
+/// `params[first..]` is written.
+///
+/// # Errors
+///
+/// Returns [`NnError::SnapshotMismatch`] if the parameter count or any
+/// shape differs; nothing is written then.
+pub fn load_state_dict_from(net: &mut dyn Network, params: &[Tensor], first: usize) -> Result<()> {
     check_state_dict(net, params)?;
-    let mut sources = params.iter();
+    let mut idx = 0usize;
     net.visit_all(&mut |p| {
-        if let Some(src) = sources.next() {
-            p.copy_from(src).expect("count and shapes checked above");
+        if idx >= first {
+            p.copy_from(&params[idx]).expect("count and shapes checked above");
         }
+        idx += 1;
     });
     Ok(())
 }
@@ -116,6 +149,28 @@ mod tests {
         let mut wrong_shape = dict;
         wrong_shape[0] = Tensor::zeros([9, 9]);
         assert!(load_state_dict(&mut a, &wrong_shape).is_err());
+    }
+
+    #[test]
+    fn leading_bits_and_partial_load() {
+        let mut rng = Rng::seed_from(7);
+        let mut a = net(&mut rng);
+        let mut dict = state_dict(&mut a);
+        assert!(leading_bits_equal(&mut a, &dict, 4));
+        let mut long = dict.clone();
+        long.push(Tensor::zeros([1]));
+        assert!(!leading_bits_equal(&mut a, &long, 5), "the net holds only 4");
+        assert!(!leading_bits_equal(&mut a, &dict[..1], 2), "the dict holds only 1");
+        // The conv bias starts at +0.0; -0.0 differs in bits only.
+        dict[1].as_mut_slice()[0] = -0.0;
+        assert!(leading_bits_equal(&mut a, &dict, 1));
+        assert!(!leading_bits_equal(&mut a, &dict, 2));
+        // A load from index 2 leaves the first two tensors as they were.
+        dict[3].as_mut_slice()[0] = 42.0;
+        load_state_dict_from(&mut a, &dict, 2).unwrap();
+        let after = state_dict(&mut a);
+        assert_eq!(after[1].as_slice()[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(after[3].as_slice()[0], 42.0);
     }
 
     #[test]

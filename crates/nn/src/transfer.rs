@@ -96,7 +96,9 @@ pub fn transfer_and_freeze(
 
 /// Returns true when the first `n_convs` convolution layers of the two
 /// networks hold bitwise-identical weights — the invariant the shared
-/// weight buffers of the WSS architecture rely on.
+/// weight buffers of the WSS architecture rely on. Bits are compared,
+/// not values ([`Tensor::same_bits`](insitu_tensor::Tensor::same_bits)):
+/// a zero whose sign differs breaks the invariant.
 ///
 /// # Errors
 ///
@@ -121,7 +123,7 @@ pub fn conv_prefix_identical(a: &Sequential, b: &Sequential, n_convs: usize) -> 
         let cb = lb.as_any().downcast_ref::<Conv2d>();
         match (ca, cb) {
             (Some(ca), Some(cb)) => {
-                if ca.weight() != cb.weight() || ca.bias() != cb.bias() {
+                if !ca.weight().same_bits(cb.weight()) || !ca.bias().same_bits(cb.bias()) {
                     return Ok(false);
                 }
             }
@@ -160,6 +162,24 @@ mod tests {
         assert_eq!(copied, 2);
         assert!(conv_prefix_identical(&src, &dst, 2).unwrap());
         assert!(!conv_prefix_identical(&src, &dst, 3).unwrap()); // 3rd untouched
+    }
+
+    #[test]
+    fn a_zero_of_the_other_sign_breaks_the_prefix() {
+        let mut rng = Rng::seed_from(6);
+        let src = net_with_convs(&mut rng, &[4, 6]);
+        let mut dst = net_with_convs(&mut rng, &[4, 6]);
+        copy_conv_prefix(&src, &mut dst, 2).unwrap();
+        assert!(conv_prefix_identical(&src, &dst, 2).unwrap());
+        // Conv biases start at +0.0; flip one to -0.0, which f32 `==`
+        // still calls equal.
+        dst.layer_mut(2).unwrap().visit_params(&mut |p, _| {
+            if p.dims().len() == 1 {
+                p.as_mut_slice()[0] = -0.0;
+            }
+        });
+        assert!(!conv_prefix_identical(&src, &dst, 2).unwrap());
+        assert!(conv_prefix_identical(&src, &dst, 1).unwrap());
     }
 
     #[test]

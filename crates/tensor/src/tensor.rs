@@ -280,6 +280,21 @@ impl Tensor {
         Ok(diffs.fold(0.0, f32::max))
     }
 
+    /// Whether `other` has the same shape and bit-identical elements.
+    /// Unlike `==`, which compares elements as f32, this tells `-0.0`
+    /// from `0.0` and holds a NaN equal to itself.
+    pub fn same_bits(&self, other: &Tensor) -> bool {
+        // One OR over the XORed bits, with no early exit, so the loop
+        // vectorizes.
+        self.shape == other.shape
+            && self
+                .data
+                .iter()
+                .zip(&other.data)
+                .fold(0u32, |acc, (a, b)| acc | (a.to_bits() ^ b.to_bits()))
+                == 0
+    }
+
     /// Copies `other`'s contents into `self` (shapes must match).
     ///
     /// # Errors
@@ -498,6 +513,16 @@ mod tests {
         let a = Tensor::from_vec([2], vec![1.0, 5.0]).unwrap();
         let b = Tensor::from_vec([2], vec![1.5, 4.0]).unwrap();
         assert_eq!(a.max_abs_diff(&b).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn same_bits_compares_bits_not_values() {
+        let a = Tensor::from_vec([2], vec![0.0, f32::NAN]).unwrap();
+        assert!(a.same_bits(&a.clone()), "a NaN must equal itself");
+        assert_ne!(a, a.clone(), "f32 == never equates NaNs");
+        let flipped = Tensor::from_vec([2], vec![-0.0, f32::NAN]).unwrap();
+        assert!(!a.same_bits(&flipped), "-0.0 and 0.0 differ in bits");
+        assert!(!a.same_bits(&a.reshape([1, 2]).unwrap()), "shapes must match");
     }
 
     #[test]

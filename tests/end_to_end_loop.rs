@@ -113,17 +113,37 @@ fn movement_meter_accumulates_across_stages() {
     let classes = 4;
     let mut d = deploy(17, classes);
     let drift = Condition::with_severity(0.5).unwrap();
-    let mut total_seen = 0u64;
+    let (mut total_seen, mut updates, mut downloaded) = (0u64, 0u64, 0u64);
+    let mut last = None;
     for n in [60usize, 90] {
         let stream = Dataset::generate(n, classes, &drift, &mut d.rng).unwrap();
-        let _ = d.node.process_stage(&stream, 32).unwrap();
+        let outcome = d.node.process_stage(&stream, 32).unwrap();
         total_seen += n as u64;
+        let payload = d.node.upload_payload(&stream, &outcome).unwrap();
+        if payload.is_empty() {
+            continue;
+        }
+        let update = d.cloud.incremental_update(&payload).unwrap();
+        d.node.install_update(&update).unwrap();
+        // The downlink: 4 B per f32 element of every installed tensor.
+        let tensors = update.inference_params.iter().chain(update.jigsaw_params.iter().flatten());
+        downloaded += tensors.map(|t| t.len() as u64 * 4).sum::<u64>();
+        updates += 1;
+        last = Some(update);
     }
-    let meter = d.node.movement();
+    let meter = *d.node.movement();
     assert_eq!(meter.images_seen, total_seen);
     assert!(meter.images_uploaded <= meter.images_seen);
     assert_eq!(
         meter.bytes_uploaded,
         meter.images_uploaded * insitu::core::IMAGE_BYTES
     );
+    assert!(updates > 0, "the drifted stream uploaded nothing");
+    assert_eq!((meter.updates_installed, meter.bytes_downloaded), (updates, downloaded));
+
+    // A rejected install records nothing.
+    let mut truncated = last.unwrap();
+    truncated.inference_params.pop();
+    assert!(d.node.install_update(&truncated).is_err());
+    assert_eq!(*d.node.movement(), meter);
 }
