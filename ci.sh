@@ -18,6 +18,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 # 1/2/4 threads, plus the scratch-reuse allocation contract).
 cargo test -q -p insitu-tensor --test packed_gemm
 
+# Conv-lowering gate: the three conv entry points (f32 forward, its
+# backward, i8 forward) must stay bitwise equal to the explicit-im2col
+# naive oracle across the kernel/stride/pad/plane/channel ladder at
+# 1/2/4 threads. Each ISA packs panels of its own width NR, and so
+# builds its own lane table: the sweep runs under the auto-detected
+# ISA, the portable one, AVX2 where the host has it, and in the
+# AVX-512 leg below.
+cargo test -q -p insitu-tensor --test conv_oracle
+INSITU_SIMD=scalar cargo test -q -p insitu-tensor --test conv_oracle
+if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo; then
+    INSITU_SIMD=avx2 cargo test -q -p insitu-tensor --test conv_oracle
+else
+    echo "ci: SKIPPED avx2 conv-lowering leg (host lacks avx2/fma)"
+fi
+
 # Fixed-point gates: the i8 GEMM must stay bitwise identical to its
 # naive i32 oracle at any shape and thread count, under both the
 # vectorized and the portable kernel (INSITU_SIMD=scalar pins the i8
@@ -65,6 +80,7 @@ if grep -q avx512f /proc/cpuinfo 2>/dev/null \
     INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test simd_ops
     INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test packed_gemm
     INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test quant_gemm
+    INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test conv_oracle
 else
     echo "ci: SKIPPED avx512 leg (host lacks avx512f/bw/dq/vl)"
 fi
@@ -101,6 +117,7 @@ grep -q '"p90_ns"' /tmp/ci_kernels.json
 grep -q '"p99_ns"' /tmp/ci_kernels.json
 grep -q '"isa"' /tmp/ci_kernels.json
 grep -q '"kind": "kernel"' /tmp/ci_kernels.json
+grep -q '"kind": "conv_layer"' /tmp/ci_kernels.json
 grep -q '"traceEvents"' /tmp/ci_trace.json
 rm -f /tmp/ci_kernels.json /tmp/ci_trace.json
 

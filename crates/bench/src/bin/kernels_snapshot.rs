@@ -48,6 +48,15 @@
 //! `INSITU_SIMD=scalar` both legs run the same body and the ratio
 //! hovers at 1.
 //!
+//! Last come the `"kind": "conv_layer"` rows: whole calls of the conv
+//! entry points at the shapes the loop runs them, each layer on its
+//! own warm workspace as a network layer owns one. Inference conv1–5
+//! run `conv2d_forward_ws` and `conv2d_forward_i8_ws` on one
+//! 16-image chunk; the jigsaw trunk's conv1–5 run both on one image's
+//! 9 tiles (diagnosis makes one such call per image); the Cloud's
+//! suffix training runs `conv2d_backward_ws` through conv4–5 at batch
+//! 16.
+//!
 //! `--quick` runs a shortened sweep (fewer timing reps) for CI smoke:
 //! same fields, noisier numbers.
 
@@ -56,15 +65,18 @@ use insitu_tensor::simd::{
     dispatch_on, simd_isa_name, Isa, MaxPool2d, QuantizeI8, ReluTrain, SimdOp,
 };
 use insitu_tensor::{
-    gemm_kernel_name, gemm_kernels_supported, matmul_i8_with_kernel, matmul_with_kernel,
-    matmul_ws, max_abs, quant_scale, quantize_i8, set_num_threads, GemmScratch, PoolGeometry, Rng,
-    Tensor,
+    conv2d_backward_ws, conv2d_forward_i8_ws, conv2d_forward_ws, gemm_kernel_name,
+    gemm_kernels_supported, matmul_i8_with_kernel, matmul_with_kernel, matmul_ws, max_abs,
+    quant_scale, quantize_i8, set_num_threads, ConvGeometry, ConvWorkspace, GemmScratch,
+    PoolGeometry, QuantizedMatrix, Rng, Tensor,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// im2col GEMM shapes of the reproduction's networks (per-sample
-/// position count × batch 8), plus one square control.
+/// GEMM shapes sized like the networks' conv lowerings folded over a
+/// batch of 8 (`n` = positions × 8), plus one square control. They
+/// time the GEMM kernels alone: a convolution runs one GEMM per
+/// sample, and the `conv_layer` rows time those calls whole.
 const SHAPES: &[(&str, usize, usize, usize)] = &[
     ("alex_conv2_b8", 24, 144, 324 * 8),
     ("alex_conv3_b8", 32, 216, 81 * 8),
@@ -84,19 +96,124 @@ const BASELINE_NS: &[(&str, u128)] = &[
 
 const THREADS: &[usize] = &[1, 2, 4];
 
-/// Median-of-reps wall time per call, in nanoseconds.
-fn time_matmul(a: &Tensor, b: &Tensor, scratch: &mut GemmScratch, quick: bool) -> u128 {
-    // Warm-up: touches the buffers, grows the packing scratch to its
-    // steady-state size and spins up any pool workers.
+/// The loop's convolutions, all 3×3 with stride 1 and pad 1 (the
+/// mini-AlexNet widths 16/24/32/32/24): `(layer, in_channels, plane
+/// edge, out_channels)`. Inference runs on 36×36 images, the trunk on
+/// 12×12 tiles.
+const INFER_CONVS: [(&str, usize, usize, usize); 5] = [
+    ("infer_conv1", 3, 36, 16),
+    ("infer_conv2", 16, 18, 24),
+    ("infer_conv3", 24, 9, 32),
+    ("infer_conv4", 32, 9, 32),
+    ("infer_conv5", 32, 9, 24),
+];
+const TRUNK_CONVS: [(&str, usize, usize, usize); 5] = [
+    ("trunk_conv1", 3, 12, 16),
+    ("trunk_conv2", 16, 6, 24),
+    ("trunk_conv3", 24, 3, 32),
+    ("trunk_conv4", 32, 3, 32),
+    ("trunk_conv5", 32, 3, 24),
+];
+/// The Cloud trains the suffix behind the freeze cut: conv4–5 of the
+/// inference network.
+const CLOUD_CONVS: [(&str, usize, usize, usize); 2] =
+    [("cloud_conv4", 32, 9, 32), ("cloud_conv5", 32, 9, 24)];
+
+/// Images per inference chunk, tiles per trunk call, and the Cloud's
+/// training batch.
+const INFER_BATCH: usize = 16;
+const TRUNK_BATCH: usize = 9;
+const TRAIN_BATCH: usize = 16;
+
+/// Times every `conv_layer` row at one thread count, appending to `rows`.
+fn push_conv_rows(rows: &mut String, threads: usize, quick: bool, rng: &mut Rng) {
+    let layers = INFER_CONVS
+        .iter()
+        .map(|&l| (l, INFER_BATCH))
+        .chain(TRUNK_CONVS.iter().map(|&l| (l, TRUNK_BATCH)));
+    for ((layer, cin, edge, cout), b) in layers {
+        let g = ConvGeometry::new(cin, edge, edge, cout, 3, 1, 1).expect("a valid 3x3 geometry");
+        let x = Tensor::rand_uniform([b, cin, edge, edge], -1.0, 1.0, rng);
+        let w = Tensor::rand_uniform([cout, cin, 3, 3], -0.5, 0.5, rng);
+        let bias = Tensor::rand_uniform([cout], -0.1, 0.1, rng);
+        let qw = QuantizedMatrix::from_rows(w.as_slice(), cout, g.col_rows())
+            .expect("the filter bank flattens to (M, N·K²)");
+        let in_scale = quant_scale(max_abs(x.as_slice()));
+        let mut ws = ConvWorkspace::new();
+        let ns = time_call(quick, &mut || {
+            std::hint::black_box(conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap());
+        });
+        push_conv_row(rows, layer, "forward", b, &g, threads, ns);
+        let mut ws_i8 = ConvWorkspace::new();
+        let ns = time_call(quick, &mut || {
+            std::hint::black_box(
+                conv2d_forward_i8_ws(&x, &qw, &bias, &g, in_scale, &mut ws_i8).unwrap(),
+            );
+        });
+        push_conv_row(rows, layer, "forward_i8", b, &g, threads, ns);
+    }
+    for (layer, cin, edge, cout) in CLOUD_CONVS {
+        let b = TRAIN_BATCH;
+        let g = ConvGeometry::new(cin, edge, edge, cout, 3, 1, 1).expect("a valid 3x3 geometry");
+        let x = Tensor::rand_uniform([b, cin, edge, edge], -1.0, 1.0, rng);
+        let w = Tensor::rand_uniform([cout, cin, 3, 3], -0.5, 0.5, rng);
+        let bias = Tensor::rand_uniform([cout], -0.1, 0.1, rng);
+        let dout = Tensor::rand_uniform([b, cout, edge, edge], -1.0, 1.0, rng);
+        let mut ws = ConvWorkspace::new();
+        // The backward reads what this forward leaves in the workspace.
+        conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
+        let ns = time_call(quick, &mut || {
+            std::hint::black_box(conv2d_backward_ws(&dout, &w, &g, &mut ws).unwrap());
+        });
+        push_conv_row(rows, layer, "backward", b, &g, threads, ns);
+    }
+}
+
+/// Appends one `conv_layer` row. A backward pass counts two GEMMs
+/// (dW and dX) per sample, a forward pass one.
+fn push_conv_row(
+    rows: &mut String,
+    layer: &str,
+    pass: &str,
+    batch: usize,
+    g: &ConvGeometry,
+    threads: usize,
+    ns: u128,
+) {
+    let gemms = if pass == "backward" { 2 } else { 1 };
+    let gflops = (gemms * batch as u64 * g.ops()) as f64 / ns.max(1) as f64;
+    let _ = write!(
+        rows,
+        ",\n    {{\"kind\": \"conv_layer\", \"layer\": \"{layer}\", \"pass\": \"{pass}\", \
+         \"isa\": \"{kernel}\", \"batch\": {batch}, \
+         \"geometry\": \"{}x{}x{} -> {}x{}x{} k{} s{} p{}\", \"threads\": {threads}, \
+         \"ns_per_iter\": {ns}, \"gflops\": {gflops:.2}}}",
+        g.in_channels,
+        g.in_h,
+        g.in_w,
+        g.out_channels,
+        g.out_h,
+        g.out_w,
+        g.kernel,
+        g.stride,
+        g.pad,
+        kernel = gemm_kernel_name()
+    );
+}
+
+/// Median-of-reps wall time of one call of `f`, in nanoseconds.
+fn time_call(quick: bool, f: &mut dyn FnMut()) -> u128 {
+    // Warm-up: touches the buffers, grows the packing scratch or conv
+    // workspace to its steady-state size and spins up any pool workers.
     for _ in 0..3 {
-        std::hint::black_box(matmul_ws(a, b, scratch).unwrap());
+        f();
     }
     let (reps, iters) = if quick { (3, 3u32) } else { (7, 10u32) };
     let mut samples: Vec<u128> = (0..reps)
         .map(|_| {
             let start = Instant::now();
             for _ in 0..iters {
-                std::hint::black_box(matmul_ws(a, b, scratch).unwrap());
+                f();
             }
             start.elapsed().as_nanos() / u128::from(iters)
         })
@@ -253,7 +370,7 @@ fn push_op_row(
 const COUNT_ITERS: u64 = 10;
 
 /// Runs a telemetry-enabled pass over the same GEMM and returns its
-/// snapshot. Kept apart from [`time_matmul`] so tracing overhead never
+/// snapshot. Kept apart from [`time_call`] so tracing overhead never
 /// touches the timed numbers.
 fn counted_pass(
     a: &Tensor,
@@ -297,7 +414,9 @@ fn main() {
                 continue; // the row would duplicate t1 (splits cap at cores)
             }
             set_num_threads(t);
-            let ns = time_matmul(&a, &b, &mut scratch, quick);
+            let ns = time_call(quick, &mut || {
+                std::hint::black_box(matmul_ws(&a, &b, &mut scratch).unwrap());
+            });
             let flops = 2.0 * m as f64 * k as f64 * n as f64;
             let gflops = flops / ns.max(1) as f64;
             let snap = counted_pass(&a, &b, &mut scratch);
@@ -441,6 +560,15 @@ fn main() {
             );
             push_op_row(&mut rows, "quantize_i8", sel.name(), n_act, t, bytes, ns, sns, sp);
         }
+    }
+
+    // ---- Whole conv calls at the loop's shapes. ---------------------
+    for &t in THREADS {
+        if t > cores {
+            continue;
+        }
+        set_num_threads(t);
+        push_conv_rows(&mut rows, t, quick, &mut rng);
     }
     set_num_threads(1);
     if want_trace {

@@ -13,10 +13,10 @@ use insitu_tensor::{conv2d_backward_ws, conv2d_forward_ws, ConvGeometry, ConvWor
 /// (`std = sqrt(2 / fan_in)`), appropriate for the ReLU networks used
 /// throughout the reproduction.
 ///
-/// The layer owns a [`ConvWorkspace`], so its im2col, GEMM-packing and
-/// gradient scratch buffers are allocated once and reused across steps
-/// (zero kernel-path heap allocations in steady state); the forward
-/// pass stores the im2col matrices there for the backward pass. A clone
+/// The layer owns a [`ConvWorkspace`], so its input staging, GEMM-packing
+/// and gradient scratch buffers are allocated once and reused across
+/// steps (zero kernel-path heap allocations in steady state); the
+/// forward pass leaves its staged input there for the backward pass. A clone
 /// copies parameters and gradients but starts with an empty workspace,
 /// so it needs its own Train forward before `backward`.
 #[derive(Debug)]

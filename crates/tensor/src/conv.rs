@@ -1,25 +1,35 @@
-//! 2-D convolution via im2col lowering.
+//! 2-D convolution lowered to GEMM.
 //!
-//! This is the same lowering the paper describes for GPU execution
-//! (its Fig. 8): `im2col` stretches local input regions into the columns
-//! of a data matrix `Dm`, the filters are flattened into a filter matrix
-//! `Fm`, and the convolution becomes the GEMM `Fm × Dm`. The backward
-//! pass uses the adjoint scatter `col2im`.
+//! This is the lowering the paper describes for GPU execution (its
+//! Fig. 8): each output position's receptive field becomes one column
+//! of a data matrix `Dm`, the filters are flattened into a filter
+//! matrix `Fm`, and the convolution becomes the GEMM `Fm × Dm`.
+//!
+//! `Dm` itself is never built. Each sample is copied once into the
+//! interior of a zero-bordered `(H+2p)×(W+2p)` staging slot, and the
+//! micro-kernel's packed B panels are gathered straight from that slot
+//! through two offset tables built once per geometry: `lanes[j]`, the
+//! top-left tap of output position `j`, and `rows[r]`, the offset of
+//! `Dm` row `r = (c, ky, kx)` from it. Panel element `(r, j)` is
+//! `slot[rows[r] + lanes[j]]`, bit for bit what im2col followed by
+//! packing put there, padding taps included. The same gather with the
+//! two tables swapped packs `Dmᵀ` for the weight gradient; the input
+//! gradient goes back through the adjoint scatter `col2im`.
 //!
 //! The entry points are [`conv2d_forward_ws`] and [`conv2d_backward_ws`]
 //! (f32, the pair a training step runs) and [`conv2d_forward_i8_ws`]
 //! (fixed point). All three run through a [`ConvWorkspace`], which
-//! reuses the im2col and scratch buffers across calls — eliminating
-//! steady-state allocations — and carries the forward pass's im2col
-//! matrices to the backward pass. Batched passes parallelize over the
-//! batch dimension on the shared worker pool (see [`crate::parallel`]):
-//! samples are independent, and the per-sample gradients are reduced
-//! in ascending sample order, so results are bitwise identical for any
-//! thread count.
+//! keeps the tables, the staging and the packing scratch across calls —
+//! eliminating steady-state allocations — and carries the forward
+//! pass's staged samples to the backward pass. Batched passes
+//! parallelize over the batch dimension on the shared worker pool (see
+//! [`crate::parallel`]): samples are independent, and the per-sample
+//! gradients are reduced in ascending sample order, so results are
+//! bitwise identical for any thread count.
 
 use crate::error::TensorError;
 use crate::microkernel::Kernel;
-use crate::pack::{grow_scratch, pack_a, pack_a_i8, pack_b, pack_b_i8, packed_a_len, packed_b_len};
+use crate::pack::{grow_scratch, pack_a, pack_a_i8, pack_b, packed_a_len, packed_b_len};
 use crate::parallel::{par_split, PerUnit};
 use crate::quant::{quantize_i8, QuantizedMatrix};
 use crate::tensor::Tensor;
@@ -29,7 +39,7 @@ use insitu_telemetry as telemetry;
 /// Opens the per-call telemetry span and bytes counter for one batched
 /// convolution pass (inert while telemetry is disabled). `bytes` counts
 /// the f32 traffic of the pass: activations, weights and outputs (the
-/// backward pass also reads the saved im2col matrices).
+/// backward pass also reads the staged samples its forward left).
 fn conv_telemetry(kernel: &'static str, b: usize, g: &ConvGeometry, bytes: u64) -> telemetry::Span {
     let span = telemetry::span_with(kernel, || {
         format!(
@@ -143,46 +153,61 @@ impl ConvGeometry {
             * self.out_h as u64
             * self.out_w as u64
     }
+
+    /// Row length and plane size of one zero-bordered staging channel:
+    /// `(W+2p, (H+2p)·(W+2p))`.
+    fn padded_plane(&self) -> (usize, usize) {
+        let wp = self.in_w + 2 * self.pad;
+        (wp, (self.in_h + 2 * self.pad) * wp)
+    }
+
+    /// Elements of one sample's staging slot: `N·(H+2p)·(W+2p)`.
+    fn staging_len(&self) -> usize {
+        self.in_channels * self.padded_plane().1
+    }
 }
 
-/// im2col: stretches one flattened `(C, H, W)` sample into the
-/// `(N·K², R·C)` data matrix `out`. Only the taps that land inside the
-/// input are written — padding positions are left untouched, so `out`
-/// must hold zeros there (a fresh zeroed buffer, or a workspace last
-/// used with the same geometry).
-/// Generic over the element so the fixed-point forward can stretch
-/// already-quantized samples (`quantize(0) == 0`, so the zero-padding
-/// contract is the same in both domains).
-fn im2col_into<T: Copy>(x: &[T], g: &ConvGeometry, out: &mut [T]) {
-    let cols = g.col_cols();
-    let (h, w, k) = (g.in_h, g.in_w, g.kernel);
+/// Copies one flattened `(C, H, W)` sample into the interior of its
+/// zero-bordered staging slot. Only the interior is written, so the
+/// border keeps the zeros it was given when the geometry was set.
+fn stage_sample<T: Copy>(x: &[T], g: &ConvGeometry, slot: &mut [T]) {
+    let (wp, plane) = g.padded_plane();
+    let (h, w, p) = (g.in_h, g.in_w, g.pad);
     for c in 0..g.in_channels {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..g.out_h {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..g.out_w {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        out_row[oy * g.out_w + ox] =
-                            x[(c * h + iy as usize) * w + ix as usize];
-                    }
-                }
-            }
+        for y in 0..h {
+            let src = &x[(c * h + y) * w..][..w];
+            slot[c * plane + (y + p) * wp + p..][..w].copy_from_slice(src);
         }
     }
 }
 
-/// col2im, the adjoint of [`im2col_into`]: scatters a flattened
+/// Fills packed B panels (the [`crate::pack`] layout) straight from a
+/// staging slot: `dst[q][kk][j] = slot[ks[kk] + cols[q·NR + j]]`, with
+/// the lanes past the last column zeroed. With `ks = rows` and
+/// `cols = lanes` this packs `Dm`; with the tables swapped, `Dmᵀ`.
+fn gather_panels<T: Copy + Default>(
+    slot: &[T],
+    ks: &[usize],
+    cols: &[usize],
+    nr: usize,
+    dst: &mut [T],
+) {
+    debug_assert_eq!(dst.len(), packed_b_len(ks.len(), cols.len(), nr));
+    for (panel, cols) in dst.chunks_exact_mut(nr * ks.len()).zip(cols.chunks(nr)) {
+        for (d, &k0) in panel.chunks_exact_mut(nr).zip(ks) {
+            let (taps, pad) = d.split_at_mut(cols.len());
+            for (v, &c) in taps.iter_mut().zip(cols) {
+                *v = slot[k0 + c];
+            }
+            pad.fill(T::default());
+        }
+    }
+}
+
+/// col2im, the adjoint of the `Dm` gather: scatters a flattened
 /// `(N·K², R·C)` matrix into the flattened `(C, H, W)` buffer `o`,
-/// *accumulating* values that came from the same input element.
+/// *accumulating* values that came from the same input element, in
+/// ascending `(c, ky, kx)` order.
 fn col2im_into(c_: &[f32], g: &ConvGeometry, o: &mut [f32]) {
     let (h, w, k, cols) = (g.in_h, g.in_w, g.kernel, g.col_cols());
     for c in 0..g.in_channels {
@@ -211,12 +236,13 @@ fn col2im_into(c_: &[f32], g: &ConvGeometry, o: &mut [f32]) {
 
 /// Reusable scratch buffers for batched convolution passes.
 ///
-/// A fresh workspace allocates on first use; subsequent passes with the
-/// same batch size and geometry reuse every buffer, so the steady-state
-/// training loop performs no per-call conv allocations beyond the output
-/// tensors themselves. The forward pass also records its im2col matrices
-/// here, which the backward pass consumes (the paper's C-INTERMEDIATE
-/// reuse) — call [`conv2d_forward_ws`] before [`conv2d_backward_ws`].
+/// A fresh workspace allocates on first use; later passes with the
+/// same geometry reuse every buffer at any batch size up to the
+/// largest seen, so the steady-state training loop performs no
+/// per-call conv allocations beyond the output tensors themselves.
+/// The f32 forward pass also leaves its staged samples here, which the
+/// backward pass consumes (the paper's C-INTERMEDIATE reuse) — call
+/// [`conv2d_forward_ws`] before [`conv2d_backward_ws`].
 ///
 /// Workspaces are cheap to create (`Default`) and independent; use one
 /// per layer (or per thread when running models concurrently).
@@ -224,15 +250,26 @@ fn col2im_into(c_: &[f32], g: &ConvGeometry, o: &mut [f32]) {
 /// Cloning yields a fresh empty workspace, as
 /// [`GemmScratch`](crate::GemmScratch)'s clone does: scratch is not
 /// model state, so a cloned layer neither copies warm buffers nor
-/// inherits the saved im2col matrices.
+/// inherits the saved forward pass.
 #[derive(Debug, Default)]
 pub struct ConvWorkspace {
-    /// Batched im2col matrices, `b × (N·K² · R·C)`. Padding positions
-    /// are zeroed on (re)allocation and never dirtied afterwards, since
-    /// under a fixed geometry `im2col_into` writes only valid taps.
-    cols: Vec<f32>,
-    /// Batch size and geometry `cols` currently holds, if any.
-    key: Option<(usize, ConvGeometry)>,
+    /// Geometry the tables are built for and the staging borders are
+    /// zeroed for, if any.
+    key: Option<ConvGeometry>,
+    /// Per output position `j = (oy, ox)`: the offset of its top-left
+    /// tap in a zero-bordered channel plane, `(oy·s)·(W+2p) + ox·s`.
+    lanes: Vec<usize>,
+    /// Per `Dm` row `r = (c, ky, kx)`: `c·(H+2p)·(W+2p) + ky·(W+2p) + kx`,
+    /// so `rows[r] + lanes[j]` is the staging offset of tap `(r, j)`.
+    rows: Vec<usize>,
+    /// Per-sample zero-bordered copies of the f32 input,
+    /// `b × N·(H+2p)·(W+2p)`. Zeroed whole when the geometry changes;
+    /// passes write only interiors, so the borders stay zero across
+    /// batch sizes. The backward pass gathers `Dmᵀ` from here.
+    staging: Vec<f32>,
+    /// Batch size of the last f32 forward pass, whose samples
+    /// `staging` holds for the backward pass.
+    saved_batch: Option<usize>,
     /// Per-sample `dcol` scratch (assigned by the packed kernel, then
     /// scattered by `col2im_into`).
     dcols: Vec<f32>,
@@ -246,30 +283,24 @@ pub struct ConvWorkspace {
     packed_w: Vec<f32>,
     /// Packed `Fmᵀ` (backward dcol A-operand, shared by the batch).
     packed_wt: Vec<f32>,
-    /// Per-sample packed im2col matrices (forward B-operand).
+    /// Per-sample packed `Dm` panels (forward B-operand).
     packed_cols: Vec<f32>,
     /// Per-sample packed `dY` as A-operand (dW GEMM).
     packed_dy_a: Vec<f32>,
-    /// Per-sample packed `colᵀ` (dW B-operand).
+    /// Per-sample packed `Dmᵀ` panels (dW B-operand).
     packed_colt: Vec<f32>,
     /// Per-sample packed `dY` as B-operand (dcol GEMM).
     packed_dy_b: Vec<f32>,
     /// Packed quantized filter matrix (i8 forward A-operand).
     packed_w_i8: Vec<i8>,
-    /// Per-sample quantized input samples (i8 forward staging): the
-    /// input is quantized *once* here, then stretched by `im2col_into`
-    /// — quantizing the im2col matrix instead would round every input
-    /// element K² times.
+    /// Per-sample quantized input samples: the input is quantized
+    /// *once* here, then staged — quantizing the gathered panels
+    /// instead would round every input element K² times.
     qx: Vec<i8>,
-    /// Per-sample quantized im2col matrices (i8 forward staging).
-    /// Padding positions are zeroed on (re)allocation and never
-    /// dirtied afterwards, exactly like `cols`.
-    qcols: Vec<i8>,
-    /// Batch size and geometry `qcols` currently holds, if any. Kept
-    /// apart from `key`: an f32 pass at a new geometry re-zeros only
-    /// `cols`, so the i8 staging must track its own validity.
-    key_i8: Option<(usize, ConvGeometry)>,
-    /// Per-sample packed quantized im2col matrices (i8 B-operand).
+    /// Per-sample zero-bordered quantized samples, laid out and zeroed
+    /// exactly like `staging` (`quantize(0) == 0`).
+    staging_i8: Vec<i8>,
+    /// Per-sample packed quantized `Dm` panels (i8 B-operand).
     packed_cols_i8: Vec<i8>,
     /// Per-sample i32 accumulators of the i8 forward, dequantized into
     /// the f32 output.
@@ -299,50 +330,56 @@ impl ConvWorkspace {
     }
 
     /// Grows `buf` (never shrinks) via the shared scratch accounting.
-    fn grow(buf: &mut Vec<f32>, len: usize, grows: &mut usize) {
+    fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize, grows: &mut usize) {
         grow_scratch(buf, len, grows, "conv");
     }
 
-    /// Readies `cols` for `b` samples of geometry `g` (zeroing it only
-    /// when the batch size or geometry changed since the last pass) and
-    /// sizes the forward packing buffers.
-    fn prepare_forward(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) {
-        let want = Some((b, *g));
-        if self.key != want {
-            let len = b * g.col_rows() * g.col_cols();
-            // Geometry switches re-zero `cols`, so they intentionally
-            // bypass the grow-only accounting.
-            self.cols.clear();
-            self.cols.resize(len, 0.0);
-            self.key = want;
+    /// Builds the gather tables for `g` and zeroes both stagings, unless
+    /// they already serve `g`. A new geometry also forgets the saved
+    /// forward pass.
+    fn set_geometry(&mut self, g: &ConvGeometry) {
+        if self.key == Some(*g) {
+            return;
         }
+        let (wp, plane) = g.padded_plane();
+        let (k, s) = (g.kernel, g.stride);
+        let (nk2, positions) = (g.col_rows(), g.col_cols());
+        Self::grow(&mut self.lanes, positions, &mut self.grows);
+        Self::grow(&mut self.rows, nk2, &mut self.grows);
+        for (j, lane) in self.lanes[..positions].iter_mut().enumerate() {
+            *lane = (j / g.out_w * s) * wp + j % g.out_w * s;
+        }
+        for (r, row) in self.rows[..nk2].iter_mut().enumerate() {
+            *row = r / (k * k) * plane + r / k % k * wp + r % k;
+        }
+        self.staging.fill(0.0);
+        self.staging_i8.fill(0);
+        self.saved_batch = None;
+        self.key = Some(*g);
+    }
+
+    /// Readies the tables and staging for `b` samples of geometry `g`
+    /// and sizes the forward packing buffers.
+    fn prepare_forward(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) {
+        self.set_geometry(g);
+        let grows = &mut self.grows;
+        Self::grow(&mut self.staging, b * g.staging_len(), grows);
         Self::grow(
             &mut self.packed_w,
             packed_a_len(g.out_channels, g.col_rows(), kern.mr()),
-            &mut self.grows,
+            grows,
         );
         Self::grow(
             &mut self.packed_cols,
             b * packed_b_len(g.col_rows(), g.col_cols(), kern.nr()),
-            &mut self.grows,
+            grows,
         );
     }
 
-    /// Readies the quantized-forward buffers: the i8 input staging and
-    /// im2col matrices (re-zeroing the latter only when the batch size
-    /// or geometry changed, mirroring `prepare_forward`) plus the i8
-    /// panels and i32 accumulators.
+    /// Readies the quantized-forward buffers: the tables, the i8 input
+    /// and its staging, plus the i8 panels and i32 accumulators.
     fn prepare_forward_i8(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) {
-        let want = Some((b, *g));
-        if self.key_i8 != want {
-            let len = b * g.col_rows() * g.col_cols();
-            // Geometry switches re-zero `qcols` (padding positions
-            // must hold zeros), so they intentionally bypass the
-            // grow-only accounting.
-            self.qcols.clear();
-            self.qcols.resize(len, 0);
-            self.key_i8 = want;
-        }
+        self.set_geometry(g);
         let (nk2, p) = (g.col_rows(), g.col_cols());
         let grows = &mut self.grows;
         grow_scratch(
@@ -352,12 +389,14 @@ impl ConvWorkspace {
             "conv_i8",
         );
         grow_scratch(&mut self.qx, b * g.in_channels * g.in_h * g.in_w, grows, "conv_i8");
+        grow_scratch(&mut self.staging_i8, b * g.staging_len(), grows, "conv_i8");
         grow_scratch(&mut self.packed_cols_i8, b * packed_b_len(nk2, p, kern.nr()), grows, "conv_i8");
         grow_scratch(&mut self.acc_i32, b * g.out_channels * p, grows, "conv_i8");
     }
 
     /// Sizes the backward scratch and packing buffers (contents need no
-    /// zeroing: the packed kernels and packers assign every element).
+    /// zeroing: the packed kernels, packers and gather assign every
+    /// element).
     fn prepare_backward(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) {
         let (m, nk2, p) = (g.out_channels, g.col_rows(), g.col_cols());
         let (mr, nr) = (kern.mr(), kern.nr());
@@ -378,12 +417,12 @@ impl ConvWorkspace {
 /// * `weight`: `(M, C, K, K)`
 /// * `bias`: `(M,)`
 ///
-/// Returns the output `(B, M, R, C)`. The per-sample im2col matrices
-/// stay in `ws` for [`conv2d_backward_ws`] to reuse (the paper's
-/// C-INTERMEDIATE reuse), so repeated calls with a stable batch size
-/// and geometry do not allocate. Samples are processed in parallel on
-/// the shared worker pool when the batch is large enough; the output is
-/// bitwise identical for any thread count.
+/// Returns the output `(B, M, R, C)`. The staged samples stay in `ws`
+/// for [`conv2d_backward_ws`] to reuse (the paper's C-INTERMEDIATE
+/// reuse), so repeated calls with a stable geometry do not allocate.
+/// Samples are processed in parallel on the shared worker pool when the
+/// batch is large enough; the output is bitwise identical for any
+/// thread count.
 ///
 /// # Errors
 ///
@@ -409,7 +448,7 @@ pub fn conv2d_forward_ws(
     );
     let nk2 = g.col_rows();
     let positions = g.col_cols();
-    let col_len = nk2 * positions;
+    let slot = g.staging_len();
     let pa_len = packed_a_len(g.out_channels, nk2, kern.mr());
     let pb_len = packed_b_len(nk2, positions, kern.nr());
     let mut out = Tensor::zeros([b, g.out_channels, g.out_h, g.out_w]);
@@ -422,20 +461,21 @@ pub fn conv2d_forward_ws(
     }
     let bv = bias.as_slice();
     let pw = &ws.packed_w[..pa_len];
+    let (rows, lanes) = (&ws.rows[..nk2], &ws.lanes[..positions]);
     let bufs = (
         PerUnit::new(out.as_mut_slice(), out_len),
-        PerUnit::new(&mut ws.cols[..b * col_len], col_len),
+        PerUnit::new(&mut ws.staging[..b * slot], slot),
         PerUnit::new(&mut ws.packed_cols[..b * pb_len], pb_len),
     );
-    par_split(b, b as u64 * g.ops(), bufs, |samples, (dst, cols, pcols)| {
+    par_split(b, b as u64 * g.ops(), bufs, |samples, (dst, stage, pcols)| {
         for (i, s) in samples.enumerate() {
             let dst = &mut dst[i * out_len..][..out_len];
-            let col = &mut cols[i * col_len..][..col_len];
+            let stage = &mut stage[i * slot..][..slot];
             let pcol = &mut pcols[i * pb_len..][..pb_len];
-            im2col_into(&xv[s * sample_len..][..sample_len], g, col);
+            stage_sample(&xv[s * sample_len..][..sample_len], g, stage);
+            gather_panels(stage, rows, lanes, kern.nr(), pcol);
             // Fm × Dm: the micro-kernel assigns every output element,
             // then the bias is added on top.
-            pack_b(col, nk2, positions, false, kern.nr(), pcol);
             kern.run_band(pw, pcol, nk2, positions, 0..g.out_channels, dst);
             for m in 0..g.out_channels {
                 let bm = bv[m];
@@ -445,6 +485,7 @@ pub fn conv2d_forward_ws(
             }
         }
     });
+    ws.saved_batch = Some(b);
     Ok(out)
 }
 
@@ -456,16 +497,16 @@ pub fn conv2d_forward_ws(
 /// * `qweight`: the filter bank flattened to `(M, N·K²)` and quantized
 ///   per output channel ([`QuantizedMatrix`]).
 ///
-/// Each sample is quantized once, then im2col runs in the i8 domain
-/// (it only moves values, and `quantize(0) == 0` keeps the padding
-/// contract — quantizing the stretched matrix instead would round each
-/// element K² times for bit-identical output), the GEMM runs in i8
-/// with i32 accumulation, and each output channel dequantizes with
-/// `in_scale · w_scale[m]` before the f32 bias is added. Integer
-/// accumulation is exact and the dequantization is element-wise, so the
-/// result is deterministic at any kernel and thread count. Buffers live
-/// in `ws` and only ever grow: steady state allocates nothing beyond
-/// the returned output tensor.
+/// Each sample is quantized once, then staged and gathered into panels
+/// in the i8 domain (both only move values, and `quantize(0) == 0`
+/// keeps the zero border — quantizing the gathered panels instead
+/// would round each element K² times for bit-identical output), the
+/// GEMM runs in i8 with i32 accumulation, and each output channel
+/// dequantizes with `in_scale · w_scale[m]` before the f32 bias is
+/// added. Integer accumulation is exact and the dequantization is
+/// element-wise, so the result is deterministic at any kernel and
+/// thread count. Buffers live in `ws` and only ever grow: steady state
+/// allocates nothing beyond the returned output tensor.
 ///
 /// # Errors
 ///
@@ -511,15 +552,14 @@ pub fn conv2d_forward_i8_ws(
             g.pad
         )
     });
+    let slot = g.staging_len();
     telemetry::counter_add(
         "tensor.quant.bytes",
         "conv_i8",
-        (4 * b * sample_len + qweight.data().len() + b * g.col_rows() * g.col_cols()
-            + 4 * b * out_len) as u64,
+        (4 * b * sample_len + qweight.data().len() + b * slot + 4 * b * out_len) as u64,
     );
     let nk2 = g.col_rows();
     let positions = g.col_cols();
-    let col_len = nk2 * positions;
     let pa_len = packed_a_len(g.out_channels, nk2, kern.mr());
     let pb_len = packed_b_len(nk2, positions, kern.nr());
     let acc_len = g.out_channels * positions;
@@ -539,27 +579,28 @@ pub fn conv2d_forward_i8_ws(
     let bv = bias.as_slice();
     let scales = qweight.scales();
     let pw = &ws.packed_w_i8[..pa_len];
+    let (rows, lanes) = (&ws.rows[..nk2], &ws.lanes[..positions]);
     let bufs = (
         PerUnit::new(out.as_mut_slice(), out_len),
         PerUnit::new(&mut ws.qx[..b * sample_len], sample_len),
-        PerUnit::new(&mut ws.qcols[..b * col_len], col_len),
+        PerUnit::new(&mut ws.staging_i8[..b * slot], slot),
         PerUnit::new(&mut ws.packed_cols_i8[..b * pb_len], pb_len),
         PerUnit::new(&mut ws.acc_i32[..b * acc_len], acc_len),
     );
-    par_split(b, b as u64 * g.ops(), bufs, |samples, (dst, qx, qcols, pcols, acc)| {
+    par_split(b, b as u64 * g.ops(), bufs, |samples, (dst, qx, stage, pcols, acc)| {
         for (i, s) in samples.enumerate() {
             let dst = &mut dst[i * out_len..][..out_len];
             let qxs = &mut qx[i * sample_len..][..sample_len];
-            let qcol = &mut qcols[i * col_len..][..col_len];
+            let stage = &mut stage[i * slot..][..slot];
             let pcol = &mut pcols[i * pb_len..][..pb_len];
             let acc = &mut acc[i * acc_len..][..acc_len];
-            // Quantize the sample once, then stretch in the i8 domain:
-            // im2col duplicates each element up to K² times, so
-            // rounding after the stretch would do K² times the work
-            // for bit-identical output.
+            // Quantize the sample once, then gather in the i8 domain:
+            // the panels hold each element up to K² times, so rounding
+            // after the gather would do K² times the work for
+            // bit-identical output.
             quantize_i8(&xv[s * sample_len..][..sample_len], in_scale, qxs);
-            im2col_into(qxs, g, qcol);
-            pack_b_i8(qcol, nk2, positions, false, kern.nr(), pcol);
+            stage_sample(qxs, g, stage);
+            gather_panels(stage, rows, lanes, kern.nr(), pcol);
             kern.run_band_i8(pw, pcol, nk2, positions, 0..g.out_channels, acc);
             for m in 0..g.out_channels {
                 let factor = in_scale * scales[m];
@@ -575,8 +616,8 @@ pub fn conv2d_forward_i8_ws(
     Ok(out)
 }
 
-/// Gradients of a batched convolution, reading the im2col matrices that
-/// [`conv2d_forward_ws`] saved in `ws`.
+/// Gradients of a batched convolution, reading the staged samples that
+/// [`conv2d_forward_ws`] left in `ws`.
 ///
 /// Given the upstream gradient `dout: (B, M, R, C)`, returns
 /// `(dinput, dweight, dbias)`, bitwise identical for any thread count:
@@ -594,8 +635,8 @@ pub fn conv2d_backward_ws(
     g: &ConvGeometry,
     ws: &mut ConvWorkspace,
 ) -> Result<(Tensor, Tensor, Tensor)> {
-    let b = match ws.key {
-        Some((b, key_g)) if key_g == *g => b,
+    let b = match (ws.key, ws.saved_batch) {
+        (Some(key_g), Some(b)) if key_g == *g => b,
         _ => {
             return Err(TensorError::InvalidGeometry {
                 reason: "conv2d_backward_ws: workspace holds no forward pass for this geometry"
@@ -627,12 +668,13 @@ pub fn conv2d_backward_ws(
     let out_len = m_ch * positions;
     let sample_len = g.in_channels * g.in_h * g.in_w;
     let col_len = nk2 * positions;
+    let slot = g.staging_len();
     let dw_len = m_ch * nk2;
     let _t = conv_telemetry(
         "tensor.conv2d_bwd",
         b,
         g,
-        4 * (b * (out_len + col_len + sample_len) + weight.len() + dw_len) as u64,
+        4 * (b * (out_len + slot + sample_len) + weight.len() + dw_len) as u64,
     );
 
     let mut dinput = Tensor::zeros([b, g.in_channels, g.in_h, g.in_w]);
@@ -647,7 +689,8 @@ pub fn conv2d_backward_ws(
     let pdya_len = packed_a_len(m_ch, positions, mr);
     let pcolt_len = packed_b_len(positions, nk2, nr);
     let pdyb_len = packed_b_len(m_ch, positions, nr);
-    let (cols, pwt) = (&ws.cols, &ws.packed_wt[..pwt_len]);
+    let (staging, pwt) = (&ws.staging[..b * slot], &ws.packed_wt[..pwt_len]);
+    let (rows, lanes) = (&ws.rows[..nk2], &ws.lanes[..positions]);
     let bufs = (
         PerUnit::new(dinput.as_mut_slice(), sample_len),
         PerUnit::new(&mut ws.dcols[..b * col_len], col_len),
@@ -661,7 +704,7 @@ pub fn conv2d_backward_ws(
     par_split(b, flops, bufs, |samples, (dxs, dcols, dws, dbs, pdyas, pcolts, pdybs)| {
         for (i, s) in samples.enumerate() {
             let dy = &dv[s * out_len..(s + 1) * out_len]; // (M, P)
-            let col = &cols[s * col_len..(s + 1) * col_len]; // (N·K², P)
+            let stage = &staging[s * slot..(s + 1) * slot];
             let pdya = &mut pdyas[i * pdya_len..][..pdya_len];
             let pcolt = &mut pcolts[i * pcolt_len..][..pcolt_len];
             let pdyb = &mut pdybs[i * pdyb_len..][..pdyb_len];
@@ -669,11 +712,11 @@ pub fn conv2d_backward_ws(
             let db = &mut dbs[i * m_ch..][..m_ch];
             let dcol = &mut dcols[i * col_len..][..col_len];
             let dx = &mut dxs[i * sample_len..][..sample_len];
-            // dW_s = dY · colᵀ → (M, N·K²); col is (N·K², P) = (n, k),
-            // so its transposed packing is the B-operand. The kernel
+            // dW_s = dY · Dmᵀ → (M, N·K²): gathering with the tables
+            // swapped packs Dmᵀ, positions as the k-steps. The kernel
             // assigns every element, so `dw` needs no pre-zeroing.
             pack_a(dy, m_ch, positions, false, mr, pdya);
-            pack_b(col, positions, nk2, true, nr, pcolt);
+            gather_panels(stage, lanes, rows, nr, pcolt);
             kern.run_band(pdya, pcolt, positions, nk2, 0..m_ch, dw);
             // db_s = row sums of dY.
             for m in 0..m_ch {
@@ -748,11 +791,17 @@ mod tests {
         ConvGeometry::new(2, 5, 5, 3, 3, 1, 1).unwrap()
     }
 
-    /// im2col of one flattened `(C, H, W)` sample into a fresh zeroed
-    /// matrix.
+    /// The row-major `(N·K², R·C)` matrix `Dm` of one flattened
+    /// `(C, H, W)` sample, through the production staging and gather: a
+    /// single panel as wide as the matrix is the matrix itself.
     fn im2col(x: &[f32], g: &ConvGeometry) -> Vec<f32> {
-        let mut out = vec![0.0; g.col_rows() * g.col_cols()];
-        im2col_into(x, g, &mut out);
+        let mut ws = ConvWorkspace::new();
+        ws.set_geometry(g);
+        let mut slot = vec![0.0; g.staging_len()];
+        stage_sample(x, g, &mut slot);
+        let (nk2, positions) = (g.col_rows(), g.col_cols());
+        let mut out = vec![f32::NAN; nk2 * positions];
+        gather_panels(&slot, &ws.rows[..nk2], &ws.lanes[..positions], positions, &mut out);
         out
     }
 
@@ -973,6 +1022,86 @@ mod tests {
         }
     }
 
+    /// Every pass the workspace serves, on `ws`: the f32 forward, its
+    /// backward, and the i8 forward.
+    fn all_passes(
+        x: &Tensor,
+        w: &Tensor,
+        bias: &Tensor,
+        dout: &Tensor,
+        g: &ConvGeometry,
+        ws: &mut ConvWorkspace,
+    ) -> Vec<Vec<u32>> {
+        let y = conv2d_forward_ws(x, w, bias, g, ws).unwrap();
+        let (dx, dw, db) = conv2d_backward_ws(dout, w, g, ws).unwrap();
+        let qw = QuantizedMatrix::from_rows(w.as_slice(), g.out_channels, g.col_rows()).unwrap();
+        let in_scale = crate::quant::quant_scale(crate::quant::max_abs(x.as_slice()));
+        let yq = conv2d_forward_i8_ws(x, &qw, bias, g, in_scale, ws).unwrap();
+        [y, dx, dw, db, yq].iter().map(bits).collect()
+    }
+
+    #[test]
+    fn batch_switches_on_a_warm_workspace_grow_nothing() {
+        // The staging is keyed on geometry alone: a smaller batch uses a
+        // prefix of it and a larger one (up to the warm size) finds its
+        // borders still zero, so the Cloud's ragged last batch neither
+        // grows nor re-zeroes anything.
+        let g = small_geom();
+        let mut rng = Rng::seed_from(35);
+        let w = Tensor::rand_uniform([3, 2, 3, 3], -0.5, 0.5, &mut rng);
+        let bias = Tensor::rand_uniform([3], -0.1, 0.1, &mut rng);
+        let mut inputs = |b: usize| {
+            let x = Tensor::rand_uniform([b, 2, 5, 5], -1.0, 1.0, &mut rng);
+            let dout = Tensor::rand_uniform([b, 3, g.out_h, g.out_w], -1.0, 1.0, &mut rng);
+            (x, dout)
+        };
+        let mut ws = ConvWorkspace::new();
+        let (x, dout) = inputs(16);
+        all_passes(&x, &w, &bias, &dout, &g, &mut ws);
+        let warm = ws.reallocations();
+        for b in [5, 16, 5] {
+            let (x, dout) = inputs(b);
+            let got = all_passes(&x, &w, &bias, &dout, &g, &mut ws);
+            assert_eq!(ws.reallocations(), warm, "batch {b} grew a buffer");
+            let want = all_passes(&x, &w, &bias, &dout, &g, &mut ConvWorkspace::new());
+            assert_eq!(got, want, "batch {b} differs from a fresh workspace");
+        }
+    }
+
+    #[test]
+    fn staging_growth_is_counted() {
+        // The staging is the workspace's largest input-sized buffer; its
+        // first growth must show in `reallocations()` and in
+        // `tensor.scratch_bytes` like every other buffer's.
+        let g = small_geom();
+        let mut rng = Rng::seed_from(36);
+        let x = Tensor::rand_uniform([2, 2, 5, 5], -1.0, 1.0, &mut rng);
+        let w = Tensor::rand_uniform([3, 2, 3, 3], -0.5, 0.5, &mut rng);
+        let bias = Tensor::zeros([3]);
+        let mut ws = ConvWorkspace::new();
+        telemetry::set_enabled(true);
+        telemetry::reset();
+        conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
+        let counted =
+            telemetry::snapshot().counter("tensor.scratch_bytes", "conv").map_or(0, |c| c.total);
+        telemetry::set_enabled(false);
+        telemetry::reset();
+        // Two samples, each zero-bordered to 2 × 7 × 7.
+        assert_eq!(ws.staging.len(), 2 * 2 * 7 * 7);
+        let grown = [
+            4 * ws.staging.len(),
+            4 * ws.packed_w.len(),
+            4 * ws.packed_cols.len(),
+            std::mem::size_of::<usize>() * ws.lanes.len(),
+            std::mem::size_of::<usize>() * ws.rows.len(),
+        ];
+        assert_eq!(ws.reallocations(), grown.len());
+        // Only this test records in this crate, but a concurrent conv
+        // test can add its own growth while recording is on.
+        let total = grown.iter().sum::<usize>() as u64;
+        assert!(counted >= total, "scratch_bytes counted {counted} of {total} grown bytes");
+    }
+
     #[test]
     fn a_cloned_workspace_starts_empty() {
         let g = small_geom();
@@ -985,7 +1114,7 @@ mod tests {
         assert!(ws.reallocations() > 0);
         let mut cloned = ws.clone();
         assert_eq!(cloned.reallocations(), 0, "a clone must not copy warm buffers");
-        // No saved columns travel with the clone.
+        // No saved forward pass travels with the clone.
         let dout = Tensor::zeros([2, 3, g.out_h, g.out_w]);
         assert!(conv2d_backward_ws(&dout, &w, &g, &mut cloned).is_err());
         let y2 = conv2d_forward_ws(&x, &w, &bias, &g, &mut cloned).unwrap();
@@ -994,9 +1123,9 @@ mod tests {
 
     #[test]
     fn workspace_survives_geometry_switch() {
-        // Switching batch size or geometry must re-zero the column
-        // buffer; stale padding taps from the previous shape would
-        // otherwise leak into the new pass.
+        // Switching geometry must re-zero the staging borders; stale
+        // interior values from the previous shape would otherwise leak
+        // into the new pass as padding taps.
         let g1 = small_geom();
         let g2 = ConvGeometry::new(2, 7, 7, 4, 3, 1, 1).unwrap();
         let mut rng = Rng::seed_from(32);
