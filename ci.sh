@@ -146,13 +146,27 @@ cargo test -q -p insitu-core --test observability
 cargo test -q -p insitu-core --test reuse_properties
 cargo test -q -p insitu-core --test trunk_pass_telemetry
 
-# Update-cache gates: cached fine-tuning must be bitwise identical to
-# uncached — same weights, ModelUpdates and seeded session trajectory —
-# property-tested across archive sizes, epochs, eviction pressure
-# (budget 0 / tiny / default) and 1/2/4 threads, plus the nn-level
-# prefix/suffix split against the full forward.
-cargo test -q -p insitu-cloud --test cache_equivalence
-cargo test -q -p insitu-nn --lib net::tests::prefix
+# Update-store gates: fine-tuning from the archive's stored prefix
+# activations must be bitwise identical to the recompute reference —
+# same weights, ModelUpdates and seeded session trajectory — across
+# archive sizes, epochs, holdouts, duplicate uploads and 1/2/4 threads,
+# and across prefix changes between updates (a frozen weight one ulp
+# off, a prefix zero of the other sign, a moved cut), which must
+# recompute the whole store. A rejected upload (another class space, a
+# label past the model's output, another image shape) must leave an
+# archived and a fresh Cloud bitwise equal to a twin. The store is
+# bitwise only if each ISA's conv lowering is batch-independent, and
+# each ISA builds its own lane table, so both suites run under the
+# auto-detected ISA and the portable one. Then the nn-level
+# prefix/suffix split against the full forward: that filter names one
+# test and must run it, so a rename cannot leave it matching nothing.
+for simd in auto scalar; do
+    INSITU_SIMD=$simd cargo test -q -p insitu-cloud --test cache_equivalence --test upload_gate
+done
+cargo test -q -p insitu-nn --lib net::tests::prefix >/tmp/ci_prefix.log 2>&1 \
+    || { cat /tmp/ci_prefix.log; exit 1; }
+grep -q '^test result: ok\. 1 passed' /tmp/ci_prefix.log
+rm -f /tmp/ci_prefix.log
 cargo test -q -p insitu-nn --lib train_from_activations
 
 # Overlapped-ingestion gates: the producer/arena/queue unit suite in

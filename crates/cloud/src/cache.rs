@@ -1,65 +1,32 @@
-//! Frozen-prefix activation cache for incremental fine-tuning.
+//! What the Cloud's activation store reports, and the content ids its
+//! archive is deduplicated by.
 //!
-//! The deployment recipe freezes conv1–3, so during every fine-tune the
-//! frozen prefix runs in Eval mode and its outputs are a pure function
-//! of (frozen weights, input image). The Cloud retains its archive
-//! across update cycles, which means the same images are pushed through
-//! the same frozen prefix on every epoch of every cycle. This module
-//! memoizes those feature maps: [`ActivationCache`] stores one
-//! activation per (sample id, prefix fingerprint) pair under a byte
-//! budget with LRU eviction, and [`ActivationCache::prefix_activations`]
-//! assembles a training batch from cache hits plus one batched
-//! [`Sequential::forward_prefix`] call over the misses.
-//!
-//! Correctness rests on two facts, both locked down by tests:
-//!
-//! * the frozen prefix is deterministic and per-sample independent
-//!   (every kernel processes batch samples independently), so an
-//!   activation computed in one batch is bit-identical in any other;
-//! * the fingerprint hashes the freezing cut plus every frozen layer's
-//!   topology and exact weight bits, so a transfer, re-deploy or
-//!   changed `frozen_convs` can never be served stale entries.
+//! The store itself lives with the archive it shadows, in
+//! [`Cloud`](crate::Cloud): one frozen-prefix activation per archived
+//! sample, appended in archive order and recomputed only when the prefix
+//! changes. These are its lifetime counts.
 //!
 //! Telemetry: `cloud.cache.request` / `cloud.cache.hit` /
-//! `cloud.cache.miss` / `cloud.cache.evictions` counters (per sample;
-//! hits + misses always equals requests), `cloud.cache.bytes`
-//! (cumulative bytes admitted), and a `cloud.prefix_forward` span —
-//! auto-fed into the latency histogram — around each miss-batch
-//! forward.
+//! `cloud.cache.miss` counters (per sample; hits + misses always equals
+//! requests), `cloud.cache.bytes` (cumulative bytes of activations
+//! computed), and a `cloud.prefix_forward` span — auto-fed into the
+//! latency histogram — around each batched prefix forward.
 
-use std::collections::{BTreeMap, HashMap};
-
-use crate::Result;
 use insitu_data::Dataset;
-use insitu_nn::{gather_samples, Sequential};
-use insitu_tensor::Tensor;
-use insitu_telemetry as telemetry;
 
-/// Default cache budget: enough for ~6400 mini-AlexNet prefix maps
-/// (32·9·9 floats ≈ 10 KiB each), far beyond the paper's archives.
-pub const DEFAULT_CACHE_BUDGET: usize = 64 * 1024 * 1024;
-
-/// Bookkeeping overhead charged per entry against the byte budget, on
-/// top of the activation payload itself.
-const ENTRY_OVERHEAD: usize = 64;
-
-/// Lifetime statistics of an [`ActivationCache`].
+/// Lifetime statistics of the Cloud's frozen-prefix activation store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Samples served from the cache.
+    /// Stored activations reused by an update.
     pub hits: u64,
-    /// Samples that had to run the frozen prefix.
+    /// Activations an update had to compute with the frozen prefix.
     pub misses: u64,
-    /// Entries evicted under byte-budget pressure.
-    pub evictions: u64,
-    /// Bytes currently resident (payload + per-entry overhead).
+    /// Bytes of activations currently stored.
     pub resident_bytes: usize,
-    /// Entries currently resident.
-    pub entries: usize,
 }
 
 impl CacheStats {
-    /// Hit rate over the cache's lifetime (0 when never used).
+    /// Hit rate over the store's lifetime (0 when never used).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -70,184 +37,10 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug)]
-struct Entry {
-    act: Vec<f32>,
-    tick: u64,
-}
-
-/// An LRU cache of frozen-prefix activations keyed by
-/// `(sample id, prefix fingerprint)`.
-#[derive(Debug)]
-pub struct ActivationCache {
-    budget: usize,
-    entries: HashMap<(u64, u64), Entry>,
-    /// LRU order: logical tick → key. Ticks are unique, so the first
-    /// BTreeMap entry is always the least recently used.
-    lru: BTreeMap<u64, (u64, u64)>,
-    tick: u64,
-    resident: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl ActivationCache {
-    /// Creates a cache bounded to `budget` bytes (0 disables storage:
-    /// every lookup misses, which is the maximal eviction-pressure
-    /// case the equivalence suite exercises).
-    pub fn new(budget: usize) -> ActivationCache {
-        ActivationCache {
-            budget,
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
-            tick: 0,
-            resident: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Lifetime statistics.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            resident_bytes: self.resident,
-            entries: self.entries.len(),
-        }
-    }
-
-    /// Configured byte budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Drops every entry (statistics are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.lru.clear();
-        self.resident = 0;
-    }
-
-    /// Returns the prefix activations of every sample in `data`, in
-    /// order, as one batched tensor — serving from the cache where
-    /// possible and running `net.forward_prefix` once over the misses.
-    ///
-    /// `ids` are the content ids of the samples (see [`sample_ids`]),
-    /// one per sample. Hit payloads are copied into the output *before*
-    /// any miss is inserted, so eviction during population can never
-    /// corrupt the assembled batch. When nothing is frozen the prefix
-    /// is the identity and the images are returned untouched (no cache
-    /// traffic is counted).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape disagreements with the prefix, or if
-    /// `ids.len() != data.len()`.
-    pub fn prefix_activations(
-        &mut self,
-        net: &mut Sequential,
-        data: &Dataset,
-        ids: &[u64],
-    ) -> Result<Tensor> {
-        if ids.len() != data.len() {
-            return Err(crate::CloudError::BadConfig {
-                reason: format!("{} ids for {} samples", ids.len(), data.len()),
-            });
-        }
-        if net.first_unfrozen() == 0 {
-            // Nothing frozen: the prefix is the identity.
-            return Ok(data.images().clone());
-        }
-        let n = data.len();
-        let fp = net.prefix_fingerprint();
-        let image_dims = data.images().dims().to_vec();
-        let act_dims = net.prefix_output_dims(&image_dims)?;
-        let sample_len: usize = act_dims[1..].iter().product();
-        let mut out = vec![0.0f32; n * sample_len];
-
-        telemetry::counter_add("cloud.cache.request", "", n as u64);
-        // Pass 1: copy every hit out immediately — inserting misses
-        // later may evict these very entries.
-        let mut miss_indices = Vec::new();
-        for (i, &id) in ids.iter().enumerate() {
-            match self.entries.get_mut(&(id, fp)) {
-                Some(entry) if entry.act.len() == sample_len => {
-                    out[i * sample_len..(i + 1) * sample_len].copy_from_slice(&entry.act);
-                    let old = entry.tick;
-                    entry.tick = self.tick;
-                    self.lru.remove(&old);
-                    self.lru.insert(self.tick, (id, fp));
-                    self.tick += 1;
-                    self.hits += 1;
-                }
-                _ => miss_indices.push(i),
-            }
-        }
-        telemetry::counter_add("cloud.cache.hit", "", (n - miss_indices.len()) as u64);
-        telemetry::counter_add("cloud.cache.miss", "", miss_indices.len() as u64);
-        self.misses += miss_indices.len() as u64;
-
-        // Pass 2: one batched prefix forward over the misses. Kernels
-        // treat batch samples independently, so these activations are
-        // bit-identical to any other batching of the same images.
-        if !miss_indices.is_empty() {
-            let missed = miss_indices.len();
-            let _t = telemetry::span_with("cloud.prefix_forward", || {
-                format!("{missed}/{n} samples missed")
-            });
-            let images = gather_samples(data.images(), &miss_indices)?;
-            let acts = net.forward_prefix(&images)?;
-            let src = acts.as_slice();
-            for (m, &i) in miss_indices.iter().enumerate() {
-                let act = &src[m * sample_len..(m + 1) * sample_len];
-                out[i * sample_len..(i + 1) * sample_len].copy_from_slice(act);
-                self.insert((ids[i], fp), act.to_vec());
-            }
-        }
-
-        let mut dims = act_dims;
-        dims[0] = n;
-        Ok(Tensor::from_vec(dims.as_slice(), out).map_err(insitu_nn::NnError::from)?)
-    }
-
-    /// Admits one entry, evicting LRU entries as needed. Entries larger
-    /// than the whole budget are not admitted.
-    fn insert(&mut self, key: (u64, u64), act: Vec<f32>) {
-        let bytes = act.len() * std::mem::size_of::<f32>() + ENTRY_OVERHEAD;
-        if bytes > self.budget {
-            return;
-        }
-        if let Some(old) = self.entries.remove(&key) {
-            // Same key re-admitted (e.g. evicted mid-cycle): replace.
-            self.lru.remove(&old.tick);
-            self.resident -= old.act.len() * std::mem::size_of::<f32>() + ENTRY_OVERHEAD;
-        }
-        while self.resident + bytes > self.budget {
-            let Some((&tick, &victim)) = self.lru.iter().next() else { break };
-            self.lru.remove(&tick);
-            if let Some(e) = self.entries.remove(&victim) {
-                self.resident -= e.act.len() * std::mem::size_of::<f32>() + ENTRY_OVERHEAD;
-                self.evictions += 1;
-                telemetry::counter_add("cloud.cache.evictions", "", 1);
-            }
-        }
-        telemetry::counter_add("cloud.cache.bytes", "", bytes as u64);
-        self.entries.insert(key, Entry { act, tick: self.tick });
-        self.lru.insert(self.tick, key);
-        self.tick += 1;
-        self.resident += bytes;
-    }
-}
-
 /// Content id of one sample: a 64-bit FNV-1a over the exact image bits
 /// plus the label. Identical re-uploads map to identical ids, which
-/// keeps cache keys stable and lets the endpoint deduplicate its
-/// retained archive.
-pub fn sample_ids(data: &Dataset) -> Vec<u64> {
+/// lets the endpoint deduplicate its archive.
+pub(crate) fn sample_ids(data: &Dataset) -> Vec<u64> {
     let dims = data.images().dims();
     let sample_len: usize = dims.iter().skip(1).product();
     let src = data.images().as_slice();
@@ -296,121 +89,10 @@ impl Fnv {
 mod tests {
     use super::*;
     use insitu_data::Condition;
-    use insitu_nn::models::mini_alexnet;
     use insitu_tensor::Rng;
-
-    fn frozen_net() -> Sequential {
-        let mut rng = Rng::seed_from(71);
-        let mut net = mini_alexnet(4, &mut rng).unwrap();
-        net.freeze_first_convs(3).unwrap();
-        net
-    }
 
     fn data(n: usize, seed: u64) -> Dataset {
         Dataset::generate(n, 4, &Condition::in_situ(), &mut Rng::seed_from(seed)).unwrap()
-    }
-
-    #[test]
-    fn cached_batch_equals_direct_prefix_forward() {
-        let mut net = frozen_net();
-        let d = data(10, 72);
-        let ids = sample_ids(&d);
-        let direct = net.forward_prefix(d.images()).unwrap();
-        let mut cache = ActivationCache::new(DEFAULT_CACHE_BUDGET);
-        // Cold pass: all misses. Warm pass: all hits. Both bit-equal.
-        let cold = cache.prefix_activations(&mut net, &d, &ids).unwrap();
-        assert_eq!(cold.as_slice(), direct.as_slice());
-        assert_eq!(cache.stats().misses, 10);
-        let warm = cache.prefix_activations(&mut net, &d, &ids).unwrap();
-        assert_eq!(warm.as_slice(), direct.as_slice());
-        assert_eq!(cache.stats().hits, 10);
-        assert!(cache.stats().resident_bytes > 0);
-    }
-
-    #[test]
-    fn partial_overlap_mixes_hits_and_misses_bitwise() {
-        let mut net = frozen_net();
-        let first = data(8, 73);
-        let both = first.concat(&data(8, 74)).unwrap();
-        let mut cache = ActivationCache::new(DEFAULT_CACHE_BUDGET);
-        cache.prefix_activations(&mut net, &first, &sample_ids(&first)).unwrap();
-        let direct = net.forward_prefix(both.images()).unwrap();
-        let mixed = cache.prefix_activations(&mut net, &both, &sample_ids(&both)).unwrap();
-        assert_eq!(mixed.as_slice(), direct.as_slice());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (8, 16));
-    }
-
-    #[test]
-    fn fingerprint_change_invalidates_entries() {
-        let mut net = frozen_net();
-        let d = data(6, 75);
-        let ids = sample_ids(&d);
-        let mut cache = ActivationCache::new(DEFAULT_CACHE_BUDGET);
-        cache.prefix_activations(&mut net, &d, &ids).unwrap();
-        assert_eq!(cache.stats().hits, 0);
-        // Re-deploy with different frozen weights: same ids, new
-        // fingerprint, so everything misses again — never stale data.
-        let mut other = mini_alexnet(4, &mut Rng::seed_from(76)).unwrap();
-        other.freeze_first_convs(3).unwrap();
-        let direct = other.forward_prefix(d.images()).unwrap();
-        let got = cache.prefix_activations(&mut other, &d, &ids).unwrap();
-        assert_eq!(got.as_slice(), direct.as_slice());
-        assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.stats().misses, 12);
-    }
-
-    #[test]
-    fn zero_budget_never_stores_but_stays_correct() {
-        let mut net = frozen_net();
-        let d = data(5, 77);
-        let ids = sample_ids(&d);
-        let mut cache = ActivationCache::new(0);
-        let direct = net.forward_prefix(d.images()).unwrap();
-        for _ in 0..2 {
-            let got = cache.prefix_activations(&mut net, &d, &ids).unwrap();
-            assert_eq!(got.as_slice(), direct.as_slice());
-        }
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries, s.resident_bytes), (0, 10, 0, 0));
-    }
-
-    #[test]
-    fn lru_eviction_respects_budget_and_recency() {
-        let mut net = frozen_net();
-        let d = data(6, 78);
-        let ids = sample_ids(&d);
-        // Room for roughly two entries.
-        let one = {
-            let dims = net.prefix_output_dims(d.images().dims()).unwrap();
-            let per: usize = dims[1..].iter().product();
-            per * 4 + ENTRY_OVERHEAD
-        };
-        let mut cache = ActivationCache::new(2 * one);
-        let direct = net.forward_prefix(d.images()).unwrap();
-        let got = cache.prefix_activations(&mut net, &d, &ids).unwrap();
-        assert_eq!(got.as_slice(), direct.as_slice());
-        let s = cache.stats();
-        assert_eq!(s.entries, 2);
-        assert!(s.resident_bytes <= 2 * one);
-        assert_eq!(s.evictions, 4);
-        // The two most recent samples (4, 5) survived.
-        let last_two = d.subset(&[4, 5]).unwrap();
-        cache.prefix_activations(&mut net, &last_two, &sample_ids(&last_two)).unwrap();
-        assert_eq!(cache.stats().hits, 2);
-    }
-
-    #[test]
-    fn unfrozen_net_passes_images_through() {
-        let mut rng = Rng::seed_from(79);
-        let mut net = mini_alexnet(4, &mut rng).unwrap();
-        let d = data(3, 80);
-        let ids = sample_ids(&d);
-        let mut cache = ActivationCache::new(DEFAULT_CACHE_BUDGET);
-        let got = cache.prefix_activations(&mut net, &d, &ids).unwrap();
-        assert_eq!(got.as_slice(), d.images().as_slice());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
     }
 
     #[test]

@@ -1,17 +1,36 @@
 //! The Cloud endpoint an [`InsituNode`](insitu_core::InsituNode)
-//! talks to: holds the master inference model and serves incremental
-//! updates of it.
+//! talks to: holds the master inference model and the archive of
+//! valuable data it retrains on, and serves incremental updates.
+//!
+//! The archive is append-only and kept in admission order. An upload is
+//! checked against the model before anything is written, each of its
+//! samples is hashed once (`sample_ids`), and only samples whose content
+//! is new to the archive are appended. Every update retrains on the
+//! whole archive, so small hard uploads cannot erase what earlier ones
+//! taught.
+//!
+//! On the default path the archive also holds the frozen prefix's
+//! activation of every sample, row for row (`PrefixStore`). The Cloud's
+//! fine-tune never writes the frozen prefix, so a sample's activation is
+//! computed once, by one batched `forward_prefix` over the rows the store
+//! does not hold yet, and reused by every later update. The store keeps
+//! the freeze cut and the prefix tensors its rows were computed under,
+//! and compares them directly with the model's before each update. If
+//! either changed (a moved cut, or a write through
+//! [`Cloud::inference_mut`]), every row is computed again. Training then
+//! starts at the first unfrozen layer, and its results are bitwise those
+//! of [`Cloud::without_activation_cache`], which recomputes the prefix
+//! every epoch.
 
-use crate::cache::{sample_ids, ActivationCache, CacheStats, DEFAULT_CACHE_BUDGET};
-use crate::incremental::{
-    fine_tune, fine_tune_from_activations, split_holdout, IncrementalConfig,
-};
+use crate::cache::{sample_ids, CacheStats};
+use crate::incremental::{fine_tune, fine_tune_from_activations, IncrementalConfig};
 use crate::pretrain::Pretrained;
+use crate::CloudError;
 use insitu_core::{CloudEndpoint, ModelUpdate};
 use insitu_data::Dataset;
-use insitu_nn::serialize::state_dict;
-use insitu_nn::{LabeledBatch, Sequential, TrainReport};
-use insitu_tensor::Rng;
+use insitu_nn::serialize::{leading_bits_equal, state_dict};
+use insitu_nn::{LabeledBatch, Network, Sequential, TrainReport};
+use insitu_tensor::{Rng, Tensor};
 use insitu_telemetry as telemetry;
 use std::collections::HashSet;
 
@@ -20,25 +39,91 @@ use std::collections::HashSet;
 pub struct Cloud {
     inference: Sequential,
     incremental: IncrementalConfig,
-    /// Valuable data retained from previous updates; every incremental
-    /// update trains over the retained history plus the new upload, so
-    /// small hard uploads cannot erase previously learned behavior.
-    /// Deduplicated by content id — identical re-uploads never grow it.
+    /// Every admitted sample, in admission order; `None` until the
+    /// first is admitted.
     archive: Option<Dataset>,
-    /// Content ids of the archived samples, in archive order.
-    archive_ids: Vec<u64>,
-    /// Frozen-prefix activation cache; `None` recomputes every epoch.
-    /// Results are bitwise identical either way.
-    cache: Option<ActivationCache>,
+    /// Content ids of the archived samples.
+    archive_ids: HashSet<u64>,
+    /// The archive's frozen-prefix activations; `None` recomputes the
+    /// prefix every epoch. Results are bitwise identical either way.
+    store: Option<PrefixStore>,
     version: u32,
     total_training_ops: u64,
     rng: Rng,
 }
 
+/// The frozen prefix's activation of archive rows `0..rows`, and the
+/// prefix they were computed under.
+#[derive(Debug)]
+struct PrefixStore {
+    /// `(rows, C, H, W)`; row `i` belongs to archive row `i`.
+    acts: Tensor,
+    /// The freeze cut (`first_unfrozen`) the rows were computed under.
+    cut: usize,
+    /// The model's parameter tensors before the cut, as they were when
+    /// the rows were computed.
+    prefix: Vec<Tensor>,
+    stats: CacheStats,
+}
+
+impl PrefixStore {
+    fn new() -> PrefixStore {
+        PrefixStore {
+            acts: Tensor::zeros([0]),
+            cut: 0,
+            prefix: Vec::new(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Returns the activations of every row of `archive`. Stored rows
+    /// are reused while `net`'s cut and prefix tensors are bitwise the
+    /// ones they were computed under; the rest are computed by one
+    /// batched `forward_prefix` and appended.
+    fn sync(&mut self, net: &mut Sequential, archive: &Dataset) -> crate::Result<&Tensor> {
+        let cut = net.first_unfrozen();
+        let n = net.tensors_before(cut);
+        if cut != self.cut || self.prefix.len() != n || !leading_bits_equal(net, &self.prefix, n) {
+            self.cut = cut;
+            self.prefix.clear();
+            net.visit_all(&mut |p| {
+                if self.prefix.len() < n {
+                    self.prefix.push(p.clone());
+                }
+            });
+            self.acts = Tensor::zeros([0]);
+        }
+        let (from, len) = (self.acts.dims()[0], archive.len());
+        let missed = len - from;
+        if missed > 0 {
+            let _t = telemetry::span_with("cloud.prefix_forward", || {
+                format!("{missed}/{len} samples missed")
+            });
+            let fresh = net.forward_prefix(archive.subset_range(from..len)?.images())?;
+            telemetry::counter_add("cloud.cache.bytes", "", (fresh.len() * 4) as u64);
+            self.acts = if from == 0 {
+                fresh
+            } else {
+                let mut dims = self.acts.dims().to_vec();
+                dims[0] = len;
+                let mut data = std::mem::replace(&mut self.acts, Tensor::zeros([0])).into_vec();
+                data.extend_from_slice(fresh.as_slice());
+                Tensor::from_vec(dims, data).expect("whole rows appended")
+            };
+        }
+        telemetry::counter_add("cloud.cache.request", "", len as u64);
+        telemetry::counter_add("cloud.cache.hit", "", from as u64);
+        telemetry::counter_add("cloud.cache.miss", "", missed as u64);
+        self.stats.hits += from as u64;
+        self.stats.misses += missed as u64;
+        self.stats.resident_bytes = self.acts.len() * std::mem::size_of::<f32>();
+        Ok(&self.acts)
+    }
+}
+
 impl Cloud {
-    /// Creates the Cloud from the deployed master models. The frozen-
-    /// prefix activation cache is on by default
-    /// ([`DEFAULT_CACHE_BUDGET`]); see
+    /// Creates the Cloud from the deployed master models, with the
+    /// archive's frozen-prefix activation store on; see
     /// [`without_activation_cache`](Cloud::without_activation_cache).
     ///
     /// Only the inference model is kept and updated. The pre-trained
@@ -56,27 +141,19 @@ impl Cloud {
             inference,
             incremental,
             archive: None,
-            archive_ids: Vec::new(),
-            cache: Some(ActivationCache::new(DEFAULT_CACHE_BUDGET)),
+            archive_ids: HashSet::new(),
+            store: Some(PrefixStore::new()),
             version: 0,
             total_training_ops: 0,
             rng: Rng::seed_from(seed),
         }
     }
 
-    /// Replaces the activation cache with one bounded to
-    /// `budget_bytes` (0 keeps the cached code path but stores
-    /// nothing).
-    pub fn with_activation_cache(mut self, budget_bytes: usize) -> Cloud {
-        self.cache = Some(ActivationCache::new(budget_bytes));
-        self
-    }
-
-    /// Disables activation caching entirely: every fine-tune recomputes
-    /// the frozen prefix per epoch, exactly as before the cache
-    /// existed.
+    /// Turns the activation store off: every fine-tune recomputes the
+    /// frozen prefix per epoch. This is the reference the store is
+    /// tested against.
     pub fn without_activation_cache(mut self) -> Cloud {
-        self.cache = None;
+        self.store = None;
         self
     }
 
@@ -90,10 +167,10 @@ impl Cloud {
         self.total_training_ops
     }
 
-    /// Lifetime activation-cache statistics (`None` when caching is
-    /// disabled).
+    /// Lifetime activation-store statistics (`None` when the store is
+    /// off).
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(ActivationCache::stats)
+        self.store.as_ref().map(|s| s.stats)
     }
 
     /// Retained-archive size in samples.
@@ -106,41 +183,68 @@ impl Cloud {
         &mut self.inference
     }
 
-    /// Runs one fine-tune over `train_set`, through the activation
-    /// cache when one is configured. Both paths share the training
-    /// loop, RNG trajectory and cost accounting, so the resulting
-    /// weights and report are bitwise identical.
-    fn run_fine_tune(&mut self, train_set: &Dataset) -> crate::Result<TrainReport> {
-        let (train_part, hold_part) = split_holdout(train_set, self.incremental.holdout)?;
-        match &mut self.cache {
-            Some(cache) if self.inference.first_unfrozen() > 0 => {
-                let acts = cache.prefix_activations(
-                    &mut self.inference,
-                    &train_part,
-                    &sample_ids(&train_part),
-                )?;
-                let eval_acts = match &hold_part {
-                    Some(h) => Some(cache.prefix_activations(
-                        &mut self.inference,
-                        h,
-                        &sample_ids(h),
-                    )?),
-                    None => None,
-                };
-                let eval = match (&eval_acts, &hold_part) {
-                    (Some(a), Some(h)) => Some(LabeledBatch::new(a, h.labels())?),
-                    _ => None,
-                };
-                fine_tune_from_activations(
-                    &mut self.inference,
-                    LabeledBatch::new(&acts, train_part.labels())?,
-                    eval,
-                    &self.incremental,
-                    &mut self.rng,
-                )
-            }
-            _ => fine_tune(&mut self.inference, train_set, &self.incremental, &mut self.rng),
+    /// Rejects, before anything is written, an upload the archive cannot
+    /// take: its images must have the per-sample shape the model takes,
+    /// which every archived image has, and its class space must be the
+    /// model's output width. That bounds every label too, since a
+    /// `Dataset` holds no label outside its class space.
+    fn check_upload(&self, uploaded: &Dataset) -> crate::Result<()> {
+        let mut dims = uploaded.images().dims().to_vec();
+        for i in 0..self.inference.len() {
+            dims = self.inference.layer(i)?.output_shape(&dims)?;
         }
+        if dims.len() != 2 || dims[1] != uploaded.num_classes() {
+            return Err(CloudError::BadConfig {
+                reason: format!(
+                    "upload of {} classes for a model with output {dims:?}",
+                    uploaded.num_classes()
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// Appends `uploaded`'s samples at `fresh` to the archive, growing
+    /// its storage in place.
+    fn admit(&mut self, uploaded: &Dataset, fresh: &[usize]) -> crate::Result<()> {
+        let Some(archive) = self.archive.take() else {
+            self.archive = Some(uploaded.subset(fresh)?);
+            return Ok(());
+        };
+        let classes = archive.num_classes();
+        let (images, mut labels) = archive.into_parts();
+        let mut dims = images.dims().to_vec();
+        let sample: usize = dims[1..].iter().product();
+        let mut data = images.into_vec();
+        let src = uploaded.images().as_slice();
+        for &i in fresh {
+            data.extend_from_slice(&src[i * sample..(i + 1) * sample]);
+            labels.push(uploaded.labels()[i]);
+        }
+        dims[0] = labels.len();
+        let images = Tensor::from_vec(dims, data).expect("whole samples appended");
+        self.archive =
+            Some(Dataset::from_parts(images, labels, classes).expect("labels checked on upload"));
+        Ok(())
+    }
+
+    /// Fine-tunes the master model on the whole archive (nothing when it
+    /// is empty), from the stored prefix activations when the store is
+    /// on and a prefix is frozen. Both paths share the training loop,
+    /// RNG trajectory and cost accounting, so the resulting weights and
+    /// report are bitwise identical.
+    fn fine_tune_archive(&mut self) -> crate::Result<Option<TrainReport>> {
+        let Some(archive) = &self.archive else { return Ok(None) };
+        let net = &mut self.inference;
+        let report = match &mut self.store {
+            Some(store) if net.first_unfrozen() > 0 => {
+                let acts = store.sync(net, archive)?;
+                let set = LabeledBatch::new(acts, archive.labels())?;
+                fine_tune_from_activations(net, set, &self.incremental, &mut self.rng)?
+            }
+            _ => fine_tune(net, archive, &self.incremental, &mut self.rng)?,
+        };
+        Ok(Some(report))
     }
 }
 
@@ -157,38 +261,17 @@ impl CloudEndpoint for Cloud {
             "",
             uploaded.len() as u64 * insitu_core::IMAGE_BYTES,
         );
-        let mut ops = 0u64;
-        // Admit only genuinely new samples into the retained archive:
-        // dedup by content id against the archive and within the upload
-        // itself, so identical re-uploads never grow the archive (and
-        // cache keys stay stable across cycles).
-        let mut seen: HashSet<u64> = self.archive_ids.iter().copied().collect();
-        let mut fresh_indices = Vec::new();
-        let uploaded_ids = sample_ids(uploaded);
-        for (i, &id) in uploaded_ids.iter().enumerate() {
-            if seen.insert(id) {
-                fresh_indices.push(i);
-                self.archive_ids.push(id);
-            }
+        self.check_upload(uploaded).map_err(to_core)?;
+        // Admit only samples new to the archive and to the upload
+        // itself, so identical re-uploads never grow the archive.
+        let ids = sample_ids(uploaded);
+        let fresh: Vec<usize> =
+            (0..uploaded.len()).filter(|&i| self.archive_ids.insert(ids[i])).collect();
+        if !fresh.is_empty() {
+            self.admit(uploaded, &fresh).map_err(to_core)?;
         }
-        let train_set = match (self.archive.take(), fresh_indices.len()) {
-            (Some(archive), 0) => Some(archive),
-            (Some(archive), _) => {
-                let fresh = uploaded.subset(&fresh_indices).map_err(|e| to_core(e.into()))?;
-                Some(archive.concat(&fresh).map_err(|e| to_core(e.into()))?)
-            }
-            (None, 0) => None,
-            (None, _) => Some(uploaded.subset(&fresh_indices).map_err(|e| to_core(e.into()))?),
-        };
-        let mut eval_accuracy = None;
-        if let Some(train_set) = &train_set {
-            if !train_set.is_empty() {
-                let report = self.run_fine_tune(train_set).map_err(to_core)?;
-                ops += report.total_ops;
-                eval_accuracy = report.final_eval_accuracy();
-            }
-        }
-        self.archive = train_set;
+        let report = self.fine_tune_archive().map_err(to_core)?;
+        let ops = report.as_ref().map_or(0, |r| r.total_ops);
         self.version += 1;
         self.total_training_ops += ops;
         telemetry::hist_record("cloud.training_ops", "", ops);
@@ -197,17 +280,17 @@ impl CloudEndpoint for Cloud {
             inference_params: state_dict(&mut self.inference),
             jigsaw_params: None,
             training_ops: ops,
-            eval_accuracy,
+            eval_accuracy: report.and_then(|r| r.final_eval_accuracy()),
         })
     }
 }
 
-fn to_core(e: crate::CloudError) -> insitu_core::CoreError {
+fn to_core(e: CloudError) -> insitu_core::CoreError {
     match e {
-        crate::CloudError::Nn(n) => insitu_core::CoreError::Nn(n),
-        crate::CloudError::Data(d) => insitu_core::CoreError::Data(d),
-        crate::CloudError::Core(c) => c,
-        crate::CloudError::BadConfig { reason } => insitu_core::CoreError::BadConfig { reason },
+        CloudError::Nn(n) => insitu_core::CoreError::Nn(n),
+        CloudError::Data(d) => insitu_core::CoreError::Data(d),
+        CloudError::Core(c) => c,
+        CloudError::BadConfig { reason } => insitu_core::CoreError::BadConfig { reason },
     }
 }
 
@@ -247,6 +330,9 @@ mod tests {
         assert!(!u.inference_params.is_empty());
         assert!(u.jigsaw_params.is_none());
         assert_eq!(c.total_training_ops(), u.training_ops);
+        // With nothing frozen the Cloud trains on images: the store is
+        // not used.
+        assert_eq!(c.cache_stats(), Some(CacheStats::default()));
     }
 
     #[test]

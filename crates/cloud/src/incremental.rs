@@ -1,12 +1,20 @@
 //! Incremental fine-tuning of a deployed model on newly uploaded data.
+//!
+//! [`fine_tune`] trains on images. The Cloud's default path trains the
+//! unfrozen suffix from its stored frozen-prefix activations instead
+//! (`fine_tune_from_activations`). Both hold out the same rows
+//! (`split_holdout`) and run the same training loop, so given the
+//! activations the prefix would compute, they produce the same weights
+//! and report bit for bit.
 
 use crate::Result;
 use insitu_data::Dataset;
 use insitu_nn::{
-    train, train_from_activations, LabeledBatch, Sequential, TrainConfig, TrainReport,
+    train, train_from_activations, LabeledBatch, NnError, Sequential, TrainConfig, TrainReport,
 };
-use insitu_tensor::Rng;
+use insitu_tensor::{Rng, Tensor};
 use insitu_telemetry as telemetry;
+use std::ops::Range;
 
 /// Configuration of one incremental update.
 #[derive(Debug, Clone)]
@@ -35,23 +43,6 @@ impl Default for IncrementalConfig {
     }
 }
 
-/// Splits `data` into (train, held-out) the way [`fine_tune`] does:
-/// the last `min(holdout, len - 1)` samples are held out. Exposed so
-/// the cached activation path can reproduce the split exactly.
-///
-/// # Errors
-///
-/// Returns an error if the split is out of range (cannot happen for
-/// the clamped sizes used here).
-pub fn split_holdout(data: &Dataset, holdout: Option<usize>) -> Result<(Dataset, Option<Dataset>)> {
-    let hold = holdout.unwrap_or(0).min(data.len().saturating_sub(1));
-    if hold == 0 {
-        return Ok((data.clone(), None));
-    }
-    let (train_part, hold_part) = data.split_at(data.len() - hold)?;
-    Ok((train_part, Some(hold_part)))
-}
-
 /// Fine-tunes `net` in place on `uploaded`. The network's freezing
 /// pattern is honoured: with the shared conv prefix locked (In-situ
 /// AI's deployment), only the suffix retrains — the source of the
@@ -69,42 +60,58 @@ pub fn fine_tune(
     let _t = telemetry::span_with("cloud.fine_tune", || {
         format!("{} uploaded samples x{} epochs", uploaded.len(), cfg.epochs)
     });
-    let (train_part, hold_part) = split_holdout(uploaded, cfg.holdout)?;
-    let eval = match &hold_part {
-        Some(h) => Some(LabeledBatch::new(h.images(), h.labels())?),
-        None => None,
-    };
-    Ok(train(
-        net,
-        LabeledBatch::new(train_part.images(), train_part.labels())?,
-        eval,
-        &train_config(cfg),
-        rng,
-    )?)
+    let set = LabeledBatch::new(uploaded.images(), uploaded.labels())?;
+    split_holdout(set, cfg.holdout, |part, eval| train(net, part, eval, &train_config(cfg), rng))
 }
 
-/// The cached-activation twin of [`fine_tune`]: trains the unfrozen
-/// suffix of `net` from precomputed prefix activations (see
-/// [`ActivationCache::prefix_activations`](crate::ActivationCache::prefix_activations)).
-/// `acts`/`eval_acts` must correspond to the [`split_holdout`] parts of
-/// the same fine-tune set; the loop, RNG trajectory and cost accounting
-/// are shared with [`fine_tune`], so results are bitwise identical.
+/// [`fine_tune`] from the frozen prefix's activations of the fine-tune
+/// set, in its order: trains the unfrozen suffix of `net` only.
 ///
 /// # Errors
 ///
 /// Returns an error on shape disagreements between the suffix and the
 /// activations.
-pub fn fine_tune_from_activations(
+pub(crate) fn fine_tune_from_activations(
     net: &mut Sequential,
     acts: LabeledBatch<'_>,
-    eval_acts: Option<LabeledBatch<'_>>,
     cfg: &IncrementalConfig,
     rng: &mut Rng,
 ) -> Result<TrainReport> {
     let _t = telemetry::span_with("cloud.fine_tune", || {
         format!("{} cached activations x{} epochs", acts.len(), cfg.epochs)
     });
-    Ok(train_from_activations(net, acts, eval_acts, &train_config(cfg), rng)?)
+    split_holdout(acts, cfg.holdout, |part, eval| {
+        train_from_activations(net, part, eval, &train_config(cfg), rng)
+    })
+}
+
+/// Runs `train` on `set` with its last `min(holdout, len - 1)` rows
+/// held out as the per-epoch eval split, so at least one training
+/// sample remains. With nothing held out, `set` is passed on borrowed;
+/// otherwise its two row ranges are copied.
+fn split_holdout(
+    set: LabeledBatch<'_>,
+    holdout: Option<usize>,
+    run: impl FnOnce(LabeledBatch<'_>, Option<LabeledBatch<'_>>) -> insitu_nn::Result<TrainReport>,
+) -> Result<TrainReport> {
+    let n = set.len();
+    let hold = holdout.unwrap_or(0).min(n.saturating_sub(1));
+    if hold == 0 {
+        return Ok(run(set, None)?);
+    }
+    let k = n - hold;
+    let (head, tail) = (rows(set.inputs, 0..k)?, rows(set.inputs, k..n)?);
+    let eval = LabeledBatch::new(&tail, &set.labels[k..])?;
+    Ok(run(LabeledBatch::new(&head, &set.labels[..k])?, Some(eval))?)
+}
+
+/// Copies rows `range` of a batched tensor (first dimension = sample).
+fn rows(t: &Tensor, range: Range<usize>) -> Result<Tensor> {
+    let per = t.len() / t.dims()[0];
+    let mut dims = t.dims().to_vec();
+    dims[0] = range.len();
+    let data = t.as_slice()[range.start * per..range.end * per].to_vec();
+    Ok(Tensor::from_vec(dims, data).map_err(NnError::from)?)
 }
 
 fn train_config(cfg: &IncrementalConfig) -> TrainConfig {

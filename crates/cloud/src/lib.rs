@@ -33,13 +33,11 @@ mod incremental;
 mod pretrain;
 mod systems;
 
-pub use cache::{sample_ids, ActivationCache, CacheStats, DEFAULT_CACHE_BUDGET};
+pub use cache::CacheStats;
 pub use deploy::{build_from_scratch, build_inference, DeployConfig};
 pub use endpoint::Cloud;
 pub use error::CloudError;
-pub use incremental::{
-    fine_tune, fine_tune_from_activations, split_holdout, IncrementalConfig,
-};
+pub use incremental::{fine_tune, IncrementalConfig};
 pub use pretrain::{pretrain, Pretrained, PretrainConfig};
 pub use systems::{run_campaign, IotSystem, StageReport, SystemConfig, SystemKind};
 

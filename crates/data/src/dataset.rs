@@ -250,14 +250,7 @@ impl Dataset {
     ///
     /// Returns an error if `k > len`.
     pub fn split_at(&self, k: usize) -> Result<(Dataset, Dataset)> {
-        if k > self.len() {
-            return Err(DataError::BadConfig {
-                reason: format!("split {k} out of {}", self.len()),
-            });
-        }
-        let head: Vec<usize> = (0..k).collect();
-        let tail: Vec<usize> = (k..self.len()).collect();
-        Ok((self.subset(&head)?, self.subset(&tail)?))
+        Ok((self.subset_range(0..k)?, self.subset_range(k..self.len())?))
     }
 }
 

@@ -300,85 +300,6 @@ impl Sequential {
         }
         Ok(x)
     }
-
-    /// Output shape of the frozen prefix for a batched input shape
-    /// (batch dimension included), without running any compute.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input shape is incompatible with a
-    /// prefix layer.
-    pub fn prefix_output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
-        let mut dims = input.to_vec();
-        for layer in &self.layers[..self.first_unfrozen()] {
-            dims = layer.output_shape(&dims)?;
-        }
-        Ok(dims)
-    }
-
-    /// A 64-bit FNV-1a fingerprint of the frozen prefix: the freezing
-    /// cut, every prefix layer's name, kind and parameter shapes, and
-    /// the exact bits of every prefix weight. Any transfer, re-deploy
-    /// or change of the `frozen_convs` pattern yields a different
-    /// value, so cached prefix activations keyed on it can never be
-    /// served stale.
-    pub fn prefix_fingerprint(&mut self) -> u64 {
-        let mut h = Fnv::new();
-        let cut = self.first_unfrozen();
-        h.u64(cut as u64);
-        for i in 0..cut {
-            let layer = &mut self.layers[i];
-            h.u64(i as u64);
-            h.bytes(layer.name().as_bytes());
-            h.u64(kind_tag(layer.kind()));
-            layer.visit_params(&mut |p, _| {
-                h.u64(p.dims().len() as u64);
-                for &d in p.dims() {
-                    h.u64(d as u64);
-                }
-                for &x in p.as_slice() {
-                    h.u64(u64::from(x.to_bits()));
-                }
-            });
-        }
-        h.finish()
-    }
-}
-
-/// Streaming FNV-1a over 64-bit words and byte strings.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Stable discriminant for hashing a [`LayerKind`].
-fn kind_tag(kind: LayerKind) -> u64 {
-    match kind {
-        LayerKind::Conv => 1,
-        LayerKind::Fc => 2,
-        LayerKind::Activation => 3,
-        LayerKind::Pool => 4,
-        LayerKind::Reshape => 5,
-        LayerKind::Regularizer => 6,
-    }
 }
 
 impl Network for Sequential {
@@ -577,7 +498,7 @@ mod tests {
         for mode in [Mode::Eval, Mode::Train] {
             let full = net.forward(&x, mode).unwrap();
             let act = net.forward_prefix(&x).unwrap();
-            assert_eq!(act.dims(), net.prefix_output_dims(&[3, 1, 8, 8]).unwrap().as_slice());
+            assert_eq!(act.dims(), &[3, 4, 8, 8]); // conv1's output
             let split = net.forward_from(cut, &act, mode).unwrap();
             assert_eq!(full.as_slice(), split.as_slice(), "{mode:?} split forward diverged");
         }
@@ -616,45 +537,5 @@ mod tests {
         let x = Tensor::randn([2, 1, 8, 8], 0.0, 1.0, &mut rng);
         // With nothing frozen the prefix is the identity.
         assert_eq!(net.forward_prefix(&x).unwrap(), x);
-        assert_eq!(net.prefix_output_dims(&[2, 1, 8, 8]).unwrap(), vec![2, 1, 8, 8]);
-    }
-
-    #[test]
-    fn prefix_fingerprint_tracks_weights_and_freezing() {
-        let mut rng = Rng::seed_from(12);
-        let mut net = tiny_cnn(&mut rng);
-        net.freeze_first_convs(1).unwrap();
-        let base = net.prefix_fingerprint();
-        assert_eq!(net.prefix_fingerprint(), base, "fingerprint not stable");
-
-        // A different freezing cut changes the fingerprint.
-        let mut two = tiny_cnn(&mut Rng::seed_from(12));
-        two.freeze_first_convs(2).unwrap();
-        assert_ne!(two.prefix_fingerprint(), base);
-
-        // Re-initialized weights (a transfer/re-deploy) change it.
-        let mut other = tiny_cnn(&mut Rng::seed_from(13));
-        other.freeze_first_convs(1).unwrap();
-        assert_ne!(other.prefix_fingerprint(), base);
-
-        // Perturbing a single frozen weight bit changes it.
-        let mut nudged = tiny_cnn(&mut Rng::seed_from(12));
-        nudged.freeze_first_convs(1).unwrap();
-        assert_eq!(nudged.prefix_fingerprint(), base);
-        nudged.layer_mut(0).unwrap().visit_params(&mut |p, _| {
-            let v = p.as_mut_slice();
-            v[0] += 1.0;
-        });
-        assert_ne!(nudged.prefix_fingerprint(), base);
-
-        // Suffix weights are not part of the key: nudging the fc layer
-        // leaves the fingerprint unchanged.
-        let mut suffix = tiny_cnn(&mut Rng::seed_from(12));
-        suffix.freeze_first_convs(1).unwrap();
-        suffix.layer_mut(6).unwrap().visit_params(&mut |p, _| {
-            let v = p.as_mut_slice();
-            v[0] += 1.0;
-        });
-        assert_eq!(suffix.prefix_fingerprint(), base);
     }
 }
