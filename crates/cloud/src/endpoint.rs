@@ -21,6 +21,10 @@
 //! starts at the first unfrozen layer, and its results are bitwise those
 //! of [`Cloud::without_activation_cache`], which recomputes the prefix
 //! every epoch.
+//!
+//! An update ships only what the fine-tune trains: the model's
+//! state-dict tensors after the freeze cut. The frozen prefix is part of
+//! the deployment the node already holds.
 
 use crate::cache::{sample_ids, CacheStats};
 use crate::incremental::{fine_tune, fine_tune_from_activations, IncrementalConfig};
@@ -130,7 +134,8 @@ impl Cloud {
     /// diagnosis model stays as deployed: its trunk shares the frozen
     /// conv prefix with the inference net, so retraining it in the Cloud
     /// would break the weight sharing the node relies on. Updates
-    /// therefore carry no `jigsaw_params`.
+    /// therefore carry no `jigsaw_params`, and of the inference model
+    /// only the tensors after its freeze cut.
     pub fn new(
         inference: Sequential,
         _pretrained: Pretrained,
@@ -275,9 +280,10 @@ impl CloudEndpoint for Cloud {
         self.version += 1;
         self.total_training_ops += ops;
         telemetry::hist_record("cloud.training_ops", "", ops);
+        let first = self.inference.tensors_before(self.inference.first_unfrozen());
         Ok(ModelUpdate {
             version: self.version,
-            inference_params: state_dict(&mut self.inference),
+            inference_params: state_dict(&mut self.inference).split_off(first),
             jigsaw_params: None,
             training_ops: ops,
             eval_accuracy: report.and_then(|r| r.final_eval_accuracy()),
@@ -363,6 +369,26 @@ mod tests {
         let mut plain = cloud();
         let u2 = plain.incremental_update(&data).unwrap();
         assert!(u2.eval_accuracy.is_none());
+    }
+
+    #[test]
+    fn an_update_ships_the_tensors_after_the_freeze_cut() {
+        let bits = |dict: &[Tensor]| -> Vec<Vec<u32>> {
+            dict.iter().map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        let mut c = cloud();
+        let mut rng = Rng::seed_from(56);
+        let data = Dataset::generate(6, 4, &Condition::in_situ(), &mut rng).unwrap();
+        // Nothing frozen: the whole dict.
+        let u = c.incremental_update(&data).unwrap();
+        assert_eq!(bits(&u.inference_params), bits(&state_dict(c.inference_mut())));
+        // conv1-3 frozen: exactly the tensors after the cut.
+        c.inference_mut().freeze_first_convs(3).unwrap();
+        let u = c.incremental_update(&data).unwrap();
+        let net = c.inference_mut();
+        let first = net.tensors_before(net.first_unfrozen());
+        assert!(first > 0);
+        assert_eq!(bits(&u.inference_params), bits(&state_dict(net)[first..]));
     }
 
     #[test]

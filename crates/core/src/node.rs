@@ -11,9 +11,7 @@ use crate::update::ModelUpdate;
 use crate::Result;
 use insitu_data::{Dataset, PermutationSet};
 use insitu_devices::NetworkShapes;
-use insitu_nn::serialize::{
-    check_state_dict, leading_bits_equal, load_state_dict, load_state_dict_from,
-};
+use insitu_nn::serialize::{check_state_dict, load_state_dict_from};
 use insitu_nn::transfer::conv_prefix_identical;
 use insitu_nn::{evaluate, JigsawNet, LabeledBatch, NnError, QuantizedNet, Sequential};
 use insitu_tensor::{Rng, Tensor};
@@ -100,9 +98,10 @@ impl StageOutcome {
 /// The node holds the deployed inference network and the unsupervised
 /// diagnosis network; the first `shared_convs` convolutional layers of
 /// the two hold bitwise-identical weights (the invariant the WSS
-/// hardware's shared weight buffers rely on), which
-/// [`InsituNode::new`] verifies at construction and
-/// [`InsituNode::install_update`] keeps.
+/// hardware's shared weight buffers rely on). [`InsituNode::new`]
+/// verifies it at construction, together with that those layers lie in
+/// the inference network's frozen prefix, which
+/// [`InsituNode::install_update`] never writes.
 #[derive(Debug)]
 pub struct InsituNode {
     inference: Sequential,
@@ -110,9 +109,9 @@ pub struct InsituNode {
     perm_set: PermutationSet,
     policy: DiagnosisPolicy,
     shared_convs: usize,
-    /// Leading state-dict tensors of the shared conv prefix: in the
-    /// inference dict, and in the jigsaw dict (whose trunk comes first).
-    shared_tensors: (usize, usize),
+    /// Leading state-dict tensors of the inference network's frozen
+    /// prefix: an update is its dict from this tensor on.
+    prefix_tensors: usize,
     version: u32,
     movement: DataMovementMeter,
     rng: Rng,
@@ -137,44 +136,47 @@ pub struct InsituNode {
 impl InsituNode {
     /// Assembles a node from deployed models.
     ///
+    /// The shared convs must lie in the inference network's frozen
+    /// prefix (the layers before [`Sequential::first_unfrozen`]): updates
+    /// carry only the tensors after the freeze cut, so this one check
+    /// keeps the weight sharing for the node's lifetime.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::BadConfig`] if the first `shared_convs`
     /// conv layers of the inference network and the jigsaw trunk are
-    /// not weight-identical.
+    /// not weight-identical, or if the inference network does not
+    /// freeze them all.
     pub fn new(
         mut inference: Sequential,
-        mut jigsaw: JigsawNet,
+        jigsaw: JigsawNet,
         perm_set: PermutationSet,
         policy: DiagnosisPolicy,
         shared_convs: usize,
         seed: u64,
     ) -> Result<Self> {
-        if shared_convs > 0
-            && !conv_prefix_identical(jigsaw.trunk(), &inference, shared_convs)?
-        {
-            return Err(CoreError::BadConfig {
-                reason: format!(
-                    "first {shared_convs} conv layers of inference and diagnosis differ; \
-                     deploy via transfer_and_freeze first"
-                ),
-            });
+        let cut = inference.first_unfrozen();
+        if shared_convs > 0 {
+            let identical = conv_prefix_identical(jigsaw.trunk(), &inference, shared_convs)?;
+            // Both nets hold at least `shared_convs` convs: checked above.
+            if !identical || inference.conv_indices()[shared_convs - 1] >= cut {
+                return Err(CoreError::BadConfig {
+                    reason: format!(
+                        "first {shared_convs} conv layers of inference and diagnosis must be \
+                         weight-identical and frozen in inference; deploy via \
+                         transfer_and_freeze first"
+                    ),
+                });
+            }
         }
-        // Both nets hold at least `shared_convs` convs: checked above.
-        let prefix_end = |net: &Sequential| match shared_convs {
-            0 => 0,
-            n => net.conv_indices()[n - 1] + 1,
-        };
-        let (inference_end, trunk_end) = (prefix_end(&inference), prefix_end(jigsaw.trunk()));
-        let shared_tensors =
-            (inference.tensors_before(inference_end), jigsaw.trunk_mut().tensors_before(trunk_end));
+        let prefix_tensors = inference.tensors_before(cut);
         Ok(InsituNode {
             inference,
             jigsaw,
             perm_set,
             policy,
             shared_convs,
-            shared_tensors,
+            prefix_tensors,
             version: 0,
             movement: DataMovementMeter::new(),
             rng: Rng::seed_from(seed),
@@ -233,9 +235,9 @@ impl InsituNode {
     /// Calibrates an i8 copy of the inference network over `calib`
     /// (a held-out split that should mirror the deployment's input
     /// distribution) and switches inference to
-    /// [`InferencePrecision::I8`]. The [`QuantizedNet`] keeps the
-    /// calibration images, its f32 shadow of the network and the
-    /// shadow's activation at the freeze cut, so
+    /// [`InferencePrecision::I8`]. The [`QuantizedNet`] keeps its f32
+    /// shadow of the network and the shadow's activation at the freeze
+    /// cut over the calibration images, so
     /// [`install_update`](InsituNode::install_update) recalibrates in
     /// place, re-walking only the layers above the cut.
     ///
@@ -596,61 +598,38 @@ impl InsituNode {
 
     /// Installs a model refresh from the Cloud, all or nothing.
     ///
-    /// Before anything is written, both state dicts are checked against
-    /// the deployed architecture, and the update must keep the
-    /// weight-shared prefix: the inference dict's tensors through the
-    /// first `shared_convs` conv layers must be bitwise equal to the
-    /// trunk prefix that will be deployed. Without a jigsaw dict that is
-    /// the deployed prefix, compared in place; with one, it is the jigsaw
-    /// dict's. On an i8 node the quantized network is then recalibrated
-    /// ([`QuantizedNet::recalibrate`]); an update that keeps the frozen
-    /// prefix, as every Cloud update does, re-walks only the layers above
-    /// the freeze cut. Only then are the deployed networks loaded, so a
-    /// rejected update leaves the node serving its last good model. A
-    /// successful install adds the update's downlink bytes to the
+    /// An update carries only the inference network's state-dict
+    /// tensors after its freeze cut ([`ModelUpdate`]): the frozen prefix,
+    /// which holds the convs shared with diagnosis, belongs to the
+    /// deployment. Before anything is written, that suffix is checked
+    /// against the deployed tensors after the cut (count and shapes),
+    /// and an update that carries a diagnosis dict is rejected. On an i8
+    /// node the quantized network is then recalibrated from the cut
+    /// ([`QuantizedNet::recalibrate`]). Only then is the suffix written,
+    /// so a rejected update leaves the node serving its last good model.
+    /// A successful install adds the update's downlink bytes to the
     /// [`movement`](InsituNode::movement) meter.
     ///
     /// # Errors
     ///
-    /// Returns an error if a dict does not match the deployed
-    /// architecture or changes the shared prefix; the node is then
+    /// Returns an error if the update carries a diagnosis dict or its
+    /// suffix does not match the deployed architecture; the node is then
     /// unchanged.
     pub fn install_update(&mut self, update: &ModelUpdate) -> Result<()> {
-        let params = &update.inference_params;
-        check_state_dict(&mut self.inference, params)?;
-        if let Some(jp) = &update.jigsaw_params {
-            check_state_dict(&mut self.jigsaw, jp)?;
-        }
-        let (n, n_trunk) = self.shared_tensors;
-        let keeps_prefix = match &update.jigsaw_params {
-            // The deployed trunk prefix equals the inference net's own.
-            None => leading_bits_equal(&mut self.inference, params, n),
-            Some(jp) => {
-                n == n_trunk && params[..n].iter().zip(&jp[..n]).all(|(a, b)| a.same_bits(b))
-            }
-        };
-        if !keeps_prefix {
+        if update.jigsaw_params.is_some() {
             return Err(NnError::SnapshotMismatch {
-                reason: format!(
-                    "update changes the first {} conv layers shared with diagnosis",
-                    self.shared_convs
-                ),
+                reason: "an update carries no diagnosis dict: diagnosis is fixed at deployment"
+                    .to_string(),
             }
             .into());
         }
+        let (params, first) = (&update.inference_params, self.prefix_tensors);
+        check_state_dict(&mut self.inference, params, first)?;
         if let Some(q) = &mut self.quantized {
-            let mut span = telemetry::span("node.quantize_refresh");
-            let start = q.recalibrate(params)?;
-            span.set_label(|| format!("from layer {start}"));
+            let _t = telemetry::span("node.quantize_refresh");
+            q.recalibrate(params)?;
         }
-        match &update.jigsaw_params {
-            // The prefix was just shown equal: write only what follows.
-            None => load_state_dict_from(&mut self.inference, params, n)?,
-            Some(jp) => {
-                load_state_dict(&mut self.inference, params)?;
-                load_state_dict(&mut self.jigsaw, jp)?;
-            }
-        }
+        load_state_dict_from(&mut self.inference, params, first)?;
         self.version = update.version;
         self.movement.record_install(update.downlink_bytes());
         Ok(())
@@ -683,12 +662,18 @@ mod tests {
         Dataset::generate(12, 4, &Condition::ideal(), &mut Rng::seed_from(5)).unwrap()
     }
 
-    /// The inference dict of a fresh Mini-AlexNet that keeps `n`'s
-    /// shared prefix, as every Cloud update does.
-    fn params_keeping_prefix(n: &InsituNode, seed: u64) -> Vec<Tensor> {
+    /// What the Cloud ships: the dict of a fresh Mini-AlexNet after the
+    /// freeze cut it shares with `n`.
+    fn update_suffix(n: &InsituNode, seed: u64) -> Vec<Tensor> {
         let mut other = mini_alexnet(4, &mut Rng::seed_from(seed)).unwrap();
         transfer_and_freeze(n.jigsaw().trunk(), &mut other, 3, 3).unwrap();
-        state_dict(&mut other)
+        state_dict(&mut other).split_off(n.prefix_tensors)
+    }
+
+    /// The node's installed dict after its freeze cut.
+    fn installed_suffix(n: &mut InsituNode) -> Vec<Tensor> {
+        let first = n.prefix_tensors;
+        state_dict(n.inference_mut()).split_off(first)
     }
 
     #[test]
@@ -697,6 +682,14 @@ mod tests {
         let jigsaw = jigsaw_network(8, &mut rng).unwrap();
         let inference = mini_alexnet(4, &mut rng).unwrap(); // NOT transferred
         let set = PermutationSet::generate(8, &mut rng).unwrap();
+        assert!(matches!(
+            InsituNode::new(inference, jigsaw.clone(), set.clone(), DiagnosisPolicy::Oracle, 3, 7),
+            Err(CoreError::BadConfig { .. })
+        ));
+        // Transferred, but frozen only through conv2: an update could
+        // then move the shared conv3.
+        let mut inference = mini_alexnet(4, &mut rng).unwrap();
+        transfer_and_freeze(jigsaw.trunk(), &mut inference, 3, 2).unwrap();
         assert!(matches!(
             InsituNode::new(inference, jigsaw, set, DiagnosisPolicy::Oracle, 3, 7),
             Err(CoreError::BadConfig { .. })
@@ -736,14 +729,14 @@ mod tests {
         let mut n = node();
         let update = ModelUpdate {
             version: 5,
-            inference_params: params_keeping_prefix(&n, 9),
+            inference_params: update_suffix(&n, 9),
             jigsaw_params: None,
             training_ops: 1,
             eval_accuracy: None,
         };
         n.install_update(&update).unwrap();
         assert_eq!(n.version(), 5);
-        assert_eq!(state_dict(n.inference_mut()), update.inference_params);
+        assert_eq!(installed_suffix(&mut n), update.inference_params);
         // Mismatched snapshot rejected.
         let bad = ModelUpdate {
             version: 6,
@@ -762,19 +755,19 @@ mod tests {
         let (before, version) = (state_dict(n.inference_mut()), n.version());
         let mut update = ModelUpdate {
             version: 3,
-            inference_params: params_keeping_prefix(&n, 21),
-            jigsaw_params: Some(vec![]),
+            inference_params: update_suffix(&n, 21),
+            jigsaw_params: Some(state_dict(n.jigsaw_mut())),
             training_ops: 1,
             eval_accuracy: None,
         };
-        // A malformed jigsaw dict rejects the whole update before the
-        // valid inference dict is written.
+        // A jigsaw dict, even the node's own, rejects the whole update
+        // before the valid inference suffix is written.
         assert!(n.install_update(&update).is_err());
         assert_eq!(state_dict(n.inference_mut()), before);
         assert_eq!(n.version(), version);
         update.jigsaw_params = None;
         n.install_update(&update).unwrap();
-        assert_eq!(state_dict(n.inference_mut()), update.inference_params);
+        assert_eq!(installed_suffix(&mut n), update.inference_params);
         assert_eq!(n.version(), 3);
     }
 
@@ -841,7 +834,7 @@ mod tests {
             n.quantized().unwrap().calibration().iter().map(|c| c.in_scale).collect();
         let update = ModelUpdate {
             version: 2,
-            inference_params: params_keeping_prefix(&n, 17),
+            inference_params: update_suffix(&n, 17),
             jigsaw_params: None,
             training_ops: 1,
             eval_accuracy: None,
@@ -866,7 +859,7 @@ mod tests {
         assert!(warm.iter().all(|&g| g > 0), "every workspace warmed: {warm:?}");
         let update = ModelUpdate {
             version: 1,
-            inference_params: params_keeping_prefix(&n, 23),
+            inference_params: update_suffix(&n, 23),
             jigsaw_params: None,
             training_ops: 1,
             eval_accuracy: None,
@@ -876,35 +869,5 @@ mod tests {
         assert_eq!(n.quantized().unwrap().workspace_reallocations(), warm, "install");
         n.process_stage(&data(), 4).unwrap();
         assert_eq!(n.quantized().unwrap().workspace_reallocations(), warm, "stage");
-    }
-
-    #[test]
-    fn a_jigsaw_update_moves_both_prefixes_together() {
-        let mut n = node();
-        let calib = Dataset::generate(4, 4, &Condition::ideal(), &mut Rng::seed_from(29)).unwrap();
-        n.enable_quantized(&calib).unwrap();
-        let mut rng = Rng::seed_from(31);
-        let mut jigsaw = jigsaw_network(8, &mut rng).unwrap();
-        let mut inference = mini_alexnet(4, &mut rng).unwrap();
-        transfer_and_freeze(jigsaw.trunk(), &mut inference, 3, 3).unwrap();
-        let update = ModelUpdate {
-            version: 1,
-            inference_params: state_dict(&mut inference),
-            jigsaw_params: Some(state_dict(&mut jigsaw)),
-            training_ops: 1,
-            eval_accuracy: None,
-        };
-        n.install_update(&update).unwrap();
-        assert_eq!(state_dict(n.inference_mut()), update.inference_params);
-        assert_eq!(Some(state_dict(n.jigsaw_mut())), update.jigsaw_params);
-        assert!(conv_prefix_identical(n.jigsaw().trunk(), n.inference(), 3).unwrap());
-        // The changed prefix recalibrated from layer 0: the quantized net
-        // equals a fresh calibration of the installed weights.
-        let fresh = QuantizedNet::calibrate(n.inference(), calib.images()).unwrap();
-        let records = |q: &QuantizedNet| -> Vec<(u32, u32)> {
-            let c = q.calibration();
-            c.iter().map(|r| (r.in_scale.to_bits(), r.max_weight_scale.to_bits())).collect()
-        };
-        assert_eq!(records(n.quantized().unwrap()), records(&fresh));
     }
 }

@@ -583,7 +583,10 @@ mod tests {
     }
 
     fn echo_cloud(node: &mut InsituNode) -> Arc<Mutex<EchoCloud>> {
-        let params = state_dict(node.inference_mut());
+        // An update carries the dict after the freeze cut.
+        let net = node.inference_mut();
+        let first = net.tensors_before(net.first_unfrozen());
+        let params = state_dict(net).split_off(first);
         Arc::new(Mutex::new(EchoCloud { params, version: 0 }))
     }
 

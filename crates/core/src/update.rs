@@ -7,14 +7,23 @@ use serde::{Deserialize, Serialize};
 
 /// A model refresh produced by the Cloud after incremental training on
 /// uploaded valuable data.
+///
+/// An update carries only the trained suffix. The Cloud retrains with
+/// the inference network's leading convs frozen, and on the node those
+/// are the weights inference and diagnosis share, so the frozen prefix
+/// belongs to the deployment: no update ships or moves it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelUpdate {
     /// Monotonically increasing model version.
     pub version: u32,
-    /// Full state dict of the inference network.
+    /// The inference network's state-dict tensors after its freeze cut:
+    /// `state_dict[tensors_before(first_unfrozen())..]`, the whole dict
+    /// when nothing is frozen.
     pub inference_params: Vec<Tensor>,
-    /// Updated diagnosis (jigsaw) state dict, when the unsupervised
-    /// network was also refreshed.
+    /// Always `None`: the diagnosis network is fixed at deployment, and
+    /// a node rejects an update that carries a dict here. The field
+    /// stays so that readers which total an update's tensors keep
+    /// working.
     pub jigsaw_params: Option<Vec<Tensor>>,
     /// Multiply-accumulate operations the Cloud spent producing this
     /// update (drives the energy/time accounting).
@@ -26,10 +35,9 @@ pub struct ModelUpdate {
 
 impl ModelUpdate {
     /// Bytes the update moves on the downlink: 4 B per f32 element of
-    /// every tensor in both state dicts.
+    /// every tensor it carries.
     pub fn downlink_bytes(&self) -> u64 {
-        let tensors = self.inference_params.iter().chain(self.jigsaw_params.iter().flatten());
-        tensors.map(|t| 4 * t.len() as u64).sum()
+        self.inference_params.iter().map(|t| 4 * t.len() as u64).sum()
     }
 }
 
@@ -60,7 +68,5 @@ mod tests {
         };
         assert_eq!(u.clone(), u);
         assert_eq!(u.downlink_bytes(), 16);
-        let both = ModelUpdate { jigsaw_params: Some(vec![Tensor::zeros([3])]), ..u };
-        assert_eq!(both.downlink_bytes(), 28);
     }
 }

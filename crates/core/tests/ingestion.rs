@@ -100,7 +100,10 @@ struct EchoCloud {
 impl EchoCloud {
     fn for_seed(seed: u64) -> Arc<Mutex<EchoCloud>> {
         let mut node = make_node(seed);
-        let params = state_dict(node.inference_mut());
+        // An update carries the dict after the freeze cut.
+        let net = node.inference_mut();
+        let first = net.tensors_before(net.first_unfrozen());
+        let params = state_dict(net).split_off(first);
         Arc::new(Mutex::new(EchoCloud { params, version: 0 }))
     }
 }

@@ -2,23 +2,23 @@
 //! update before it touches state, and a rejected update leaves the
 //! node serving its last good model.
 //!
-//! Each corruption is applied to an otherwise valid, Cloud-style update
-//! (the node's own shared prefix, a moved suffix) and offered to a node
-//! that runs f32 and to one that runs i8. The node must reject it and
-//! stay bitwise equal to a twin built from the same seed that never saw
-//! it: both state dicts, the version, the movement meter, the i8
-//! calibration records, and the next stage's predictions and verdicts.
-//! A valid update must then install on both, and leave them equal
-//! again. The prefix corruptions (one ulp, a zero of the other sign, a
-//! jigsaw dict whose trunk prefix differs) pass every shape check: only
-//! the bitwise shared-prefix rule catches them.
+//! A Cloud-style update carries only the inference dict after the
+//! node's freeze cut, moved. Each corruption is applied to such an
+//! update and offered to a node that runs f32 and to one that runs i8.
+//! The node must reject it and stay bitwise equal to a twin built from
+//! the same seed that never saw it: both state dicts, the version, the
+//! movement meter, the i8 calibration records, and the next stage's
+//! predictions and verdicts. A valid update must then install on both,
+//! and leave them equal again. Besides the suffix corruptions, a whole
+//! dict that still carries the frozen prefix and an update that carries
+//! the node's own, unchanged jigsaw dict must be rejected too: the
+//! prefix belongs to the deployment, not to any update.
 
 use insitu_core::{DiagnosisPolicy, InsituNode, ModelUpdate, StageOutcome};
 use insitu_data::{Condition, Dataset, PermutationSet};
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
 use insitu_nn::serialize::state_dict;
 use insitu_nn::transfer::transfer_and_freeze;
-use insitu_telemetry as telemetry;
 use insitu_tensor::{Rng, Tensor};
 use proptest::prelude::*;
 
@@ -44,26 +44,25 @@ fn make_node(seed: u64, i8: bool) -> InsituNode {
     node
 }
 
-/// Leading tensors of the node's inference dict that hold the shared
-/// conv prefix.
-fn shared_tensors(node: &InsituNode) -> usize {
+/// Leading tensors of the node's inference dict that hold its frozen
+/// prefix.
+fn prefix_tensors(node: &InsituNode) -> usize {
     let mut net = node.inference().clone();
-    let end = net.conv_indices()[SHARED_CONVS - 1] + 1;
-    net.tensors_before(end)
+    net.tensors_before(net.first_unfrozen())
 }
 
-/// What the Cloud ships: the node's dict with every tensor after the
-/// shared prefix moved.
+/// What the Cloud ships: the node's dict after the freeze cut, every
+/// tensor moved.
 fn valid_params(node: &mut InsituNode, seed: u64) -> Vec<Tensor> {
-    let prefix = shared_tensors(node);
+    let prefix = prefix_tensors(node);
     let mut rng = Rng::seed_from(seed ^ 0xC10D);
-    let mut dict = state_dict(node.inference_mut());
-    for t in &mut dict[prefix..] {
+    let mut suffix = state_dict(node.inference_mut()).split_off(prefix);
+    for t in &mut suffix {
         for v in t.as_mut_slice() {
             *v += rng.uniform(-0.01, 0.01);
         }
     }
-    dict
+    suffix
 }
 
 fn update(version: u32, inference_params: Vec<Tensor>, jigsaw: Option<Vec<Tensor>>) -> ModelUpdate {
@@ -76,24 +75,13 @@ fn update(version: u32, inference_params: Vec<Tensor>, jigsaw: Option<Vec<Tensor
     }
 }
 
-fn next_ulp(v: f32) -> f32 {
-    f32::from_bits(v.to_bits() + 1)
-}
-
 /// The ways an update can be wrong.
-const CORRUPTIONS: [&str; 6] = [
-    "truncated",
-    "extra tensor",
-    "wrong shape",
-    "prefix ulp",
-    "prefix signed zero",
-    "jigsaw prefix",
-];
+const CORRUPTIONS: [&str; 5] =
+    ["truncated", "extra tensor", "wrong shape", "whole dict", "jigsaw dict"];
 
 /// The valid update `node` would get, corrupted the `kind`-th way
 /// (see [`CORRUPTIONS`]) at a position derived from `k`.
 fn corrupted(node: &mut InsituNode, kind: usize, k: usize, seed: u64) -> ModelUpdate {
-    let prefix = shared_tensors(node);
     let mut params = valid_params(node, seed);
     let len = params.len();
     let mut jigsaw = None;
@@ -105,29 +93,13 @@ fn corrupted(node: &mut InsituNode, kind: usize, k: usize, seed: u64) -> ModelUp
             params[i] = Tensor::zeros([params[i].len() + 1]);
         }
         3 => {
-            let t = params[k % prefix].as_mut_slice();
-            let j = (k / prefix) % t.len();
-            t[j] = next_ulp(t[j]);
+            // The node's own frozen prefix in front of the moved suffix.
+            let mut whole = state_dict(node.inference_mut());
+            whole.truncate(prefix_tensors(node));
+            whole.extend(params);
+            params = whole;
         }
-        4 => {
-            // Conv biases deploy as +0.0; flip the sign of one of them.
-            let zeros: Vec<(usize, usize)> = (0..prefix)
-                .flat_map(|i| {
-                    let t = params[i].as_slice();
-                    (0..t.len()).filter(move |&j| t[j].to_bits() == 0).map(move |j| (i, j))
-                })
-                .collect();
-            assert!(!zeros.is_empty(), "the shared prefix holds no +0.0");
-            let (i, j) = zeros[k % zeros.len()];
-            params[i].as_mut_slice()[j] = -0.0;
-        }
-        5 => {
-            let mut jp = state_dict(node.jigsaw_mut());
-            let t = jp[k % prefix].as_mut_slice();
-            let j = (k / prefix) % t.len();
-            t[j] = next_ulp(t[j]);
-            jigsaw = Some(jp);
-        }
+        4 => jigsaw = Some(state_dict(node.jigsaw_mut())),
         _ => unreachable!("{} corruptions", CORRUPTIONS.len()),
     }
     update(7, params, jigsaw)
@@ -195,43 +167,13 @@ proptest! {
                 node.install_update(&good).unwrap();
                 twin.install_update(&good).unwrap();
                 prop_assert_eq!(node.version(), 1);
+                let installed = state_dict(node.inference_mut()).split_off(prefix_tensors(&node));
                 prop_assert!(
-                    dict_bits(&state_dict(node.inference_mut())) == dict_bits(&good.inference_params),
+                    dict_bits(&installed) == dict_bits(&good.inference_params),
                     "{what}: the valid update did not install"
                 );
                 assert_twins(&mut node, &mut twin, &data, &format!("{what}, then a valid update"));
             }
         }
-    }
-}
-
-/// A traced install names the layer the recalibration walk started at:
-/// the freeze cut for a Cloud-style update, layer 0 for one that moves
-/// the frozen prefix (with the diagnosis trunk, so the shared prefix
-/// stays shared).
-#[test]
-fn traced_install_labels_the_recalibration_start() {
-    let mut node = make_node(11, true);
-    let cut = node.inference().first_unfrozen();
-    let suffix_only = update(1, valid_params(&mut node, 11), None);
-    let mut rng = Rng::seed_from(12);
-    let mut jigsaw = jigsaw_network(PERMS, &mut rng).unwrap();
-    let mut inference = mini_alexnet(CLASSES, &mut rng).unwrap();
-    transfer_and_freeze(jigsaw.trunk(), &mut inference, SHARED_CONVS, SHARED_CONVS).unwrap();
-    let prefix_too = update(2, state_dict(&mut inference), Some(state_dict(&mut jigsaw)));
-
-    telemetry::set_enabled(true);
-    telemetry::advance_epoch();
-    node.install_update(&suffix_only).unwrap();
-    node.install_update(&prefix_too).unwrap();
-    let snap = telemetry::snapshot();
-    telemetry::set_enabled(false);
-    telemetry::reset();
-    for start in [cut, 0] {
-        let label = format!("from layer {start}");
-        assert!(
-            snap.counter("node.quantize_refresh", &label).is_some(),
-            "no span labelled {label:?}"
-        );
     }
 }

@@ -94,7 +94,10 @@ fn stream(stages: usize, images: usize, seed: u64) -> Vec<Dataset> {
 /// Replays `stream` through `node` at batch 8 against an echoing
 /// Cloud.
 fn replay(mut node: InsituNode, stream: Vec<Dataset>) -> (InsituNode, SessionStats) {
-    let params = state_dict(node.inference_mut());
+    // An update carries the dict after the freeze cut.
+    let net = node.inference_mut();
+    let first = net.tensors_before(net.first_unfrozen());
+    let params = state_dict(net).split_off(first);
     let cloud = Arc::new(parking_lot::Mutex::new(EchoCloud { params, version: 0 }));
     let config =
         IngestSessionConfig { session: SessionConfig::with_batch(8), ..Default::default() };

@@ -6,11 +6,19 @@ use crate::error::DataError;
 use crate::Result;
 use insitu_tensor::{Rng, Tensor};
 
-/// Length of one flattened `(3, 36, 36)` sample, in floats.
+/// Length of one flattened `(3, 36, 36)` sample, in floats: the shape
+/// the generator renders.
 pub const SAMPLE_LEN: usize = CHANNELS * IMAGE_SIZE * IMAGE_SIZE;
 
-/// A labelled set of synthetic IoT images, stored as one batched tensor
-/// `(N, 3, 36, 36)` plus per-sample class labels.
+/// The dims of a batch of `n` samples of shape `sample`.
+pub(crate) fn batch_dims(n: usize, sample: &[usize]) -> Vec<usize> {
+    std::iter::once(n).chain(sample.iter().copied()).collect()
+}
+
+/// A labelled set of images, stored as one batched tensor `(N, ..)`
+/// plus per-sample class labels. Generated sets are `(N, 3, 36, 36)`;
+/// a set built [`from_parts`](Dataset::from_parts) keeps the per-sample
+/// shape of its image tensor, and every method works in that shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     images: Tensor,
@@ -90,14 +98,17 @@ impl Dataset {
         Ok(())
     }
 
-    /// Builds a dataset from existing parts.
+    /// Builds a dataset from existing parts. The first axis of `images`
+    /// indexes the samples; the rest is the per-sample shape.
     ///
     /// # Errors
     ///
-    /// Returns an error if the image count and label count disagree, or
-    /// a label is out of range.
+    /// Returns an error if `images` has no sample axis, the image count
+    /// and label count disagree, or a label is out of range.
     pub fn from_parts(images: Tensor, labels: Vec<usize>, num_classes: usize) -> Result<Dataset> {
-        let n = images.dims().first().copied().unwrap_or(0);
+        let Some(&n) = images.dims().first() else {
+            return Err(DataError::BadConfig { reason: "images have no sample axis".into() });
+        };
         if n != labels.len() {
             return Err(DataError::BadConfig {
                 reason: format!("{n} images but {} labels", labels.len()),
@@ -126,9 +137,19 @@ impl Dataset {
         self.num_classes
     }
 
-    /// The batched image tensor `(N, 3, 36, 36)`.
+    /// The batched image tensor `(N, ..)`.
     pub fn images(&self) -> &Tensor {
         &self.images
+    }
+
+    /// The per-sample shape: the image tensor's dims after the first.
+    fn sample_dims(&self) -> &[usize] {
+        &self.images.dims()[1..]
+    }
+
+    /// Floats per sample.
+    fn sample_len(&self) -> usize {
+        self.sample_dims().iter().product()
     }
 
     /// Per-sample labels.
@@ -136,7 +157,7 @@ impl Dataset {
         &self.labels
     }
 
-    /// The image at index `i` as a `(3, 36, 36)` tensor.
+    /// The image at index `i`, in the per-sample shape.
     ///
     /// # Errors
     ///
@@ -147,9 +168,9 @@ impl Dataset {
                 reason: format!("index {i} out of {}", self.len()),
             });
         }
-        let sample_len = CHANNELS * IMAGE_SIZE * IMAGE_SIZE;
+        let sample_len = self.sample_len();
         Ok(Tensor::from_vec(
-            [CHANNELS, IMAGE_SIZE, IMAGE_SIZE],
+            self.sample_dims(),
             self.images.as_slice()[i * sample_len..(i + 1) * sample_len].to_vec(),
         )?)
     }
@@ -160,7 +181,7 @@ impl Dataset {
     ///
     /// Returns an error if any index is out of range.
     pub fn subset(&self, indices: &[usize]) -> Result<Dataset> {
-        let sample_len = CHANNELS * IMAGE_SIZE * IMAGE_SIZE;
+        let sample_len = self.sample_len();
         let mut data = Vec::with_capacity(indices.len() * sample_len);
         let mut labels = Vec::with_capacity(indices.len());
         for &i in indices {
@@ -173,10 +194,7 @@ impl Dataset {
             labels.push(self.labels[i]);
         }
         Ok(Dataset {
-            images: Tensor::from_vec(
-                [indices.len(), CHANNELS, IMAGE_SIZE, IMAGE_SIZE],
-                data,
-            )?,
+            images: Tensor::from_vec(batch_dims(indices.len(), self.sample_dims()), data)?,
             labels,
             num_classes: self.num_classes,
         })
@@ -197,14 +215,11 @@ impl Dataset {
                 reason: format!("range {range:?} out of {}", self.len()),
             });
         }
-        let sample_len = CHANNELS * IMAGE_SIZE * IMAGE_SIZE;
+        let sample_len = self.sample_len();
         let data =
             self.images.as_slice()[range.start * sample_len..range.end * sample_len].to_vec();
         Ok(Dataset {
-            images: Tensor::from_vec(
-                [range.len(), CHANNELS, IMAGE_SIZE, IMAGE_SIZE],
-                data,
-            )?,
+            images: Tensor::from_vec(batch_dims(range.len(), self.sample_dims()), data)?,
             labels: self.labels[range].to_vec(),
             num_classes: self.num_classes,
         })
@@ -218,11 +233,13 @@ impl Dataset {
         (self.images, self.labels)
     }
 
-    /// Concatenates two datasets with the same class space.
+    /// Concatenates two datasets with the same class space and
+    /// per-sample shape.
     ///
     /// # Errors
     ///
-    /// Returns an error if the class counts differ.
+    /// Returns an error if the class counts or the per-sample shapes
+    /// differ.
     pub fn concat(&self, other: &Dataset) -> Result<Dataset> {
         if self.num_classes != other.num_classes {
             return Err(DataError::BadConfig {
@@ -232,13 +249,22 @@ impl Dataset {
                 ),
             });
         }
+        if self.sample_dims() != other.sample_dims() {
+            return Err(DataError::BadConfig {
+                reason: format!(
+                    "sample shapes differ: {:?} vs {:?}",
+                    self.sample_dims(),
+                    other.sample_dims()
+                ),
+            });
+        }
         let mut data = self.images.as_slice().to_vec();
         data.extend_from_slice(other.images.as_slice());
         let mut labels = self.labels.clone();
         labels.extend_from_slice(&other.labels);
         let n = self.len() + other.len();
         Ok(Dataset {
-            images: Tensor::from_vec([n, CHANNELS, IMAGE_SIZE, IMAGE_SIZE], data)?,
+            images: Tensor::from_vec(batch_dims(n, self.sample_dims()), data)?,
             labels,
             num_classes: self.num_classes,
         })
@@ -314,6 +340,38 @@ mod tests {
         assert!(c.split_at(41).is_err());
         let other = Dataset::generate(4, 2, &Condition::ideal(), &mut rng).unwrap();
         assert!(a.concat(&other).is_err());
+    }
+
+    #[test]
+    fn a_set_of_another_shape_keeps_it() {
+        let mut rng = Rng::seed_from(17);
+        let images = Tensor::rand_uniform([4, 3, 32, 32], 0.0, 1.0, &mut rng);
+        let d = Dataset::from_parts(images.clone(), vec![0, 1, 2, 1], 3).unwrap();
+        let len = 3 * 32 * 32;
+        let rows = |idx: &[usize]| -> Vec<f32> {
+            idx.iter().flat_map(|&i| images.as_slice()[i * len..(i + 1) * len].to_vec()).collect()
+        };
+        let s = d.subset(&[3, 0]).unwrap();
+        assert_eq!(s.images().dims(), &[2, 3, 32, 32]);
+        assert_eq!(s.images().as_slice(), &rows(&[3, 0])[..]);
+        assert_eq!(s.labels(), &[1, 0]);
+        let r = d.subset_range(1..3).unwrap();
+        assert_eq!(r.images().dims(), &[2, 3, 32, 32]);
+        assert_eq!(r.images().as_slice(), &rows(&[1, 2])[..]);
+        let (head, tail) = d.split_at(1).unwrap();
+        assert_eq!(head.images().as_slice(), &rows(&[0])[..]);
+        assert_eq!(tail.images().dims(), &[3, 3, 32, 32]);
+        let image = d.image(2).unwrap();
+        assert_eq!(image.dims(), &[3, 32, 32]);
+        assert_eq!(image.as_slice(), &rows(&[2])[..]);
+        let c = head.concat(&tail).unwrap();
+        assert_eq!(c, d);
+        assert!(d.subset(&[4]).is_err());
+        let generated = Dataset::generate(2, 3, &Condition::ideal(), &mut rng).unwrap();
+        assert!(d.concat(&generated).is_err());
+        assert!(generated.concat(&d).is_err());
+        assert!(Dataset::from_parts(Tensor::from_vec(Vec::new(), vec![0.0]).unwrap(), vec![], 1)
+            .is_err());
     }
 
     #[test]

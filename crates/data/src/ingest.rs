@@ -25,8 +25,8 @@
 //! frames plus one in each hand), so after that many frames the
 //! producer allocates nothing.
 
-use crate::concepts::Concept;
-use crate::dataset::Dataset;
+use crate::concepts::{Concept, CHANNELS, IMAGE_SIZE};
+use crate::dataset::{batch_dims, Dataset};
 use crate::drift::Condition;
 use crate::error::DataError;
 use crate::Result;
@@ -135,13 +135,10 @@ pub trait StreamSource: Send {
     }
 }
 
-/// Builds a dataset around storage taken from an arena buffer.
-fn dataset_from_buf(buf: FrameBuf, num_classes: usize) -> Result<Dataset> {
-    let n = buf.labels.len();
-    let images = Tensor::from_vec(
-        [n, crate::concepts::CHANNELS, crate::concepts::IMAGE_SIZE, crate::concepts::IMAGE_SIZE],
-        buf.images,
-    )?;
+/// Builds a dataset of samples of shape `sample` around storage taken
+/// from an arena buffer.
+fn dataset_from_buf(buf: FrameBuf, sample: &[usize], num_classes: usize) -> Result<Dataset> {
+    let images = Tensor::from_vec(batch_dims(buf.labels.len(), sample), buf.images)?;
     Dataset::from_parts(images, buf.labels, num_classes)
 }
 
@@ -173,7 +170,7 @@ impl StreamSource for ReplaySource {
         let mut buf = arena.acquire();
         buf.images.extend_from_slice(stage.images().as_slice());
         buf.labels.extend_from_slice(stage.labels());
-        Ok(Some(dataset_from_buf(buf, stage.num_classes())?))
+        Ok(Some(dataset_from_buf(buf, &stage.images().dims()[1..], stage.num_classes())?))
     }
 
     fn frames_hint(&self) -> Option<usize> {
@@ -282,7 +279,7 @@ impl StreamSource for SyntheticDriftSource {
             &mut buf.images,
             &mut buf.labels,
         )?;
-        Ok(Some(dataset_from_buf(buf, self.num_classes)?))
+        Ok(Some(dataset_from_buf(buf, &[CHANNELS, IMAGE_SIZE, IMAGE_SIZE], self.num_classes)?))
     }
 
     fn frames_hint(&self) -> Option<usize> {
@@ -686,6 +683,33 @@ mod tests {
             report.fresh_buffers
         );
         assert!(report.reused_buffers >= report.frames - report.fresh_buffers);
+    }
+
+    #[test]
+    fn replay_keeps_each_stage_sample_shape() {
+        let mut rng = Rng::seed_from(41);
+        let stream: Vec<Dataset> = (0..3)
+            .map(|i| {
+                let images = Tensor::rand_uniform([2 + i, 3, 32, 32], -1.0, 1.0, &mut rng);
+                Dataset::from_parts(images, vec![i % 2; 2 + i], 2).unwrap()
+            })
+            .collect();
+        let stream = Arc::new(stream);
+        let pipeline = IngestPipeline::spawn(
+            Box::new(ReplaySource::new(Arc::clone(&stream))),
+            IngestConfig { capacity: 2, policy: QueueFullPolicy::Block },
+        );
+        let bits =
+            |d: &Dataset| d.images().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for stage in stream.iter() {
+            let frame = pipeline.next_frame().expect("stream ends early");
+            assert_eq!(frame.data.images().dims(), stage.images().dims());
+            assert_eq!(bits(&frame.data), bits(stage));
+            assert_eq!(frame.data.labels(), stage.labels());
+            pipeline.recycle(frame);
+        }
+        assert!(pipeline.next_frame().is_none());
+        assert_eq!(pipeline.finish().unwrap().frames, 3);
     }
 
     #[test]

@@ -17,23 +17,23 @@
 //! the cloud).
 //!
 //! Scales are only valid for the weights they were measured with, so
-//! every model update goes through [`QuantizedNet::recalibrate`]. The
-//! net keeps what that needs: the f32 network it walks (the *shadow*),
-//! the calibration images, the freeze cut
-//! ([`Sequential::first_unfrozen`]) and the shadow's activation at the
-//! cut. An update that leaves the frozen prefix bitwise unchanged —
-//! every incremental update the Cloud ships — is re-walked from the
-//! cut, starting at the cached activation; any other update is
-//! re-walked from layer 0. Either way the result is bitwise equal to a
-//! fresh `calibrate` of the updated network over the same images, and
-//! the fixed-point layers are rewritten in place, so their kernel
+//! every model update goes through [`QuantizedNet::recalibrate`]. An
+//! update carries only the state-dict tensors after the freeze cut
+//! ([`Sequential::first_unfrozen`]): the frozen prefix belongs to the
+//! deployment, and no update moves it. So the net keeps the f32 network
+//! it walks (the *shadow*), the cut and the shadow's activation at the
+//! cut over the calibration images (the images themselves when nothing
+//! is frozen), and every recalibration re-walks only the layers from
+//! the cut on, starting at that activation. The result is bitwise equal
+//! to a fresh `calibrate` of the updated network over the same images,
+//! and the fixed-point layers are rewritten in place, so their kernel
 //! workspaces stay warm across updates.
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode};
 use crate::layers::{Conv2d, Linear};
 use crate::net::Sequential;
-use crate::serialize::{leading_bits_equal, load_state_dict_from};
+use crate::serialize::load_state_dict_from;
 use crate::Result;
 use insitu_tensor::{
     conv2d_forward_i8_ws, linear_forward_i8_ws, max_abs, quant_scale, ConvGeometry,
@@ -148,13 +148,12 @@ pub struct QuantizedNet {
     /// The f32 network the calibration walks: a clone of the calibrated
     /// network, into which every update is loaded.
     shadow: Sequential,
-    /// The calibration images, `(B, C, H, W)`.
-    calib: Tensor,
     /// The shadow's freeze cut: layers before it are the frozen prefix.
     cut: usize,
-    /// How many leading state-dict tensors the frozen prefix holds.
+    /// How many leading state-dict tensors the frozen prefix holds: an
+    /// update is the dict from this tensor on.
     prefix_tensors: usize,
-    /// The shadow's activation at the cut over `calib`.
+    /// The shadow's activation at the cut over the calibration images.
     at_cut: Tensor,
 }
 
@@ -164,8 +163,8 @@ impl QuantizedNet {
     ///
     /// The calibration forward runs on a clone of `net` in `Eval` mode,
     /// so the source network's caches and parameters are untouched. The
-    /// clone, the images and the activation at `net`'s freeze cut are
-    /// kept for [`recalibrate`](QuantizedNet::recalibrate).
+    /// clone and its activation at `net`'s freeze cut are kept for
+    /// [`recalibrate`](QuantizedNet::recalibrate).
     ///
     /// # Errors
     ///
@@ -188,57 +187,46 @@ impl QuantizedNet {
             layers,
             report: Vec::new(),
             shadow,
-            calib: calib.clone(),
             cut,
             prefix_tensors,
             at_cut: Tensor::zeros([0]),
         };
-        q.walk(true)?;
+        q.at_cut = q.walk_layers(0..cut, calib.clone())?;
+        q.walk_suffix()?;
         Ok(q)
     }
 
-    /// Recalibrates after a model update. `params` is the new state
-    /// dict of the network this net was calibrated from.
+    /// Recalibrates after a model update. `suffix` is the update: the
+    /// state-dict tensors of the network this net was calibrated from,
+    /// from the first tensor after its freeze cut on (the whole dict
+    /// when nothing is frozen).
     ///
-    /// The dict is checked against the shadow (tensor count and shapes)
-    /// before anything is written, then loaded into it. If the frozen
-    /// prefix is bitwise unchanged, the walk resumes at the cut from the
-    /// cached activation; otherwise it runs from layer 0 and refreshes
-    /// the cache. Either way the calibration records, i8 weights, row
-    /// scales, biases and input scales are bitwise those of a fresh
-    /// [`calibrate`](QuantizedNet::calibrate) of the updated network
-    /// over the same images. They are written into the existing layers:
-    /// every kernel workspace and passthrough layer survives.
-    ///
-    /// Returns the layer the walk started at: the cut when the cached
-    /// activation was reused, 0 when the prefix changed.
+    /// The suffix is checked against the shadow's (tensor count and
+    /// shapes) before anything is written, then loaded into the shadow,
+    /// and the walk resumes at the cut from the cached activation. The
+    /// calibration records, i8 weights, row scales, biases and input
+    /// scales are then bitwise those of a fresh
+    /// [`calibrate`](QuantizedNet::calibrate) of the updated network over
+    /// the same images. They are written into the existing layers: every
+    /// kernel workspace and passthrough layer survives.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::SnapshotMismatch`] if the dict does not fit
+    /// Returns [`NnError::SnapshotMismatch`] if the suffix does not fit
     /// the network; nothing is written then.
-    pub fn recalibrate(&mut self, params: &[Tensor]) -> Result<usize> {
-        let n = self.prefix_tensors;
-        let prefix_kept = leading_bits_equal(&mut self.shadow, params, n);
-        load_state_dict_from(&mut self.shadow, params, if prefix_kept { n } else { 0 })?;
-        self.walk(!prefix_kept)
+    pub fn recalibrate(&mut self, suffix: &[Tensor]) -> Result<()> {
+        load_state_dict_from(&mut self.shadow, suffix, self.prefix_tensors)?;
+        self.walk_suffix()
     }
 
-    /// The one calibration walk. With `through_prefix` it starts at
-    /// layer 0 on the calibration images and caches the activation at
-    /// the cut; otherwise it starts at the cut, from that cache. Every
-    /// fixed-point layer it passes is re-quantized and re-measured.
-    /// Returns the layer it started at.
-    fn walk(&mut self, through_prefix: bool) -> Result<usize> {
-        let start = if through_prefix { 0 } else { self.cut };
+    /// Re-quantizes and re-measures every fixed-point layer from the cut
+    /// on, starting at the cached activation.
+    fn walk_suffix(&mut self) -> Result<()> {
         let kept =
-            self.layers[..start].iter().filter(|l| !matches!(l, QLayer::Passthrough(_))).count();
+            self.layers[..self.cut].iter().filter(|l| !matches!(l, QLayer::Passthrough(_))).count();
         self.report.truncate(kept);
-        if through_prefix {
-            self.at_cut = self.walk_layers(0..self.cut, self.calib.clone())?;
-        }
         self.walk_layers(self.cut..self.layers.len(), self.at_cut.clone())?;
-        Ok(start)
+        Ok(())
     }
 
     /// Calibrates `range` of layers on `x`, the activation entering its
@@ -445,41 +433,39 @@ mod tests {
         q.predict(x).unwrap().as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Calibrates a frozen-prefix Mini-AlexNet, then applies `updates`,
-    /// recalibrating in place after each one and checking the result
-    /// against a fresh calibration of the same weights. Every update
-    /// moves the suffix; a `true` one moves the frozen prefix too.
-    /// Returns the last recalibrated logits, for the cross-thread-count
-    /// pin.
-    fn recalibrate_against_fresh(seed: u64, images: usize, updates: &[bool]) -> Vec<u32> {
+    /// Calibrates a Mini-AlexNet frozen through its `frozen`-th conv,
+    /// then applies `updates` updates, each moving every tensor after
+    /// the freeze cut, recalibrating in place from that suffix after each
+    /// one and checking the result against a fresh calibration of the
+    /// same weights. Returns the last recalibrated logits, for the
+    /// cross-thread-count pin.
+    fn recalibrate_against_fresh(
+        seed: u64,
+        images: usize,
+        frozen: usize,
+        updates: usize,
+    ) -> Vec<u32> {
         let mut rng = Rng::seed_from(seed);
         let mut net = mini_alexnet(4, &mut rng).unwrap();
-        net.freeze_first_convs(3).unwrap();
-        let cut = net.first_unfrozen();
-        let prefix = net.tensors_before(cut);
+        net.freeze_first_convs(frozen).unwrap();
+        let prefix = net.tensors_before(net.first_unfrozen());
         let calib = Tensor::rand_uniform([images, 3, 36, 36], 0.0, 1.0, &mut rng);
         let probe = Tensor::rand_uniform([3, 3, 36, 36], 0.0, 1.0, &mut rng);
         let mut q = QuantizedNet::calibrate(&net, &calib).unwrap();
         let mut logits = output_bits(&mut q, &probe);
-        for &moves_prefix in updates {
+        for update in 0..updates {
             let mut dict = state_dict(&mut net);
-            let first = if moves_prefix { 0 } else { prefix };
-            for t in &mut dict[first..] {
+            for t in &mut dict[prefix..] {
                 for v in t.as_mut_slice() {
                     *v += rng.uniform(-0.02, 0.02);
                 }
             }
             load_state_dict(&mut net, &dict).unwrap();
-            let start = q.recalibrate(&dict).unwrap();
-            assert_eq!(start, if moves_prefix { 0 } else { cut }, "prefix moved: {moves_prefix}");
+            q.recalibrate(&dict[prefix..]).unwrap();
             let mut fresh = QuantizedNet::calibrate(&net, &calib).unwrap();
-            assert_eq!(
-                calibration_bits(&q),
-                calibration_bits(&fresh),
-                "prefix moved: {moves_prefix}"
-            );
+            assert_eq!(calibration_bits(&q), calibration_bits(&fresh), "update {update}");
             logits = output_bits(&mut q, &probe);
-            assert_eq!(logits, output_bits(&mut fresh, &probe), "prefix moved: {moves_prefix}");
+            assert_eq!(logits, output_bits(&mut fresh, &probe), "update {update}");
         }
         logits
     }
@@ -487,26 +473,27 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// The bitwise gate: after any sequence of suffix-only and
-        /// prefix-changing updates, `recalibrate` equals a fresh
-        /// `calibrate` of the same weights over the same images (records,
-        /// i8 weights, row scales, biases, input scales and `predict`
-        /// bits), for calibration batches of 1–8 images at 1/2/4 kernel
-        /// threads, and the thread count changes nothing.
+        /// The bitwise gate: after any sequence of updates, each carrying
+        /// the dict after the freeze cut (conv1–3 frozen, or fewer, down
+        /// to none), `recalibrate` equals a fresh `calibrate` of the same
+        /// weights over the same images (records, i8 weights, row scales,
+        /// biases, input scales and `predict` bits), for calibration
+        /// batches of 1–8 images at 1/2/4 kernel threads, and the thread
+        /// count changes nothing.
         #[test]
         fn recalibrate_equals_a_fresh_calibrate(
             seed in 0u64..1000,
             images in 1usize..9,
-            kinds in proptest::collection::vec(0usize..2, 1..4),
+            frozen in 0usize..4,
+            updates in 1usize..4,
         ) {
-            let updates: Vec<bool> = kinds.iter().map(|&k| k == 1).collect();
             // The only test here that sets the global thread count.
             let prev = num_threads();
             let pinned: Vec<Vec<u32>> = [1usize, 2, 4]
                 .iter()
                 .map(|&threads| {
                     set_num_threads(threads);
-                    recalibrate_against_fresh(seed, images, &updates)
+                    recalibrate_against_fresh(seed, images, frozen, updates)
                 })
                 .collect();
             set_num_threads(prev);
@@ -519,15 +506,19 @@ mod tests {
         let mut rng = Rng::seed_from(47);
         let mut net = mini_alexnet(4, &mut rng).unwrap();
         net.freeze_first_convs(3).unwrap();
+        let prefix = net.tensors_before(net.first_unfrozen());
         let calib = Tensor::rand_uniform([2, 3, 36, 36], 0.0, 1.0, &mut rng);
         let mut q = QuantizedNet::calibrate(&net, &calib).unwrap();
         let before = calibration_bits(&q);
         let original = state_dict(&mut net);
-        // New values everywhere, one tensor short.
-        let mut dict: Vec<Tensor> = original.iter().map(|t| t.map(|v| v + 1.0)).collect();
-        dict.pop();
-        assert!(q.recalibrate(&dict).is_err());
-        assert_eq!(calibration_bits(&q), before);
-        assert_eq!(state_dict(&mut q.shadow), original);
+        // New values everywhere: as a suffix one tensor short, and as a
+        // whole dict, whose frozen prefix no update may carry.
+        let dict: Vec<Tensor> = original.iter().map(|t| t.map(|v| v + 1.0)).collect();
+        let short = &dict[prefix..dict.len() - 1];
+        for (what, bad) in [("one short", short), ("whole dict", &dict[..])] {
+            assert!(q.recalibrate(bad).is_err(), "{what}");
+            assert_eq!(calibration_bits(&q), before, "{what}");
+            assert_eq!(state_dict(&mut q.shadow), original, "{what}");
+        }
     }
 }

@@ -13,58 +13,52 @@ pub fn state_dict(net: &mut dyn Network) -> Vec<Tensor> {
     params
 }
 
-/// Checks that a state dict fits a network — same tensor count, same
-/// shape at every position — without writing anything. This is the
-/// dims-only pass [`load_state_dict`] runs before its first write, so a
-/// caller installing several dicts can check them all before touching
-/// any network.
+/// Checks that a state dict fits a network without writing anything.
+/// `params` is the tail of the dict that starts at the network's tensor
+/// `first` (0 for a whole dict): it must hold exactly the network's
+/// tensors from `first` on, each of the same shape. This is the
+/// dims-only pass [`load_state_dict_from`] runs before its first write,
+/// so a caller that stages several writes can check before touching any
+/// network.
 ///
 /// # Errors
 ///
-/// Returns [`NnError::SnapshotMismatch`] if the parameter count or any
+/// Returns [`NnError::SnapshotMismatch`] if the tensor count or any
 /// shape differs.
-pub fn check_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
+pub fn check_state_dict(net: &mut dyn Network, params: &[Tensor], first: usize) -> Result<()> {
     let mut idx = 0usize;
-    let mut failure: Option<NnError> = None;
+    let mut failure: Option<String> = None;
     net.visit_all(&mut |p| {
-        if failure.is_some() {
-            return;
-        }
-        match params.get(idx) {
-            None => {
-                failure = Some(NnError::SnapshotMismatch {
-                    reason: format!("snapshot has only {} tensors", params.len()),
-                });
-            }
-            Some(src) if src.shape() != p.shape() => {
-                failure = Some(NnError::SnapshotMismatch {
-                    reason: format!(
-                        "tensor {idx}: network {} vs snapshot {}",
-                        p.shape(),
-                        src.shape()
-                    ),
-                });
-            }
-            Some(_) => {}
+        if idx >= first && failure.is_none() {
+            failure = match params.get(idx - first) {
+                None => Some(format!("snapshot has only {} tensors from {first}", params.len())),
+                Some(src) if src.shape() != p.shape() => Some(format!(
+                    "tensor {idx}: network {} vs snapshot {}",
+                    p.shape(),
+                    src.shape()
+                )),
+                Some(_) => None,
+            };
         }
         idx += 1;
     });
-    if let Some(e) = failure {
-        return Err(e);
+    if failure.is_none() && idx.checked_sub(first) != Some(params.len()) {
+        failure = Some(format!(
+            "network has {idx} tensors, snapshot has {} from {first}",
+            params.len()
+        ));
     }
-    if idx != params.len() {
-        return Err(NnError::SnapshotMismatch {
-            reason: format!("network has {idx} tensors, snapshot has {}", params.len()),
-        });
+    match failure {
+        Some(reason) => Err(NnError::SnapshotMismatch { reason }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Whether the first `n` tensors of `params` are bitwise equal
 /// ([`Tensor::same_bits`]) to the network's first `n` parameters,
 /// shapes included. False when either side holds fewer than `n`.
-/// Reads only; this is how an install tells whether a dict keeps a
-/// network's frozen or shared prefix.
+/// Reads only; this is how a caller that keeps activations of a
+/// network's frozen prefix tells whether they still hold.
 pub fn leading_bits_equal(net: &mut dyn Network, params: &[Tensor], n: usize) -> bool {
     if params.len() < n {
         return false;
@@ -79,33 +73,33 @@ pub fn leading_bits_equal(net: &mut dyn Network, params: &[Tensor], n: usize) ->
     equal && idx >= n
 }
 
-/// Writes a state dict back into a network, all or nothing: the dict
-/// passes [`check_state_dict`] before the first tensor is written, so
-/// a rejected dict leaves the network unchanged.
+/// Writes a whole state dict back into a network, all or nothing; see
+/// [`load_state_dict_from`].
 ///
 /// # Errors
 ///
-/// Returns [`NnError::SnapshotMismatch`] if the parameter count or any
-/// shape differs.
+/// Returns [`NnError::SnapshotMismatch`] if the tensor count or any
+/// shape differs; nothing is written then.
 pub fn load_state_dict(net: &mut dyn Network, params: &[Tensor]) -> Result<()> {
     load_state_dict_from(net, params, 0)
 }
 
-/// [`load_state_dict`] for a caller that has just shown the first
-/// `first` tensors equal to the network's (see
-/// [`leading_bits_equal`]): the whole dict is checked, then only
-/// `params[first..]` is written.
+/// Writes `params`, the tail of a state dict that starts at the
+/// network's tensor `first`, into the network's tensors from `first`
+/// on, all or nothing: the tail passes [`check_state_dict`] before the
+/// first tensor is written, so a rejected one leaves the network
+/// unchanged. The tensors before `first` are neither read nor written.
 ///
 /// # Errors
 ///
-/// Returns [`NnError::SnapshotMismatch`] if the parameter count or any
+/// Returns [`NnError::SnapshotMismatch`] if the tensor count or any
 /// shape differs; nothing is written then.
 pub fn load_state_dict_from(net: &mut dyn Network, params: &[Tensor], first: usize) -> Result<()> {
-    check_state_dict(net, params)?;
+    check_state_dict(net, params, first)?;
     let mut idx = 0usize;
     net.visit_all(&mut |p| {
         if idx >= first {
-            p.copy_from(&params[idx]).expect("count and shapes checked above");
+            p.copy_from(&params[idx - first]).expect("count and shapes checked above");
         }
         idx += 1;
     });
@@ -165,9 +159,17 @@ mod tests {
         dict[1].as_mut_slice()[0] = -0.0;
         assert!(leading_bits_equal(&mut a, &dict, 1));
         assert!(!leading_bits_equal(&mut a, &dict, 2));
-        // A load from index 2 leaves the first two tensors as they were.
+        // A tail must hold exactly the tensors from its start on.
+        assert!(check_state_dict(&mut a, &dict[2..], 2).is_ok());
+        assert!(check_state_dict(&mut a, &dict, 2).is_err(), "a whole dict is not a tail");
+        assert!(check_state_dict(&mut a, &dict[3..], 2).is_err(), "one short");
+        assert!(check_state_dict(&mut a, &dict[1..], 2).is_err(), "one long");
+        assert!(check_state_dict(&mut a, &[], 5).is_err(), "the net holds only 4");
+        assert!(check_state_dict(&mut a, &[], 4).is_ok());
+        // A load of the tail from index 2 leaves the first two tensors
+        // as they were.
         dict[3].as_mut_slice()[0] = 42.0;
-        load_state_dict_from(&mut a, &dict, 2).unwrap();
+        load_state_dict_from(&mut a, &dict[2..], 2).unwrap();
         let after = state_dict(&mut a);
         assert_eq!(after[1].as_slice()[0].to_bits(), 0.0f32.to_bits());
         assert_eq!(after[3].as_slice()[0], 42.0);

@@ -140,17 +140,6 @@ struct ActiveSpan {
     depth: u16,
 }
 
-impl Span {
-    /// Sets the label the span records when it closes, for a label
-    /// known only once the span's work has begun. Like
-    /// [`span_with`], the closure runs only while the span is active.
-    pub fn set_label<F: FnOnce() -> String>(&mut self, label: F) {
-        if let Some(s) = &mut self.0 {
-            s.label = Some(label().into_boxed_str());
-        }
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(s) = self.0.take() {
@@ -269,18 +258,6 @@ mod tests {
             let c = snap.counter("t.kernel", "2x2").expect("span counter");
             assert_eq!(c.calls, 3);
             assert_eq!(snap.spans.len(), 3);
-        });
-    }
-
-    #[test]
-    fn a_label_set_late_is_recorded_at_close() {
-        with_telemetry(|| {
-            {
-                let mut s = span("t.late");
-                s.set_label(|| "from layer 7".into());
-            }
-            let snap = snapshot();
-            assert_eq!(snap.counter("t.late", "from layer 7").expect("relabelled span").calls, 1);
         });
     }
 

@@ -7,6 +7,7 @@ use insitu::cloud::{
 };
 use insitu::core::{CloudEndpoint, DiagnosisPolicy, InsituNode};
 use insitu::data::{Condition, Dataset};
+use insitu::nn::serialize::state_dict;
 use insitu::nn::transfer::conv_prefix_identical;
 use insitu::tensor::Rng;
 
@@ -125,9 +126,15 @@ fn movement_meter_accumulates_across_stages() {
         }
         let update = d.cloud.incremental_update(&payload).unwrap();
         d.node.install_update(&update).unwrap();
-        // The downlink: 4 B per f32 element of every installed tensor.
-        let tensors = update.inference_params.iter().chain(update.jigsaw_params.iter().flatten());
-        downloaded += tensors.map(|t| t.len() as u64 * 4).sum::<u64>();
+        // The downlink: 4 B per f32 element of every tensor after the
+        // node's freeze cut, the only ones an update carries.
+        let mut net = d.node.inference().clone();
+        let first = net.tensors_before(net.first_unfrozen());
+        let suffix = state_dict(&mut net).split_off(first);
+        let bytes = suffix.iter().map(|t| t.len() as u64 * 4).sum::<u64>();
+        assert!(first > 0 && update.jigsaw_params.is_none());
+        assert_eq!(update.downlink_bytes(), bytes);
+        downloaded += bytes;
         updates += 1;
         last = Some(update);
     }
