@@ -21,14 +21,32 @@ cargo test -q -p insitu-tensor --test packed_gemm
 # Conv-lowering gate: the three conv entry points (f32 forward, its
 # backward, i8 forward) must stay bitwise equal to the explicit-im2col
 # naive oracle across the kernel/stride/pad/plane/channel ladder at
-# 1/2/4 threads. Each ISA packs panels of its own width NR, and so
-# builds its own lane table: the sweep runs under the auto-detected
-# ISA, the portable one, AVX2 where the host has it, and in the
-# AVX-512 leg below.
+# 1/2/4 threads. Both forwards read B straight from each sample's
+# staging slot through the `rows` table, over the padded width: each
+# ISA's panel width NR sets how many panels cover a plane's n'
+# positions and how far the last one reads into the slot's zeroed
+# tail, and stride 2/3 run the same reads with a subsampled write-back.
+# A second case reads to the very end of a fresh batch-1 staging, and
+# a unit test poisons every slot tail (NaN in f32, -128 in i8) and
+# requires all three passes bitwise equal to a clean workspace, so no
+# lane past n' reaches an output at that ISA's NR. These legs are the
+# only gates that reach each ISA's slot-reading body: both run under
+# the auto-detected ISA (the workspace sweep above runs the unit test),
+# the portable one, AVX2 where the host has it, and in the AVX-512 leg
+# below. The poison filter names one test and must run it, so a rename
+# cannot leave it matching nothing.
+conv_tail_gate() {
+    INSITU_SIMD=$1 cargo test -q -p insitu-tensor --test conv_oracle
+    INSITU_SIMD=$1 cargo test -q -p insitu-tensor --lib \
+        conv::tests::poisoned_slot_tails_reach_no_output >/tmp/ci_poison.log 2>&1 \
+        || { cat /tmp/ci_poison.log; exit 1; }
+    grep -q '^test result: ok\. 1 passed' /tmp/ci_poison.log
+    rm -f /tmp/ci_poison.log
+}
 cargo test -q -p insitu-tensor --test conv_oracle
-INSITU_SIMD=scalar cargo test -q -p insitu-tensor --test conv_oracle
+conv_tail_gate scalar
 if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo; then
-    INSITU_SIMD=avx2 cargo test -q -p insitu-tensor --test conv_oracle
+    conv_tail_gate avx2
 else
     echo "ci: SKIPPED avx2 conv-lowering leg (host lacks avx2/fma)"
 fi
@@ -81,7 +99,7 @@ if grep -q avx512f /proc/cpuinfo 2>/dev/null \
     INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test simd_ops
     INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test packed_gemm
     INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test quant_gemm
-    INSITU_SIMD=avx512 cargo test -q -p insitu-tensor --test conv_oracle
+    conv_tail_gate avx512
 else
     echo "ci: SKIPPED avx512 leg (host lacks avx512f/bw/dq/vl)"
 fi

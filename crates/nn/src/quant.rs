@@ -277,9 +277,10 @@ impl QuantizedNet {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape disagreement or an empty set.
+    /// Returns an error on shape disagreement or an empty set; a tensor
+    /// without a sample axis (rank 0) holds no images.
     pub fn accuracy_on(&mut self, images: &Tensor, labels: &[usize], batch: usize) -> Result<f32> {
-        let n = images.dims()[0];
+        let n = images.dims().first().copied().unwrap_or(0);
         if n == 0 || n != labels.len() {
             return Err(NnError::BadLabels {
                 reason: format!("{n} images vs {} labels", labels.len()),
@@ -359,6 +360,16 @@ mod tests {
             assert!(rec.in_scale > 0.0, "{}: degenerate input scale", rec.name);
             assert!(rec.max_weight_scale > 0.0, "{}: degenerate weight scale", rec.name);
         }
+    }
+
+    #[test]
+    fn accuracy_on_rejects_a_tensor_without_a_sample_axis() {
+        let mut rng = Rng::seed_from(32);
+        let net = mini_alexnet(4, &mut rng).unwrap();
+        let calib = Tensor::rand_uniform([2, 3, 36, 36], 0.0, 1.0, &mut rng);
+        let mut q = QuantizedNet::calibrate(&net, &calib).unwrap();
+        let got = q.accuracy_on(&Tensor::zeros(Vec::<usize>::new()), &[], 4);
+        assert!(matches!(got, Err(NnError::BadLabels { .. })), "{got:?}");
     }
 
     #[test]

@@ -6,20 +6,36 @@
 //! matrix `Fm`, and the convolution becomes the GEMM `Fm × Dm`.
 //!
 //! `Dm` itself is never built. Each sample is copied once into the
-//! interior of a zero-bordered `(H+2p)×(W+2p)` staging slot, and the
-//! micro-kernel's packed B panels are gathered straight from that slot
-//! through two offset tables built once per geometry: `lanes[j]`, the
-//! top-left tap of output position `j`, and `rows[r]`, the offset of
-//! `Dm` row `r = (c, ky, kx)` from it. Panel element `(r, j)` is
-//! `slot[rows[r] + lanes[j]]`, bit for bit what im2col followed by
-//! packing put there, padding taps included. The same gather with the
-//! two tables swapped packs `Dmᵀ` for the weight gradient; the input
-//! gradient goes back through the adjoint scatter `col2im`.
+//! interior of a zero-bordered `(H+2p)×(W+2p)` staging slot, and two
+//! offset tables are built once per geometry: `rows[r]`, the offset of
+//! `Dm` row `r = (c, ky, kx)` from a position's top-left tap, and
+//! `lanes[j]`, the top-left tap `(oy·s)·(W+2p) + ox·s` of output
+//! position `j = (oy, ox)`. Tap `(r, j)` is `slot[rows[r] + lanes[j]]`,
+//! bit for bit the element im2col would put in `Dm`, padding taps
+//! included.
+//!
+//! The forward computes each output plane over the padded width: at
+//! every position `j' < n' = (R−1)·s·(W+2p) + (C−1)·s + 1`, so row `r`
+//! of B panel `q` is the contiguous run `slot[rows[r] + q·NR..][..NR]`,
+//! and the micro-kernel loads B straight from the slot through `rows`
+//! (see [`crate::microkernel`]'s `Taps`); nothing is packed. Positions
+//! between the output grid's points, and the last panel's lanes past
+//! `n'`, are computed and dropped: one write-back keeps position
+//! `lanes[j]` of each plane and adds the bias (the i8 forward
+//! dequantizes in the same pass). Each slot ends in a zeroed tail of
+//! NR−1 elements that the last panel's lanes past `n'` read, so a
+//! sample reads only its own slot. Each kept output sums the same taps
+//! in the same `(c, ky, kx)` order as `Fm × Dm`, so the result is the
+//! GEMM's bit for bit, at any stride.
+//!
+//! The weight gradient gathers packed `Dmᵀ` panels from the slot with
+//! the two tables swapped; the input gradient goes back through the
+//! adjoint scatter `col2im`.
 //!
 //! The entry points are [`conv2d_forward_ws`] and [`conv2d_backward_ws`]
 //! (f32, the pair a training step runs) and [`conv2d_forward_i8_ws`]
 //! (fixed point). All three run through a [`ConvWorkspace`], which
-//! keeps the tables, the staging and the packing scratch across calls —
+//! keeps the tables, the staging and the GEMM scratch across calls —
 //! eliminating steady-state allocations — and carries the forward
 //! pass's staged samples to the backward pass. Batched passes
 //! parallelize over the batch dimension on the shared worker pool (see
@@ -28,7 +44,7 @@
 //! bitwise identical for any thread count.
 
 use crate::error::TensorError;
-use crate::microkernel::Kernel;
+use crate::microkernel::{Kernel, Packed, Taps};
 use crate::pack::{grow_scratch, pack_a, pack_a_i8, pack_b, packed_a_len, packed_b_len};
 use crate::parallel::{par_split, PerUnit};
 use crate::quant::{quantize_i8, QuantizedMatrix};
@@ -161,15 +177,31 @@ impl ConvGeometry {
         (wp, (self.in_h + 2 * self.pad) * wp)
     }
 
-    /// Elements of one sample's staging slot: `N·(H+2p)·(W+2p)`.
+    /// Elements of one sample's zero-bordered copy: `N·(H+2p)·(W+2p)`.
     fn staging_len(&self) -> usize {
         self.in_channels * self.padded_plane().1
+    }
+
+    /// Stride of the staging slots: the zero-bordered copy plus a zeroed
+    /// tail of `nr − 1` elements, which the last B panel's lanes past
+    /// the last position read at panel width `nr`.
+    fn slot_len(&self, nr: usize) -> usize {
+        self.staging_len() + nr - 1
+    }
+
+    /// Positions the forward computes per output plane: `n' =
+    /// (R−1)·s·(W+2p) + (C−1)·s + 1`, from the first output's top-left
+    /// tap to the last's, over the padded width.
+    fn padded_cols(&self) -> usize {
+        let (wp, _) = self.padded_plane();
+        (self.out_h - 1) * self.stride * wp + (self.out_w - 1) * self.stride + 1
     }
 }
 
 /// Copies one flattened `(C, H, W)` sample into the interior of its
 /// zero-bordered staging slot. Only the interior is written, so the
-/// border keeps the zeros it was given when the geometry was set.
+/// border and the tail keep the zeros they were given when the
+/// geometry was set or the staging grew.
 fn stage_sample<T: Copy>(x: &[T], g: &ConvGeometry, slot: &mut [T]) {
     let (wp, plane) = g.padded_plane();
     let (h, w, p) = (g.in_h, g.in_w, g.pad);
@@ -183,8 +215,9 @@ fn stage_sample<T: Copy>(x: &[T], g: &ConvGeometry, slot: &mut [T]) {
 
 /// Fills packed B panels (the [`crate::pack`] layout) straight from a
 /// staging slot: `dst[q][kk][j] = slot[ks[kk] + cols[q·NR + j]]`, with
-/// the lanes past the last column zeroed. With `ks = rows` and
-/// `cols = lanes` this packs `Dm`; with the tables swapped, `Dmᵀ`.
+/// the lanes past the last column zeroed. With `ks = lanes` and
+/// `cols = rows` this packs `Dmᵀ`, the weight gradient's B operand
+/// (with the tables the other way round, `Dm`).
 fn gather_panels<T: Copy + Default>(
     slot: &[T],
     ks: &[usize],
@@ -234,6 +267,40 @@ fn col2im_into(c_: &[f32], g: &ConvGeometry, o: &mut [f32]) {
     }
 }
 
+/// The write-back of a forward pass: each output `(m, oy, ox)` is
+/// `plane(m)(v)` of the product `v` at position `(oy·s)·(W+2p) + ox·s`
+/// of plane `m` of `acc`, the `(M, n')` products over the padded width.
+/// `plane` runs once per output channel, so its constants stay out of
+/// the element loop.
+fn write_back<T: Copy, G: Fn(T) -> f32>(
+    acc: &[T],
+    g: &ConvGeometry,
+    dst: &mut [f32],
+    plane: impl Fn(usize) -> G,
+) {
+    let (wp, _) = g.padded_plane();
+    let s = g.stride;
+    let planes = dst.chunks_exact_mut(g.col_cols()).zip(acc.chunks_exact(g.padded_cols()));
+    for (m, (dplane, aplane)) in planes.enumerate() {
+        let f = plane(m);
+        // Output row oy starts at position oy·s·(W+2p).
+        for (drow, arow) in dplane.chunks_exact_mut(g.out_w).zip(aplane.chunks(s * wp)) {
+            // Unit stride gets its own zip because it vectorizes; a single
+            // loop over `step_by(s)` or `arow[ox * s]` does not, and made
+            // a whole `infer_conv1` call (36-wide rows) 1.2–1.6× slower.
+            if s == 1 {
+                for (d, &v) in drow.iter_mut().zip(arow) {
+                    *d = f(v);
+                }
+            } else {
+                for (d, &v) in drow.iter_mut().zip(arow.iter().step_by(s)) {
+                    *d = f(v);
+                }
+            }
+        }
+    }
+}
+
 /// Reusable scratch buffers for batched convolution passes.
 ///
 /// A fresh workspace allocates on first use; later passes with the
@@ -253,19 +320,26 @@ fn col2im_into(c_: &[f32], g: &ConvGeometry, o: &mut [f32]) {
 /// inherits the saved forward pass.
 #[derive(Debug, Default)]
 pub struct ConvWorkspace {
-    /// Geometry the tables are built for and the staging borders are
-    /// zeroed for, if any.
+    /// Geometry the tables are built for and the staging borders and
+    /// tails are zeroed for, if any.
     key: Option<ConvGeometry>,
     /// Per output position `j = (oy, ox)`: the offset of its top-left
     /// tap in a zero-bordered channel plane, `(oy·s)·(W+2p) + ox·s`.
+    /// The forward's write-back keeps these positions; the weight
+    /// gradient's gather reads its k-steps through them.
     lanes: Vec<usize>,
     /// Per `Dm` row `r = (c, ky, kx)`: `c·(H+2p)·(W+2p) + ky·(W+2p) + kx`,
     /// so `rows[r] + lanes[j]` is the staging offset of tap `(r, j)`.
+    /// The forward's micro-kernel loads B row `r` at `rows[r]`.
     rows: Vec<usize>,
-    /// Per-sample zero-bordered copies of the f32 input,
-    /// `b × N·(H+2p)·(W+2p)`. Zeroed whole when the geometry changes;
-    /// passes write only interiors, so the borders stay zero across
-    /// batch sizes. The backward pass gathers `Dmᵀ` from here.
+    /// Per-sample slots of the f32 input, `b ×` [`slot_len`]: a
+    /// zero-bordered copy `N·(H+2p)·(W+2p)`, then a zeroed tail of
+    /// NR−1 elements. Zeroed whole when the geometry changes, and grown
+    /// with zeros; passes write only interiors, so borders and tails
+    /// stay zero across batch sizes. The forward's micro-kernel reads B
+    /// from here, and the backward pass gathers `Dmᵀ` from here.
+    ///
+    /// [`slot_len`]: ConvGeometry::slot_len
     staging: Vec<f32>,
     /// Batch size of the last f32 forward pass, whose samples
     /// `staging` holds for the backward pass.
@@ -283,8 +357,10 @@ pub struct ConvWorkspace {
     packed_w: Vec<f32>,
     /// Packed `Fmᵀ` (backward dcol A-operand, shared by the batch).
     packed_wt: Vec<f32>,
-    /// Per-sample packed `Dm` panels (forward B-operand).
-    packed_cols: Vec<f32>,
+    /// Per-sample `(M, n')` products of the f32 forward over the padded
+    /// width (see [`ConvGeometry::padded_cols`]), which the write-back
+    /// reads.
+    acc_f32: Vec<f32>,
     /// Per-sample packed `dY` as A-operand (dW GEMM).
     packed_dy_a: Vec<f32>,
     /// Per-sample packed `Dmᵀ` panels (dW B-operand).
@@ -294,16 +370,13 @@ pub struct ConvWorkspace {
     /// Packed quantized filter matrix (i8 forward A-operand).
     packed_w_i8: Vec<i8>,
     /// Per-sample quantized input samples: the input is quantized
-    /// *once* here, then staged — quantizing the gathered panels
-    /// instead would round every input element K² times.
+    /// *once* here, then staged.
     qx: Vec<i8>,
-    /// Per-sample zero-bordered quantized samples, laid out and zeroed
-    /// exactly like `staging` (`quantize(0) == 0`).
+    /// Per-sample slots of the quantized input, laid out, zeroed and
+    /// read exactly like `staging` (`quantize(0) == 0`).
     staging_i8: Vec<i8>,
-    /// Per-sample packed quantized `Dm` panels (i8 B-operand).
-    packed_cols_i8: Vec<i8>,
-    /// Per-sample i32 accumulators of the i8 forward, dequantized into
-    /// the f32 output.
+    /// Per-sample `(M, n')` i32 accumulators of the i8 forward, which
+    /// the write-back dequantizes into the f32 output.
     acc_i32: Vec<i32>,
     /// How many times any buffer above has grown (see
     /// [`ConvWorkspace::reallocations`]).
@@ -334,9 +407,11 @@ impl ConvWorkspace {
         grow_scratch(buf, len, grows, "conv");
     }
 
-    /// Builds the gather tables for `g` and zeroes both stagings, unless
-    /// they already serve `g`. A new geometry also forgets the saved
-    /// forward pass.
+    /// Builds the tables for `g` and zeroes both stagings, borders and
+    /// tails included, unless they already serve `g`. A new geometry
+    /// also forgets the saved forward pass. The slot stride depends on
+    /// the kernel's NR as well, which [`Kernel::select`] fixes once per
+    /// process.
     fn set_geometry(&mut self, g: &ConvGeometry) {
         if self.key == Some(*g) {
             return;
@@ -359,43 +434,37 @@ impl ConvWorkspace {
     }
 
     /// Readies the tables and staging for `b` samples of geometry `g`
-    /// and sizes the forward packing buffers.
+    /// and sizes the packed weights and the products.
     fn prepare_forward(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) {
         self.set_geometry(g);
         let grows = &mut self.grows;
-        Self::grow(&mut self.staging, b * g.staging_len(), grows);
+        Self::grow(&mut self.staging, b * g.slot_len(kern.nr()), grows);
         Self::grow(
             &mut self.packed_w,
             packed_a_len(g.out_channels, g.col_rows(), kern.mr()),
             grows,
         );
-        Self::grow(
-            &mut self.packed_cols,
-            b * packed_b_len(g.col_rows(), g.col_cols(), kern.nr()),
-            grows,
-        );
+        Self::grow(&mut self.acc_f32, b * g.out_channels * g.padded_cols(), grows);
     }
 
     /// Readies the quantized-forward buffers: the tables, the i8 input
-    /// and its staging, plus the i8 panels and i32 accumulators.
+    /// and its staging, the packed i8 weights and the i32 accumulators.
     fn prepare_forward_i8(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) {
         self.set_geometry(g);
-        let (nk2, p) = (g.col_rows(), g.col_cols());
         let grows = &mut self.grows;
         grow_scratch(
             &mut self.packed_w_i8,
-            packed_a_len(g.out_channels, nk2, kern.mr()),
+            packed_a_len(g.out_channels, g.col_rows(), kern.mr()),
             grows,
             "conv_i8",
         );
         grow_scratch(&mut self.qx, b * g.in_channels * g.in_h * g.in_w, grows, "conv_i8");
-        grow_scratch(&mut self.staging_i8, b * g.staging_len(), grows, "conv_i8");
-        grow_scratch(&mut self.packed_cols_i8, b * packed_b_len(nk2, p, kern.nr()), grows, "conv_i8");
-        grow_scratch(&mut self.acc_i32, b * g.out_channels * p, grows, "conv_i8");
+        grow_scratch(&mut self.staging_i8, b * g.slot_len(kern.nr()), grows, "conv_i8");
+        grow_scratch(&mut self.acc_i32, b * g.out_channels * g.padded_cols(), grows, "conv_i8");
     }
 
     /// Sizes the backward scratch and packing buffers (contents need no
-    /// zeroing: the packed kernels, packers and gather assign every
+    /// zeroing: the micro-kernels, packers and gather assign every
     /// element).
     fn prepare_backward(&mut self, b: usize, g: &ConvGeometry, kern: Kernel) {
         let (m, nk2, p) = (g.out_channels, g.col_rows(), g.col_cols());
@@ -447,10 +516,10 @@ pub fn conv2d_forward_ws(
         4 * (b * sample_len + weight.len() + bias.len() + b * out_len) as u64,
     );
     let nk2 = g.col_rows();
-    let positions = g.col_cols();
-    let slot = g.staging_len();
+    let (nr, wide) = (kern.nr(), g.padded_cols());
+    let slot = g.slot_len(nr);
     let pa_len = packed_a_len(g.out_channels, nk2, kern.mr());
-    let pb_len = packed_b_len(nk2, positions, kern.nr());
+    let acc_len = g.out_channels * wide;
     let mut out = Tensor::zeros([b, g.out_channels, g.out_h, g.out_w]);
     let xv = input.as_slice();
     {
@@ -461,28 +530,26 @@ pub fn conv2d_forward_ws(
     }
     let bv = bias.as_slice();
     let pw = &ws.packed_w[..pa_len];
-    let (rows, lanes) = (&ws.rows[..nk2], &ws.lanes[..positions]);
+    let rows = &ws.rows[..nk2];
     let bufs = (
         PerUnit::new(out.as_mut_slice(), out_len),
         PerUnit::new(&mut ws.staging[..b * slot], slot),
-        PerUnit::new(&mut ws.packed_cols[..b * pb_len], pb_len),
+        PerUnit::new(&mut ws.acc_f32[..b * acc_len], acc_len),
     );
-    par_split(b, b as u64 * g.ops(), bufs, |samples, (dst, stage, pcols)| {
+    par_split(b, b as u64 * g.ops(), bufs, |samples, (dst, stage, accs)| {
         for (i, s) in samples.enumerate() {
             let dst = &mut dst[i * out_len..][..out_len];
             let stage = &mut stage[i * slot..][..slot];
-            let pcol = &mut pcols[i * pb_len..][..pb_len];
+            let acc = &mut accs[i * acc_len..][..acc_len];
             stage_sample(&xv[s * sample_len..][..sample_len], g, stage);
-            gather_panels(stage, rows, lanes, kern.nr(), pcol);
-            // Fm × Dm: the micro-kernel assigns every output element,
-            // then the bias is added on top.
-            kern.run_band(pw, pcol, nk2, positions, 0..g.out_channels, dst);
-            for m in 0..g.out_channels {
+            // Fm × Dm over the padded width, B read from the slot; the
+            // micro-kernel assigns every product, and the write-back
+            // keeps the outputs and adds the bias.
+            kern.run_band(pw, Taps::new(stage, rows, wide, nr), 0..g.out_channels, acc);
+            write_back(acc, g, dst, |m| {
                 let bm = bv[m];
-                for v in &mut dst[m * positions..(m + 1) * positions] {
-                    *v += bm;
-                }
-            }
+                move |v: f32| v + bm
+            });
         }
     });
     ws.saved_batch = Some(b);
@@ -497,15 +564,14 @@ pub fn conv2d_forward_ws(
 /// * `qweight`: the filter bank flattened to `(M, N·K²)` and quantized
 ///   per output channel ([`QuantizedMatrix`]).
 ///
-/// Each sample is quantized once, then staged and gathered into panels
-/// in the i8 domain (both only move values, and `quantize(0) == 0`
-/// keeps the zero border — quantizing the gathered panels instead
-/// would round each element K² times for bit-identical output), the
-/// GEMM runs in i8 with i32 accumulation, and each output channel
-/// dequantizes with `in_scale · w_scale[m]` before the f32 bias is
-/// added. Integer accumulation is exact and the dequantization is
-/// element-wise, so the result is deterministic at any kernel and
-/// thread count. Buffers live in `ws` and only ever grow: steady state
+/// Each sample is quantized once and staged in the i8 domain (staging
+/// only moves values, and `quantize(0) == 0` keeps the zero border),
+/// the GEMM runs in i8 with i32 accumulation, reading its B operand
+/// from the i8 slot as the f32 forward does, and the write-back
+/// dequantizes each output channel with `in_scale · w_scale[m]` before
+/// the f32 bias is added. Integer accumulation is exact and the
+/// dequantization is element-wise, so the result is deterministic at
+/// any kernel and thread count. Buffers live in `ws` and only ever grow: steady state
 /// allocates nothing beyond the returned output tensor.
 ///
 /// # Errors
@@ -552,17 +618,16 @@ pub fn conv2d_forward_i8_ws(
             g.pad
         )
     });
-    let slot = g.staging_len();
+    let (nr, wide) = (kern.nr(), g.padded_cols());
+    let slot = g.slot_len(nr);
     telemetry::counter_add(
         "tensor.quant.bytes",
         "conv_i8",
-        (4 * b * sample_len + qweight.data().len() + b * slot + 4 * b * out_len) as u64,
+        (4 * b * sample_len + qweight.data().len() + b * g.staging_len() + 4 * b * out_len) as u64,
     );
     let nk2 = g.col_rows();
-    let positions = g.col_cols();
     let pa_len = packed_a_len(g.out_channels, nk2, kern.mr());
-    let pb_len = packed_b_len(nk2, positions, kern.nr());
-    let acc_len = g.out_channels * positions;
+    let acc_len = g.out_channels * wide;
     let mut out = Tensor::zeros([b, g.out_channels, g.out_h, g.out_w]);
     let xv = input.as_slice();
     {
@@ -579,38 +644,26 @@ pub fn conv2d_forward_i8_ws(
     let bv = bias.as_slice();
     let scales = qweight.scales();
     let pw = &ws.packed_w_i8[..pa_len];
-    let (rows, lanes) = (&ws.rows[..nk2], &ws.lanes[..positions]);
+    let rows = &ws.rows[..nk2];
     let bufs = (
         PerUnit::new(out.as_mut_slice(), out_len),
         PerUnit::new(&mut ws.qx[..b * sample_len], sample_len),
         PerUnit::new(&mut ws.staging_i8[..b * slot], slot),
-        PerUnit::new(&mut ws.packed_cols_i8[..b * pb_len], pb_len),
         PerUnit::new(&mut ws.acc_i32[..b * acc_len], acc_len),
     );
-    par_split(b, b as u64 * g.ops(), bufs, |samples, (dst, qx, stage, pcols, acc)| {
+    par_split(b, b as u64 * g.ops(), bufs, |samples, (dst, qx, stage, accs)| {
         for (i, s) in samples.enumerate() {
             let dst = &mut dst[i * out_len..][..out_len];
             let qxs = &mut qx[i * sample_len..][..sample_len];
             let stage = &mut stage[i * slot..][..slot];
-            let pcol = &mut pcols[i * pb_len..][..pb_len];
-            let acc = &mut acc[i * acc_len..][..acc_len];
-            // Quantize the sample once, then gather in the i8 domain:
-            // the panels hold each element up to K² times, so rounding
-            // after the gather would do K² times the work for
-            // bit-identical output.
+            let acc = &mut accs[i * acc_len..][..acc_len];
             quantize_i8(&xv[s * sample_len..][..sample_len], in_scale, qxs);
             stage_sample(qxs, g, stage);
-            gather_panels(stage, rows, lanes, kern.nr(), pcol);
-            kern.run_band_i8(pw, pcol, nk2, positions, 0..g.out_channels, acc);
-            for m in 0..g.out_channels {
-                let factor = in_scale * scales[m];
-                let bm = bv[m];
-                let arow = &acc[m * positions..(m + 1) * positions];
-                let drow = &mut dst[m * positions..(m + 1) * positions];
-                for (d, &a) in drow.iter_mut().zip(arow) {
-                    *d = a as f32 * factor + bm;
-                }
-            }
+            kern.run_band_i8(pw, Taps::new(stage, rows, wide, nr), 0..g.out_channels, acc);
+            write_back(acc, g, dst, |m| {
+                let (factor, bm) = (in_scale * scales[m], bv[m]);
+                move |a: i32| a as f32 * factor + bm
+            });
         }
     });
     Ok(out)
@@ -668,13 +721,13 @@ pub fn conv2d_backward_ws(
     let out_len = m_ch * positions;
     let sample_len = g.in_channels * g.in_h * g.in_w;
     let col_len = nk2 * positions;
-    let slot = g.staging_len();
+    let slot = g.slot_len(nr);
     let dw_len = m_ch * nk2;
     let _t = conv_telemetry(
         "tensor.conv2d_bwd",
         b,
         g,
-        4 * (b * (out_len + slot + sample_len) + weight.len() + dw_len) as u64,
+        4 * (b * (out_len + g.staging_len() + sample_len) + weight.len() + dw_len) as u64,
     );
 
     let mut dinput = Tensor::zeros([b, g.in_channels, g.in_h, g.in_w]);
@@ -704,7 +757,7 @@ pub fn conv2d_backward_ws(
     par_split(b, flops, bufs, |samples, (dxs, dcols, dws, dbs, pdyas, pcolts, pdybs)| {
         for (i, s) in samples.enumerate() {
             let dy = &dv[s * out_len..(s + 1) * out_len]; // (M, P)
-            let stage = &staging[s * slot..(s + 1) * slot];
+            let stage = &staging[s * slot..][..slot];
             let pdya = &mut pdyas[i * pdya_len..][..pdya_len];
             let pcolt = &mut pcolts[i * pcolt_len..][..pcolt_len];
             let pdyb = &mut pdybs[i * pdyb_len..][..pdyb_len];
@@ -717,7 +770,7 @@ pub fn conv2d_backward_ws(
             // assigns every element, so `dw` needs no pre-zeroing.
             pack_a(dy, m_ch, positions, false, mr, pdya);
             gather_panels(stage, lanes, rows, nr, pcolt);
-            kern.run_band(pdya, pcolt, positions, nk2, 0..m_ch, dw);
+            kern.run_band(pdya, Packed::new(pcolt, positions, nk2, nr), 0..m_ch, dw);
             // db_s = row sums of dY.
             for m in 0..m_ch {
                 db[m] = dy[m * positions..(m + 1) * positions].iter().sum::<f32>();
@@ -725,7 +778,7 @@ pub fn conv2d_backward_ws(
             // dX_s = col2im(Wᵀ · dY); the kernel assigns every element
             // of dcol, which col2im then scatters into dx.
             pack_b(dy, m_ch, positions, false, nr, pdyb);
-            kern.run_band(pwt, pdyb, m_ch, positions, 0..nk2, dcol);
+            kern.run_band(pwt, Packed::new(pdyb, m_ch, positions, nr), 0..nk2, dcol);
             col2im_into(dcol, g, dx);
         }
     });
@@ -1086,12 +1139,12 @@ mod tests {
             telemetry::snapshot().counter("tensor.scratch_bytes", "conv").map_or(0, |c| c.total);
         telemetry::set_enabled(false);
         telemetry::reset();
-        // Two samples, each zero-bordered to 2 × 7 × 7.
-        assert_eq!(ws.staging.len(), 2 * 2 * 7 * 7);
+        // Two slots, each zero-bordered to 2 × 7 × 7 with an NR−1 tail.
+        assert_eq!(ws.staging.len(), 2 * (2 * 7 * 7 + Kernel::select().nr() - 1));
         let grown = [
             4 * ws.staging.len(),
             4 * ws.packed_w.len(),
-            4 * ws.packed_cols.len(),
+            4 * ws.acc_f32.len(),
             std::mem::size_of::<usize>() * ws.lanes.len(),
             std::mem::size_of::<usize>() * ws.rows.len(),
         ];
@@ -1100,6 +1153,42 @@ mod tests {
         // test can add its own growth while recording is on.
         let total = grown.iter().sum::<usize>() as u64;
         assert!(counted >= total, "scratch_bytes counted {counted} of {total} grown bytes");
+    }
+
+    #[test]
+    fn poisoned_slot_tails_reach_no_output() {
+        // The last B panel's lanes past the last position read the slot's
+        // tail, and the write-back drops them: NaN (f32) or −128 (i8) in
+        // every tail must leave the f32 forward, its backward and the i8
+        // forward bitwise equal to a clean workspace's. Each geometry has
+        // n' ≡ 1 (mod 16), so the last panel reads the whole tail at every
+        // panel width (4, 8, 16).
+        let nr = Kernel::select().nr();
+        let mut rng = Rng::seed_from(37);
+        for g in [small_geom(), ConvGeometry::new(3, 9, 9, 5, 3, 2, 1).unwrap()] {
+            assert_eq!(g.padded_cols() % 16, 1);
+            let b = 3;
+            let x = Tensor::rand_uniform([b, g.in_channels, g.in_h, g.in_w], -1.0, 1.0, &mut rng);
+            let w = Tensor::rand_uniform([g.out_channels, g.in_channels, 3, 3], -0.5, 0.5, &mut rng);
+            let bias = Tensor::rand_uniform([g.out_channels], -0.1, 0.1, &mut rng);
+            let dout = Tensor::rand_uniform([b, g.out_channels, g.out_h, g.out_w], -1.0, 1.0, &mut rng);
+            let mut ws = ConvWorkspace::new();
+            all_passes(&x, &w, &bias, &dout, &g, &mut ws);
+            let slot = g.slot_len(nr);
+            let tail = g.staging_len()..slot;
+            for s in 0..b {
+                ws.staging[s * slot..][tail.clone()].fill(f32::NAN);
+                ws.staging_i8[s * slot..][tail.clone()].fill(-128);
+            }
+            let got = all_passes(&x, &w, &bias, &dout, &g, &mut ws);
+            let want = all_passes(&x, &w, &bias, &dout, &g, &mut ConvWorkspace::new());
+            assert_eq!(got, want, "a poisoned tail reached an output at {g:?}");
+            // Staging writes interiors only: the poison is still there.
+            for s in 0..b {
+                assert!(ws.staging[s * slot..][tail.clone()].iter().all(|v| v.is_nan()));
+                assert!(ws.staging_i8[s * slot..][tail.clone()].iter().all(|&v| v == -128));
+            }
+        }
     }
 
     #[test]

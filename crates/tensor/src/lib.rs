@@ -4,9 +4,9 @@
 //! reproduction: packed register-tiled GEMM (BLIS-style operand packing
 //! into a reusable [`GemmScratch`] arena feeding an MR×NR micro-kernel),
 //! im2col convolution (the exact lowering the paper's Fig. 8 describes
-//! for GPU execution, with the micro-kernel's panels gathered straight
-//! from a zero-bordered copy of each sample rather than from a
-//! materialized im2col matrix), max pooling, and a deterministic PCG32
+//! for GPU execution, with the forward's micro-kernel reading its B
+//! operand in place from a zero-bordered copy of each sample rather
+//! than from a materialized im2col matrix), max pooling, and a deterministic PCG32
 //! random number generator so every experiment is reproducible from a
 //! single seed.
 //!

@@ -34,7 +34,7 @@
 //! the one remaining allocation).
 
 use crate::error::TensorError;
-use crate::microkernel::Kernel;
+use crate::microkernel::{Kernel, Packed};
 use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len};
 pub use crate::pack::GemmScratch;
 use crate::parallel::{par_split, PerUnit};
@@ -138,7 +138,7 @@ fn gemm_packed(
     let flops = 2 * m as u64 * k as u64 * n as u64;
     par_split(m.div_ceil(mr), flops, PerUnit::new(out, mr * n), |panels, band| {
         let rows = panels.start * mr..(panels.end * mr).min(m);
-        kern.run_band(pa, pb, k, n, rows, band);
+        kern.run_band(pa, Packed::new(pb, k, n, nr), rows, band);
     });
 }
 

@@ -1,21 +1,30 @@
 //! Register-tiled GEMM micro-kernels.
 //!
-//! A [`Kernel`] computes MR×NR output tiles of `C = A·B` from *packed*
-//! operand panels (see [`crate::pack`]): an A-panel stores MR rows
-//! k-major (`ap[k*MR + r]`), a B-panel stores NR columns k-major
-//! (`bp[k*NR + c]`). The k loop is one ascending pass with the whole
-//! tile of accumulators held in registers, so every output element is
-//! the plain left-to-right sum `((0 + a₀·b₀) + a₁·b₁) + …` — exactly
+//! A [`Kernel`] computes MR×NR output tiles of `C = A·B` from a *packed*
+//! A operand (see [`crate::pack`]): an A-panel stores MR rows k-major
+//! (`ap[k*MR + r]`). B comes through a [`BRows`] accessor that hands the
+//! body the NR contiguous elements of k-step `kk` in column panel `jp`:
+//! [`Packed`] reads packed panels (`bp[jp·NR·k + kk·NR..]`), and [`Taps`]
+//! reads a convolution's zero-bordered staging slot in place
+//! (`slot[rows[kk] + jp·NR..]`, see [`crate::conv`]). Each body is
+//! generic over the accessor, so one body per ISA and precision serves
+//! both, and the packed instance compiles to plain panel loads.
+//!
+//! The k loop is one ascending pass with the whole tile of
+//! accumulators held in registers, so every output element is the
+//! plain left-to-right sum `((0 + a₀·b₀) + a₁·b₁) + …` — exactly
 //! the chain [`matmul_naive`](crate::matmul_naive) produces. That makes
 //! the packed kernels bitwise-reproducible against the oracle for any
 //! tile shape, panel partition or thread count: parallelism and tiling
 //! only change *which* element is computed *when*, never the f32 op
 //! sequence behind one element.
 //!
-//! Ragged edges are handled by zero padding: panels are always full
+//! Ragged edges are handled by full tiles: panels are always full
 //! MR/NR wide, the micro-kernel always computes a full tile, and only
-//! the valid sub-rectangle is stored. Padded lanes multiply zeros and
-//! are discarded, so they cannot perturb valid elements.
+//! the valid sub-rectangle is stored. The lanes past `n` read zero
+//! padding (packed panels) or whatever lies past the last column in the
+//! slot (taps); either way the lane is computed on its own and
+//! discarded, so it cannot perturb a valid element.
 //!
 //! Four kernel variants share the determinism contract:
 //!
@@ -54,7 +63,7 @@
 //! # i8 tiles
 //!
 //! Each variant also carries an i8 micro-kernel ([`Kernel::run_band_i8`])
-//! over the *same* packed panel layout, accumulating in i32. Integer
+//! over the *same* operand layouts, accumulating in i32. Integer
 //! accumulation is exact, so — unlike f32 — **any** summation order is
 //! bitwise identical to the naive reference; the AVX2 variant exploits
 //! that by pairing adjacent k-steps for `vpmaddwd` (16 i16 products per
@@ -63,24 +72,125 @@
 //! codebase is orders of magnitude below that.
 
 use crate::error::TensorError;
+use crate::pack::packed_b_len;
 use crate::simd::Isa;
 use std::ops::Range;
 
-/// Generic MR×NR register tile: one ascending pass over `kc` packed
-/// k-steps. Kept `#[inline(always)]` so each instantiation inlines into
-/// its (possibly `target_feature`-annotated) wrapper and vectorizes
-/// under that wrapper's instruction set.
+/// Where a band body finds B: the NR contiguous elements of k-step `kk`
+/// in column panel `jp`, for `jp < ⌈n/NR⌉` and `kk < k`. Each
+/// implementation checks once, at construction, that every such row
+/// lies inside its buffer; the bodies then load rows unchecked.
+pub(crate) trait BRows<T>: Copy {
+    /// The GEMM depth `k`, width `n` and panel width NR the rows were
+    /// checked for.
+    fn dims(&self) -> (usize, usize, usize);
+
+    /// The first element of row `kk` of panel `jp`.
+    ///
+    /// # Safety
+    ///
+    /// `NR` must be the checked panel width, `jp < ⌈n/NR⌉` and `kk < k`.
+    unsafe fn row<const NR: usize>(self, jp: usize, kk: usize) -> *const T;
+}
+
+/// B packed into NR-wide k-major panels (the [`crate::pack`] layout):
+/// row `kk` of panel `jp` is `bp[jp·NR·k + kk·NR..][..NR]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Packed<'a, T> {
+    bp: &'a [T],
+    k: usize,
+    n: usize,
+    nr: usize,
+}
+
+impl<'a, T> Packed<'a, T> {
+    /// Panels of a `k × n` operand at panel width `nr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bp` is shorter than [`packed_b_len`]`(k, n, nr)`.
+    pub(crate) fn new(bp: &'a [T], k: usize, n: usize, nr: usize) -> Self {
+        let need = packed_b_len(k, n, nr);
+        assert!(bp.len() >= need, "packed B holds {} of {need} elements", bp.len());
+        Packed { bp, k, n, nr }
+    }
+}
+
+impl<T: Copy> BRows<T> for Packed<'_, T> {
+    fn dims(&self) -> (usize, usize, usize) {
+        (self.k, self.n, self.nr)
+    }
+
+    #[inline(always)]
+    unsafe fn row<const NR: usize>(self, jp: usize, kk: usize) -> *const T {
+        // SAFETY: `new` checked that the ⌈n/NR⌉ panels of NR·k
+        // elements fit in `bp`, and the caller keeps (jp, kk) inside.
+        unsafe { self.bp.as_ptr().add(jp * NR * self.k + kk * NR) }
+    }
+}
+
+/// B read in place from a convolution's staging slot: row `kk` of panel
+/// `jp` is `slot[rows[kk] + jp·NR..][..NR]`, so column `j` of row `kk`
+/// is `slot[rows[kk] + j]` (see [`crate::conv`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Taps<'a, T> {
+    slot: &'a [T],
+    rows: &'a [usize],
+    n: usize,
+    nr: usize,
+}
+
+impl<'a, T> Taps<'a, T> {
+    /// The `rows.len() × n` operand over `slot` at panel width `nr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the last panel's row at the largest offset in
+    /// `rows` ends inside `slot`: `max(rows) + ⌈n/nr⌉·nr ≤ slot.len()`.
+    /// The lanes of that panel past `n` read the slot's tail.
+    pub(crate) fn new(slot: &'a [T], rows: &'a [usize], n: usize, nr: usize) -> Self {
+        let end = rows.iter().max().map_or(0, |&r| r + n.div_ceil(nr) * nr);
+        assert!(
+            end <= slot.len(),
+            "B taps read to element {end} of a {}-element slot",
+            slot.len()
+        );
+        Taps { slot, rows, n, nr }
+    }
+}
+
+impl<T: Copy> BRows<T> for Taps<'_, T> {
+    fn dims(&self) -> (usize, usize, usize) {
+        (self.rows.len(), self.n, self.nr)
+    }
+
+    #[inline(always)]
+    unsafe fn row<const NR: usize>(self, jp: usize, kk: usize) -> *const T {
+        // SAFETY: `kk < k = rows.len()`, and `new` checked that the
+        // last panel's row at every offset in `rows` fits in `slot`.
+        unsafe { self.slot.as_ptr().add(*self.rows.get_unchecked(kk) + jp * NR) }
+    }
+}
+
+/// Generic MR×NR register tile of panel `jp`: one ascending pass over
+/// the `k` k-steps. Kept `#[inline(always)]` so each instantiation
+/// inlines into its (possibly `target_feature`-annotated) wrapper and
+/// vectorizes under that wrapper's instruction set.
 #[inline(always)]
-fn tile_body<const MR: usize, const NR: usize>(
-    kc: usize,
+fn tile_body<const MR: usize, const NR: usize, B: BRows<f32>>(
     ap: &[f32],
-    bp: &[f32],
+    b: B,
+    jp: usize,
+    k: usize,
 ) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
+    for (kk, a) in ap.chunks_exact(MR).take(k).enumerate() {
+        // SAFETY: the band body passes jp < ⌈n/NR⌉ and kk < k, with NR
+        // the width `run_band` checked `b` for.
+        let brow = unsafe { &*b.row::<NR>(jp, kk).cast::<[f32; NR]>() };
         for r in 0..MR {
             let ar = a[r];
-            for (accc, &bc) in acc[r].iter_mut().zip(b) {
+            for (accc, &bc) in acc[r].iter_mut().zip(brow) {
                 *accc += ar * bc;
             }
         }
@@ -90,20 +200,19 @@ fn tile_body<const MR: usize, const NR: usize>(
 
 /// Computes every tile of a panel-aligned row band of `C`.
 ///
-/// `ap`/`bp` are the *full* packed operands, `k`/`n` the logical GEMM
-/// dimensions, `rows` the absolute output-row range (its start must be
-/// MR-aligned; its end is the band edge, clipped to M on the last
-/// band), and `band` the `rows`-slice of the row-major `C` buffer.
-/// Every element of `band` is assigned (not accumulated).
+/// `ap` is the *full* packed A operand, `b` the B rows (which carry the
+/// GEMM dimensions `k`/`n`), `rows` the absolute output-row range (its
+/// start must be MR-aligned; its end is the band edge, clipped to M on
+/// the last band), and `band` the `rows`-slice of the row-major `C`
+/// buffer. Every element of `band` is assigned (not accumulated).
 #[inline(always)]
-fn band_body<const MR: usize, const NR: usize>(
+fn band_body<const MR: usize, const NR: usize, B: BRows<f32>>(
     ap: &[f32],
-    bp: &[f32],
-    k: usize,
-    n: usize,
+    b: B,
     rows: Range<usize>,
     band: &mut [f32],
 ) {
+    let (k, n, _) = b.dims();
     debug_assert_eq!(rows.start % MR, 0, "bands must start on a panel boundary");
     debug_assert_eq!(band.len(), rows.len() * n);
     let np = n.div_ceil(NR);
@@ -113,8 +222,7 @@ fn band_body<const MR: usize, const NR: usize>(
         for jp in 0..np {
             let j0 = jp * NR;
             let tile_cols = NR.min(n - j0);
-            let bpanel = &bp[jp * NR * k..][..NR * k];
-            let acc = tile_body::<MR, NR>(k, apanel, bpanel);
+            let acc = tile_body::<MR, NR, B>(apanel, b, jp, k);
             let out = &mut band[(i0 - rows.start) * n + j0..];
             for (r, acc_row) in acc.iter().enumerate().take(tile_rows) {
                 out[r * n..r * n + tile_cols].copy_from_slice(&acc_row[..tile_cols]);
@@ -127,16 +235,19 @@ fn band_body<const MR: usize, const NR: usize>(
 /// twin of [`tile_body`]. Exact, so any instruction-level reordering
 /// the autovectorizer applies is still bitwise-faithful.
 #[inline(always)]
-fn tile_body_i8<const MR: usize, const NR: usize>(
-    kc: usize,
+fn tile_body_i8<const MR: usize, const NR: usize, B: BRows<i8>>(
     ap: &[i8],
-    bp: &[i8],
+    b: B,
+    jp: usize,
+    k: usize,
 ) -> [[i32; NR]; MR] {
     let mut acc = [[0i32; NR]; MR];
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
+    for (kk, a) in ap.chunks_exact(MR).take(k).enumerate() {
+        // SAFETY: as in `tile_body`.
+        let brow = unsafe { &*b.row::<NR>(jp, kk).cast::<[i8; NR]>() };
         for r in 0..MR {
             let ar = i32::from(a[r]);
-            for (accc, &bc) in acc[r].iter_mut().zip(b) {
+            for (accc, &bc) in acc[r].iter_mut().zip(brow) {
                 *accc += ar * i32::from(bc);
             }
         }
@@ -145,16 +256,15 @@ fn tile_body_i8<const MR: usize, const NR: usize>(
 }
 
 /// i8 twin of [`band_body`]: every tile of a panel-aligned row band of
-/// the i32 output. Same argument contract, i8 panels in, i32 band out.
+/// the i32 output. Same argument contract, i8 operands in, i32 band out.
 #[inline(always)]
-fn band_body_i8<const MR: usize, const NR: usize>(
+fn band_body_i8<const MR: usize, const NR: usize, B: BRows<i8>>(
     ap: &[i8],
-    bp: &[i8],
-    k: usize,
-    n: usize,
+    b: B,
     rows: Range<usize>,
     band: &mut [i32],
 ) {
+    let (k, n, _) = b.dims();
     debug_assert_eq!(rows.start % MR, 0, "bands must start on a panel boundary");
     debug_assert_eq!(band.len(), rows.len() * n);
     let np = n.div_ceil(NR);
@@ -164,8 +274,7 @@ fn band_body_i8<const MR: usize, const NR: usize>(
         for jp in 0..np {
             let j0 = jp * NR;
             let tile_cols = NR.min(n - j0);
-            let bpanel = &bp[jp * NR * k..][..NR * k];
-            let acc = tile_body_i8::<MR, NR>(k, apanel, bpanel);
+            let acc = tile_body_i8::<MR, NR, B>(apanel, b, jp, k);
             let out = &mut band[(i0 - rows.start) * n + j0..];
             for (r, acc_row) in acc.iter().enumerate().take(tile_rows) {
                 out[r * n..r * n + tile_cols].copy_from_slice(&acc_row[..tile_cols]);
@@ -183,8 +292,10 @@ fn band_body_i8<const MR: usize, const NR: usize>(
 /// scalar tile for any k within the module-doc bound.
 ///
 /// Both operands are pair-interleaved with a byte shuffle
-/// (`vpshufb` + sign-extend turns 16 packed bytes of two adjacent
-/// k-steps directly into madd-ready dword lanes). The A side is
+/// (`vpshufb` + sign-extend turns 16 bytes of two adjacent k-steps
+/// directly into madd-ready dword lanes). B's two k-steps come from two
+/// 8-byte row loads joined with `_mm_unpacklo_epi64`, which serves
+/// packed panels and staging slots alike. The A side is
 /// interleaved once per row band into a stack buffer — the hot loop
 /// then runs one broadcast-load, one madd and one add per row, with no
 /// scalar pair assembly on the critical path. The buffer is a fixed
@@ -197,15 +308,9 @@ fn band_body_i8<const MR: usize, const NR: usize>(
 /// [`Kernel::select`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn band_avx2_i8_8x8(
-    ap: &[i8],
-    bp: &[i8],
-    k: usize,
-    n: usize,
-    rows: Range<usize>,
-    band: &mut [i32],
-) {
+unsafe fn band_avx2_i8_8x8<B: BRows<i8>>(ap: &[i8], b: B, rows: Range<usize>, band: &mut [i32]) {
     use std::arch::x86_64::*;
+    let (k, n, _) = b.dims();
     debug_assert_eq!(rows.start % 8, 0, "bands must start on a panel boundary");
     debug_assert_eq!(band.len(), rows.len() * n);
     if k == 0 {
@@ -216,7 +321,7 @@ unsafe fn band_avx2_i8_8x8(
     }
     let np = n.div_ceil(8);
     // Byte-shuffle masks: `interleave` turns the 16 bytes of two
-    // adjacent packed k-steps into (x_k[i], x_{k+1}[i]) byte pairs;
+    // adjacent k-steps (8 each) into (x_k[i], x_{k+1}[i]) byte pairs;
     // `spread` does the same for a lone final k-step with a zero
     // partner (0x80 index ⇒ pshufb writes 0).
     #[rustfmt::skip]
@@ -258,13 +363,16 @@ unsafe fn band_avx2_i8_8x8(
             for jp in 0..np {
                 let j0 = jp * 8;
                 let tile_cols = 8.min(n - j0);
-                let bpanel = &bp[jp * 8 * k..][..8 * k];
                 let mut acc = [_mm256_setzero_si256(); 8];
                 let mut p = 0usize;
                 let mut kk = k0;
                 while kk + 1 < kend {
-                    // SAFETY: bpanel holds 8·k bytes and kk+2 ≤ k.
-                    let raw = _mm_loadu_si128(bpanel.as_ptr().add(kk * 8).cast());
+                    // SAFETY: jp < ⌈n/8⌉ and kk+1 < k, with 8 the width
+                    // `run_band_i8` checked `b` for.
+                    let raw = _mm_unpacklo_epi64(
+                        _mm_loadl_epi64(b.row::<8>(jp, kk).cast()),
+                        _mm_loadl_epi64(b.row::<8>(jp, kk + 1).cast()),
+                    );
                     let bpair = _mm256_cvtepi8_epi16(_mm_shuffle_epi8(raw, interleave));
                     for (r, accr) in acc.iter_mut().enumerate() {
                         let apair = _mm256_set1_epi32(*apairs.get_unchecked(p * 8 + r));
@@ -274,7 +382,7 @@ unsafe fn band_avx2_i8_8x8(
                     p += 1;
                 }
                 if kk < kend {
-                    let raw = _mm_loadl_epi64(bpanel.as_ptr().add(kk * 8).cast());
+                    let raw = _mm_loadl_epi64(b.row::<8>(jp, kk).cast());
                     let bpair = _mm256_cvtepi8_epi16(_mm_shuffle_epi8(raw, spread));
                     for (r, accr) in acc.iter_mut().enumerate() {
                         let apair = _mm256_set1_epi32(*apairs.get_unchecked(p * 8 + r));
@@ -322,8 +430,8 @@ unsafe fn band_avx2_i8_8x8(
 /// (see [`Kernel::select`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn band_avx2_8x8(ap: &[f32], bp: &[f32], k: usize, n: usize, rows: Range<usize>, band: &mut [f32]) {
-    band_body::<8, 8>(ap, bp, k, n, rows, band);
+unsafe fn band_avx2_8x8<B: BRows<f32>>(ap: &[f32], b: B, rows: Range<usize>, band: &mut [f32]) {
+    band_body::<8, 8, B>(ap, b, rows, band);
 }
 
 /// Hand-written AVX-512 f32 band: 8×16 tiles in zmm registers. The
@@ -340,15 +448,9 @@ unsafe fn band_avx2_8x8(ap: &[f32], bp: &[f32], k: usize, n: usize, rows: Range<
 /// [`Kernel::select`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn band_avx512_8x16(
-    ap: &[f32],
-    bp: &[f32],
-    k: usize,
-    n: usize,
-    rows: Range<usize>,
-    band: &mut [f32],
-) {
+unsafe fn band_avx512_8x16<B: BRows<f32>>(ap: &[f32], b: B, rows: Range<usize>, band: &mut [f32]) {
     use std::arch::x86_64::*;
+    let (k, n, _) = b.dims();
     debug_assert_eq!(rows.start % 8, 0, "bands must start on a panel boundary");
     debug_assert_eq!(band.len(), rows.len() * n);
     let np = n.div_ceil(16);
@@ -358,15 +460,14 @@ unsafe fn band_avx512_8x16(
         for jp in 0..np {
             let j0 = jp * 16;
             let tile_cols = 16.min(n - j0);
-            let bpanel = &bp[jp * 16 * k..][..16 * k];
             let mut acc = [_mm512_setzero_ps(); 8];
             for kk in 0..k {
-                // SAFETY: bpanel holds 16·k floats, so the 16-wide load
-                // at k-step kk is in bounds.
-                let b = _mm512_loadu_ps(bpanel.as_ptr().add(kk * 16));
+                // SAFETY: jp < ⌈n/16⌉ and kk < k, with 16 the width
+                // `run_band` checked `b` for.
+                let brow = _mm512_loadu_ps(b.row::<16>(jp, kk));
                 for (r, accr) in acc.iter_mut().enumerate() {
                     let a = _mm512_set1_ps(*apanel.get_unchecked(kk * 8 + r));
-                    *accr = _mm512_add_ps(*accr, _mm512_mul_ps(a, b));
+                    *accr = _mm512_add_ps(*accr, _mm512_mul_ps(a, brow));
                 }
             }
             let out = &mut band[(i0 - rows.start) * n + j0..];
@@ -397,9 +498,10 @@ unsafe fn band_avx512_8x16(
 /// the module-doc bound.
 ///
 /// The A side reuses the AVX2 kernel's pair-interleaved staging
-/// (A panels are still 8 rows); the B side interleaves two adjacent
-/// 16-byte k-steps with `unpacklo/hi` and sign-extends the 32 bytes to
-/// 16 madd-ready dword lanes in one `_mm512_cvtepi8_epi16`.
+/// (A panels are still 8 rows); the B side loads the 16-byte rows of
+/// two adjacent k-steps one at a time, interleaves them with
+/// `unpacklo/hi` and sign-extends the 32 bytes to 16 madd-ready dword
+/// lanes in one `_mm512_cvtepi8_epi16`.
 ///
 /// # Safety
 ///
@@ -407,15 +509,14 @@ unsafe fn band_avx512_8x16(
 /// AVX-512F and AVX-512BW (see [`Kernel::select`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512bw")]
-unsafe fn band_avx512_i8_8x16(
+unsafe fn band_avx512_i8_8x16<B: BRows<i8>>(
     ap: &[i8],
-    bp: &[i8],
-    k: usize,
-    n: usize,
+    b: B,
     rows: Range<usize>,
     band: &mut [i32],
 ) {
     use std::arch::x86_64::*;
+    let (k, n, _) = b.dims();
     debug_assert_eq!(rows.start % 8, 0, "bands must start on a panel boundary");
     debug_assert_eq!(band.len(), rows.len() * n);
     if k == 0 {
@@ -460,15 +561,14 @@ unsafe fn band_avx512_i8_8x16(
             for jp in 0..np {
                 let j0 = jp * 16;
                 let tile_cols = 16.min(n - j0);
-                let bpanel = &bp[jp * 16 * k..][..16 * k];
                 let mut acc = [_mm512_setzero_si512(); 8];
                 let mut p = 0usize;
                 let mut kk = k0;
                 while kk + 1 < kend {
-                    // SAFETY: bpanel holds 16·k bytes and kk+2 ≤ k, so
-                    // both 16-byte k-step loads are in bounds.
-                    let raw0 = _mm_loadu_si128(bpanel.as_ptr().add(kk * 16).cast());
-                    let raw1 = _mm_loadu_si128(bpanel.as_ptr().add((kk + 1) * 16).cast());
+                    // SAFETY: jp < ⌈n/16⌉ and kk+1 < k, with 16 the width
+                    // `run_band_i8` checked `b` for.
+                    let raw0 = _mm_loadu_si128(b.row::<16>(jp, kk).cast());
+                    let raw1 = _mm_loadu_si128(b.row::<16>(jp, kk + 1).cast());
                     let lo = _mm_unpacklo_epi8(raw0, raw1);
                     let hi = _mm_unpackhi_epi8(raw0, raw1);
                     let bpair = _mm512_cvtepi8_epi16(_mm256_set_m128i(hi, lo));
@@ -481,7 +581,7 @@ unsafe fn band_avx512_i8_8x16(
                 }
                 if kk < kend {
                     // Lone final k-step: zero partner, exact.
-                    let raw0 = _mm_loadu_si128(bpanel.as_ptr().add(kk * 16).cast());
+                    let raw0 = _mm_loadu_si128(b.row::<16>(jp, kk).cast());
                     let zero = _mm_setzero_si128();
                     let lo = _mm_unpacklo_epi8(raw0, zero);
                     let hi = _mm_unpackhi_epi8(raw0, zero);
@@ -530,15 +630,9 @@ unsafe fn band_avx512_i8_8x16(
 /// [`Kernel::select`]).
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn band_neon_8x8(
-    ap: &[f32],
-    bp: &[f32],
-    k: usize,
-    n: usize,
-    rows: Range<usize>,
-    band: &mut [f32],
-) {
+unsafe fn band_neon_8x8<B: BRows<f32>>(ap: &[f32], b: B, rows: Range<usize>, band: &mut [f32]) {
     use std::arch::aarch64::*;
+    let (k, n, _) = b.dims();
     debug_assert_eq!(rows.start % 8, 0, "bands must start on a panel boundary");
     debug_assert_eq!(band.len(), rows.len() * n);
     let np = n.div_ceil(8);
@@ -548,14 +642,15 @@ unsafe fn band_neon_8x8(
         for jp in 0..np {
             let j0 = jp * 8;
             let tile_cols = 8.min(n - j0);
-            let bpanel = &bp[jp * 8 * k..][..8 * k];
             // acc[2r] holds row r columns 0..4, acc[2r+1] columns 4..8.
             let mut acc = [vdupq_n_f32(0.0); 16];
             for kk in 0..k {
-                // SAFETY: bpanel holds 8·k floats, so both 4-wide loads
-                // at k-step kk are in bounds.
-                let b0 = vld1q_f32(bpanel.as_ptr().add(kk * 8));
-                let b1 = vld1q_f32(bpanel.as_ptr().add(kk * 8 + 4));
+                // SAFETY: jp < ⌈n/8⌉ and kk < k, with 8 the width
+                // `run_band` checked `b` for: both 4-wide loads of the
+                // row are in bounds.
+                let brow = b.row::<8>(jp, kk);
+                let b0 = vld1q_f32(brow);
+                let b1 = vld1q_f32(brow.add(4));
                 for r in 0..8 {
                     let a = vdupq_n_f32(*apanel.get_unchecked(kk * 8 + r));
                     acc[2 * r] = vaddq_f32(acc[2 * r], vmulq_f32(a, b0));
@@ -594,15 +689,9 @@ unsafe fn band_neon_8x8(
 /// [`Kernel::select`]).
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn band_neon_i8_8x8(
-    ap: &[i8],
-    bp: &[i8],
-    k: usize,
-    n: usize,
-    rows: Range<usize>,
-    band: &mut [i32],
-) {
+unsafe fn band_neon_i8_8x8<B: BRows<i8>>(ap: &[i8], b: B, rows: Range<usize>, band: &mut [i32]) {
     use std::arch::aarch64::*;
+    let (k, n, _) = b.dims();
     debug_assert_eq!(rows.start % 8, 0, "bands must start on a panel boundary");
     debug_assert_eq!(band.len(), rows.len() * n);
     let np = n.div_ceil(8);
@@ -612,13 +701,12 @@ unsafe fn band_neon_i8_8x8(
         for jp in 0..np {
             let j0 = jp * 8;
             let tile_cols = 8.min(n - j0);
-            let bpanel = &bp[jp * 8 * k..][..8 * k];
             // acc[2r] holds row r columns 0..4, acc[2r+1] columns 4..8.
             let mut acc = [vdupq_n_s32(0); 16];
             for kk in 0..k {
-                // SAFETY: bpanel holds 8·k bytes, so the 8-byte load at
-                // k-step kk is in bounds.
-                let b16 = vmovl_s8(vld1_s8(bpanel.as_ptr().add(kk * 8)));
+                // SAFETY: jp < ⌈n/8⌉ and kk < k, with 8 the width
+                // `run_band_i8` checked `b` for.
+                let b16 = vmovl_s8(vld1_s8(b.row::<8>(jp, kk)));
                 let blo = vget_low_s16(b16);
                 let bhi = vget_high_s16(b16);
                 for r in 0..8 {
@@ -704,62 +792,69 @@ impl Kernel {
 
     /// Runs the micro-kernel over one panel-aligned row band (see
     /// [`band_body`] for the argument contract).
-    pub(crate) fn run_band(
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `b` was checked for this kernel's panel width NR:
+    /// that check is what keeps the bodies' unchecked B loads in bounds.
+    pub(crate) fn run_band<B: BRows<f32>>(
         self,
         ap: &[f32],
-        bp: &[f32],
-        k: usize,
-        n: usize,
+        b: B,
         rows: Range<usize>,
         band: &mut [f32],
     ) {
+        assert_eq!(b.dims().2, self.nr(), "B rows checked for another panel width");
         match self {
-            Kernel::Scalar8x4 => band_body::<8, 4>(ap, bp, k, n, rows, band),
+            Kernel::Scalar8x4 => band_body::<8, 4, B>(ap, b, rows, band),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `select` only yields this variant after runtime
             // detection of AVX2 and FMA (or an explicit override, which
             // also re-checks support).
-            Kernel::Avx2_8x8 => unsafe { band_avx2_8x8(ap, bp, k, n, rows, band) },
+            Kernel::Avx2_8x8 => unsafe { band_avx2_8x8(ap, b, rows, band) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `select` only yields this variant after runtime
             // detection of the AVX-512 subset (F+BW+DQ+VL).
-            Kernel::Avx512_8x16 => unsafe { band_avx512_8x16(ap, bp, k, n, rows, band) },
+            Kernel::Avx512_8x16 => unsafe { band_avx512_8x16(ap, b, rows, band) },
             #[cfg(target_arch = "aarch64")]
             // SAFETY: `select` only yields this variant after runtime
             // detection of NEON.
-            Kernel::Neon8x8 => unsafe { band_neon_8x8(ap, bp, k, n, rows, band) },
+            Kernel::Neon8x8 => unsafe { band_neon_8x8(ap, b, rows, band) },
         }
     }
 
     /// Runs the i8 micro-kernel over one panel-aligned row band: same
-    /// contract as [`run_band`](Kernel::run_band), i8 packed panels in,
-    /// i32 band out. Dispatching through the same selected variant is
-    /// what makes `INSITU_SIMD=scalar` pin the portable i8 path
-    /// together with the f32 one.
-    pub(crate) fn run_band_i8(
+    /// contract as [`run_band`](Kernel::run_band), i8 operands in, i32
+    /// band out. Dispatching through the same selected variant is what
+    /// makes `INSITU_SIMD=scalar` pin the portable i8 path together
+    /// with the f32 one.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_band`](Kernel::run_band).
+    pub(crate) fn run_band_i8<B: BRows<i8>>(
         self,
         ap: &[i8],
-        bp: &[i8],
-        k: usize,
-        n: usize,
+        b: B,
         rows: Range<usize>,
         band: &mut [i32],
     ) {
+        assert_eq!(b.dims().2, self.nr(), "B rows checked for another panel width");
         match self {
-            Kernel::Scalar8x4 => band_body_i8::<8, 4>(ap, bp, k, n, rows, band),
+            Kernel::Scalar8x4 => band_body_i8::<8, 4, B>(ap, b, rows, band),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `select` only yields this variant after runtime
             // detection of AVX2 (and FMA, a superset of what the i8
             // band needs).
-            Kernel::Avx2_8x8 => unsafe { band_avx2_i8_8x8(ap, bp, k, n, rows, band) },
+            Kernel::Avx2_8x8 => unsafe { band_avx2_i8_8x8(ap, b, rows, band) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `select` only yields this variant after runtime
             // detection of AVX-512 F+BW (plus AVX2 for the staging).
-            Kernel::Avx512_8x16 => unsafe { band_avx512_i8_8x16(ap, bp, k, n, rows, band) },
+            Kernel::Avx512_8x16 => unsafe { band_avx512_i8_8x16(ap, b, rows, band) },
             #[cfg(target_arch = "aarch64")]
             // SAFETY: `select` only yields this variant after runtime
             // detection of NEON.
-            Kernel::Neon8x8 => unsafe { band_neon_i8_8x8(ap, bp, k, n, rows, band) },
+            Kernel::Neon8x8 => unsafe { band_neon_i8_8x8(ap, b, rows, band) },
         }
     }
 

@@ -441,10 +441,10 @@ macro_rules! split_tuple {
 }
 
 // One impl per arity a kernel uses: ReLU train and maxpool (2), the
-// f32 conv forward (3), the i8 conv forward (5), the conv backward (7).
+// f32 conv forward (3), the i8 conv forward (4), the conv backward (7).
 split_tuple!(A a, B b);
 split_tuple!(A a, B b, C c);
-split_tuple!(A a, B b, C c, D d, E e);
+split_tuple!(A a, B b, C c, D d);
 split_tuple!(A a, B b, C c, D d, E e, F f, G g);
 
 /// Runs `f` over disjoint, contiguous ranges covering `0..units`,

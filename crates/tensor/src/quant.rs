@@ -33,7 +33,7 @@
 //! `tensor.quant.*` spans with a `tensor.quant.bytes` counter.
 
 use crate::error::TensorError;
-use crate::microkernel::Kernel;
+use crate::microkernel::{Kernel, Packed};
 use crate::pack::{pack_a_i8, pack_b_i8, packed_a_len, packed_b_len, GemmScratch};
 use crate::parallel::{par_split, PerUnit};
 use crate::tensor::Tensor;
@@ -190,11 +190,11 @@ fn gemm_packed_prepacked_i8(
     n: usize,
     out: &mut [i32],
 ) {
-    let mr = kern.mr();
+    let (mr, nr) = (kern.mr(), kern.nr());
     let flops = 2 * m as u64 * k as u64 * n as u64;
     par_split(m.div_ceil(mr), flops, PerUnit::new(out, mr * n), |panels, band| {
         let rows = panels.start * mr..(panels.end * mr).min(m);
-        kern.run_band_i8(pa, pb, k, n, rows, band);
+        kern.run_band_i8(pa, Packed::new(pb, k, n, nr), rows, band);
     });
 }
 
@@ -332,7 +332,7 @@ mod tests {
                 pack_a_i8(&a, m, k, false, kern.mr(), &mut pa);
                 pack_b_i8(&b, k, n, false, kern.nr(), &mut pb);
                 let mut out = vec![0i32; m * n];
-                kern.run_band_i8(&pa, &pb, k, n, 0..m, &mut out);
+                kern.run_band_i8(&pa, Packed::new(&pb, k, n, kern.nr()), 0..m, &mut out);
                 assert_eq!(out, oracle, "{} {m}x{k}x{n}", kern.name());
             }
         }

@@ -16,6 +16,11 @@
 //! its own width, so CI runs the suite under every `INSITU_SIMD` value
 //! the host supports. One workspace serves the whole sweep, so every
 //! geometry and batch switch runs on warm buffers.
+//!
+//! The forward reads B straight from each sample's staging slot, and
+//! the last panel of a plane reads up to NR−1 elements past its last
+//! position, into the slot's zeroed tail. A second case runs geometries
+//! whose last read ends at the very end of a fresh workspace's staging.
 
 use insitu_tensor::{
     conv2d_backward_ws, conv2d_forward_i8_ws, conv2d_forward_ws, gemm_kernel_name, matmul_i8_naive,
@@ -260,4 +265,46 @@ fn every_conv_entry_point_matches_the_naive_oracle_bitwise() {
     // Every (kernel, stride, pad) runs on most planes; only kernels
     // wider than the padded plane are skipped.
     assert!(checked > 220, "only {checked} of {tried} geometries ran");
+}
+
+#[test]
+fn the_last_panel_reads_to_the_end_of_a_fresh_staging() {
+    // The forward computes n' = (R−1)·s·(W+2p) + (C−1)·s + 1 positions
+    // per plane. With n' ≡ 1 (mod 16) — a multiple of no panel width
+    // 4, 8 or 16 — and the last output's window in the padded plane's
+    // bottom-right corner, the last panel's read ends exactly at the end
+    // of a batch-1 staging buffer, so a slot without its NR−1 tail would
+    // read past it.
+    let kernel = gemm_kernel_name();
+    let mut rng = Rng::seed_from(2021);
+    // (in channels, h, w, out channels, kernel, stride, pad)
+    let cases = [(3, 5, 5, 16, 3, 1, 1), (2, 3, 11, 5, 1, 1, 0), (4, 9, 9, 9, 3, 2, 1)];
+    for (cin, h, w, cout, k, stride, pad) in cases {
+        let g = ConvGeometry::new(cin, h, w, cout, k, stride, pad).unwrap();
+        let wp = w + 2 * pad;
+        let wide = (g.out_h - 1) * stride * wp + (g.out_w - 1) * stride + 1;
+        assert_eq!(wide % 16, 1, "n' = {wide}");
+        assert_eq!(((g.out_h - 1) * stride + k, (g.out_w - 1) * stride + k), (h + 2 * pad, wp));
+        let x = Tensor::rand_uniform([1, cin, h, w], -1.0, 1.0, &mut rng);
+        let wt = Tensor::rand_uniform([cout, cin, k, k], -0.5, 0.5, &mut rng);
+        let bias = Tensor::rand_uniform([cout], -0.1, 0.1, &mut rng);
+        let dout = Tensor::rand_uniform([1, cout, g.out_h, g.out_w], -1.0, 1.0, &mut rng);
+        let qw = QuantizedMatrix::from_rows(wt.as_slice(), cout, g.col_rows()).unwrap();
+        let in_scale = quant_scale(max_abs(x.as_slice()));
+        let (dx, dw, db) = backward_oracle(&x, &wt, &dout, &g);
+        let at = format!("{kernel} k{k} s{stride} p{pad} {h}x{w} {cin}->{cout} n'{wide}");
+        // A fresh workspace per entry point, so each pass sizes the
+        // staging it reads to exactly one slot.
+        let mut ws = ConvWorkspace::new();
+        let y = conv2d_forward_ws(&x, &wt, &bias, &g, &mut ws).unwrap();
+        assert_eq!(bits(y.as_slice()), bits(&forward_oracle(&x, &wt, &bias, &g)), "forward {at}");
+        let (dx_got, dw_got, db_got) = conv2d_backward_ws(&dout, &wt, &g, &mut ws).unwrap();
+        assert_eq!(bits(dx_got.as_slice()), bits(&dx), "dx {at}");
+        assert_eq!(bits(dw_got.as_slice()), bits(&dw), "dW {at}");
+        assert_eq!(bits(db_got.as_slice()), bits(&db), "db {at}");
+        let q = conv2d_forward_i8_ws(&x, &qw, &bias, &g, in_scale, &mut ConvWorkspace::new())
+            .unwrap();
+        let q_want = forward_i8_oracle(&x, &qw, &bias, &g, in_scale);
+        assert_eq!(bits(q.as_slice()), bits(&q_want), "i8 forward {at}");
+    }
 }
