@@ -29,12 +29,20 @@ cargo test -q -p insitu-tensor --test packed_gemm
 # A second case reads to the very end of a fresh batch-1 staging, and
 # a unit test poisons every slot tail (NaN in f32, -128 in i8) and
 # requires all three passes bitwise equal to a clean workspace, so no
-# lane past n' reaches an output at that ISA's NR. These legs are the
-# only gates that reach each ISA's slot-reading body: both run under
-# the auto-detected ISA (the workspace sweep above runs the unit test),
-# the portable one, AVX2 where the host has it, and in the AVX-512 leg
-# below. The poison filter names one test and must run it, so a rename
-# cannot leave it matching nothing.
+# lane past n' reaches an output at that ISA's NR. A plane no larger
+# than one kernel window (H*W <= K^2, the jigsaw trunk's 3x3 planes)
+# takes the f32 forward's dense lowering instead: one GEMM against the
+# filter bank spread over the plane's position pairs, packed into that
+# ISA's NR-wide panels and cached per weight change. conv_oracle's
+# ladder crosses it (1x1 planes, and 2x5/4x4/5x3 under a 5x5 kernel),
+# a third case runs it at the trunk's channels on 3x3 planes with exact
+# +-0 inputs and weights up to 144-sample batches, and a fourth changes
+# one warm workspace's weights by one ulp and by a zero's sign. These
+# legs are the only gates that reach each ISA's slot-reading and dense
+# bodies: both run under the auto-detected ISA (the workspace sweep
+# above runs the unit test), the portable one, AVX2 where the host has
+# it, and in the AVX-512 leg below. The poison filter names one test
+# and must run it, so a rename cannot leave it matching nothing.
 conv_tail_gate() {
     INSITU_SIMD=$1 cargo test -q -p insitu-tensor --test conv_oracle
     INSITU_SIMD=$1 cargo test -q -p insitu-tensor --lib \

@@ -52,10 +52,12 @@
 //! entry points at the shapes the loop runs them, each layer on its
 //! own warm workspace as a network layer owns one. Inference conv1–5
 //! run `conv2d_forward_ws` and `conv2d_forward_i8_ws` on one
-//! 16-image chunk; the jigsaw trunk's conv1–5 run both on one image's
-//! 9 tiles (diagnosis makes one such call per image); the Cloud's
-//! suffix training runs `conv2d_backward_ws` through conv4–5 at batch
-//! 16. Each conv row reports the fastest of 300 single calls after
+//! 16-image chunk; the jigsaw trunk's conv1–5 run both on one
+//! diagnosis chunk's 144 tiles (16 images of 9 tiles: diagnosis makes
+//! one such call per chunk, and on the trunk's 3×3 planes conv3–5's
+//! f32 forward is the dense lowering against the cached filter bank);
+//! the Cloud's suffix training runs `conv2d_backward_ws` through
+//! conv4–5 at batch 16. Each conv row reports the fastest of 300 single calls after
 //! warm-up (20 under `--quick`), loopbench's statistic: host noise only
 //! ever adds time, so the fastest call holds through a slow phase where
 //! a median of means moves with it.
@@ -122,10 +124,10 @@ const TRUNK_CONVS: [(&str, usize, usize, usize); 5] = [
 const CLOUD_CONVS: [(&str, usize, usize, usize); 2] =
     [("cloud_conv4", 32, 9, 32), ("cloud_conv5", 32, 9, 24)];
 
-/// Images per inference chunk, tiles per trunk call, and the Cloud's
-/// training batch.
+/// Images per inference chunk, tiles per trunk call (one 16-image
+/// diagnosis chunk), and the Cloud's training batch.
 const INFER_BATCH: usize = 16;
-const TRUNK_BATCH: usize = 9;
+const TRUNK_BATCH: usize = 16 * 9;
 const TRAIN_BATCH: usize = 16;
 
 /// Times every `conv_layer` row at one thread count, appending to `rows`.

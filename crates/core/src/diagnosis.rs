@@ -26,11 +26,19 @@
 
 use crate::error::CoreError;
 use crate::Result;
-use insitu_data::{jigsaw::normalize_tiles, jigsaw::permute_tiles, patchify, Dataset, PermutationSet};
+use insitu_data::{
+    canonical_tiles, normalize_tiles, patchify, permute_tiles, Dataset, PermutationSet,
+};
 use insitu_nn::{confidence, softmax, JigsawNet, Sequential};
 use insitu_telemetry as telemetry;
 use insitu_tensor::{Rng, Tensor};
 use serde::{Deserialize, Serialize};
+
+/// Images per trunk pass and per head pass of the fused jigsaw policies:
+/// 16 images are 144 tiles. A larger chunk measured slower (64 images
+/// took about 1.5× the time of 16), so this is a constant and not the
+/// stage's batch, which a measured plan can raise to 256.
+pub(crate) const DIAGNOSIS_CHUNK: usize = 16;
 
 /// How the node decides which samples are valuable.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -122,11 +130,11 @@ pub fn diagnose(
 /// `logit_chunks` are the inference logits the caller already computed
 /// for this stage, one tensor per consecutive batch (the stage's logit
 /// cache); the inference-side policies read them instead of re-running
-/// the network. The jigsaw policies take the tile-embedding fast path:
-/// one trunk pass over the canonical tiles per image
-/// ([`JigsawNet::tile_features`]), then an image's probe permutations
-/// are row gathers into one head pass
-/// ([`JigsawNet::predict_from_features`]).
+/// the network. The jigsaw policies take the tile-embedding fast path
+/// in chunks of 16 images: one trunk pass over the chunk's canonical
+/// tiles ([`JigsawNet::tile_features`], 144 tiles for a whole chunk),
+/// then every probe permutation of every image in the chunk is a row
+/// gather into one head pass ([`JigsawNet::predict_from_features`]).
 ///
 /// Verdicts — including the `f32` score bits and the RNG draw order —
 /// are bitwise identical to [`diagnose`] on the same inputs.
@@ -328,20 +336,41 @@ fn jigsaw_confidence(
     Ok(verdicts)
 }
 
-/// Canonical-order normalized tiles of one image — the shared input of
-/// both jigsaw fast paths.
-fn canonical_tiles(data: &Dataset, i: usize) -> Result<Tensor> {
-    Ok(normalize_tiles(&patchify(&data.image(i)?)?)?)
+/// The tile-embedding fast path both fused jigsaw policies share. Per
+/// chunk of [`DIAGNOSIS_CHUNK`] images: one trunk pass over the chunk's
+/// canonical tiles, `probes` classes drawn per image in image order,
+/// and one head pass over every probe of every image. Predictions
+/// consume no randomness, so drawing a chunk's classes before its head
+/// pass consumes the RNG stream in exactly the reference order; the
+/// trunk and the head are row-equivariant, so the logits are bitwise
+/// the reference's. `judge(logits, classes, verdicts)` reads a chunk's
+/// `(images·probes, permutations)` logits and its classes, and pushes
+/// one verdict per image.
+fn jigsaw_fused(
+    jigsaw: &mut JigsawNet,
+    set: &PermutationSet,
+    data: &Dataset,
+    probes: usize,
+    rng: &mut Rng,
+    mut judge: impl FnMut(&Tensor, &[usize], &mut Vec<Verdict>) -> Result<()>,
+) -> Result<Vec<Verdict>> {
+    let mut verdicts = Vec::with_capacity(data.len());
+    let mut classes = Vec::with_capacity(DIAGNOSIS_CHUNK * probes);
+    let mut perms: Vec<&[u8]> = Vec::with_capacity(DIAGNOSIS_CHUNK * probes);
+    for start in (0..data.len()).step_by(DIAGNOSIS_CHUNK) {
+        let end = (start + DIAGNOSIS_CHUNK).min(data.len());
+        let feats = jigsaw.tile_features(&canonical_tiles(data, start..end)?)?;
+        classes.clear();
+        classes.extend((0..(end - start) * probes).map(|_| rng.below(set.len())));
+        perms.clear();
+        perms.extend(classes.iter().map(|&cls| set.permutation(cls) as &[u8]));
+        let logits = jigsaw.predict_from_features(&feats, &perms)?;
+        judge(&logits, &classes, &mut verdicts)?;
+    }
+    Ok(verdicts)
 }
 
-/// [`jigsaw_probe`] via the tile-embedding fast path: one trunk pass
-/// per image, then **one batched head pass** over all `probes`
-/// permutations ([`JigsawNet::predict_from_features`]) instead
-/// of one head pass per probe. All probe classes are drawn *before*
-/// the head runs — predictions consume no randomness, so the RNG
-/// stream is consumed in exactly the reference order — and the batched
-/// head is row-equivariant, so verdicts are bitwise identical to the
-/// reference.
+/// [`jigsaw_probe`] via the tile-embedding fast path ([`jigsaw_fused`]).
 fn jigsaw_probe_fused(
     jigsaw: &mut JigsawNet,
     set: &PermutationSet,
@@ -349,25 +378,19 @@ fn jigsaw_probe_fused(
     probes: usize,
     rng: &mut Rng,
 ) -> Result<Vec<Verdict>> {
-    let mut verdicts = Vec::with_capacity(data.len());
-    let mut classes = Vec::with_capacity(probes);
-    let mut perms: Vec<&[u8]> = Vec::with_capacity(probes);
-    for i in 0..data.len() {
-        let feats = jigsaw.tile_features(&canonical_tiles(data, i)?)?;
-        classes.clear();
-        classes.extend((0..probes).map(|_| rng.below(set.len())));
-        perms.clear();
-        perms.extend(classes.iter().map(|&cls| set.permutation(cls) as &[u8]));
-        let logits = jigsaw.predict_from_features(&feats, &perms)?;
-        let preds = insitu_nn::predictions(&logits)?;
-        let correct = preds.iter().zip(&classes).filter(|(p, cls)| *p == *cls).count();
-        let score = correct as f32 / probes as f32;
-        verdicts.push(Verdict { valuable: 2 * correct < probes || correct == 0, score });
-    }
-    Ok(verdicts)
+    jigsaw_fused(jigsaw, set, data, probes, rng, |logits, classes, verdicts| {
+        let preds = insitu_nn::predictions(logits)?;
+        for (preds, classes) in preds.chunks(probes).zip(classes.chunks(probes)) {
+            let correct = preds.iter().zip(classes).filter(|(p, cls)| p == cls).count();
+            let score = correct as f32 / probes as f32;
+            verdicts.push(Verdict { valuable: 2 * correct < probes || correct == 0, score });
+        }
+        Ok(())
+    })
 }
 
-/// [`jigsaw_confidence`] via the tile-embedding fast path.
+/// [`jigsaw_confidence`] via the tile-embedding fast path
+/// ([`jigsaw_fused`]).
 fn jigsaw_confidence_fused(
     jigsaw: &mut JigsawNet,
     set: &PermutationSet,
@@ -375,16 +398,14 @@ fn jigsaw_confidence_fused(
     threshold: f32,
     rng: &mut Rng,
 ) -> Result<Vec<Verdict>> {
-    let mut verdicts = Vec::with_capacity(data.len());
-    for i in 0..data.len() {
-        let feats = jigsaw.tile_features(&canonical_tiles(data, i)?)?;
-        let cls = rng.below(set.len());
-        let logits = jigsaw.predict_from_features(&feats, &[set.permutation(cls)])?;
-        let probs = softmax(&logits)?;
-        let p_true = probs.at(&[0, cls]).map_err(insitu_nn::NnError::from)?;
-        verdicts.push(Verdict { valuable: p_true < threshold, score: p_true });
-    }
-    Ok(verdicts)
+    jigsaw_fused(jigsaw, set, data, 1, rng, |logits, classes, verdicts| {
+        let probs = softmax(logits)?;
+        for (j, &cls) in classes.iter().enumerate() {
+            let p_true = probs.at(&[j, cls]).map_err(insitu_nn::NnError::from)?;
+            verdicts.push(Verdict { valuable: p_true < threshold, score: p_true });
+        }
+        Ok(())
+    })
 }
 
 /// Indices of the valuable samples in a verdict list.

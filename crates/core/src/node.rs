@@ -1,6 +1,8 @@
 //! The In-situ AI node: inference + autonomous diagnosis at the edge.
 
-use crate::diagnosis::{diagnose_with_logits, valuable_indices, DiagnosisPolicy, Verdict};
+use crate::diagnosis::{
+    diagnose_with_logits, valuable_indices, DiagnosisPolicy, Verdict, DIAGNOSIS_CHUNK,
+};
 use crate::error::CoreError;
 use crate::metrics::{DataMovementMeter, IMAGE_BYTES};
 use crate::planner::{
@@ -398,8 +400,9 @@ impl InsituNode {
     /// use here — before the stream starts — means the session's real
     /// batches hit the zero-allocation kernel path from image one. The
     /// diagnosis warm-up covers the shapes the fused stage runs: the
-    /// trunk at tile-batch size and the feature-gather head pass at the
-    /// policy's probe count.
+    /// trunk over one diagnosis chunk's 144 tiles, and the feature-gather
+    /// head pass over that chunk's probes (16 images times the policy's
+    /// probe count).
     ///
     /// # Errors
     ///
@@ -413,16 +416,16 @@ impl InsituNode {
         if let Some(q) = &mut self.quantized {
             q.predict(&zeros)?;
         }
-        let tiles = Tensor::zeros([PATCHES, CHANNELS, PATCH_SIZE, PATCH_SIZE]);
+        let tiles = Tensor::zeros([DIAGNOSIS_CHUNK * PATCHES, CHANNELS, PATCH_SIZE, PATCH_SIZE]);
         let feats = self.jigsaw.tile_features(&tiles)?;
-        // The fused stage runs the head once per image over all of its
-        // probes (one GEMM); warm the probe count the policy uses.
+        // The fused stage runs the head once per chunk over every probe
+        // of its images (one GEMM); warm the probe count the policy uses.
         let probes = match self.policy {
             DiagnosisPolicy::JigsawProbe { probes } => probes.max(1),
             _ => 1,
         };
         let identity: Vec<u8> = (0..PATCHES as u8).collect();
-        let perms: Vec<&[u8]> = (0..probes).map(|_| identity.as_slice()).collect();
+        let perms = vec![identity.as_slice(); DIAGNOSIS_CHUNK * probes];
         self.jigsaw.predict_from_features(&feats, &perms)?;
         Ok(())
     }
@@ -451,8 +454,9 @@ impl InsituNode {
     /// This is the **co-running fast path**: the inference forward runs
     /// exactly once per image and its logits are handed to the
     /// diagnosis policies as a per-stage cache, and the jigsaw policies
-    /// evaluate every probe permutation from one cached trunk pass per
-    /// image (see [`diagnose_with_logits`]). At
+    /// evaluate every probe permutation from cached tile features, one
+    /// trunk pass and one head pass per 16-image chunk (see
+    /// [`diagnose_with_logits`]). At
     /// [`InferencePrecision::F32`] predictions and verdicts are bitwise
     /// identical to the unfused reference: a chunked inference forward
     /// followed by [`diagnose`](crate::diagnose) on the node's RNG.

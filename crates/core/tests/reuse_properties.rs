@@ -136,13 +136,15 @@ proptest! {
     /// Fused == unfused, bitwise, across seeds, ragged batch sizes and
     /// image counts, for each of six policy variants (including 1- and
     /// 5-probe jigsaw, which stress the batched head) at 1/2/4 kernel
-    /// threads. The single-thread outcome is also pinned across thread
-    /// counts, so parallelism cannot smuggle in a divergence either.
+    /// threads. Image counts reach past two 16-image diagnosis chunks,
+    /// so several chunks and a ragged last one run. The single-thread
+    /// outcome is also pinned across thread counts, so parallelism
+    /// cannot smuggle in a divergence either.
     #[test]
     fn fused_stage_is_bitwise_identical_to_reference(
         seed in 0u64..500,
         batch in 1usize..9,
-        images in 1usize..11,
+        images in 1usize..40,
     ) {
         let data = Dataset::generate(
             images,

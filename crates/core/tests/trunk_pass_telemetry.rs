@@ -1,8 +1,9 @@
 //! Telemetry proof of the tile-embedding reuse: under `JigsawProbe`
 //! the fused stage runs **exactly one** jigsaw trunk pass per image
-//! (`jigsaw.trunk_passes == images`), while the unfused reference
-//! ([`diagnose`] on the same networks) pays one per probe
-//! (`images × probes`). Runs alone in its own process: the telemetry
+//! (`jigsaw.trunk_passes == images`, counted per image although one
+//! call covers a 16-image chunk; 40 images make two whole chunks and a
+//! ragged one), while the unfused reference ([`diagnose`] on the same
+//! networks) pays one per probe (`images × probes`). Runs alone in its own process: the telemetry
 //! registry is process-global, so no other test may record into the
 //! windows captured here.
 
@@ -14,7 +15,7 @@ use insitu_nn::{JigsawNet, Sequential};
 use insitu_telemetry as telemetry;
 use insitu_tensor::Rng;
 
-const IMAGES: usize = 10;
+const IMAGES: usize = 40;
 const PROBES: usize = 3;
 const POLICY: DiagnosisPolicy = DiagnosisPolicy::JigsawProbe { probes: PROBES };
 

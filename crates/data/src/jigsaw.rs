@@ -117,8 +117,15 @@ pub fn patchify(image: &Tensor) -> Result<Tensor> {
         });
     }
     let p = PATCH_SIZE;
-    let src = image.as_slice();
     let mut out = vec![0f32; PATCHES * CHANNELS * p * p];
+    patchify_into(image.as_slice(), &mut out);
+    Ok(Tensor::from_vec([PATCHES, CHANNELS, p, p], out)?)
+}
+
+/// [`patchify`] of one flattened `(3, 36, 36)` image into `out`, the
+/// flattened `(9, 3, 12, 12)` tiles.
+fn patchify_into(src: &[f32], out: &mut [f32]) {
+    let p = PATCH_SIZE;
     for tile in 0..PATCHES {
         let (ty, tx) = (tile / GRID, tile % GRID);
         for c in 0..CHANNELS {
@@ -130,7 +137,18 @@ pub fn patchify(image: &Tensor) -> Result<Tensor> {
             }
         }
     }
-    Ok(Tensor::from_vec([PATCHES, CHANNELS, p, p], out)?)
+}
+
+/// Normalizes one flattened tile in place to zero mean and unit
+/// variance (see [`normalize_tiles`]).
+fn normalize_tile(tile: &mut [f32]) {
+    let len = tile.len() as f32;
+    let mean: f32 = tile.iter().sum::<f32>() / len;
+    let var: f32 = tile.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / len;
+    let std = var.sqrt().max(1e-4);
+    for v in tile.iter_mut() {
+        *v = (*v - mean) / std;
+    }
 }
 
 /// Normalizes each tile to zero mean and unit variance (per tile,
@@ -156,17 +174,8 @@ pub fn normalize_tiles(tiles: &Tensor) -> Result<Tensor> {
             actual: tiles.dims().to_vec(),
         });
     }
-    let tile_len = CHANNELS * p * p;
     let mut out = tiles.as_slice().to_vec();
-    for tile in out.chunks_mut(tile_len) {
-        let mean: f32 = tile.iter().sum::<f32>() / tile_len as f32;
-        let var: f32 =
-            tile.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / tile_len as f32;
-        let std = var.sqrt().max(1e-4);
-        for v in tile.iter_mut() {
-            *v = (*v - mean) / std;
-        }
-    }
+    out.chunks_mut(CHANNELS * p * p).for_each(normalize_tile);
     Ok(Tensor::from_vec([PATCHES, CHANNELS, p, p], out)?)
 }
 
@@ -254,23 +263,41 @@ pub fn jigsaw_batch(
     Ok((Tensor::from_vec([n, PATCHES, CHANNELS, p, p], out)?, labels))
 }
 
-/// Patchifies every image of a dataset without shuffling (all tiles in
-/// canonical order): the evaluation input for the diagnosis task.
-/// Returns `(N, 9, 3, 12, 12)`.
+/// The canonical-order normalized tiles of images `range` of `data`,
+/// the input of the diagnosis trunk: `(n·9, 3, 12, 12)` for `n` images,
+/// image `range.start + i` at rows `9i..9i + 9`, each bitwise
+/// `normalize_tiles(&patchify(image))`. Every image is cut and
+/// normalized in place in the one returned tensor.
 ///
 /// # Errors
 ///
-/// Returns an error if any image has an unexpected shape.
-pub fn patchify_all(data: &Dataset) -> Result<Tensor> {
-    let n = data.len();
-    let p = PATCH_SIZE;
-    let sample_len = PATCHES * CHANNELS * p * p;
-    let mut out = Vec::with_capacity(n * sample_len);
-    for i in 0..n {
-        let tiles = normalize_tiles(&patchify(&data.image(i)?)?)?;
-        out.extend_from_slice(tiles.as_slice());
+/// Returns [`DataError::BadConfig`] if `range` reaches past the
+/// dataset, and [`DataError::BadImage`] if its images are not
+/// `(3, 36, 36)`.
+pub fn canonical_tiles(data: &Dataset, range: std::ops::Range<usize>) -> Result<Tensor> {
+    let expected = [CHANNELS, IMAGE_SIZE, IMAGE_SIZE];
+    let images = data.images();
+    if images.dims()[1..] != expected {
+        return Err(DataError::BadImage {
+            expected: expected.to_vec(),
+            actual: images.dims()[1..].to_vec(),
+        });
     }
-    Ok(Tensor::from_vec([n, PATCHES, CHANNELS, p, p], out)?)
+    if range.start > range.end || range.end > data.len() {
+        return Err(DataError::BadConfig {
+            reason: format!("images {range:?} out of {}", data.len()),
+        });
+    }
+    let p = PATCH_SIZE;
+    let (image_len, tile_len) = (CHANNELS * IMAGE_SIZE * IMAGE_SIZE, CHANNELS * p * p);
+    let mut out = Tensor::zeros([range.len() * PATCHES, CHANNELS, p, p]);
+    let src = &images.as_slice()[range.start * image_len..range.end * image_len];
+    let dst = out.as_mut_slice().chunks_exact_mut(PATCHES * tile_len);
+    for (image, tiles) in src.chunks_exact(image_len).zip(dst) {
+        patchify_into(image, tiles);
+        tiles.chunks_exact_mut(tile_len).for_each(normalize_tile);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -350,7 +377,20 @@ mod tests {
         assert_eq!(x.dims(), &[6, 9, 3, 12, 12]);
         assert_eq!(labels.len(), 6);
         assert!(labels.iter().all(|&l| l < 10));
-        let canonical = patchify_all(&data).unwrap();
-        assert_eq!(canonical.dims(), &[6, 9, 3, 12, 12]);
+    }
+
+    #[test]
+    fn canonical_tiles_are_each_images_normalized_tiles() {
+        let mut rng = Rng::seed_from(7);
+        let data = Dataset::generate(6, 3, &Condition::in_situ(), &mut rng).unwrap();
+        let tiles = canonical_tiles(&data, 1..5).unwrap();
+        assert_eq!(tiles.dims(), &[36, 3, 12, 12]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (i, got) in (1..5).zip(tiles.as_slice().chunks_exact(9 * 3 * 12 * 12)) {
+            let want = normalize_tiles(&patchify(&data.image(i).unwrap()).unwrap()).unwrap();
+            assert_eq!(bits(got), bits(want.as_slice()), "image {i}");
+        }
+        assert_eq!(canonical_tiles(&data, 6..6).unwrap().dims(), &[0, 3, 12, 12]);
+        assert!(canonical_tiles(&data, 4..7).is_err());
     }
 }

@@ -43,8 +43,8 @@ pub use ingest::{
 pub use export::{contact_sheet, save_ppm, to_ppm};
 pub use error::DataError;
 pub use jigsaw::{
-    assemble, jigsaw_batch, normalize_tiles, patchify, patchify_all, permute_tiles, PermutationSet, GRID,
-    PATCHES, PATCH_SIZE,
+    assemble, canonical_tiles, jigsaw_batch, normalize_tiles, patchify, permute_tiles, PermutationSet,
+    GRID, PATCHES, PATCH_SIZE,
 };
 pub use stream::{Campaign, Stage};
 

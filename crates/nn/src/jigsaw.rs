@@ -12,6 +12,13 @@
 //! dimension (`(B, P, C, h, w)` → `(B·P, C, h, w)`), which makes the
 //! trunk weight sharing exact by construction and reuses the ordinary
 //! [`Sequential`] machinery for both passes.
+//!
+//! Diagnosis takes a faster route through the same weights: one trunk
+//! pass over the canonical tiles of a whole chunk of images
+//! ([`JigsawNet::tile_features`]), then one head pass over every probe
+//! permutation of every image in it, each a row gather of cached tile
+//! features ([`JigsawNet::predict_from_features`]). Both are bitwise the
+//! folded forward's rows, at any batch position.
 
 use crate::error::NnError;
 use crate::layer::Mode;
@@ -31,10 +38,10 @@ pub struct JigsawNet {
     feature_len: usize,
     /// Batch size of the latest training-mode forward.
     last_batch: usize,
-    /// Reusable `(k, patches · feature_len)` head-input buffer for the
-    /// tile-embedding fast path; re-sized only when the permutation
-    /// count `k` changes (a policy constant in steady state, so
-    /// effectively one allocation per deployment).
+    /// Reusable `(rows, patches · feature_len)` head-input buffer for
+    /// the tile-embedding fast path, one row per gathered permutation.
+    /// Its storage only grows, so a deployment's largest chunk of
+    /// probes allocates once.
     gather: Tensor,
 }
 
@@ -78,7 +85,7 @@ impl JigsawNet {
             patches,
             feature_len,
             last_batch: 0,
-            gather: Tensor::zeros([1, patches * feature_len]),
+            gather: Tensor::zeros([0, patches * feature_len]),
         })
     }
 
@@ -111,25 +118,27 @@ impl JigsawNet {
         self.forward(input, Mode::Eval)
     }
 
-    /// Trunk features for one sample's tiles: input `(P, C, h, w)` —
-    /// the `patches` tiles in any fixed order — output `(P, F)`.
+    /// Trunk features for the tiles of `n` images in one pass: input
+    /// `(n·P, C, h, w)` — each image's `patches` tiles in a fixed order,
+    /// image after image — output `(n·P, F)`.
     ///
-    /// The trunk processes every tile independently (per-sample
-    /// im2col + GEMM), so row `p` of the result is bitwise the feature
-    /// vector the folded [`forward`](Network::forward) pass would
-    /// produce for that tile at *any* batch position: permuting tiles
-    /// only permutes rows. That equivariance is what lets
+    /// The trunk processes every tile independently, so row `r` of the
+    /// result is bitwise the feature vector the folded
+    /// [`forward`](Network::forward) pass would produce for that tile at
+    /// *any* batch position: permuting tiles only permutes rows, and
+    /// the batch size changes no bit. That equivariance is what lets
     /// [`predict_from_features`](JigsawNet::predict_from_features)
-    /// evaluate any number of permutations from one trunk pass.
+    /// evaluate any number of permutations of each image from one trunk
+    /// pass. Counts `n` `jigsaw.trunk_passes`, one per image.
     ///
     /// # Errors
     ///
-    /// Returns an error if the input is not `(patches, C, h, w)` or
-    /// the trunk output width disagrees with the configured feature
-    /// length.
+    /// Returns an error if the input is not `(n·patches, C, h, w)` for
+    /// some `n ≥ 1`, or if the trunk output width disagrees with the
+    /// configured feature length.
     pub fn tile_features(&mut self, tiles: &Tensor) -> Result<Tensor> {
         let d = tiles.dims();
-        if d.len() != 4 || d[0] != self.patches {
+        if d.len() != 4 || d[0] == 0 || !d[0].is_multiple_of(self.patches) {
             return Err(NnError::BadInputShape {
                 layer: "jigsaw tile_features".into(),
                 expected: vec![self.patches, 0, 0, 0],
@@ -141,49 +150,53 @@ impl JigsawNet {
         if fd.len() != 2 || fd[1] != self.feature_len {
             return Err(NnError::BadInputShape {
                 layer: "jigsaw trunk output".into(),
-                expected: vec![self.patches, self.feature_len],
+                expected: vec![d[0], self.feature_len],
                 actual: fd.to_vec(),
             });
         }
-        telemetry::counter_add("jigsaw.trunk_passes", "", 1);
+        telemetry::counter_add("jigsaw.trunk_passes", "", (d[0] / self.patches) as u64);
         Ok(feats)
     }
 
-    /// Head logits for cached tile features under `k` permutations at
-    /// once: row `j` of the returned `(k, classes)` tensor is the logits
-    /// for `perms[j]`, whose rows `feats[perms[j][dest]]` are gathered
-    /// into the reusable head-input buffer before one head pass.
+    /// Head logits for the cached tile features of `n` images under `k`
+    /// permutations each, in one head pass: `feats` is the `(n·P, F)`
+    /// output of [`tile_features`](JigsawNet::tile_features) and `perms`
+    /// holds `n·k` permutations, image-major (image `i`'s at `i·k..`).
+    /// Row `j` of the returned `(n·k, classes)` tensor is the logits for
+    /// `perms[j]` applied to image `⌊j/k⌋`, whose feature rows are
+    /// gathered into the reusable head-input buffer.
     ///
     /// Row `j` is bitwise identical to [`predict`](JigsawNet::predict)
-    /// on the tiles permuted by `perms[j]` (`(1, P, C, h, w)` input), at
-    /// the cost of a row gather instead of a trunk pass. All `k`
-    /// gathered rows feed the head in **one** GEMM per layer instead of
-    /// `k` — the same amortization `tile_features` applies to the
-    /// trunk. Exact because the head (Linear/ReLU) is per-sample
-    /// row-equivariant under the packed GEMM: each output element is
-    /// one ascending-k accumulation chain independent of its batch
-    /// position.
+    /// on that image's tiles permuted by `perms[j]` (`(1, P, C, h, w)`
+    /// input), at the cost of a row gather instead of a trunk pass. All
+    /// `n·k` gathered rows feed the head in **one** GEMM per layer — the
+    /// same amortization `tile_features` applies to the trunk. Exact
+    /// because the head (Linear/ReLU) is per-sample row-equivariant
+    /// under the packed GEMM: each output element is one ascending-k
+    /// accumulation chain independent of its batch position.
     ///
     /// # Errors
     ///
-    /// Returns an error if `feats` is not the `(patches, feature_len)`
-    /// output of [`tile_features`](JigsawNet::tile_features), if
-    /// `perms` is empty, or if any permutation is not a
-    /// length-`patches` list of in-range tile indices.
+    /// Returns an error if `feats` is not `(n·patches, feature_len)`
+    /// for some `n ≥ 1`, if `perms` is empty or not a multiple of `n`
+    /// long, or if any permutation is not a length-`patches` list of
+    /// in-range tile indices.
     pub fn predict_from_features(&mut self, feats: &Tensor, perms: &[&[u8]]) -> Result<Tensor> {
         let fd = feats.dims();
-        if fd.len() != 2 || fd[0] != self.patches || fd[1] != self.feature_len {
+        let p = self.patches;
+        if fd.len() != 2 || fd[0] == 0 || !fd[0].is_multiple_of(p) || fd[1] != self.feature_len {
             return Err(NnError::BadInputShape {
                 layer: "jigsaw predict_from_features".into(),
-                expected: vec![self.patches, self.feature_len],
+                expected: vec![p, self.feature_len],
                 actual: fd.to_vec(),
             });
         }
-        if perms.is_empty() {
+        let images = fd[0] / p;
+        if perms.is_empty() || !perms.len().is_multiple_of(images) {
             return Err(NnError::BadInputShape {
                 layer: "jigsaw permutation batch".into(),
-                expected: vec![1],
-                actual: vec![0],
+                expected: vec![images],
+                actual: vec![perms.len()],
             });
         }
         for perm in perms {
@@ -197,19 +210,19 @@ impl JigsawNet {
                 });
             }
         }
-        let k = perms.len();
+        let k = perms.len() / images;
         let f = self.feature_len;
-        let width = self.patches * f;
-        if self.gather.dims() != [k, width] {
-            self.gather = Tensor::zeros([k, width]);
-        }
-        let src = feats.as_slice();
-        let dst = self.gather.as_mut_slice();
-        for (row, perm) in perms.iter().enumerate() {
-            let out_row = &mut dst[row * width..(row + 1) * width];
-            for (dest, &source) in perm.iter().enumerate() {
-                let s = usize::from(source);
-                out_row[dest * f..(dest + 1) * f].copy_from_slice(&src[s * f..(s + 1) * f]);
+        let width = p * f;
+        // Reshape the buffer in place: `resize` reallocates only past
+        // the largest capacity seen.
+        let mut buf = std::mem::replace(&mut self.gather, Tensor::zeros([0])).into_vec();
+        buf.resize(perms.len() * width, 0.0);
+        self.gather = Tensor::from_vec([perms.len(), width], buf)?;
+        let rows = self.gather.as_mut_slice().chunks_exact_mut(width);
+        for (j, (row, perm)) in rows.zip(perms).enumerate() {
+            let tiles = &feats.as_slice()[j / k * width..][..width];
+            for (dest, &source) in row.chunks_exact_mut(f).zip(perm.iter()) {
+                dest.copy_from_slice(&tiles[usize::from(source) * f..][..f]);
             }
         }
         self.head.forward(&self.gather, Mode::Eval)
@@ -454,6 +467,47 @@ mod tests {
         let (short, oob): (&[u8], &[u8]) = (&[0, 1, 2], &[0, 1, 2, 4]);
         assert!(net.predict_from_features(&feats, &[short]).is_err());
         assert!(net.predict_from_features(&feats, &[oob]).is_err());
+        // A chunk: no tiles, or a tile count that is not whole images.
+        assert!(net.tile_features(&Tensor::zeros([0, 1, 6, 6])).is_err());
+        assert!(net.tile_features(&Tensor::zeros([6, 1, 6, 6])).is_err());
+        assert!(net.predict_from_features(&Tensor::zeros([0, 36]), &[identity]).is_err());
+        assert!(net.predict_from_features(&Tensor::zeros([6, 36]), &[identity]).is_err());
+        // Two images' features take a whole number of probes per image.
+        let two = net.tile_features(&Tensor::zeros([8, 1, 6, 6])).unwrap();
+        assert!(net.predict_from_features(&two, &[identity; 3]).is_err());
+        assert_eq!(net.predict_from_features(&two, &[identity; 4]).unwrap().dims(), &[4, 5]);
+    }
+
+    #[test]
+    fn a_chunk_of_images_matches_per_image_calls_bitwise() {
+        // One trunk pass over n images' tiles, then one head pass over
+        // their n·k probes, must give the per-image calls' rows bit for
+        // bit. The deployed trunk runs conv3-5 on 3×3 planes, so this
+        // crosses the dense lowering at 9 and at n·9 tiles.
+        let mut rng = Rng::seed_from(12);
+        let mut net = crate::models::jigsaw_network(8, &mut rng).unwrap();
+        let (n, k, tile_len) = (5, 3, 3 * 12 * 12);
+        let tiles = Tensor::randn([n * 9, 3, 12, 12], 0.0, 1.0, &mut rng);
+        let perms: Vec<[u8; 9]> = (0..n * k)
+            .map(|_| {
+                let mut p = [0, 1, 2, 3, 4, 5, 6, 7, 8];
+                rng.shuffle(&mut p);
+                p
+            })
+            .collect();
+        let refs: Vec<&[u8]> = perms.iter().map(|p| p.as_slice()).collect();
+        let feats = net.tile_features(&tiles).unwrap();
+        let logits = net.predict_from_features(&feats, &refs).unwrap();
+        assert_eq!((feats.dims(), logits.dims()), (&[n * 9, 24][..], &[n * k, 8][..]));
+        let classes = 8;
+        for i in 0..n {
+            let one = tiles.as_slice()[i * 9 * tile_len..][..9 * tile_len].to_vec();
+            let f1 = net.tile_features(&Tensor::from_vec([9, 3, 12, 12], one).unwrap()).unwrap();
+            assert_eq!(bits(&f1), bits(&feats)[i * 9 * 24..][..9 * 24], "features of image {i}");
+            let l1 = net.predict_from_features(&f1, &refs[i * k..][..k]).unwrap();
+            let want = &bits(&logits)[i * k * classes..][..k * classes];
+            assert_eq!(bits(&l1), want, "logits of image {i}");
+        }
     }
 
     #[test]

@@ -28,6 +28,28 @@
 //! in the same `(c, ky, kx)` order as `Fm × Dm`, so the result is the
 //! GEMM's bit for bit, at any stride.
 //!
+//! A plane no larger than one kernel window (`H·W ≤ K²`, such as the
+//! jigsaw trunk's 3×3 planes under a 3×3 kernel) takes a dense lowering
+//! in the f32 forward instead: the conv is then a linear map from a
+//! sample's `N·H·W` inputs to its `M·R·C` outputs, and the batch runs
+//! as one GEMM `X (B × N·H·W) · Wd (N·H·W × M·R·C)`, no more multiplies
+//! than `Fm × Dm`. `X` is the input tensor itself, and each output row
+//! is already a sample's NCHW output, so only the bias is added after.
+//! `Wd[(c, iy, ix), (m, oy, ox)]` is the weight that tap `(iy, ix)` of
+//! output `(oy, ox)` meets, or 0 outside its window; the workspace keeps
+//! it packed, keyed by the filter bank's bits, so it is rebuilt once per
+//! weight change. Each output's chain meets its in-window taps in the
+//! same ascending `(c, ky, kx)` order as `Fm × Dm`, and every extra term
+//! on either side (a padding tap there, a tap outside the window here)
+//! is a product with a zero, ±0 for finite operands. The accumulator
+//! starts at +0 and in round-to-nearest never becomes −0, so adding ±0
+//! never changes it: for finite inputs and weights the dense result is
+//! the GEMM's bit for bit. A non-finite input or weight can differ
+//! (0·∞ is NaN, so an infinite input reaches outputs whose window does
+//! not cover it), and the oracle draws only finite values. The forward
+//! still stages every sample, so the backward pass is the same for
+//! both lowerings, and the i8 forward keeps the staged lowering.
+//!
 //! The weight gradient gathers packed `Dmᵀ` panels from the slot with
 //! the two tables swapped; the input gradient goes back through the
 //! adjoint scatter `col2im`.
@@ -196,6 +218,14 @@ impl ConvGeometry {
         let (wp, _) = self.padded_plane();
         (self.out_h - 1) * self.stride * wp + (self.out_w - 1) * self.stride + 1
     }
+
+    /// Whether the input plane is no larger than one kernel window,
+    /// `H·W ≤ K²`: the dense GEMM `X · Wd` then does no more multiplies
+    /// than `Fm × Dm` (`N·H·W` against `N·K²` per output), and the f32
+    /// forward takes it.
+    fn fits_one_window(&self) -> bool {
+        self.in_h * self.in_w <= self.kernel * self.kernel
+    }
 }
 
 /// Copies one flattened `(C, H, W)` sample into the interior of its
@@ -233,6 +263,44 @@ fn gather_panels<T: Copy + Default>(
                 *v = slot[k0 + c];
             }
             pad.fill(T::default());
+        }
+    }
+}
+
+/// Spreads the filter bank `w (M, N, K, K)` into the packed B panels
+/// (the [`crate::pack`] layout, panel width `nr`) of the dense
+/// forward's `Wd (N·H·W × M·R·C)`: `Wd[(c, iy, ix), (m, oy, ox)] =
+/// w[m, c, iy − oy·s + p, ix − ox·s + p]` where that tap lies in the
+/// kernel window, 0 elsewhere and in the lanes past the last column.
+fn spread_filters(w: &[f32], g: &ConvGeometry, nr: usize, dst: &mut [f32]) {
+    let (k, s, p, h, wd) = (g.kernel, g.stride, g.pad, g.in_h, g.in_w);
+    let (taps, positions) = (g.col_rows(), g.col_cols());
+    let rows = g.in_channels * h * wd;
+    debug_assert_eq!(dst.len(), packed_b_len(rows, g.out_channels * positions, nr));
+    dst.fill(0.0);
+    // The set-up's training steps change the weights before every
+    // forward, so this runs once per step there: the loops below walk
+    // the taps in order and divide only once per column.
+    let mut col = 0;
+    for filter in w.chunks_exact(taps) {
+        for oy in 0..g.out_h {
+            for ox in 0..g.out_w {
+                // Row `kk` of column `col` sits at `lane[kk·nr]`.
+                let lane = &mut dst[col / nr * nr * rows + col % nr..];
+                col += 1;
+                for (c, taps) in filter.chunks_exact(k * k).enumerate() {
+                    for (ky, taps) in taps.chunks_exact(k).enumerate() {
+                        let Some(iy) = (oy * s + ky).checked_sub(p).filter(|&y| y < h) else {
+                            continue;
+                        };
+                        for (kx, &v) in taps.iter().enumerate() {
+                            if let Some(ix) = (ox * s + kx).checked_sub(p).filter(|&x| x < wd) {
+                                lane[((c * h + iy) * wd + ix) * nr] = v;
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -361,6 +429,21 @@ pub struct ConvWorkspace {
     /// width (see [`ConvGeometry::padded_cols`]), which the write-back
     /// reads.
     acc_f32: Vec<f32>,
+    /// Packed B panels of the spread filter bank `Wd` (see
+    /// [`spread_filters`]) that the dense forward multiplies every
+    /// sample by, for a plane no larger than one kernel window. Built
+    /// once per weight change, not per call.
+    dense_w: Vec<f32>,
+    /// Bit patterns of the filter bank `dense_w` was spread from, its
+    /// first `M·N·K²` elements. Compared bit for bit, so a weight that
+    /// changes only from +0 to −0 still rebuilds `dense_w`.
+    dense_key: Vec<u32>,
+    /// Whether `dense_w` and `dense_key` hold a bank spread for the
+    /// current geometry; a geometry change clears it.
+    dense_ready: bool,
+    /// Packed A panels of the dense forward's input rows: the batch is
+    /// the row-major `X (B × N·H·W)`, packed one MR-row band at a time.
+    dense_x: Vec<f32>,
     /// Per-sample packed `dY` as A-operand (dW GEMM).
     packed_dy_a: Vec<f32>,
     /// Per-sample packed `Dmᵀ` panels (dW B-operand).
@@ -430,6 +513,7 @@ impl ConvWorkspace {
         self.staging.fill(0.0);
         self.staging_i8.fill(0);
         self.saved_batch = None;
+        self.dense_ready = false;
         self.key = Some(*g);
     }
 
@@ -445,6 +529,30 @@ impl ConvWorkspace {
             grows,
         );
         Self::grow(&mut self.acc_f32, b * g.out_channels * g.padded_cols(), grows);
+    }
+
+    /// Readies the dense forward for `b` samples of geometry `g`: the
+    /// tables, the staging and the input panels, and `Wd`, re-spread
+    /// from `w` unless it already holds `w` bit for bit.
+    fn prepare_dense(&mut self, b: usize, g: &ConvGeometry, kern: Kernel, w: &[f32]) {
+        self.set_geometry(g);
+        let (rows, cols) = (g.in_channels * g.in_h * g.in_w, g.out_channels * g.col_cols());
+        let grows = &mut self.grows;
+        Self::grow(&mut self.staging, b * g.slot_len(kern.nr()), grows);
+        Self::grow(&mut self.dense_x, packed_a_len(b, rows, kern.mr()), grows);
+        let key = || w.iter().map(|v| v.to_bits());
+        if self.dense_ready && self.dense_key.iter().copied().take(w.len()).eq(key()) {
+            return;
+        }
+        let wd_len = packed_b_len(rows, cols, kern.nr());
+        Self::grow(&mut self.dense_w, wd_len, grows);
+        Self::grow(&mut self.dense_key, w.len(), grows);
+        let _p = telemetry::span_with("tensor.pack", || "conv_dense_w".to_string());
+        spread_filters(w, g, kern.nr(), &mut self.dense_w[..wd_len]);
+        for (k, bits) in self.dense_key.iter_mut().zip(key()) {
+            *k = bits;
+        }
+        self.dense_ready = true;
     }
 
     /// Readies the quantized-forward buffers: the tables, the i8 input
@@ -491,7 +599,10 @@ impl ConvWorkspace {
 /// reuse), so repeated calls with a stable geometry do not allocate.
 /// Samples are processed in parallel on the shared worker pool when the
 /// batch is large enough; the output is bitwise identical for any
-/// thread count.
+/// thread count. A plane no larger than one kernel window runs as one
+/// dense GEMM against the filter bank spread and cached in `ws` (see
+/// the module docs); its result is the staged lowering's bit for bit
+/// when the input and weights are finite.
 ///
 /// # Errors
 ///
@@ -506,7 +617,6 @@ pub fn conv2d_forward_ws(
     let b = batch_of(input, g)?;
     check_weight_bias(weight, bias, g)?;
     let kern = Kernel::select();
-    ws.prepare_forward(b, g, kern);
     let sample_len = g.in_channels * g.in_h * g.in_w;
     let out_len = g.out_channels * g.out_h * g.out_w;
     let _t = conv_telemetry(
@@ -515,12 +625,18 @@ pub fn conv2d_forward_ws(
         g,
         4 * (b * sample_len + weight.len() + bias.len() + b * out_len) as u64,
     );
+    let mut out = Tensor::zeros([b, g.out_channels, g.out_h, g.out_w]);
+    if g.fits_one_window() {
+        forward_dense(input.as_slice(), weight.as_slice(), bias.as_slice(), g, kern, ws, &mut out);
+        ws.saved_batch = Some(b);
+        return Ok(out);
+    }
+    ws.prepare_forward(b, g, kern);
     let nk2 = g.col_rows();
     let (nr, wide) = (kern.nr(), g.padded_cols());
     let slot = g.slot_len(nr);
     let pa_len = packed_a_len(g.out_channels, nk2, kern.mr());
     let acc_len = g.out_channels * wide;
-    let mut out = Tensor::zeros([b, g.out_channels, g.out_h, g.out_w]);
     let xv = input.as_slice();
     {
         // (M, N, K, K) weights are row-major, so the flat slice *is* the
@@ -554,6 +670,51 @@ pub fn conv2d_forward_ws(
     });
     ws.saved_batch = Some(b);
     Ok(out)
+}
+
+/// The f32 forward of a plane no larger than one kernel window (see
+/// [`ConvGeometry::fits_one_window`]): one GEMM `X · Wd` over the whole
+/// batch, split into MR-row bands of samples. Each band stages its
+/// samples for the backward pass, packs its rows of `X`, and runs the
+/// micro-kernel against the cached `Wd` panels; its output rows are
+/// already the samples' `(M, R, C)` outputs, to which the bias is added
+/// per plane.
+fn forward_dense(
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    g: &ConvGeometry,
+    kern: Kernel,
+    ws: &mut ConvWorkspace,
+    out: &mut Tensor,
+) {
+    let b = out.dims()[0];
+    ws.prepare_dense(b, g, kern, w);
+    let (mr, nr) = (kern.mr(), kern.nr());
+    let (rows, positions) = (g.in_channels * g.in_h * g.in_w, g.col_cols());
+    let cols = g.out_channels * positions;
+    let slot = g.slot_len(nr);
+    let wd = Packed::new(&ws.dense_w[..packed_b_len(rows, cols, nr)], rows, cols, nr);
+    let bufs = (
+        PerUnit::new(out.as_mut_slice(), mr * cols),
+        PerUnit::new(&mut ws.staging[..b * slot], mr * slot),
+        PerUnit::new(&mut ws.dense_x[..packed_a_len(b, rows, mr)], mr * rows),
+    );
+    let flops = 2 * (b * rows * cols) as u64;
+    par_split(b.div_ceil(mr), flops, bufs, |panels, (band, stage, xp)| {
+        let samples = panels.start * mr..(panels.end * mr).min(b);
+        let xs = &x[samples.start * rows..samples.end * rows];
+        for (sample, slot) in xs.chunks_exact(rows).zip(stage.chunks_exact_mut(slot)) {
+            stage_sample(sample, g, slot);
+        }
+        pack_a(xs, samples.len(), rows, false, mr, xp);
+        kern.run_band(xp, wd, 0..samples.len(), band);
+        for (plane, &bm) in band.chunks_exact_mut(positions).zip(bias.iter().cycle()) {
+            for v in plane {
+                *v += bm;
+            }
+        }
+    });
 }
 
 /// Batched **quantized** convolution forward pass (the software twin of
@@ -1193,21 +1354,55 @@ mod tests {
 
     #[test]
     fn a_cloned_workspace_starts_empty() {
-        let g = small_geom();
-        let mut rng = Rng::seed_from(34);
-        let x = Tensor::rand_uniform([2, 2, 5, 5], -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform([3, 2, 3, 3], -0.5, 0.5, &mut rng);
-        let bias = Tensor::rand_uniform([3], -0.1, 0.1, &mut rng);
+        // Both forwards: a 5×5 plane, and a 3×3 one whose forward spreads
+        // and caches the filter bank.
+        for g in [small_geom(), ConvGeometry::new(2, 3, 3, 3, 3, 1, 1).unwrap()] {
+            let mut rng = Rng::seed_from(34);
+            let x = Tensor::rand_uniform([2, 2, g.in_h, g.in_w], -1.0, 1.0, &mut rng);
+            let w = Tensor::rand_uniform([3, 2, 3, 3], -0.5, 0.5, &mut rng);
+            let bias = Tensor::rand_uniform([3], -0.1, 0.1, &mut rng);
+            let mut ws = ConvWorkspace::new();
+            let y = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
+            assert!(ws.reallocations() > 0);
+            assert_eq!(ws.dense_ready, g.fits_one_window());
+            let mut cloned = ws.clone();
+            assert_eq!(cloned.reallocations(), 0, "a clone must not copy warm buffers");
+            assert!(!cloned.dense_ready && cloned.dense_w.is_empty(), "a clone holds no Wd");
+            // No saved forward pass travels with the clone.
+            let dout = Tensor::zeros([2, 3, g.out_h, g.out_w]);
+            assert!(conv2d_backward_ws(&dout, &w, &g, &mut cloned).is_err());
+            let y2 = conv2d_forward_ws(&x, &w, &bias, &g, &mut cloned).unwrap();
+            assert_eq!(bits(&y), bits(&y2));
+        }
+    }
+
+    #[test]
+    fn the_cached_filter_bank_follows_every_weight_bit() {
+        // A weight's zero sign never shows in an output (a ±0 product
+        // cannot move a sum that starts at +0), so compare the cached
+        // panels themselves: after every call they are the spread of the
+        // weights that call saw, bit for bit, a zero's sign included.
+        // The same filter bank then meets a 2×2 plane: its bits match the
+        // key, but the geometry changed, so the bank must be re-spread.
+        let square = ConvGeometry::new(3, 3, 3, 4, 3, 1, 1).unwrap();
+        let small = ConvGeometry::new(3, 2, 2, 4, 3, 1, 1).unwrap();
+        let nr = Kernel::select().nr();
+        let mut rng = Rng::seed_from(38);
+        let bias = Tensor::zeros([4]);
+        let mut w = Tensor::rand_uniform([4, 3, 3, 3], -0.5, 0.5, &mut rng);
         let mut ws = ConvWorkspace::new();
-        let y = conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
-        assert!(ws.reallocations() > 0);
-        let mut cloned = ws.clone();
-        assert_eq!(cloned.reallocations(), 0, "a clone must not copy warm buffers");
-        // No saved forward pass travels with the clone.
-        let dout = Tensor::zeros([2, 3, g.out_h, g.out_w]);
-        assert!(conv2d_backward_ws(&dout, &w, &g, &mut cloned).is_err());
-        let y2 = conv2d_forward_ws(&x, &w, &bias, &g, &mut cloned).unwrap();
-        assert_eq!(bits(&y), bits(&y2));
+        let steps = [(square, 0.0), (square, -0.0), (square, 0.0), (square, 0.25), (small, 0.25)];
+        for (g, v) in steps {
+            w.as_mut_slice()[5] = v;
+            let x = Tensor::rand_uniform([2, 3, g.in_h, g.in_w], -1.0, 1.0, &mut rng);
+            conv2d_forward_ws(&x, &w, &bias, &g, &mut ws).unwrap();
+            let len = packed_b_len(3 * g.in_h * g.in_w, 4 * g.col_cols(), nr);
+            let mut want = vec![f32::NAN; len];
+            spread_filters(w.as_slice(), &g, nr, &mut want);
+            let got: Vec<u32> = ws.dense_w[..len].iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "w[5] = {v:?} on {}x{}", g.in_h, g.in_w);
+        }
     }
 
     #[test]

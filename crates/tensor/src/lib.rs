@@ -6,7 +6,9 @@
 //! im2col convolution (the exact lowering the paper's Fig. 8 describes
 //! for GPU execution, with the forward's micro-kernel reading its B
 //! operand in place from a zero-bordered copy of each sample rather
-//! than from a materialized im2col matrix), max pooling, and a deterministic PCG32
+//! than from a materialized im2col matrix, and a plane no larger than
+//! one kernel window run as one dense GEMM against a cached spread
+//! filter bank), max pooling, and a deterministic PCG32
 //! random number generator so every experiment is reproducible from a
 //! single seed.
 //!

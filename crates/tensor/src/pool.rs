@@ -189,6 +189,66 @@ mod tests {
         }
     }
 
+    /// The first-strictly-greater chain as plain branches: values and
+    /// the absolute input index of each window's maximum.
+    fn branchy_pool(x: &[f32], g: &PoolGeometry, planes: usize) -> (Vec<u32>, Vec<usize>) {
+        let (mut vals, mut idxs) = (Vec::new(), Vec::new());
+        for p in 0..planes {
+            for oy in 0..g.out_h {
+                for ox in 0..g.out_w {
+                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0);
+                    for wy in 0..g.window {
+                        for wx in 0..g.window {
+                            let i = (p * g.in_h + oy * g.stride + wy) * g.in_w + ox * g.stride + wx;
+                            if x[i] > best {
+                                best = x[i];
+                                best_idx = i;
+                            }
+                        }
+                    }
+                    vals.push(best.to_bits());
+                    idxs.push(best_idx);
+                }
+            }
+        }
+        (vals, idxs)
+    }
+
+    #[test]
+    fn the_scalar_plane_kernel_matches_a_branchy_chain() {
+        // The scalar plane kernel is every ISA's oracle and the path the
+        // planes narrower than the vector bodies take, so it is pinned
+        // here against the branches written out: NaN never wins, a later
+        // equal value (a +0/−0 tie included) never displaces an earlier
+        // one, and an all −∞ (or all-NaN) window keeps −∞ at index 0.
+        use crate::simd::{dispatch_on, Isa, MaxPool2d};
+        let palette = [f32::NAN, f32::NEG_INFINITY, 0.0, -0.0, 1.0, -1.0, 0.5, f32::INFINITY];
+        let mut rng = Rng::seed_from(12);
+        // (channels, in_h, in_w, window, stride): the trunk's 12-, 6- and
+        // 3-wide planes, an overlapping window and a unit stride.
+        let geometries =
+            [(3, 12, 12, 2, 2), (2, 6, 6, 2, 2), (4, 3, 3, 2, 2), (2, 7, 5, 3, 2), (1, 4, 6, 2, 1)];
+        for (c, h, w, win, s) in geometries {
+            let g = PoolGeometry::new(c, h, w, win, s).unwrap();
+            let planes = 2 * c;
+            for fill in 0..3 {
+                let x: Vec<f32> = (0..planes * h * w)
+                    .map(|_| match fill {
+                        0 => palette[rng.below(palette.len())],
+                        1 => palette[rng.below(4)], // NaN, −∞ and zeros only
+                        _ => f32::NEG_INFINITY,
+                    })
+                    .collect();
+                let mut out = vec![0.0; planes * g.out_h * g.out_w];
+                let mut argmax = vec![usize::MAX; out.len()];
+                let op = MaxPool2d { x: &x, g, planes, out: &mut out, argmax: &mut argmax };
+                dispatch_on(Isa::Scalar, op);
+                let got = (out.iter().map(|v| v.to_bits()).collect(), argmax);
+                assert_eq!(got, branchy_pool(&x, &g, planes), "{g:?} fill {fill}");
+            }
+        }
+    }
+
     #[test]
     fn batch_and_channels_independent() {
         let g = PoolGeometry::new(2, 4, 4, 2, 2).unwrap();

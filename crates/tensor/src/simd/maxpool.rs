@@ -30,6 +30,11 @@ use crate::pool::PoolGeometry;
 /// One output plane, naive windows. `x` is the full input slice;
 /// `plane` the linear offset of this plane; `out`/`arg` the plane's
 /// own output slices.
+///
+/// Each window step is the first-strictly-greater chain written as two
+/// selects on `v > best`, with no data-dependent branch; the planes
+/// narrower than the vector bodies' minimum (every jigsaw-trunk pool)
+/// run here.
 fn pool_plane_scalar(x: &[f32], plane: usize, g: &PoolGeometry, out: &mut [f32], arg: &mut [usize]) {
     let mut oi = 0;
     for oy in 0..g.out_h {
@@ -39,12 +44,11 @@ fn pool_plane_scalar(x: &[f32], plane: usize, g: &PoolGeometry, out: &mut [f32],
             for wy in 0..g.window {
                 let iy = oy * g.stride + wy;
                 for wx in 0..g.window {
-                    let ix = ox * g.stride + wx;
-                    let idx = plane + iy * g.in_w + ix;
-                    if x[idx] > best {
-                        best = x[idx];
-                        best_idx = idx;
-                    }
+                    let idx = plane + iy * g.in_w + ox * g.stride + wx;
+                    let v = x[idx];
+                    let gt = v > best;
+                    best = if gt { v } else { best };
+                    best_idx = if gt { idx } else { best_idx };
                 }
             }
             out[oi] = best;

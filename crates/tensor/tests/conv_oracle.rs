@@ -21,6 +21,14 @@
 //! the last panel of a plane reads up to NR−1 elements past its last
 //! position, into the slot's zeroed tail. A second case runs geometries
 //! whose last read ends at the very end of a fresh workspace's staging.
+//!
+//! A plane no larger than one kernel window (`H·W ≤ K²`: the sweep's
+//! 1×1 planes, and its 2×5, 4×4 and 5×3 planes under a 5×5 kernel)
+//! takes the f32 forward's dense lowering, one GEMM against a spread
+//! filter bank cached in the workspace. A third case runs it at the
+//! jigsaw trunk's 3×3 planes with inputs and weights holding exact ±0,
+//! up to 144-sample batches, and a fourth changes the weights of one
+//! warm workspace by one ulp and by a zero's sign between calls.
 
 use insitu_tensor::{
     conv2d_backward_ws, conv2d_forward_i8_ws, conv2d_forward_ws, gemm_kernel_name, matmul_i8_naive,
@@ -306,5 +314,98 @@ fn the_last_panel_reads_to_the_end_of_a_fresh_staging() {
             .unwrap();
         let q_want = forward_i8_oracle(&x, &qw, &bias, &g, in_scale);
         assert_eq!(bits(q.as_slice()), bits(&q_want), "i8 forward {at}");
+    }
+}
+
+/// `t` with each element that `hit` picks replaced by a zero whose
+/// sign alternates with the index.
+fn signed_zeros(mut t: Tensor, hit: impl Fn(usize, f32) -> bool) -> Tensor {
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        if hit(i, *v) {
+            *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+    }
+    t
+}
+
+#[test]
+fn window_sized_planes_take_the_dense_lowering_bitwise() {
+    // The jigsaw trunk's conv3-5 (24->32, 32->32, 32->24 on 3x3 planes,
+    // k3 p1 s1) and ragged channel counts around MR and NR, at one- to
+    // three-sample batches and at 144 (16 images' tiles), on one warm
+    // workspace. Zero products stand in for the window's missing taps,
+    // so exact zeros of either sign in the inputs and weights are the
+    // case that must not move a bit.
+    let kernel = gemm_kernel_name();
+    let mut rng = Rng::seed_from(2022);
+    let mut ws = ConvWorkspace::new();
+    let channels = [(24, 32), (32, 32), (32, 24), (1, 1), (5, 9), (17, 7)];
+    for (cin, cout) in channels {
+        let g = ConvGeometry::new(cin, 3, 3, cout, 3, 1, 1).unwrap();
+        for b in [1usize, 2, 3, 144] {
+            // ReLU'd inputs, and weights with every third one zeroed.
+            let x = Tensor::rand_uniform([b, cin, 3, 3], -1.0, 1.0, &mut rng);
+            let x = signed_zeros(x, |_, v| v < 0.0);
+            let wt = Tensor::rand_uniform([cout, cin, 3, 3], -0.5, 0.5, &mut rng);
+            let wt = signed_zeros(wt, |i, _| i % 3 == 0);
+            let bias = Tensor::rand_uniform([cout], -0.1, 0.1, &mut rng);
+            let dout = Tensor::rand_uniform([b, cout, 3, 3], -1.0, 1.0, &mut rng);
+            let y_want = bits(&forward_oracle(&x, &wt, &bias, &g));
+            let (dx, dw, db) = backward_oracle(&x, &wt, &dout, &g);
+            for threads in [1usize, 2, 4] {
+                let at = format!("{kernel} 3x3 {cin}->{cout} b{b} t{threads}");
+                with_threads(threads, || {
+                    let y = conv2d_forward_ws(&x, &wt, &bias, &g, &mut ws).unwrap();
+                    assert_eq!(bits(y.as_slice()), y_want, "forward {at}");
+                    let (dx_got, dw_got, db_got) =
+                        conv2d_backward_ws(&dout, &wt, &g, &mut ws).unwrap();
+                    assert_eq!(bits(dx_got.as_slice()), bits(&dx), "dx {at}");
+                    assert_eq!(bits(dw_got.as_slice()), bits(&dw), "dW {at}");
+                    assert_eq!(bits(db_got.as_slice()), bits(&db), "db {at}");
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn a_warm_dense_workspace_follows_every_weight_change() {
+    // The spread filter bank is cached per weight change: one warm
+    // workspace sees a weight move by one ulp, a zero weight turn from
+    // +0 to -0, and both undone, with a repeated call at each step. A
+    // stale bank would answer for the previous weights.
+    let kernel = gemm_kernel_name();
+    let mut rng = Rng::seed_from(2023);
+    let g = ConvGeometry::new(8, 3, 3, 9, 3, 1, 1).unwrap();
+    // Sample 0 is 1 at the centre of channel 0 and 0 elsewhere, so with
+    // a zero bias its outputs are channel 0's weights exactly, and a
+    // one-ulp change to weight (1, 0, 1, 1) shows in output (1, 1, 1).
+    let mut x = Tensor::rand_uniform([5, 8, 3, 3], -1.0, 1.0, &mut rng);
+    x.as_mut_slice()[..72].fill(0.0);
+    x.as_mut_slice()[4] = 1.0;
+    let bias = Tensor::zeros([9]);
+    let mut wt = Tensor::rand_uniform([9, 8, 3, 3], -0.5, 0.5, &mut rng);
+    wt.as_mut_slice()[40] = 0.0;
+    let w76 = wt.as_slice()[76];
+    let before = bits(&forward_oracle(&x, &wt, &bias, &g));
+    // (step, weight index, new value)
+    let steps = [
+        ("one ulp", 76, f32::from_bits(w76.to_bits() + 1)),
+        ("+0 to -0", 40, -0.0),
+        ("-0 back to +0", 40, 0.0),
+        ("the ulp undone", 76, w76),
+    ];
+    let mut ws = ConvWorkspace::new();
+    conv2d_forward_ws(&x, &wt, &bias, &g, &mut ws).unwrap();
+    for (step, i, v) in steps {
+        wt.as_mut_slice()[i] = v;
+        let want = bits(&forward_oracle(&x, &wt, &bias, &g));
+        if step == "one ulp" {
+            assert_ne!(want, before, "a one-ulp weight change must move an output");
+        }
+        for call in 0..2 {
+            let y = conv2d_forward_ws(&x, &wt, &bias, &g, &mut ws).unwrap();
+            assert_eq!(bits(y.as_slice()), want, "{kernel} after {step}, call {call}");
+        }
     }
 }
