@@ -70,15 +70,17 @@ INSITU_SIMD=scalar cargo test -q -p insitu-tensor --test quant_gemm
 cargo test -q -p insitu-core --test quantized_inference
 
 # Install gates: an update carries only the inference dict after the
-# freeze cut. An i8 install's in-place recalibration must stay bitwise
-# equal to a fresh calibration over sequences of such suffix-only
-# updates (0-3 convs frozen, 1-8 calibration images, 1/2/4 threads),
-# and a corrupted update (a suffix truncated, with an extra tensor or
-# with a wrong shape; a whole dict that still carries the frozen
-# prefix; an update that carries the node's own jigsaw dict) must be
-# rejected on an f32 and an i8 node, leaving each bitwise equal to a
-# twin that never saw it. Recalibration runs max_abs and quantize_i8,
-# so both gates run under the auto-detected ISA and the portable one.
+# freeze cut, and load_trained writes it into the node's own network;
+# an i8 install then recalibrates by walking that network from the
+# cut. The in-place recalibration must stay bitwise equal to a fresh
+# calibration over sequences of such suffix-only updates (0-3 convs
+# frozen, 1-8 calibration images, 1/2/4 threads), and a corrupted
+# update (a suffix truncated, with an extra tensor or with a wrong
+# shape; a whole dict that still carries the frozen prefix; an update
+# that carries the node's own jigsaw dict) must be rejected on an f32
+# and an i8 node, leaving each bitwise equal to a twin that never saw
+# it. Recalibration runs max_abs and quantize_i8, so both gates run
+# under the auto-detected ISA and the portable one.
 # The recalibration filter names one test and must run it, so a rename
 # cannot leave it matching nothing.
 for simd in auto scalar; do
@@ -128,7 +130,6 @@ cargo test -q --test telemetry_trace
 INSITU_TRACE=1 cargo run --release -q -p insitu-bench --bin kernels_snapshot -- --quick \
     >/tmp/ci_kernels.json 2>/tmp/ci_trace.json
 grep -q '"ns_per_iter"' /tmp/ci_kernels.json
-grep -q '"speedup_vs_baseline"' /tmp/ci_kernels.json
 grep -q '"precision": "i8"' /tmp/ci_kernels.json
 grep -q '"speedup_vs_f32"' /tmp/ci_kernels.json
 # The per-op SIMD rows: each dispatched op must report its scalar

@@ -1,6 +1,6 @@
 //! Emits a machine-readable timing snapshot of the packed GEMM
 //! kernels as JSON on stdout: one record per (shape, thread-count)
-//! pair, in nanoseconds per iteration.
+//! pair, in nanoseconds per call.
 //!
 //! ```text
 //! cargo run --release -p insitu-bench --bin kernels_snapshot > BENCH_kernels.json
@@ -13,40 +13,41 @@
 //! is capped at the host cores anyway, so such rows would just
 //! duplicate t1).
 //!
-//! Each row carries `gflops` (2·M·K·N per iteration over the measured
-//! wall time) and, for the shapes with an embedded pre-packing
-//! baseline, `baseline_ns_per_iter` + `speedup_vs_baseline` — the
-//! before/after record of the packed-kernel rewrite. Every f32 row is
-//! paired with a `"precision": "i8"` row timing the fixed-point GEMM
-//! on the same shape; i8 rows carry `speedup_vs_f32` measured against
-//! the f32 packed time at the same thread count *in this run*, so the
-//! ratio is host-noise-free. Rows also carry
-//! telemetry counter totals (GEMM calls, bytes per iteration, pool
+//! Every row reports one statistic: the fastest of 300 single calls
+//! after warm-up (20 under `--quick`), as loopbench does. Host noise
+//! only ever adds time, so the fastest call holds through a slow phase
+//! where a mean moves with it. A row that compares two bodies (i8
+//! against f32, a GEMM kernel or a SIMD op against its scalar body)
+//! alternates single calls of the two, so both sides run in the same
+//! host phase, and its speedup is the ratio of the two fastest calls.
+//!
+//! Each GEMM row carries `gflops` (2·M·K·N per call over the fastest
+//! call). Every f32 row is paired with a `"precision": "i8"` row timing
+//! the fixed-point GEMM on the same shape, alternated with the f32 one:
+//! its `speedup_vs_f32` is the f32 row's time over its own. Rows also
+//! carry telemetry counter totals (GEMM calls, bytes per call, pool
 //! jobs) and dispatch-latency percentiles (`p50_ns`/`p90_ns`/`p99_ns`
-//! from the span-fed histogram) from a separate *counted* pass — the timed loop always runs
-//! with telemetry disabled, so the ns/iter numbers stay comparable to
-//! earlier snapshots. With `INSITU_TRACE=1` the final counted pass's
-//! Chrome trace is written to stderr.
+//! from the span-fed histogram) from a separate *counted* pass — the
+//! timed calls always run with telemetry disabled. With
+//! `INSITU_TRACE=1` the final counted pass's Chrome trace is written to
+//! stderr.
 //!
 //! Every row carries an `isa` field naming the vector body it timed
 //! (the GEMM kernel name for GEMM rows, the dispatched ISA for op
 //! rows). Besides the env-selected kernel, the sweep emits one
 //! `"kind": "kernel"` row per *detected* GEMM kernel per
-//! (shape, threads), timed interleaved against the portable
-//! `scalar_8x4` kernel — `speedup_vs_scalar` there is a median of
-//! per-rep ratios, so cross-ISA comparisons (AVX-512 vs AVX2 vs
-//! scalar) are clock-drift-free within a row and can be compared
-//! across rows of the same run.
+//! (shape, threads), alternated with the portable `scalar_8x4` kernel:
+//! `speedup_vs_scalar` there compares the ISAs (AVX-512 vs AVX2 vs
+//! scalar) within one run.
 //!
 //! After the GEMM sweep the snapshot times the dispatched SIMD ops
 //! (`op` rows: relu, maxpool, quantize_i8) at the paper's
-//! activation shapes: each row measures the op's scalar body against
-//! the auto-selected body interleaved — `speedup_vs_scalar` is a
-//! median of per-rep ratios, so clock drift cancels — and reports
-//! `gbps` from the op's own byte accounting. The header records which
-//! ISA `speedup_vs_scalar` compares against (`simd_isa`); under
-//! `INSITU_SIMD=scalar` both legs run the same body and the ratio
-//! hovers at 1.
+//! activation shapes: each row alternates the op's scalar body with the
+//! auto-selected body, reports `speedup_vs_scalar` as the ratio of
+//! their fastest calls and `gbps` from the op's own byte accounting.
+//! The header records which ISA `speedup_vs_scalar` compares against
+//! (`simd_isa`); under `INSITU_SIMD=scalar` both sides run the same
+//! body and the ratio hovers at 1.
 //!
 //! Last come the `"kind": "conv_layer"` rows: whole calls of the conv
 //! entry points at the shapes the loop runs them, each layer on its
@@ -57,13 +58,10 @@
 //! one such call per chunk, and on the trunk's 3×3 planes conv3–5's
 //! f32 forward is the dense lowering against the cached filter bank);
 //! the Cloud's suffix training runs `conv2d_backward_ws` through
-//! conv4–5 at batch 16. Each conv row reports the fastest of 300 single calls after
-//! warm-up (20 under `--quick`), loopbench's statistic: host noise only
-//! ever adds time, so the fastest call holds through a slow phase where
-//! a median of means moves with it.
+//! conv4–5 at batch 16.
 //!
-//! `--quick` runs a shortened sweep (fewer timing reps) for CI smoke:
-//! same fields, noisier numbers.
+//! `--quick` runs a shortened sweep (20 timed calls per row) for CI
+//! smoke: same fields, noisier numbers.
 
 use insitu_telemetry as telemetry;
 use insitu_tensor::simd::{
@@ -87,16 +85,6 @@ const SHAPES: &[(&str, usize, usize, usize)] = &[
     ("alex_conv3_b8", 32, 216, 81 * 8),
     ("jigsaw_conv2_b8", 24, 144, 16 * 8),
     ("square_128", 128, 128, 128),
-];
-
-/// Single-thread ns/iter of the pre-packing cache-blocked kernel on
-/// the reference host (commit 7dce89d), kept as the fixed "before" the
-/// `speedup_vs_baseline` field is measured against.
-const BASELINE_NS: &[(&str, u128)] = &[
-    ("alex_conv2_b8", 1_812_097),
-    ("alex_conv3_b8", 855_665),
-    ("jigsaw_conv2_b8", 89_263),
-    ("square_128", 404_629),
 ];
 
 const THREADS: &[usize] = &[1, 2, 4];
@@ -206,164 +194,53 @@ fn push_conv_row(
     );
 }
 
-/// The fastest of [`FASTEST_CALLS`] single timed calls of `f` after
-/// warm-up (a few under `quick`), in nanoseconds.
+/// Timed calls behind each row, after warm-up.
+const FASTEST_CALLS: usize = 300;
+
+/// Timed calls per row: [`FASTEST_CALLS`], or 20 under `--quick`.
+fn timed_calls(quick: bool) -> usize {
+    if quick {
+        20
+    } else {
+        FASTEST_CALLS
+    }
+}
+
+/// Wall time of one call of `f`, in nanoseconds.
+fn time_once(f: &mut dyn FnMut()) -> u128 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_nanos()
+}
+
+/// The fastest of [`timed_calls`] single calls of `f` after warm-up,
+/// in nanoseconds. The warm-up touches the buffers, grows the packing
+/// scratch or conv workspace to its steady-state size and spins up any
+/// pool workers.
 fn time_fastest(quick: bool, f: &mut dyn FnMut()) -> u128 {
     for _ in 0..3 {
         f();
     }
-    let calls = if quick { 20 } else { FASTEST_CALLS };
-    (0..calls)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .min()
-        .unwrap_or(0)
+    (0..timed_calls(quick)).map(|_| time_once(f)).min().unwrap_or(0)
 }
 
-/// Timed calls behind each `conv_layer` row.
-const FASTEST_CALLS: usize = 300;
-
-/// Median-of-reps wall time of one call of `f`, in nanoseconds.
-fn time_call(quick: bool, f: &mut dyn FnMut()) -> u128 {
-    // Warm-up: touches the buffers, grows the packing scratch or conv
-    // workspace to its steady-state size and spins up any pool workers.
+/// Alternates single calls of `a` and `b` after warm-up,
+/// [`timed_calls`] each, and returns each side's fastest, in
+/// nanoseconds. Both sides run in the same host phases, so the ratio
+/// of the two compares like with like.
+fn time_pair(quick: bool, a: &mut dyn FnMut(), b: &mut dyn FnMut()) -> (u128, u128) {
     for _ in 0..3 {
-        f();
+        a();
+        b();
     }
-    let (reps, iters) = if quick { (3, 3u32) } else { (7, 10u32) };
-    let mut samples: Vec<u128> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() / u128::from(iters)
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    (0..timed_calls(quick))
+        .map(|_| (time_once(a), time_once(b)))
+        .fold((u128::MAX, u128::MAX), |(fa, fb), (ta, tb)| (fa.min(ta), fb.min(tb)))
 }
 
-/// Times the i8 GEMM (on the process-selected kernel) interleaved
-/// with the f32 GEMM on the same operands: each rep measures both back
-/// to back, so `speedup_vs_f32` is a median of per-rep ratios and clock
-/// drift between the two measurements cancels out. Returns (i8
-/// ns/iter, speedup vs f32).
-fn time_matmul_i8_vs_f32(
-    a: &Tensor,
-    b: &Tensor,
-    qa: &[i8],
-    qb: &[i8],
-    scratch: &mut GemmScratch,
-    quick: bool,
-) -> (u128, f64) {
-    let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
-    let kernel = gemm_kernel_name();
-    let i8_gemm = |s: &mut GemmScratch| matmul_i8_with_kernel(qa, qb, m, k, n, kernel, s).unwrap();
-    for _ in 0..3 {
-        std::hint::black_box(matmul_ws(a, b, scratch).unwrap());
-        std::hint::black_box(i8_gemm(scratch));
-    }
-    let (reps, iters) = if quick { (3, 3u32) } else { (7, 10u32) };
-    let mut i8_ns: Vec<u128> = Vec::with_capacity(reps);
-    let mut ratios: Vec<f64> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(matmul_ws(a, b, scratch).unwrap());
-        }
-        let f32_sample = start.elapsed().as_nanos() / u128::from(iters);
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(i8_gemm(scratch));
-        }
-        let i8_sample = start.elapsed().as_nanos() / u128::from(iters);
-        i8_ns.push(i8_sample);
-        ratios.push(f32_sample.max(1) as f64 / i8_sample.max(1) as f64);
-    }
-    i8_ns.sort_unstable();
-    ratios.sort_by(f64::total_cmp);
-    (i8_ns[i8_ns.len() / 2], ratios[ratios.len() / 2])
-}
-
-/// Times one named GEMM kernel interleaved with the portable
-/// `scalar_8x4` kernel on the same operands, so the reported speedup
-/// is a drift-free median of per-rep ratios. Returns
-/// `(kernel ns/iter, scalar ns/iter, speedup_vs_scalar)`.
-fn time_kernel_vs_scalar(
-    a: &Tensor,
-    b: &Tensor,
-    kernel: &str,
-    scratch: &mut GemmScratch,
-    quick: bool,
-) -> (u128, u128, f64) {
-    for _ in 0..3 {
-        std::hint::black_box(matmul_with_kernel(a, b, "scalar_8x4", scratch).unwrap());
-        std::hint::black_box(matmul_with_kernel(a, b, kernel, scratch).unwrap());
-    }
-    let (reps, iters) = if quick { (3, 3u32) } else { (7, 10u32) };
-    let mut ker_ns: Vec<u128> = Vec::with_capacity(reps);
-    let mut sca_ns: Vec<u128> = Vec::with_capacity(reps);
-    let mut ratios: Vec<f64> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(matmul_with_kernel(a, b, "scalar_8x4", scratch).unwrap());
-        }
-        let s = start.elapsed().as_nanos() / u128::from(iters);
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(matmul_with_kernel(a, b, kernel, scratch).unwrap());
-        }
-        let v = start.elapsed().as_nanos() / u128::from(iters);
-        sca_ns.push(s);
-        ker_ns.push(v);
-        ratios.push(s.max(1) as f64 / v.max(1) as f64);
-    }
-    ker_ns.sort_unstable();
-    sca_ns.sort_unstable();
-    ratios.sort_by(f64::total_cmp);
-    (ker_ns[ker_ns.len() / 2], sca_ns[sca_ns.len() / 2], ratios[ratios.len() / 2])
-}
-
-/// Times a SIMD op's scalar body against its auto-selected body,
-/// interleaved per rep so the ratio is drift-free. Returns
-/// `(selected ns/iter, scalar ns/iter, speedup_vs_scalar)`.
-fn time_simd_pair(
-    quick: bool,
-    scalar: &mut dyn FnMut(),
-    selected: &mut dyn FnMut(),
-) -> (u128, u128, f64) {
-    for _ in 0..3 {
-        scalar();
-        selected();
-    }
-    let (reps, iters) = if quick { (3, 5u32) } else { (7, 20u32) };
-    let mut sel_ns: Vec<u128> = Vec::with_capacity(reps);
-    let mut sca_ns: Vec<u128> = Vec::with_capacity(reps);
-    let mut ratios: Vec<f64> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            scalar();
-        }
-        let s = start.elapsed().as_nanos() / u128::from(iters);
-        let start = Instant::now();
-        for _ in 0..iters {
-            selected();
-        }
-        let v = start.elapsed().as_nanos() / u128::from(iters);
-        sca_ns.push(s);
-        sel_ns.push(v);
-        ratios.push(s.max(1) as f64 / v.max(1) as f64);
-    }
-    sel_ns.sort_unstable();
-    sca_ns.sort_unstable();
-    ratios.sort_by(f64::total_cmp);
-    (sel_ns[sel_ns.len() / 2], sca_ns[sca_ns.len() / 2], ratios[ratios.len() / 2])
+/// How many times faster the `fast` time is than the `slow` one.
+fn speedup(slow: u128, fast: u128) -> f64 {
+    slow.max(1) as f64 / fast.max(1) as f64
 }
 
 /// Appends one `op` row.
@@ -377,12 +254,12 @@ fn push_op_row(
     bytes: u64,
     ns: u128,
     scalar_ns: u128,
-    speedup: f64,
 ) {
     if !rows.is_empty() {
         rows.push_str(",\n");
     }
     let gbps = bytes as f64 / ns.max(1) as f64;
+    let speedup = speedup(scalar_ns, ns);
     let _ = write!(
         rows,
         "    {{\"op\": \"{op}\", \"isa\": \"{isa}\", \"n\": {n}, \"threads\": {threads}, \
@@ -395,7 +272,7 @@ fn push_op_row(
 const COUNT_ITERS: u64 = 10;
 
 /// Runs a telemetry-enabled pass over the same GEMM and returns its
-/// snapshot. Kept apart from [`time_call`] so tracing overhead never
+/// snapshot. Kept apart from the timed calls so tracing overhead never
 /// touches the timed numbers.
 fn counted_pass(
     a: &Tensor,
@@ -421,9 +298,10 @@ fn main() {
     let mut rng = Rng::seed_from(7);
     let mut rows = String::new();
     let mut last_snap = telemetry::TelemetrySnapshot::default();
-    // One warm arena for every timed GEMM, as a layer in a training
-    // loop owns one.
-    let mut scratch = GemmScratch::new();
+    // One warm arena per timed GEMM body, as a layer in a training loop
+    // owns one (and its fixed-point twin another).
+    let (mut scratch, mut scratch_i8, mut scratch_scalar) =
+        (GemmScratch::new(), GemmScratch::new(), GemmScratch::new());
     for &(name, m, k, n) in SHAPES {
         let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
@@ -432,17 +310,27 @@ fn main() {
         let mut qb = vec![0i8; k * n];
         quantize_i8(a.as_slice(), quant_scale(max_abs(a.as_slice())), &mut qa);
         quantize_i8(b.as_slice(), quant_scale(max_abs(b.as_slice())), &mut qb);
-        let baseline =
-            BASELINE_NS.iter().find(|(bn, _)| *bn == name).map(|&(_, ns)| ns);
+        let flops = 2.0 * m as f64 * k as f64 * n as f64;
         for &t in THREADS {
             if t > cores {
                 continue; // the row would duplicate t1 (splits cap at cores)
             }
             set_num_threads(t);
-            let ns = time_call(quick, &mut || {
-                std::hint::black_box(matmul_ws(&a, &b, &mut scratch).unwrap());
-            });
-            let flops = 2.0 * m as f64 * k as f64 * n as f64;
+            // The f32 row and its paired i8 row: the same shape and
+            // thread count on the process-selected kernel, alternated.
+            let kernel = gemm_kernel_name();
+            let (ns, ns_i8) = time_pair(
+                quick,
+                &mut || {
+                    std::hint::black_box(matmul_ws(&a, &b, &mut scratch).unwrap());
+                },
+                &mut || {
+                    std::hint::black_box(
+                        matmul_i8_with_kernel(&qa, &qb, m, k, n, kernel, &mut scratch_i8)
+                            .unwrap(),
+                    );
+                },
+            );
             let gflops = flops / ns.max(1) as f64;
             let snap = counted_pass(&a, &b, &mut scratch);
             let gemm_calls = snap
@@ -459,6 +347,8 @@ fn main() {
             if !rows.is_empty() {
                 rows.push_str(",\n");
             }
+            let gops_i8 = flops / ns_i8.max(1) as f64;
+            let speedup_vs_f32 = speedup(ns, ns_i8);
             let _ = write!(
                 rows,
                 "    {{\"shape\": \"{name}\", \"precision\": \"f32\", \
@@ -466,38 +356,31 @@ fn main() {
                  \"threads\": {t}, \"ns_per_iter\": {ns}, \"gflops\": {gflops:.2}, \
                  \"gemm_calls\": {gemm_calls}, \"bytes_per_iter\": {bytes_per_iter}, \
                  \"pool_jobs\": {pool_jobs}, \"p50_ns\": {p50_ns}, \"p90_ns\": {p90_ns}, \
-                 \"p99_ns\": {p99_ns}",
-                kernel = gemm_kernel_name()
-            );
-            // The baseline is single-threaded; compare only t1 rows.
-            if let (Some(base), 1) = (baseline, t) {
-                let speedup = base as f64 / ns.max(1) as f64;
-                let _ = write!(
-                    rows,
-                    ", \"baseline_ns_per_iter\": {base}, \"speedup_vs_baseline\": {speedup:.2}"
-                );
-            }
-            rows.push('}');
-            // Paired i8 row: same shape and thread count, fixed-point
-            // kernel, timed interleaved with f32 so the ratio is
-            // drift-free.
-            let (ns_i8, speedup_vs_f32) =
-                time_matmul_i8_vs_f32(&a, &b, &qa, &qb, &mut scratch, quick);
-            let gops_i8 = flops / ns_i8.max(1) as f64;
-            let _ = write!(
-                rows,
-                ",\n    {{\"shape\": \"{name}\", \"precision\": \"i8\", \
+                 \"p99_ns\": {p99_ns}}},\n    \
+                 {{\"shape\": \"{name}\", \"precision\": \"i8\", \
                  \"isa\": \"{kernel}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \
                  \"threads\": {t}, \"ns_per_iter\": {ns_i8}, \"gflops\": {gops_i8:.2}, \
-                 \"speedup_vs_f32\": {speedup_vs_f32:.2}}}",
-                kernel = gemm_kernel_name()
+                 \"speedup_vs_f32\": {speedup_vs_f32:.2}}}"
             );
-            // One cross-ISA row per detected kernel, each timed
-            // interleaved with the portable kernel so the speedups are
-            // drift-free and comparable across rows of this run.
+            // One cross-ISA row per detected kernel, each alternated
+            // with the portable kernel, so the speedups are comparable
+            // across rows of this run.
             for kernel in gemm_kernels_supported() {
-                let (kns, sns, sp) = time_kernel_vs_scalar(&a, &b, kernel, &mut scratch, quick);
+                let (sns, kns) = time_pair(
+                    quick,
+                    &mut || {
+                        std::hint::black_box(
+                            matmul_with_kernel(&a, &b, "scalar_8x4", &mut scratch_scalar).unwrap(),
+                        );
+                    },
+                    &mut || {
+                        std::hint::black_box(
+                            matmul_with_kernel(&a, &b, kernel, &mut scratch).unwrap(),
+                        );
+                    },
+                );
                 let kgf = flops / kns.max(1) as f64;
+                let sp = speedup(sns, kns);
                 let _ = write!(
                     rows,
                     ",\n    {{\"shape\": \"{name}\", \"precision\": \"f32\", \
@@ -532,7 +415,7 @@ fn main() {
             let mut buf_v = act.clone();
             let mut mask_v = vec![0u8; n_act.div_ceil(8)];
             let bytes = ReluTrain { buf: &mut buf_s, mask: &mut mask_s }.bytes();
-            let (ns, sns, sp) = time_simd_pair(
+            let (sns, ns) = time_pair(
                 quick,
                 &mut || {
                     dispatch_on(
@@ -542,7 +425,7 @@ fn main() {
                 },
                 &mut || dispatch_on(sel, ReluTrain { buf: &mut buf_v, mask: &mut mask_v }),
             );
-            push_op_row(&mut rows, "relu", sel.name(), n_act, t, bytes, ns, sns, sp);
+            push_op_row(&mut rows, "relu", sel.name(), n_act, t, bytes, ns, sns);
         }
 
         // maxpool: 2x2 stride-2 forward with argmax.
@@ -553,7 +436,7 @@ fn main() {
             let mut arg_v = vec![0usize; out_len];
             let bytes =
                 MaxPool2d { x: &act, g, planes, out: &mut out_s, argmax: &mut arg_s }.bytes();
-            let (ns, sns, sp) = time_simd_pair(
+            let (sns, ns) = time_pair(
                 quick,
                 &mut || {
                     dispatch_on(
@@ -568,7 +451,7 @@ fn main() {
                     )
                 },
             );
-            push_op_row(&mut rows, "maxpool", sel.name(), n_act, t, bytes, ns, sns, sp);
+            push_op_row(&mut rows, "maxpool", sel.name(), n_act, t, bytes, ns, sns);
         }
 
         // quantize_i8: f32 -> i8 at the calibration scale.
@@ -576,14 +459,14 @@ fn main() {
             let mut dst_s = vec![0i8; n_act];
             let mut dst_v = vec![0i8; n_act];
             let bytes = QuantizeI8 { src: &act, inv_scale, dst: &mut dst_s }.bytes();
-            let (ns, sns, sp) = time_simd_pair(
+            let (sns, ns) = time_pair(
                 quick,
                 &mut || {
                     dispatch_on(Isa::Scalar, QuantizeI8 { src: &act, inv_scale, dst: &mut dst_s })
                 },
                 &mut || dispatch_on(sel, QuantizeI8 { src: &act, inv_scale, dst: &mut dst_v }),
             );
-            push_op_row(&mut rows, "quantize_i8", sel.name(), n_act, t, bytes, ns, sns, sp);
+            push_op_row(&mut rows, "quantize_i8", sel.name(), n_act, t, bytes, ns, sns);
         }
     }
 

@@ -32,7 +32,7 @@ use crate::pretrain::Pretrained;
 use crate::CloudError;
 use insitu_core::{CloudEndpoint, ModelUpdate};
 use insitu_data::Dataset;
-use insitu_nn::serialize::{leading_bits_equal, state_dict};
+use insitu_nn::serialize::{leading_bits_equal, trained_dict};
 use insitu_nn::{LabeledBatch, Network, Sequential, TrainReport};
 use insitu_tensor::{Rng, Tensor};
 use insitu_telemetry as telemetry;
@@ -280,10 +280,9 @@ impl CloudEndpoint for Cloud {
         self.version += 1;
         self.total_training_ops += ops;
         telemetry::hist_record("cloud.training_ops", "", ops);
-        let first = self.inference.tensors_before(self.inference.first_unfrozen());
         Ok(ModelUpdate {
             version: self.version,
-            inference_params: state_dict(&mut self.inference).split_off(first),
+            inference_params: trained_dict(&mut self.inference),
             jigsaw_params: None,
             training_ops: ops,
             eval_accuracy: report.and_then(|r| r.final_eval_accuracy()),
@@ -306,6 +305,7 @@ mod tests {
     use crate::pretrain::{pretrain, PretrainConfig};
     use insitu_data::Condition;
     use insitu_nn::models::mini_alexnet;
+    use insitu_nn::serialize::state_dict;
 
     fn cloud() -> Cloud {
         let mut rng = Rng::seed_from(51);
@@ -382,13 +382,12 @@ mod tests {
         // Nothing frozen: the whole dict.
         let u = c.incremental_update(&data).unwrap();
         assert_eq!(bits(&u.inference_params), bits(&state_dict(c.inference_mut())));
-        // conv1-3 frozen: exactly the tensors after the cut.
+        // conv1-3 frozen: exactly the trained dict, without the prefix.
         c.inference_mut().freeze_first_convs(3).unwrap();
         let u = c.incremental_update(&data).unwrap();
         let net = c.inference_mut();
-        let first = net.tensors_before(net.first_unfrozen());
-        assert!(first > 0);
-        assert_eq!(bits(&u.inference_params), bits(&state_dict(net)[first..]));
+        assert!(u.inference_params.len() < state_dict(net).len());
+        assert_eq!(bits(&u.inference_params), bits(&trained_dict(net)));
     }
 
     #[test]

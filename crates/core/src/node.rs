@@ -13,7 +13,7 @@ use crate::update::ModelUpdate;
 use crate::Result;
 use insitu_data::{Dataset, PermutationSet};
 use insitu_devices::NetworkShapes;
-use insitu_nn::serialize::{check_state_dict, load_state_dict_from};
+use insitu_nn::serialize::load_trained;
 use insitu_nn::transfer::conv_prefix_identical;
 use insitu_nn::{evaluate, JigsawNet, LabeledBatch, NnError, QuantizedNet, Sequential};
 use insitu_tensor::{Rng, Tensor};
@@ -111,9 +111,6 @@ pub struct InsituNode {
     perm_set: PermutationSet,
     policy: DiagnosisPolicy,
     shared_convs: usize,
-    /// Leading state-dict tensors of the inference network's frozen
-    /// prefix: an update is its dict from this tensor on.
-    prefix_tensors: usize,
     version: u32,
     movement: DataMovementMeter,
     rng: Rng,
@@ -150,7 +147,7 @@ impl InsituNode {
     /// not weight-identical, or if the inference network does not
     /// freeze them all.
     pub fn new(
-        mut inference: Sequential,
+        inference: Sequential,
         jigsaw: JigsawNet,
         perm_set: PermutationSet,
         policy: DiagnosisPolicy,
@@ -171,14 +168,12 @@ impl InsituNode {
                 });
             }
         }
-        let prefix_tensors = inference.tensors_before(cut);
         Ok(InsituNode {
             inference,
             jigsaw,
             perm_set,
             policy,
             shared_convs,
-            prefix_tensors,
             version: 0,
             movement: DataMovementMeter::new(),
             rng: Rng::seed_from(seed),
@@ -237,11 +232,11 @@ impl InsituNode {
     /// Calibrates an i8 copy of the inference network over `calib`
     /// (a held-out split that should mirror the deployment's input
     /// distribution) and switches inference to
-    /// [`InferencePrecision::I8`]. The [`QuantizedNet`] keeps its f32
-    /// shadow of the network and the shadow's activation at the freeze
-    /// cut over the calibration images, so
-    /// [`install_update`](InsituNode::install_update) recalibrates in
-    /// place, re-walking only the layers above the cut.
+    /// [`InferencePrecision::I8`]. The [`QuantizedNet`] keeps the
+    /// network's activation at the freeze cut over the calibration
+    /// images, so [`install_update`](InsituNode::install_update)
+    /// recalibrates in place, re-walking only the deployed network's
+    /// layers above the cut.
     ///
     /// # Errors
     ///
@@ -402,7 +397,10 @@ impl InsituNode {
     /// diagnosis warm-up covers the shapes the fused stage runs: the
     /// trunk over one diagnosis chunk's 144 tiles, and the feature-gather
     /// head pass over that chunk's probes (16 images times the policy's
-    /// probe count).
+    /// probe count). On an i8 node it also runs the recalibration walk,
+    /// which leaves the calibration bitwise as it is and grows the
+    /// deployed network's workspaces above the freeze cut to the
+    /// calibration batch, so installs allocate no kernel scratch either.
     ///
     /// # Errors
     ///
@@ -415,6 +413,7 @@ impl InsituNode {
         self.inference.predict(&zeros)?;
         if let Some(q) = &mut self.quantized {
             q.predict(&zeros)?;
+            q.recalibrate(&mut self.inference)?;
         }
         let tiles = Tensor::zeros([DIAGNOSIS_CHUNK * PATCHES, CHANNELS, PATCH_SIZE, PATCH_SIZE]);
         let feats = self.jigsaw.tile_features(&tiles)?;
@@ -605,14 +604,15 @@ impl InsituNode {
     /// An update carries only the inference network's state-dict
     /// tensors after its freeze cut ([`ModelUpdate`]): the frozen prefix,
     /// which holds the convs shared with diagnosis, belongs to the
-    /// deployment. Before anything is written, that suffix is checked
-    /// against the deployed tensors after the cut (count and shapes),
-    /// and an update that carries a diagnosis dict is rejected. On an i8
-    /// node the quantized network is then recalibrated from the cut
-    /// ([`QuantizedNet::recalibrate`]). Only then is the suffix written,
-    /// so a rejected update leaves the node serving its last good model.
-    /// A successful install adds the update's downlink bytes to the
-    /// [`movement`](InsituNode::movement) meter.
+    /// deployment. An update that carries a diagnosis dict is rejected;
+    /// otherwise [`load_trained`] writes the suffix after checking its
+    /// count and shapes, so a rejected update leaves the node serving its
+    /// last good model. On an i8 node the quantized network then
+    /// recalibrates from the deployed network
+    /// ([`QuantizedNet::recalibrate`]), which cannot fail: it was
+    /// calibrated from this network, whose architecture no install
+    /// changes. A successful install adds the update's downlink bytes to
+    /// the [`movement`](InsituNode::movement) meter.
     ///
     /// # Errors
     ///
@@ -627,13 +627,11 @@ impl InsituNode {
             }
             .into());
         }
-        let (params, first) = (&update.inference_params, self.prefix_tensors);
-        check_state_dict(&mut self.inference, params, first)?;
+        load_trained(&mut self.inference, &update.inference_params)?;
         if let Some(q) = &mut self.quantized {
             let _t = telemetry::span("node.quantize_refresh");
-            q.recalibrate(params)?;
+            q.recalibrate(&mut self.inference)?;
         }
-        load_state_dict_from(&mut self.inference, params, first)?;
         self.version = update.version;
         self.movement.record_install(update.downlink_bytes());
         Ok(())
@@ -650,7 +648,7 @@ mod tests {
     use super::*;
     use insitu_data::Condition;
     use insitu_nn::models::{jigsaw_network, mini_alexnet};
-    use insitu_nn::serialize::state_dict;
+    use insitu_nn::serialize::{state_dict, trained_dict};
     use insitu_nn::transfer::transfer_and_freeze;
 
     fn node() -> InsituNode {
@@ -671,13 +669,7 @@ mod tests {
     fn update_suffix(n: &InsituNode, seed: u64) -> Vec<Tensor> {
         let mut other = mini_alexnet(4, &mut Rng::seed_from(seed)).unwrap();
         transfer_and_freeze(n.jigsaw().trunk(), &mut other, 3, 3).unwrap();
-        state_dict(&mut other).split_off(n.prefix_tensors)
-    }
-
-    /// The node's installed dict after its freeze cut.
-    fn installed_suffix(n: &mut InsituNode) -> Vec<Tensor> {
-        let first = n.prefix_tensors;
-        state_dict(n.inference_mut()).split_off(first)
+        trained_dict(&mut other)
     }
 
     #[test]
@@ -740,7 +732,7 @@ mod tests {
         };
         n.install_update(&update).unwrap();
         assert_eq!(n.version(), 5);
-        assert_eq!(installed_suffix(&mut n), update.inference_params);
+        assert_eq!(trained_dict(n.inference_mut()), update.inference_params);
         // Mismatched snapshot rejected.
         let bad = ModelUpdate {
             version: 6,
@@ -771,7 +763,7 @@ mod tests {
         assert_eq!(n.version(), version);
         update.jigsaw_params = None;
         n.install_update(&update).unwrap();
-        assert_eq!(installed_suffix(&mut n), update.inference_params);
+        assert_eq!(trained_dict(n.inference_mut()), update.inference_params);
         assert_eq!(n.version(), 3);
     }
 
@@ -854,24 +846,35 @@ mod tests {
     }
 
     #[test]
-    fn install_keeps_every_i8_and_shadow_workspace_warm() {
+    fn install_keeps_every_workspace_warm() {
         let mut n = node();
-        let calib = Dataset::generate(4, 4, &Condition::ideal(), &mut Rng::seed_from(19)).unwrap();
+        // More calibration images than the prewarm batch: the walk, not
+        // the prewarm forward, sets the deployed suffix's workspaces.
+        let calib = Dataset::generate(6, 4, &Condition::ideal(), &mut Rng::seed_from(19)).unwrap();
         n.enable_quantized(&calib).unwrap();
         n.prewarm(4).unwrap();
-        let warm = n.quantized().unwrap().workspace_reallocations();
-        assert!(warm.iter().all(|&g| g > 0), "every workspace warmed: {warm:?}");
-        let update = ModelUpdate {
-            version: 1,
-            inference_params: update_suffix(&n, 23),
-            jigsaw_params: None,
-            training_ops: 1,
-            eval_accuracy: None,
+        let counts = |n: &InsituNode| {
+            (
+                n.inference().workspace_reallocations(),
+                n.quantized().unwrap().workspace_reallocations(),
+            )
         };
-        n.install_update(&update).unwrap();
-        // Replaced workspaces would restart at 0; grown ones would count up.
-        assert_eq!(n.quantized().unwrap().workspace_reallocations(), warm, "install");
+        let warm = counts(&n);
+        assert!(warm.0.iter().chain(&warm.1).all(|&g| g > 0), "every workspace warmed: {warm:?}");
+        for (version, seed) in [(1, 23), (2, 29)] {
+            let update = ModelUpdate {
+                version,
+                inference_params: update_suffix(&n, seed),
+                jigsaw_params: None,
+                training_ops: 1,
+                eval_accuracy: None,
+            };
+            n.install_update(&update).unwrap();
+            // Replaced workspaces would restart at 0; grown ones would
+            // count up.
+            assert_eq!(counts(&n), warm, "install {version}");
+        }
         n.process_stage(&data(), 4).unwrap();
-        assert_eq!(n.quantized().unwrap().workspace_reallocations(), warm, "stage");
+        assert_eq!(counts(&n), warm, "stage");
     }
 }

@@ -35,7 +35,9 @@ use crate::recorder;
 use crate::update::{CloudEndpoint, ModelUpdate};
 use crate::Result;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use insitu_data::{Dataset, IngestConfig, IngestPipeline, QueueFullPolicy, StreamSource};
+use insitu_data::{
+    Dataset, IngestConfig, IngestPipeline, ProducerReport, QueueFullPolicy, StreamSource,
+};
 use insitu_telemetry as telemetry;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -176,10 +178,9 @@ pub struct SessionStats {
 /// lockstep uploads) to a hand-driven sequential loop's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestSummary {
-    /// Frames the producer materialized (including dropped ones).
-    pub frames: u64,
-    /// Frames evicted under [`IngestPolicy::DropOldest`].
-    pub drops: u64,
+    /// The producer's own report: frames materialized, drops, arena
+    /// buffers, producer time and the queue's depth high-water mark.
+    pub producer: ProducerReport,
     /// Degrade steps taken (batch halvings and the i8 step) under
     /// [`IngestPolicy::Degrade`].
     pub degrades: u64,
@@ -190,16 +191,6 @@ pub struct IngestSummary {
     /// ([`InsituNode::precision_flips`] over the session), whichever
     /// controller caused them.
     pub precision_flips: u64,
-    /// High-water mark of the ingest queue depth.
-    pub max_queue_depth: u64,
-    /// Arena buffers the producer minted fresh (the
-    /// zero-steady-state-allocation gate: bounded by
-    /// `queue_capacity + 2`, never the stream length).
-    pub fresh_buffers: u64,
-    /// Arena acquisitions served by recycled buffers.
-    pub reused_buffers: u64,
-    /// Total producer wall-clock spent materializing frames, ns.
-    pub produce_ns_total: u64,
 }
 
 /// Runs a live session: a producer thread materializes frames from
@@ -375,7 +366,6 @@ where
                     telemetry::hist_record("node.ingest.wait", "", ns);
                 }
                 let depth = pipeline.depth() as u64;
-                summary.max_queue_depth = summary.max_queue_depth.max(depth);
                 telemetry::hist_record("node.ingest.queue_depth", "", depth);
                 telemetry::hist_record("node.ingest.produce", "", frame.produce_ns);
                 telemetry::counter_add("node.ingest.frames", "", 1);
@@ -457,14 +447,10 @@ where
                 // Hand the frame's storage back to the producer arena.
                 pipeline.recycle(frame);
             }
-            // End of stream: harvest the producer's report.
-            let report = pipeline.finish()?;
-            summary.frames = report.frames;
-            summary.drops = report.dropped;
-            summary.fresh_buffers = report.fresh_buffers;
-            summary.reused_buffers = report.reused_buffers;
-            summary.produce_ns_total = report.produce_ns_total;
-            summary.max_queue_depth = summary.max_queue_depth.max(report.max_queue_depth);
+            // End of stream: harvest the producer's report. Any depth
+            // seen above was first reached by a push, so the queue's
+            // high-water mark in it bounds what the consumer saw.
+            summary.producer = pipeline.finish()?;
             Ok(())
         })();
         (node, run.err(), summary)
@@ -527,7 +513,7 @@ mod tests {
     use crate::diagnosis::DiagnosisPolicy;
     use insitu_data::{Condition, PermutationSet};
     use insitu_nn::models::{jigsaw_network, mini_alexnet};
-    use insitu_nn::serialize::state_dict;
+    use insitu_nn::serialize::trained_dict;
     use insitu_nn::transfer::transfer_and_freeze;
     use insitu_tensor::Rng;
 
@@ -584,9 +570,7 @@ mod tests {
 
     fn echo_cloud(node: &mut InsituNode) -> Arc<Mutex<EchoCloud>> {
         // An update carries the dict after the freeze cut.
-        let net = node.inference_mut();
-        let first = net.tensors_before(net.first_unfrozen());
-        let params = state_dict(net).split_off(first);
+        let params = trained_dict(node.inference_mut());
         Arc::new(Mutex::new(EchoCloud { params, version: 0 }))
     }
 
@@ -618,7 +602,7 @@ mod tests {
             replay(node, cloud, stream(3, 20, 9), SessionConfig::with_batch(8)).unwrap();
         assert_eq!(stats.batches, 3);
         assert_eq!(stats.images_seen, 60);
-        assert_eq!(summary.frames, 3);
+        assert_eq!(summary.producer.frames, 3);
         assert!(stats.images_uploaded > 0); // untrained model errs plenty
         assert!(stats.updates_installed >= 1);
         assert!(node.version() >= 1);
@@ -740,7 +724,7 @@ mod tests {
             replay(make_node(6), cloud, vec![], SessionConfig::with_batch(8)).unwrap();
         assert_eq!(stats.batches, 0);
         assert_eq!(stats.images_seen, 0);
-        assert_eq!(summary.frames, 0);
+        assert_eq!(summary.producer.frames, 0);
         assert_eq!(node.version(), 0);
     }
 }

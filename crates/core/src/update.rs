@@ -16,9 +16,11 @@ use serde::{Deserialize, Serialize};
 pub struct ModelUpdate {
     /// Monotonically increasing model version.
     pub version: u32,
-    /// The inference network's state-dict tensors after its freeze cut:
-    /// `state_dict[tensors_before(first_unfrozen())..]`, the whole dict
-    /// when nothing is frozen.
+    /// The inference network's state-dict tensors after its freeze cut,
+    /// the whole dict when nothing is frozen: what
+    /// [`trained_dict`](insitu_nn::serialize::trained_dict) clones on the
+    /// Cloud and [`load_trained`](insitu_nn::serialize::load_trained)
+    /// writes on the node.
     pub inference_params: Vec<Tensor>,
     /// Always `None`: the diagnosis network is fixed at deployment, and
     /// a node rejects an update that carries a dict here. The field

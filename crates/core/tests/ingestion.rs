@@ -30,7 +30,7 @@ use insitu_data::{
 };
 use insitu_devices::NetworkShapes;
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
-use insitu_nn::serialize::state_dict;
+use insitu_nn::serialize::{state_dict, trained_dict};
 use insitu_nn::transfer::transfer_and_freeze;
 use insitu_telemetry as telemetry;
 use insitu_tensor::{num_threads, set_num_threads, Rng};
@@ -101,9 +101,7 @@ impl EchoCloud {
     fn for_seed(seed: u64) -> Arc<Mutex<EchoCloud>> {
         let mut node = make_node(seed);
         // An update carries the dict after the freeze cut.
-        let net = node.inference_mut();
-        let first = net.tensors_before(net.first_unfrozen());
-        let params = state_dict(net).split_off(first);
+        let params = trained_dict(node.inference_mut());
         Arc::new(Mutex::new(EchoCloud { params, version: 0 }))
     }
 }
@@ -217,12 +215,12 @@ proptest! {
             // Block is lossless: every frame reaches the node and
             // arena recycling bounds fresh allocations by the queue
             // capacity, never the stream length.
-            assert_eq!(summary.frames, frames as u64);
-            assert_eq!(summary.drops, 0);
+            assert_eq!(summary.producer.frames, frames as u64);
+            assert_eq!(summary.producer.dropped, 0);
             assert!(
-                summary.fresh_buffers <= capacity as u64 + 2,
+                summary.producer.fresh_buffers <= capacity as u64 + 2,
                 "fresh {} > cap {} + 2",
-                summary.fresh_buffers,
+                summary.producer.fresh_buffers,
                 capacity
             );
             let version = node.version();
@@ -266,14 +264,18 @@ fn block_policy_stalls_a_slow_consumer_without_loss() {
     let (_, stats, summary) =
         run_ingested_session(node, cloud, replay(stream(8, 8, 22)), &config).unwrap();
     assert_eq!(stats.batches, 8, "Block must deliver every frame");
-    assert_eq!(summary.frames, 8);
-    assert_eq!(summary.drops, 0, "Block never drops");
+    assert_eq!(summary.producer.frames, 8);
+    assert_eq!(summary.producer.dropped, 0, "Block never drops");
     assert!(
-        summary.max_queue_depth <= 2,
+        summary.producer.max_queue_depth <= 2,
         "queue bound violated: depth {}",
-        summary.max_queue_depth
+        summary.producer.max_queue_depth
     );
-    assert!(summary.fresh_buffers <= 4, "arena must recycle: {} fresh", summary.fresh_buffers);
+    assert!(
+        summary.producer.fresh_buffers <= 4,
+        "arena must recycle: {} fresh",
+        summary.producer.fresh_buffers
+    );
 }
 
 #[test]
@@ -291,10 +293,10 @@ fn drop_oldest_sheds_frames_under_a_slow_consumer() {
     let (_, stats, summary) =
         run_ingested_session(node, cloud, replay(stream(frames as usize, 8, 24)), &config)
             .unwrap();
-    assert_eq!(summary.frames, frames);
-    assert!(summary.drops > 0, "a 30 ms/frame consumer behind a cap-1 queue must drop");
+    assert_eq!(summary.producer.frames, frames);
+    assert!(summary.producer.dropped > 0, "a 30 ms/frame consumer behind a cap-1 queue must drop");
     assert_eq!(
-        stats.batches + summary.drops,
+        stats.batches + summary.producer.dropped,
         frames,
         "every frame is either processed or counted dropped"
     );
@@ -314,7 +316,7 @@ fn degrade_policy_halves_the_batch_under_pressure() {
     let (_, stats, summary) =
         run_ingested_session(node, cloud, replay(stream(8, 8, 26)), &config).unwrap();
     assert_eq!(stats.batches, 8, "Degrade keeps every frame");
-    assert_eq!(summary.drops, 0, "Degrade sheds load on the consumer, not the stream");
+    assert_eq!(summary.producer.dropped, 0, "Degrade sheds load on the consumer, not the stream");
     assert!(summary.degrades >= 1, "a backed-up queue must shrink the batch");
 }
 
@@ -411,7 +413,7 @@ fn shed_and_replan_share_one_owner_of_precision() {
     // F32 plans only: the node starts and ends at f32, so its flips
     // pair up, and the shed's i8 step survives the re-plans.
     let (_, stats, summary) = session(None);
-    assert!(summary.max_queue_depth >= 1, "the slow consumer must back the queue up");
+    assert!(summary.producer.max_queue_depth >= 1, "the slow consumer must back the queue up");
     assert!(summary.precision_flips >= 2, "queue pressure at the floor must flip to i8");
     assert_eq!(summary.precision_flips % 2, 0, "{} flips", summary.precision_flips);
     let stages_at =

@@ -17,7 +17,7 @@
 use insitu_core::{DiagnosisPolicy, InsituNode, ModelUpdate, StageOutcome};
 use insitu_data::{Condition, Dataset, PermutationSet};
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
-use insitu_nn::serialize::state_dict;
+use insitu_nn::serialize::{state_dict, trained_dict};
 use insitu_nn::transfer::transfer_and_freeze;
 use insitu_tensor::{Rng, Tensor};
 use proptest::prelude::*;
@@ -44,19 +44,11 @@ fn make_node(seed: u64, i8: bool) -> InsituNode {
     node
 }
 
-/// Leading tensors of the node's inference dict that hold its frozen
-/// prefix.
-fn prefix_tensors(node: &InsituNode) -> usize {
-    let mut net = node.inference().clone();
-    net.tensors_before(net.first_unfrozen())
-}
-
 /// What the Cloud ships: the node's dict after the freeze cut, every
 /// tensor moved.
 fn valid_params(node: &mut InsituNode, seed: u64) -> Vec<Tensor> {
-    let prefix = prefix_tensors(node);
     let mut rng = Rng::seed_from(seed ^ 0xC10D);
-    let mut suffix = state_dict(node.inference_mut()).split_off(prefix);
+    let mut suffix = trained_dict(node.inference_mut());
     for t in &mut suffix {
         for v in t.as_mut_slice() {
             *v += rng.uniform(-0.01, 0.01);
@@ -95,7 +87,7 @@ fn corrupted(node: &mut InsituNode, kind: usize, k: usize, seed: u64) -> ModelUp
         3 => {
             // The node's own frozen prefix in front of the moved suffix.
             let mut whole = state_dict(node.inference_mut());
-            whole.truncate(prefix_tensors(node));
+            whole.truncate(whole.len() - len);
             whole.extend(params);
             params = whole;
         }
@@ -167,7 +159,7 @@ proptest! {
                 node.install_update(&good).unwrap();
                 twin.install_update(&good).unwrap();
                 prop_assert_eq!(node.version(), 1);
-                let installed = state_dict(node.inference_mut()).split_off(prefix_tensors(&node));
+                let installed = trained_dict(node.inference_mut());
                 prop_assert!(
                     dict_bits(&installed) == dict_bits(&good.inference_params),
                     "{what}: the valid update did not install"

@@ -24,7 +24,7 @@ use insitu_core::{
 use insitu_data::{Condition, Dataset, PermutationSet, ReplaySource};
 use insitu_devices::NetworkShapes;
 use insitu_nn::models::{jigsaw_network, mini_alexnet};
-use insitu_nn::serialize::state_dict;
+use insitu_nn::serialize::trained_dict;
 use insitu_nn::transfer::transfer_and_freeze;
 use insitu_telemetry::{self as telemetry, validate_prometheus, Histogram};
 use insitu_tensor::Rng;
@@ -95,9 +95,7 @@ fn stream(stages: usize, images: usize, seed: u64) -> Vec<Dataset> {
 /// Cloud.
 fn replay(mut node: InsituNode, stream: Vec<Dataset>) -> (InsituNode, SessionStats) {
     // An update carries the dict after the freeze cut.
-    let net = node.inference_mut();
-    let first = net.tensors_before(net.first_unfrozen());
-    let params = state_dict(net).split_off(first);
+    let params = trained_dict(node.inference_mut());
     let cloud = Arc::new(parking_lot::Mutex::new(EchoCloud { params, version: 0 }));
     let config =
         IngestSessionConfig { session: SessionConfig::with_batch(8), ..Default::default() };

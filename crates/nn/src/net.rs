@@ -3,6 +3,7 @@
 use crate::describe::NetworkDesc;
 use crate::error::NnError;
 use crate::layer::{Layer, LayerKind, Mode};
+use crate::layers::{Conv2d, Linear};
 use crate::Result;
 use insitu_tensor::Tensor;
 
@@ -232,6 +233,23 @@ impl Sequential {
             l.visit_params(&mut |_, _| n += 1);
         }
         n
+    }
+
+    /// Growth counts of every Conv2d's and Linear's kernel workspace, in
+    /// layer order. A count that holds across a call means the call
+    /// allocated no kernel scratch there (see
+    /// [`ConvWorkspace::reallocations`](insitu_tensor::ConvWorkspace::reallocations));
+    /// a replaced workspace would restart at 0.
+    pub fn workspace_reallocations(&self) -> Vec<usize> {
+        self.layers
+            .iter()
+            .filter_map(|l| {
+                let any = l.as_any();
+                any.downcast_ref::<Conv2d>()
+                    .map(Conv2d::workspace_reallocations)
+                    .or_else(|| any.downcast_ref::<Linear>().map(Linear::workspace_reallocations))
+            })
+            .collect()
     }
 
     /// Runs only the frozen prefix — the layers before

@@ -20,20 +20,22 @@
 //! every model update goes through [`QuantizedNet::recalibrate`]. An
 //! update carries only the state-dict tensors after the freeze cut
 //! ([`Sequential::first_unfrozen`]): the frozen prefix belongs to the
-//! deployment, and no update moves it. So the net keeps the f32 network
-//! it walks (the *shadow*), the cut and the shadow's activation at the
-//! cut over the calibration images (the images themselves when nothing
-//! is frozen), and every recalibration re-walks only the layers from
-//! the cut on, starting at that activation. The result is bitwise equal
-//! to a fresh `calibrate` of the updated network over the same images,
-//! and the fixed-point layers are rewritten in place, so their kernel
-//! workspaces stay warm across updates.
+//! deployment, and no update moves it. So the net keeps the cut and the
+//! activation at the cut over the calibration images (the images
+//! themselves when nothing is frozen), and holds no f32 network of its
+//! own: `recalibrate` is handed the updated network, on a node the
+//! deployed one right after the update was written into it
+//! ([`load_trained`](crate::serialize::load_trained)), and re-walks only
+//! its layers from the cut on, starting at that activation. The result
+//! is bitwise equal to a fresh `calibrate` of the updated network over
+//! the same images, and the fixed-point layers are rewritten in place,
+//! so their kernel workspaces stay warm across updates.
 
+use crate::describe::LayerDesc;
 use crate::error::NnError;
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, LayerKind, Mode};
 use crate::layers::{Conv2d, Linear};
 use crate::net::Sequential;
-use crate::serialize::load_state_dict_from;
 use crate::Result;
 use insitu_tensor::{
     conv2d_forward_i8_ws, linear_forward_i8_ws, max_abs, quant_scale, ConvGeometry,
@@ -145,16 +147,17 @@ impl QLayer {
 pub struct QuantizedNet {
     layers: Vec<QLayer>,
     report: Vec<LayerCalibration>,
-    /// The f32 network the calibration walks: a clone of the calibrated
-    /// network, into which every update is loaded.
-    shadow: Sequential,
-    /// The shadow's freeze cut: layers before it are the frozen prefix.
+    /// The calibrated network's layer shapes and freeze cut, and its
+    /// activation at the cut over the calibration images.
+    shapes: Vec<(LayerKind, Option<LayerDesc>)>,
     cut: usize,
-    /// How many leading state-dict tensors the frozen prefix holds: an
-    /// update is the dict from this tensor on.
-    prefix_tensors: usize,
-    /// The shadow's activation at the cut over the calibration images.
     at_cut: Tensor,
+}
+
+/// Every layer's kind and shape, in order: the architecture
+/// [`QuantizedNet::recalibrate`] requires.
+fn layer_shapes(net: &Sequential) -> Vec<(LayerKind, Option<LayerDesc>)> {
+    (0..net.len()).filter_map(|i| net.layer(i).ok()).map(|l| (l.kind(), l.describe())).collect()
 }
 
 impl QuantizedNet {
@@ -162,9 +165,9 @@ impl QuantizedNet {
     /// `(B, C, H, W)`) and quantizes every Conv2d/Linear layer.
     ///
     /// The calibration forward runs on a clone of `net` in `Eval` mode,
-    /// so the source network's caches and parameters are untouched. The
-    /// clone and its activation at `net`'s freeze cut are kept for
-    /// [`recalibrate`](QuantizedNet::recalibrate).
+    /// so the source network is untouched. The clone's activation at the
+    /// freeze cut is kept for [`recalibrate`](QuantizedNet::recalibrate),
+    /// and the clone is dropped.
     ///
     /// # Errors
     ///
@@ -178,62 +181,62 @@ impl QuantizedNet {
                 actual: calib.dims().to_vec(),
             });
         }
-        let mut shadow = net.clone();
+        let mut walked = net.clone();
         let layers =
-            (0..shadow.len()).map(|i| QLayer::of(shadow.layer(i)?)).collect::<Result<Vec<_>>>()?;
-        let cut = shadow.first_unfrozen();
-        let prefix_tensors = shadow.tensors_before(cut);
-        let mut q = QuantizedNet {
-            layers,
-            report: Vec::new(),
-            shadow,
-            cut,
-            prefix_tensors,
-            at_cut: Tensor::zeros([0]),
-        };
-        q.at_cut = q.walk_layers(0..cut, calib.clone())?;
-        q.walk_suffix()?;
+            (0..walked.len()).map(|i| QLayer::of(walked.layer(i)?)).collect::<Result<Vec<_>>>()?;
+        let (shapes, cut) = (layer_shapes(net), net.first_unfrozen());
+        let mut q =
+            QuantizedNet { layers, report: Vec::new(), shapes, cut, at_cut: Tensor::zeros([0]) };
+        q.at_cut = q.walk_layers(&mut walked, 0..cut, calib.clone())?;
+        q.walk_suffix(&mut walked)?;
         Ok(q)
     }
 
-    /// Recalibrates after a model update. `suffix` is the update: the
-    /// state-dict tensors of the network this net was calibrated from,
-    /// from the first tensor after its freeze cut on (the whole dict
-    /// when nothing is frozen).
+    /// Recalibrates from `net`, the network after a model update, which
+    /// must have the calibrated layer shapes and freeze cut. Its prefix
+    /// is trusted to be the calibrated one, since no update moves it.
     ///
-    /// The suffix is checked against the shadow's (tensor count and
-    /// shapes) before anything is written, then loaded into the shadow,
-    /// and the walk resumes at the cut from the cached activation. The
-    /// calibration records, i8 weights, row scales, biases and input
-    /// scales are then bitwise those of a fresh
-    /// [`calibrate`](QuantizedNet::calibrate) of the updated network over
-    /// the same images. They are written into the existing layers: every
-    /// kernel workspace and passthrough layer survives.
+    /// The walk resumes at the cut from the cached activation through
+    /// `net`'s own layers, in `Eval` mode, so their workspaces grow to
+    /// the calibration batch. The calibration records, i8 weights, row
+    /// scales, biases and input scales are then bitwise those of a fresh
+    /// [`calibrate`](QuantizedNet::calibrate) of `net` over the same
+    /// images. They are written into the existing layers: every kernel
+    /// workspace and passthrough layer survives.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::SnapshotMismatch`] if the suffix does not fit
-    /// the network; nothing is written then.
-    pub fn recalibrate(&mut self, suffix: &[Tensor]) -> Result<()> {
-        load_state_dict_from(&mut self.shadow, suffix, self.prefix_tensors)?;
-        self.walk_suffix()
+    /// Returns [`NnError::SnapshotMismatch`] if `net` does not have the
+    /// calibrated architecture; nothing is written then.
+    pub fn recalibrate(&mut self, net: &mut Sequential) -> Result<()> {
+        if net.first_unfrozen() != self.cut || layer_shapes(net) != self.shapes {
+            let reason = format!("{:?} is not the network the i8 net was calibrated from", net.name());
+            return Err(NnError::SnapshotMismatch { reason });
+        }
+        self.walk_suffix(net)
     }
 
     /// Re-quantizes and re-measures every fixed-point layer from the cut
-    /// on, starting at the cached activation.
-    fn walk_suffix(&mut self) -> Result<()> {
+    /// on, walking `net` from the cached activation.
+    fn walk_suffix(&mut self, net: &mut Sequential) -> Result<()> {
         let kept =
             self.layers[..self.cut].iter().filter(|l| !matches!(l, QLayer::Passthrough(_))).count();
         self.report.truncate(kept);
-        self.walk_layers(self.cut..self.layers.len(), self.at_cut.clone())?;
+        self.walk_layers(net, self.cut..self.layers.len(), self.at_cut.clone())?;
         Ok(())
     }
 
-    /// Calibrates `range` of layers on `x`, the activation entering its
-    /// first layer, and returns the activation leaving its last.
-    fn walk_layers(&mut self, range: Range<usize>, mut x: Tensor) -> Result<Tensor> {
+    /// Calibrates `range` of `net`'s layers on `x`, the activation
+    /// entering its first layer, and returns the activation leaving its
+    /// last.
+    fn walk_layers(
+        &mut self,
+        net: &mut Sequential,
+        range: Range<usize>,
+        mut x: Tensor,
+    ) -> Result<Tensor> {
         for i in range {
-            let layer = self.shadow.layer_mut(i)?;
+            let layer = net.layer_mut(i)?;
             if let Some(record) = self.layers[i].calibrate(layer, &x)? {
                 self.report.push(record);
             }
@@ -307,43 +310,34 @@ impl QuantizedNet {
         Ok(correct as f32 / n as f32)
     }
 
-    /// Number of layers running in fixed point (quantized conv+linear).
-    pub fn quantized_layers(&self) -> usize {
-        self.report.len()
-    }
-
     /// Per-layer calibration records, in network order.
     pub fn calibration(&self) -> &[LayerCalibration] {
         &self.report
     }
 
-    /// Growth counts of every kernel workspace the net owns: each
-    /// fixed-point layer's, then each shadow Conv2d's and Linear's, in
+    /// Growth counts of every fixed-point layer's kernel workspace, in
     /// layer order. A count that holds across a call means the call
     /// allocated no kernel scratch there (see
     /// [`ConvWorkspace::reallocations`]); a replaced workspace would
     /// restart at 0.
     pub fn workspace_reallocations(&self) -> Vec<usize> {
-        let fixed = self.layers.iter().filter_map(|l| match l {
-            QLayer::Conv { ws, .. } => Some(ws.reallocations()),
-            QLayer::Linear { scratch, .. } => Some(scratch.reallocations()),
-            QLayer::Passthrough(_) => None,
-        });
-        let shadow = (0..self.shadow.len()).filter_map(|i| {
-            let any = self.shadow.layer(i).ok()?.as_any();
-            any.downcast_ref::<Conv2d>()
-                .map(Conv2d::workspace_reallocations)
-                .or_else(|| any.downcast_ref::<Linear>().map(Linear::workspace_reallocations))
-        });
-        fixed.chain(shadow).collect()
+        self.layers
+            .iter()
+            .filter_map(|l| match l {
+                QLayer::Conv { ws, .. } => Some(ws.reallocations()),
+                QLayer::Linear { scratch, .. } => Some(scratch.reallocations()),
+                QLayer::Passthrough(_) => None,
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::Relu;
     use crate::models::mini_alexnet;
-    use crate::serialize::{load_state_dict, state_dict};
+    use crate::serialize::{load_trained, trained_dict};
     use insitu_tensor::{num_threads, set_num_threads, Rng};
     use proptest::prelude::*;
 
@@ -354,7 +348,7 @@ mod tests {
         let calib = Tensor::rand_uniform([4, 3, 36, 36], 0.0, 1.0, &mut rng);
         let q = QuantizedNet::calibrate(&net, &calib).unwrap();
         // Mini-AlexNet: 5 conv + 3 fc, everything else passes through.
-        assert_eq!(q.quantized_layers(), 8);
+        assert_eq!(q.calibration().len(), 8);
         assert_eq!(q.layers.len(), net.len());
         for rec in q.calibration() {
             assert!(rec.in_scale > 0.0, "{}: degenerate input scale", rec.name);
@@ -446,10 +440,10 @@ mod tests {
 
     /// Calibrates a Mini-AlexNet frozen through its `frozen`-th conv,
     /// then applies `updates` updates, each moving every tensor after
-    /// the freeze cut, recalibrating in place from that suffix after each
-    /// one and checking the result against a fresh calibration of the
-    /// same weights. Returns the last recalibrated logits, for the
-    /// cross-thread-count pin.
+    /// the freeze cut: each is loaded into the net, which is then handed
+    /// to `recalibrate`, and the result is checked against a fresh
+    /// calibration of the same weights. Returns the last recalibrated
+    /// logits, for the cross-thread-count pin.
     fn recalibrate_against_fresh(
         seed: u64,
         images: usize,
@@ -459,20 +453,19 @@ mod tests {
         let mut rng = Rng::seed_from(seed);
         let mut net = mini_alexnet(4, &mut rng).unwrap();
         net.freeze_first_convs(frozen).unwrap();
-        let prefix = net.tensors_before(net.first_unfrozen());
         let calib = Tensor::rand_uniform([images, 3, 36, 36], 0.0, 1.0, &mut rng);
         let probe = Tensor::rand_uniform([3, 3, 36, 36], 0.0, 1.0, &mut rng);
         let mut q = QuantizedNet::calibrate(&net, &calib).unwrap();
         let mut logits = output_bits(&mut q, &probe);
         for update in 0..updates {
-            let mut dict = state_dict(&mut net);
-            for t in &mut dict[prefix..] {
+            let mut dict = trained_dict(&mut net);
+            for t in &mut dict {
                 for v in t.as_mut_slice() {
                     *v += rng.uniform(-0.02, 0.02);
                 }
             }
-            load_state_dict(&mut net, &dict).unwrap();
-            q.recalibrate(&dict[prefix..]).unwrap();
+            load_trained(&mut net, &dict).unwrap();
+            q.recalibrate(&mut net).unwrap();
             let mut fresh = QuantizedNet::calibrate(&net, &calib).unwrap();
             assert_eq!(calibration_bits(&q), calibration_bits(&fresh), "update {update}");
             logits = output_bits(&mut q, &probe);
@@ -484,9 +477,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// The bitwise gate: after any sequence of updates, each carrying
+        /// The bitwise gate: after any sequence of updates, each writing
         /// the dict after the freeze cut (conv1–3 frozen, or fewer, down
-        /// to none), `recalibrate` equals a fresh `calibrate` of the same
+        /// to none) into the net, `recalibrate` of that net equals a fresh `calibrate` of the same
         /// weights over the same images (records, i8 weights, row scales,
         /// biases, input scales and `predict` bits), for calibration
         /// batches of 1–8 images at 1/2/4 kernel threads, and the thread
@@ -513,23 +506,32 @@ mod tests {
     }
 
     #[test]
-    fn a_rejected_dict_leaves_the_quantized_net_unchanged() {
+    fn recalibrate_rejects_another_architecture() {
         let mut rng = Rng::seed_from(47);
         let mut net = mini_alexnet(4, &mut rng).unwrap();
         net.freeze_first_convs(3).unwrap();
-        let prefix = net.tensors_before(net.first_unfrozen());
         let calib = Tensor::rand_uniform([2, 3, 36, 36], 0.0, 1.0, &mut rng);
+        let probe = Tensor::rand_uniform([2, 3, 36, 36], 0.0, 1.0, &mut rng);
         let mut q = QuantizedNet::calibrate(&net, &calib).unwrap();
-        let before = calibration_bits(&q);
-        let original = state_dict(&mut net);
-        // New values everywhere: as a suffix one tensor short, and as a
-        // whole dict, whose frozen prefix no update may carry.
-        let dict: Vec<Tensor> = original.iter().map(|t| t.map(|v| v + 1.0)).collect();
-        let short = &dict[prefix..dict.len() - 1];
-        for (what, bad) in [("one short", short), ("whole dict", &dict[..])] {
-            assert!(q.recalibrate(bad).is_err(), "{what}");
+        let (before, logits) = (calibration_bits(&q), output_bits(&mut q, &probe));
+        // Each net holds other weights, so a walk over it would show.
+        let frozen = |classes: usize, convs: usize, rng: &mut Rng| {
+            let mut other = mini_alexnet(classes, rng).unwrap();
+            other.freeze_first_convs(convs).unwrap();
+            other
+        };
+        let other_cut = frozen(4, 2, &mut rng);
+        let mut extra_layer = frozen(4, 3, &mut rng);
+        extra_layer.push(Relu::new("extra"));
+        let other_dims = frozen(5, 3, &mut rng);
+        for (what, mut bad) in [
+            ("another freeze cut", other_cut),
+            ("an extra layer", extra_layer),
+            ("a last Linear of other dims", other_dims),
+        ] {
+            assert!(q.recalibrate(&mut bad).is_err(), "{what}");
             assert_eq!(calibration_bits(&q), before, "{what}");
-            assert_eq!(state_dict(&mut q.shadow), original, "{what}");
+            assert_eq!(output_bits(&mut q, &probe), logits, "{what}");
         }
     }
 }

@@ -78,11 +78,6 @@ impl Rng {
         (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Uniform `f32` in `[lo, hi)`.
     ///
     /// # Panics
@@ -146,32 +141,6 @@ impl Rng {
             let j = self.below(i + 1);
             slice.swap(i, j);
         }
-    }
-
-    /// Uniformly chooses an element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.below(slice.len())])
-        }
-    }
-
-    /// Samples `k` distinct indices from `[0, n)` (reservoir sampling),
-    /// returned in ascending order. If `k >= n` all indices are returned.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        if k >= n {
-            return (0..n).collect();
-        }
-        let mut reservoir: Vec<usize> = (0..k).collect();
-        for i in k..n {
-            let j = self.below(i + 1);
-            if j < k {
-                reservoir[j] = i;
-            }
-        }
-        reservoir.sort_unstable();
-        reservoir
     }
 }
 
@@ -246,16 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_indices_distinct_and_sorted() {
-        let mut rng = Rng::seed_from(13);
-        let s = rng.sample_indices(100, 10);
-        assert_eq!(s.len(), 10);
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
-        assert!(s.iter().all(|&i| i < 100));
-        assert_eq!(rng.sample_indices(3, 10), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn fork_decorrelates() {
         let mut parent = Rng::seed_from(21);
         let mut c1 = parent.fork();
@@ -269,12 +228,5 @@ mod tests {
         let mut rng = Rng::seed_from(17);
         assert!(!(0..100).any(|_| rng.chance(0.0)));
         assert!((0..100).all(|_| rng.chance(1.0)));
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = Rng::seed_from(1);
-        assert_eq!(rng.choose::<u8>(&[]), None);
-        assert_eq!(rng.choose(&[42]), Some(&42));
     }
 }

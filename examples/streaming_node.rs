@@ -116,12 +116,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "ingest: {} frames produced ({} dropped), queue depth peaked at {}, \
          {} fresh / {} recycled arena buffers, {:.1} ms producing in total",
-        ingest.frames,
-        ingest.drops,
-        ingest.max_queue_depth,
-        ingest.fresh_buffers,
-        ingest.reused_buffers,
-        ingest.produce_ns_total as f64 / 1e6
+        ingest.producer.frames,
+        ingest.producer.dropped,
+        ingest.producer.max_queue_depth,
+        ingest.producer.fresh_buffers,
+        ingest.producer.reused_buffers,
+        ingest.producer.produce_ns_total as f64 / 1e6
     );
     println!(
         "backpressure: {} degrade step(s), {} restore(s), {} precision flip(s); \

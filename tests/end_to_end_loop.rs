@@ -7,7 +7,7 @@ use insitu::cloud::{
 };
 use insitu::core::{CloudEndpoint, DiagnosisPolicy, InsituNode};
 use insitu::data::{Condition, Dataset};
-use insitu::nn::serialize::state_dict;
+use insitu::nn::serialize::trained_dict;
 use insitu::nn::transfer::conv_prefix_identical;
 use insitu::tensor::Rng;
 
@@ -129,10 +129,9 @@ fn movement_meter_accumulates_across_stages() {
         // The downlink: 4 B per f32 element of every tensor after the
         // node's freeze cut, the only ones an update carries.
         let mut net = d.node.inference().clone();
-        let first = net.tensors_before(net.first_unfrozen());
-        let suffix = state_dict(&mut net).split_off(first);
+        let suffix = trained_dict(&mut net);
         let bytes = suffix.iter().map(|t| t.len() as u64 * 4).sum::<u64>();
-        assert!(first > 0 && update.jigsaw_params.is_none());
+        assert!(net.first_unfrozen() > 0 && update.jigsaw_params.is_none());
         assert_eq!(update.downlink_bytes(), bytes);
         downloaded += bytes;
         updates += 1;
